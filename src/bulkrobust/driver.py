@@ -7,6 +7,11 @@ failure of i edges from a single scenario.  Level 1 is solved exactly
 two and up run the LP plus per-face rounding.  Every guarantee the
 algorithm relies on is re-checked at runtime, and the trace records enough
 per-level and per-face data to audit a run after the fact.
+
+Feasibility checks go through the instance's `Feasibility` table of the
+current solution X: O(n + |X|) per scenario, built once per distinct X
+(so once per level), then O(k) per failure subset.  The table of X after
+level i serves this level's checks here and level i + 1's preprocessing.
 """
 
 from dataclasses import dataclass, field
@@ -237,9 +242,9 @@ def augment_step(instance, x_edges, level, on_lp=None):
                 f"= {trace.bound}")
         added = frozenset(added)
 
-    new_x = frozenset(x_edges) | added
+    feasible = instance.feasibility(frozenset(x_edges) | added)
     for f_set in ctx.omega:
-        if not instance.requirement_holds(new_x - f_set):
+        if not feasible.holds(ctx.omega_scenario[f_set], f_set):
             raise InvariantError(
                 f"augmentation at level {level} leaves failure set "
                 f"{sorted(f_set)} disconnecting")
@@ -273,16 +278,18 @@ def solve(instance, on_lp=None):
             raise InvariantError("augmentation re-added already chosen edges")
         x = x | added
         trace.levels.append(level_trace)
+        feasible = instance.feasibility(x)
         for jdx, full in enumerate(instance.scenario_sets):
             size = min(level, len(full))
             for sub in combinations(sorted(full), size):
-                if not instance.requirement_holds(x - frozenset(sub)):
+                if not feasible.holds(jdx, sub):
                     raise InvariantError(
                         f"after level {level}, removing {sorted(sub)} of scenario "
                         f"{jdx} still disconnects the requirement")
 
+    feasible = instance.feasibility(x)
     for jdx, full in enumerate(instance.scenario_sets):
-        if not instance.requirement_holds(x - full):
+        if not feasible.holds(jdx, full):
             raise InvariantError(
                 f"final solution fails against full scenario {jdx}")
     if not instance.requirement_holds(x):

@@ -75,6 +75,89 @@ def same_component(a, b, edge_endpoints, nodes=None):
     return uf.same(a, b)
 
 
+def _find(parent, x):
+    """Root of x in a list-based union-find, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _label(parent, label, node):
+    """Small consecutive label of node's component, numbered on first sight."""
+    return label.setdefault(_find(parent, node), len(label))
+
+
+class Feasibility:
+    """The requirement on (V, X - S) for every S inside one scenario.
+
+    Built once per solution X: for each scenario F_j a list-based
+    union-find labels the components of (V, X - F_j), O(n + |X|).  Only
+    the labels that a query can touch are kept: those of the endpoints of
+    the edges in F_j & X, and of s and t.  `holds(j, S)` for S within F_j
+    then unions the surviving edges of (F_j & X) - S over those labels,
+    which is O(k).  Holds no reference to the instance.
+    """
+
+    __slots__ = ("x", "_mst", "_scenarios")
+
+    def __init__(self, instance, x):
+        self.x = x = frozenset(x)
+        self._mst = instance.problem == "mst"
+        n = instance.node_count
+        ends = instance.edge_map
+        x_rows = [(e, ends[e][0], ends[e][1]) for e in x]
+        scenarios = []
+        for full in instance.scenario_sets:
+            parent = list(range(n))
+            merges = 0
+            for e, u, v in x_rows:      # _find inlined: this loop is the hot path
+                if e in full:
+                    continue
+                while parent[u] != u:
+                    parent[u] = u = parent[parent[u]]
+                while parent[v] != v:
+                    parent[v] = v = parent[parent[v]]
+                if u != v:
+                    parent[v] = u
+                    merges += 1
+            label = {}
+            if self._mst:
+                target = n - merges     # components left to merge into one
+                trivial = target == 1
+            else:
+                target = (_label(parent, label, instance.s),
+                          _label(parent, label, instance.t))
+                trivial = target[0] == target[1]
+            if trivial:     # X - F_j already meets it, so every X - S does
+                scenarios.append(None)
+                continue
+            rows = tuple((e, _label(parent, label, ends[e][0]),
+                          _label(parent, label, ends[e][1]))
+                         for e in sorted(full & x))
+            scenarios.append((rows, len(label), target))
+        self._scenarios = tuple(scenarios)
+
+    def holds(self, j, removed):
+        """True iff the requirement holds on (V, X - S) for S = `removed`,
+        which must lie inside scenario j."""
+        scenario = self._scenarios[j]
+        if scenario is None:
+            return True
+        rows, size, target = scenario
+        parent = list(range(size))
+        merges = 0
+        for e, a, b in rows:
+            if e in removed:
+                continue
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra != rb:
+                parent[rb] = ra
+                merges += 1
+        if self._mst:
+            return target - merges == 1
+        return _find(parent, target[0]) == _find(parent, target[1])
+
+
 @dataclass(frozen=True)
 class FaceSet:
     """Faces of an embedding as boundary walks of (tail_node, edge_id) darts."""
@@ -102,10 +185,6 @@ class PlaneGraph:
     edges: dict             # edge_id -> (u, v, w)
     rotation: dict          # node -> tuple of incident edge ids, clockwise
 
-    @cached_property
-    def node_set(self):
-        return frozenset(self.nodes)
-
     def endpoints(self, eid):
         u, v, _ = self.edges[eid]
         return u, v
@@ -117,9 +196,6 @@ class PlaneGraph:
         if node == v:
             return u
         raise KeyError(f"node {node} not an endpoint of edge {eid}")
-
-    def weight(self, eid):
-        return self.edges[eid][2]
 
     @cached_property
     def adjacency(self):
@@ -323,6 +399,19 @@ class Instance:
         if self.problem == "st":
             return same_component(self.s, self.t, ends, nodes=range(self.node_count))
         return connected_under(range(self.node_count), ends)
+
+    def feasibility(self, x):
+        """The Feasibility table of solution X.
+
+        The table of the last X asked for is kept, so one table serves
+        every check on the same X.  The table does not refer back to the
+        instance, so keeping it creates no reference cycle.
+        """
+        x = frozenset(x)
+        table = self.__dict__.get("_feasibility")
+        if table is None or table.x != x:
+            table = self._feasibility = Feasibility(self, x)
+        return table
 
     # -- derived views ---------------------------------------------------
 

@@ -4,6 +4,11 @@ A level-i step receives the current solution X (feasible when at most i-1
 edges of any one scenario fail) and prepares everything the LP and the
 rounding stage need: the relevant failure sets, the contracted embedded
 subgraph, the two-sided cuts, and the per-face shortest-path links.
+
+Feasibility questions go through the instance's `Feasibility` table of X:
+O(n + |X|) per scenario to build, once per distinct X, then O(k) per
+failure subset.  The no-bridge guarantee of the contracted solution is
+checked by one depth-first pass, O(|kept|).
 """
 
 import heapq
@@ -12,7 +17,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import BudgetError, InvariantError
-from .instance import UnionFind, induced_faces, same_component
+from .instance import UnionFind, induced_faces
 
 OMEGA_CAP = 10 ** 5
 
@@ -104,13 +109,13 @@ class StepContext:
     level: int
     x_edges: frozenset
     omega: tuple                    # relevant failure sets, deterministic order
+    omega_scenario: dict = field(default_factory=dict)  # failure set -> a scenario holding it
     graph: object = None            # contracted PlaneGraph
     node_map: dict = field(default_factory=dict)   # original node -> contracted node
     kept_x: frozenset = frozenset()
     e_rest: dict = field(default_factory=dict)     # candidate edge ids -> (u, v, w)
     subgraph: object = None         # EmbeddedSubgraph of (graph, kept_x)
     contracted: tuple = ()          # X edges contracted away
-    dropped_loops: tuple = ()       # candidate edges lost as loops
     cuts: dict = field(default_factory=dict)       # failure set -> FailureCut
     scenario_faces: dict = field(default_factory=dict)  # failure set -> face indices
     s: int = None
@@ -118,8 +123,46 @@ class StepContext:
     cut_face_checks: int = 0        # validated (failure set, face) pairs
 
 
-def _subset_requirement_ok(instance, x, removed):
-    return instance.requirement_holds(x - removed)
+def bridges(edges):
+    """Sorted ids of the bridges of a multigraph given as (id, u, v) rows.
+
+    One iterative depth-first pass (Tarjan 1974): the edge into a node is a
+    bridge iff no edge from that node's subtree reaches above it.  The edge
+    into a node is skipped by id, not by the parent node, so an edge
+    parallel to it counts as a way back and parallel edges are never
+    bridges.
+    """
+    adj = {}
+    for e, u, v in edges:
+        adj.setdefault(u, []).append((e, v))
+        adj.setdefault(v, []).append((e, u))
+    order = {}      # node -> discovery index
+    low = {}        # node -> lowest discovery index its subtree reaches
+    found = []
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            node, via, todo = stack[-1]
+            for e, other in todo:
+                if e == via:
+                    continue
+                if other in order:
+                    low[node] = min(low[node], order[other])
+                else:
+                    order[other] = low[other] = len(order)
+                    stack.append((other, e, iter(adj[other])))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                    if low[node] > order[parent]:
+                        found.append(via)
+    return sorted(found)
 
 
 def preprocess_step(instance, x_edges, level):
@@ -137,10 +180,11 @@ def preprocess_step(instance, x_edges, level):
         raise ValueError("level must be >= 1")
 
     # X must survive every failure of fewer than `level` edges.
+    feasible = instance.feasibility(x)
     for jdx, full in enumerate(instance.scenario_sets):
         size = min(level - 1, len(full))
         for sub in combinations(sorted(full), size):
-            if not _subset_requirement_ok(instance, x, frozenset(sub)):
+            if not feasible.holds(jdx, sub):
                 raise ValueError(
                     f"X is not feasible for level {level - 1}: removing "
                     f"{sorted(sub)} from scenario {jdx} disconnects it")
@@ -150,8 +194,8 @@ def preprocess_step(instance, x_edges, level):
         raise BudgetError(
             f"failure-set enumeration needs {total} subsets (cap {OMEGA_CAP})")
 
-    relevant = set()
-    for full in instance.scenario_sets:
+    relevant = {}
+    for jdx, full in enumerate(instance.scenario_sets):
         if len(full) < level:
             continue
         for sub in combinations(sorted(full), level):
@@ -160,11 +204,12 @@ def preprocess_step(instance, x_edges, level):
                 continue  # removal reduces to a smaller subset, never disconnects
             if fs in relevant:
                 continue
-            if not _subset_requirement_ok(instance, x, fs):
-                relevant.add(fs)
+            if not feasible.holds(jdx, sub):
+                relevant[fs] = jdx
     omega = tuple(sorted(relevant, key=lambda f: tuple(sorted(f))))
 
-    ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega)
+    ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega,
+                      omega_scenario=relevant)
     if not omega:
         return ctx
 
@@ -191,12 +236,10 @@ def preprocess_step(instance, x_edges, level):
     kept = union_omega
     sub_nodes = frozenset(n for e in kept for n in graph.endpoints(e))
     if level >= 2:
-        for e in sorted(kept):
-            u, v, _ = graph.edges[e]
-            others = [graph.endpoints(e2) for e2 in kept if e2 != e]
-            if not same_component(u, v, others, nodes=sub_nodes):
-                raise InvariantError(
-                    f"edge {e} is a bridge of the contracted solution at level {level}")
+        found = bridges((e, *graph.endpoints(e)) for e in kept)
+        if found:
+            raise InvariantError(
+                f"edge {found[0]} is a bridge of the contracted solution at level {level}")
 
     subgraph = induced_faces(graph, kept)
     e_rest = {e: graph.edges[e] for e in sorted(graph.edges) if e not in kept}
@@ -252,7 +295,6 @@ def preprocess_step(instance, x_edges, level):
     ctx.e_rest = e_rest
     ctx.subgraph = subgraph
     ctx.contracted = tuple(contracted)
-    ctx.dropped_loops = tuple(sorted(dropped))
     ctx.cuts = cuts
     ctx.scenario_faces = scenario_faces
     ctx.cut_face_checks = checks

@@ -2,10 +2,12 @@
 
 from itertools import combinations
 
-from bulkrobust import (Hypergraph, brute_force_opt, gen_grid,
+import pytest
+
+from bulkrobust import (Hypergraph, InvariantError, brute_force_opt, gen_grid,
                         gen_series_parallel, guarantee_factor, is_feasible,
                         reduce_hypergraph_vc, serialize_instance, solve)
-from bulkrobust.driver import augment_step, solution_dict
+from bulkrobust.driver import LevelTrace, augment_step, solution_dict
 from conftest import square_with_chords, triangle_instance
 
 
@@ -20,6 +22,18 @@ def test_triangle_end_to_end():
     ratio = trace.alg_cost / opt
     assert ratio == 1.5
     assert ratio <= guarantee_factor(tri.k) == 17
+
+
+def test_solve_still_checks_each_level(monkeypatch):
+    import bulkrobust.driver as driver_mod
+
+    def add_nothing(instance, x_edges, level, on_lp=None):
+        return frozenset(), LevelTrace(level=level, omega_size=0)
+
+    monkeypatch.setattr(driver_mod, "augment_step", add_nothing)
+    with pytest.raises(InvariantError, match=r"^after level 1, removing \[0\] of "
+                       r"scenario 0 still disconnects the requirement$"):
+        solve(triangle_instance())
 
 
 def test_empty_scenarios_returns_base():

@@ -1,11 +1,14 @@
 """Step preprocessing, cuts, the cover relation, typed links."""
 
+import random
+
 import pytest
 
-from bulkrobust import (covers, enumerate_typed_links, failure_components,
-                        gen_grid, preprocess_step)
+from bulkrobust import (InvariantError, covers, enumerate_typed_links,
+                        failure_components, gen_grid, preprocess_step)
 from bulkrobust.driver import minimum_spanning_tree as mst
-from bulkrobust.links import dijkstra, lex_shortest_path
+from bulkrobust.instance import UnionFind, connected_under
+from bulkrobust.links import bridges, dijkstra, lex_shortest_path
 from conftest import square_with_chords, triangle_instance
 
 
@@ -59,6 +62,14 @@ def test_preprocess_rejects_infeasible_x():
     sq = square_with_chords(inner=True, outer=False)
     with pytest.raises(ValueError, match="not feasible"):
         preprocess_step(sq, {0, 1}, 2)  # a bare path cannot survive level 1
+
+
+def test_preprocess_names_the_failing_subset_and_scenario():
+    # scenario 0 survives X = {0, 1}; removing e0 of scenario 1 cuts s from t
+    sq = square_with_chords(inner=True, outer=False, scenarios=((3,), (0, 2)))
+    with pytest.raises(ValueError, match=r"^X is not feasible for level 1: "
+                       r"removing \[0\] from scenario 1 disconnects it$"):
+        preprocess_step(sq, {0, 1}, 2)
 
 
 def test_preprocess_contracts_unprotected_edges():
@@ -185,3 +196,66 @@ def test_lex_shortest_path_tie_break():
     cost, path = lex_shortest_path(adj, 0, 3)
     assert cost == 2
     assert path == (0, 2)
+
+
+def bridges_by_definition(edges):
+    """Edges whose deletion splits their component, by connected_under."""
+    uf = UnionFind({n for _, u, v in edges for n in (u, v)})
+    for _, u, v in edges:
+        uf.union(u, v)
+    found = []
+    for e, u, v in edges:
+        comp = {n for n in uf.parent if uf.same(n, u)}
+        rest = [(a, b) for e2, a, b in edges if e2 != e and a in comp]
+        if not connected_under(comp, rest):
+            found.append(e)
+    return sorted(found)
+
+
+def random_multigraph(rng):
+    """Up to 10 nodes in up to 3 groups, edges only inside a group, and
+    parallel copies of some edges."""
+    groups = [[] for _ in range(rng.randint(1, 3))]
+    for node in range(rng.randint(2, 10)):
+        rng.choice(groups).append(node)
+    groups = [g for g in groups if len(g) > 1]
+    rows = []
+    for e in rng.sample(range(100), rng.randint(1, 12) if groups else 0):
+        u, v = rng.sample(rng.choice(groups), 2)
+        rows.append((e, u, v))
+        if rng.random() < 0.2:
+            rows.append((100 + len(rows), v, u))
+    return rows
+
+
+def test_bridges_match_the_definition():
+    rng = random.Random(11)
+    parallel = components = 0
+    for _ in range(400):
+        rows = random_multigraph(rng)
+        assert bridges(rows) == bridges_by_definition(rows), rows
+        pairs = [frozenset((u, v)) for _, u, v in rows]
+        parallel += len(pairs) != len(set(pairs))
+        uf = UnionFind({n for _, u, v in rows for n in (u, v)})
+        for _, u, v in rows:
+            uf.union(u, v)
+        components += uf.component_count() > 1
+    assert parallel > 100 and components > 100
+
+
+def test_bridges_by_hand():
+    # a triangle 0-1-2, a doubled edge 2-3, a pendant edge 3-4, and a
+    # separate edge 5-6
+    rows = [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 2, 3), (4, 3, 2),
+            (5, 3, 4), (6, 5, 6)]
+    assert bridges(rows) == [5, 6]
+    assert bridges([]) == []
+
+
+def test_preprocess_names_the_smallest_bridge(monkeypatch):
+    import bulkrobust.links as links_mod
+    monkeypatch.setattr(links_mod, "bridges", lambda rows: [2, 7])
+    sq = square_with_chords(inner=True, outer=False)
+    with pytest.raises(InvariantError, match=r"^edge 2 is a bridge of the "
+                       r"contracted solution at level 2$"):
+        preprocess_step(sq, {0, 1, 2, 3}, 2)
