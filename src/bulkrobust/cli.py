@@ -10,18 +10,15 @@ column is bench's wall_ms.
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import generators
 from .driver import guarantee_factor, solution_dict, solve
 from .errors import BudgetError, InfeasibleError, InstanceError, InvariantError
-from .instance import parse_instance, serialize_instance
-from .links import covers
+from .instance import is_int_rows, parse_instance, serialize_instance
 from .lp import LinearProgram, lp_to_text, simplex_min
 from .oracle import OracleBudget, brute_force_opt, is_feasible
 from .setcover import exact_min_cover
@@ -44,14 +41,6 @@ def _write(path, text):
         fh.write(text)
 
 
-def _solver_threads():
-    raw = os.environ.get("SOLVER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 # -- solve / verify / oracle ------------------------------------------------
 
 def _cmd_solve(args):
@@ -60,13 +49,11 @@ def _cmd_solve(args):
 
     def on_lp(level, ctx, links, cover):
         costs = [link.cost for link in links]
+        table = ctx.covering(links)
         rows = []
         for f_set in ctx.omega:
-            cut = ctx.cuts[f_set]
             a = np.zeros(len(links))
-            for i, link in enumerate(links):
-                if covers(link, cut):
-                    a[i] = 1.0
+            a[list(table[f_set])] = 1.0
             rows.append((a, 1.0))
         dumps.append(f"# level {level}\n" + lp_to_text(LinearProgram(costs, rows)))
 
@@ -86,7 +73,9 @@ def _cmd_verify(args):
     inst = _read_instance(args.instance)
     with open(args.solution, "r", encoding="utf-8") as fh:
         sol = json.load(fh)
-    chosen = frozenset(int(e) for e in sol["chosen_edges"])
+    if type(sol) is not dict or not is_int_rows([sol.get("chosen_edges")]):
+        raise InstanceError("solution file must map chosen_edges to a list of edge ids")
+    chosen = frozenset(sol["chosen_edges"])
     dangling = chosen - inst.edge_ids
     if dangling:
         print(f"solution references unknown edges {sorted(dangling)}")
@@ -186,20 +175,13 @@ def _bench_one(family, index, seed, problem, budget):
     }
 
 
-def run_bench(family, count, seed, problem="st", budget=None, threads=1):
+def run_bench(family, count, seed, problem="st", budget=None):
     budget = budget or OracleBudget()
     problems = ("st", "mst") if problem == "both" else (problem,)
-    jobs = [(family, idx, seed, prob)
-            for idx in range(count) for prob in problems]
     if family == "hvc":
-        jobs = [(family, idx, seed, "st") for idx in range(count)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda j: _bench_one(j[0], j[1], j[2], j[3], budget), jobs))
-    else:
-        records = [_bench_one(*job, budget) for job in jobs]
-    return records
+        problems = ("st",)
+    return [_bench_one(family, idx, seed, prob, budget)
+            for idx in range(count) for prob in problems]
 
 
 def _fmt(value):
@@ -230,8 +212,7 @@ def write_report(records, path):
 
 def _cmd_bench(args):
     budget = OracleBudget(max_edges=args.max_edges)
-    records = run_bench(args.family, args.count, args.seed, args.problem,
-                        budget, _solver_threads())
+    records = run_bench(args.family, args.count, args.seed, args.problem, budget)
     write_report(records, args.report)
     worst = None
     for rec in records:
@@ -407,7 +388,8 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (InstanceError, BudgetError, OSError, json.JSONDecodeError) as exc:
+    except (InstanceError, BudgetError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -20,7 +20,8 @@ from itertools import combinations
 
 from .errors import InvariantError
 from .instance import UnionFind
-from .links import enumerate_typed_links, lex_shortest_path, preprocess_step
+from .links import (covered_by, enumerate_typed_links, lex_shortest_path,
+                    preprocess_step)
 from .lp import solve_link_lp
 from .rounding import cover_intervals_exact, partition_scenarios, round_face
 from .setcover import exact_min_cover
@@ -160,9 +161,7 @@ def _augment_level1_st(ctx, trace):
     pos_of_edge = {e: i for i, e in enumerate(path_edges)}
     points = sorted(pos_of_edge[next(iter(f))] for f in ctx.omega)
 
-    pairs = [(nodes[a], nodes[b])
-             for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
-    detours = _detour_links(ctx, pairs)
+    detours = _detour_links(ctx, combinations(nodes, 2))
     intervals = []
     for u, v, cost, path in detours:
         a, b = sorted((pos_of_node[u], pos_of_node[v]))
@@ -177,19 +176,9 @@ def _augment_level1_st(ctx, trace):
 
 
 def _augment_level1_mst(ctx, trace):
-    nodes = sorted(ctx.subgraph.nodes)
-    pairs = [(nodes[a], nodes[b])
-             for a in range(len(nodes)) for b in range(a + 1, len(nodes))]
-    detours = _detour_links(ctx, pairs)
-    index_of = {f_set: i for i, f_set in enumerate(ctx.omega)}
-    sets = []
-    for u, v, cost, path in detours:
-        covered = []
-        for f_set in ctx.omega:
-            cut = ctx.cuts[f_set]
-            if (u in cut.side_s) != (v in cut.side_s):
-                covered.append(index_of[f_set])
-        sets.append((cost, covered))
+    detours = _detour_links(ctx, combinations(sorted(ctx.subgraph.nodes), 2))
+    covered = covered_by(ctx.covering((u, v) for u, v, _, _ in detours), ctx.omega)
+    sets = [(cost, covered.get(i, [])) for i, (_, _, cost, _) in enumerate(detours)]
     try:
         total, picked = exact_min_cover(len(ctx.omega), sets)
     except ValueError as exc:

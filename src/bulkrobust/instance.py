@@ -10,6 +10,7 @@ testing.
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .errors import InfeasibleError, InstanceError, InvariantError
 
@@ -62,16 +63,10 @@ def connected_under(nodes, edge_endpoints):
     return uf.component_count() == 1
 
 
-def same_component(a, b, edge_endpoints, nodes=None):
-    uf = UnionFind(nodes if nodes is not None else {a, b})
+def same_component(a, b, edge_endpoints, nodes):
+    uf = UnionFind(nodes)
     for u, v in edge_endpoints:
-        if u not in uf.parent:
-            uf.parent[u] = u
-        if v not in uf.parent:
-            uf.parent[v] = v
         uf.union(u, v)
-    if a not in uf.parent or b not in uf.parent:
-        return a == b
     return uf.same(a, b)
 
 
@@ -458,7 +453,15 @@ class Instance:
 _TOP_KEYS = {"nodes", "edges", "rotation", "problem", "s", "t", "scenarios"}
 
 
-def parse_instance(data, precheck=True):
+def is_int_rows(value, width=None):
+    """True iff a parsed JSON value is an array of integer arrays, each `width`
+    long when given.  Bools and floats are not integers."""
+    return (type(value) is list and set(map(type, value)) <= {list}
+            and set(map(type, chain.from_iterable(value))) <= {int}
+            and (width is None or set(map(len, value)) <= {width}))
+
+
+def parse_instance(data):
     """Parse the JSON instance format into a validated Instance."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -475,13 +478,22 @@ def parse_instance(data, precheck=True):
     for key in ("nodes", "edges", "rotation", "problem"):
         if key not in data:
             raise InstanceError(f"missing key {key!r}")
+    if type(data["nodes"]) is not int:
+        raise InstanceError("nodes must be an integer")
     edges = data["edges"]
-    if not isinstance(edges, list) or any(not isinstance(r, list) or len(r) != 4 for r in edges):
-        raise InstanceError("edges must be a list of [id, u, v, w] rows")
+    if not is_int_rows(edges, 4):
+        raise InstanceError("edges must be a list of [id, u, v, w] integer rows")
     try:
         rotation = {int(n): rot for n, rot in data["rotation"].items()}
+        if not is_int_rows(list(rotation.values())):
+            raise ValueError
     except (AttributeError, ValueError):
         raise InstanceError("rotation must map node ids to edge id lists") from None
+    if any(data.get(key) is not None and type(data[key]) is not int for key in ("s", "t")):
+        raise InstanceError("terminals s and t must be integer node ids")
+    scenarios = data.get("scenarios", [])
+    if not is_int_rows(scenarios):
+        raise InstanceError("scenarios must be a list of edge id lists")
     return Instance(
         node_count=data["nodes"],
         edges=edges,
@@ -489,8 +501,7 @@ def parse_instance(data, precheck=True):
         problem=data["problem"],
         s=data.get("s"),
         t=data.get("t"),
-        scenarios=data.get("scenarios", []),
-        precheck=precheck,
+        scenarios=scenarios,
     )
 
 

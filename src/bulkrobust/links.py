@@ -5,6 +5,11 @@ edges of any one scenario fail) and prepares everything the LP and the
 rounding stage need: the relevant failure sets, the contracted embedded
 subgraph, the two-sided cuts, and the per-face shortest-path links.
 
+A link covers a relevant failure set iff its endpoints lie on different
+sides of that set's two-sided cut: `covers` for one pair.  The relation is
+computed once per level by `StepContext.covering`, and the LP, the face
+partition, the rounding and the trace all read that one table.
+
 Feasibility questions go through the instance's `Feasibility` table of X:
 O(n + |X|) per scenario to build, once per distinct X, then O(k) per
 failure subset.  The no-bridge guarantee of the contracted solution is
@@ -13,7 +18,7 @@ checked by one depth-first pass, O(|kept|).
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .errors import BudgetError, InvariantError
@@ -103,7 +108,7 @@ class FailureCut:
 
 @dataclass
 class StepContext:
-    """Everything one augmentation level needs; immutable after creation."""
+    """Everything one augmentation level needs; immutable but for its covering cache."""
 
     instance: object
     level: int
@@ -121,6 +126,28 @@ class StepContext:
     s: int = None
     t: int = None
     cut_face_checks: int = 0        # validated (failure set, face) pairs
+
+    def covering(self, links):
+        """For each failure set of omega, the ascending indices of the links
+        (TypedLinks or (u, v) pairs) that cover it; the last table is kept."""
+        links = tuple(links)
+        cached = self.__dict__.get("_covering")
+        if cached is not None and cached[0] == links:
+            return cached[1]
+        if not self.omega:
+            return {}
+        ends = [(link.u, link.v) if isinstance(link, TypedLink) else link
+                for link in links]
+        for node in chain.from_iterable(ends):
+            if node not in self.subgraph.nodes:
+                raise ValueError(f"node {node} is not incident to the current solution")
+        table = {}
+        for f_set in self.omega:
+            side = self.cuts[f_set].side_s
+            table[f_set] = tuple(i for i, (u, v) in enumerate(ends)
+                                 if (u in side) != (v in side))
+        self._covering = (links, table)
+        return table
 
 
 def bridges(edges):
@@ -325,6 +352,16 @@ def covers(link_or_pair, cut):
         if node not in cut.side_s and node not in cut.side_t:
             raise ValueError(f"node {node} is not incident to the current solution")
     return (u in cut.side_s) != (v in cut.side_s)
+
+
+def covered_by(table, f_sets):
+    """Link index -> ascending positions in `f_sets` of the sets it covers,
+    read from a `StepContext.covering` table."""
+    found = {}
+    for pos, f_set in enumerate(f_sets):
+        for idx in table[f_set]:
+            found.setdefault(idx, []).append(pos)
+    return found
 
 
 def enumerate_typed_links(ctx):

@@ -2,8 +2,9 @@
 
 The covering LP is solved with lazy constraints: start without covering
 rows, repeatedly ask the min-cut oracle for a violated failure set, add
-its row, re-solve.  A dense two-phase simplex (Dantzig pivoting, Bland's
-rule after a stall) does the re-solves; everything is deterministic.
+its row (read from the level's `StepContext.covering` table), re-solve.
+A dense two-phase simplex (Dantzig pivoting, Bland's rule after a stall)
+does the re-solves; everything is deterministic.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, InvariantError
-from .links import covers
 
 EPS_FEAS = 1e-6     # constraint satisfaction tolerance
 EPS_LP = 1e-7       # objective tolerance
@@ -230,7 +230,6 @@ class FractionalCover:
     links: tuple
     values: np.ndarray
     objective: float = 0.0
-    tight: tuple = ()
     oracle_calls: int = 0
 
 
@@ -240,18 +239,16 @@ class SeparationResult:
     cut_value: float
 
 
-def separation_oracle(ctx, cover, scenario_index, mode=None):
+def separation_oracle(ctx, cover, scenario_index):
     """Find a violated failure set inside one input scenario, if any.
 
     Builds the capacitated graph on the solution nodes: kept solution
     edges get capacity 1 when they belong to the scenario and a large
     finite sentinel otherwise; every link contributes one edge with its
     fractional value.  A violated set exists iff the minimum cut (s-t cut
-    for `st`, global cut for `global`) stays strictly below level+1; the
+    for `st`, global cut for `mst`) stays strictly below level+1; the
     scenario edges crossing that cut form the violated set.
     """
-    if mode is None:
-        mode = "st" if ctx.instance.problem == "st" else "global"
     level = ctx.level
     full = ctx.instance.scenario_sets[scenario_index]
     values = np.asarray(cover.values, dtype=float)
@@ -265,11 +262,9 @@ def separation_oracle(ctx, cover, scenario_index, mode=None):
         u, v = (link.u, link.v) if hasattr(link, "u") else link
         arc_list.append((u, v, max(0.0, float(val))))
 
-    if mode == "st":
-        if ctx.s is None:
-            raise ValueError("st separation needs terminals")
+    if ctx.instance.problem == "st":
         value, side = max_flow_min_cut(arc_list, ctx.s, ctx.t)
-    elif mode == "global":
+    else:
         nodes = sorted(ctx.subgraph.nodes)
         anchor = nodes[0]
         value, side = float("inf"), None
@@ -277,8 +272,6 @@ def separation_oracle(ctx, cover, scenario_index, mode=None):
             v2, s2 = max_flow_min_cut(arc_list, anchor, other)
             if v2 < value - 1e-12:
                 value, side = v2, s2
-    else:
-        raise ValueError(f"unknown separation mode {mode!r}")
 
     if value >= level + 1 - EPS_FEAS:
         return SeparationResult(None, value)
@@ -312,6 +305,7 @@ def solve_link_lp(ctx, links):
         raise InfeasibleError(
             "augmentation impossible: no candidate links at this level")
 
+    table = ctx.covering(links)
     scenario_count = len(ctx.instance.scenario_sets)
     rows = []
     row_set = set()
@@ -326,8 +320,7 @@ def solve_link_lp(ctx, links):
             calls += 1
             if result.violating is None:
                 continue
-            cut = ctx.cuts[result.violating]
-            row = frozenset(i for i, link in enumerate(links) if covers(link, cut))
+            row = frozenset(table[result.violating])
             if not row:
                 raise InfeasibleError(
                     f"augmentation impossible: failure set "
@@ -360,14 +353,10 @@ def solve_link_lp(ctx, links):
     else:
         raise InvariantError("cutting-plane loop exceeded its round cap")
 
-    tight = []
     for f_set in ctx.omega:
-        mass = float(sum(x[i] for i, link in enumerate(links)
-                         if covers(link, ctx.cuts[f_set])))
+        mass = float(sum(x[i] for i in table[f_set]))
         if mass < 1 - EPS_FEAS:
             raise InvariantError(
                 f"final LP solution leaves failure set {sorted(f_set)} uncovered "
                 f"(mass {mass:.9f})")
-        if mass <= 1 + EPS_FEAS:
-            tight.append(f_set)
-    return FractionalCover(links, x, float(costs @ x), tuple(tight), calls)
+    return FractionalCover(links, x, float(costs @ x), calls)

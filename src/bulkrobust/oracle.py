@@ -7,7 +7,6 @@ fewer edges never hurts, so feasibility only needs the full scenarios
 pre-include every zero-weight edge and branch over the rest.
 """
 
-import time
 from dataclasses import dataclass
 
 from .errors import BudgetError, InfeasibleError
@@ -20,12 +19,11 @@ class OracleBudget:
 
     `max_edges` bounds the number of branching items (positive-weight
     edges, or hypergraph nodes for the vertex-cover search); `max_subsets`
-    bounds visited search nodes; `time_cap` is wall seconds, or None.
+    bounds visited search nodes.
     """
 
     max_edges: int = 24
     max_subsets: int = 2_000_000
-    time_cap: float = None
 
 
 def is_feasible(instance, edge_subset):
@@ -75,7 +73,6 @@ def brute_force_opt(instance, budget=None):
     best_set = frozenset(seed)
 
     suffix = [frozenset(branchable[i:]) for i in range(len(branchable) + 1)]
-    started = time.monotonic()
     visited = 0
 
     def search(idx, chosen, cost):
@@ -83,9 +80,6 @@ def brute_force_opt(instance, budget=None):
         visited += 1
         if visited > budget.max_subsets:
             raise BudgetError(f"subset search exceeded {budget.max_subsets} nodes")
-        if budget.time_cap is not None and visited % 256 == 0:
-            if time.monotonic() - started > budget.time_cap:
-                raise BudgetError("subset search exceeded its time cap")
         if cost >= best_cost:
             return
         if is_feasible(instance, base | chosen):

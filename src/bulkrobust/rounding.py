@@ -10,14 +10,15 @@ half their fractional mass lives (left-anchored vs top-anchored), and each
 side is then solved exactly.  The level-1 cases never build circles: an
 s-t path step is a weighted interval covering problem solved by dynamic
 programming, and a spanning-tree step is a plain exact cover over
-tree-edge cuts.
+tree-edge cuts.  Which links cover which failure set is read from the
+level's table `StepContext.covering`, the same one the LP used.
 """
 
 import bisect
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .links import covers
+from .links import covered_by
 from .lp import EPS_FEAS
 from .setcover import exact_min_cover
 
@@ -83,15 +84,13 @@ def partition_scenarios(ctx, cover):
     chosen_face = {}
     masses = {}
     threshold = 1.0 / level - EPS_FEAS
+    table = ctx.covering(cover.links)
     for f_set in ctx.omega:
-        cut = ctx.cuts[f_set]
-        per_face = {}
-        for face in ctx.scenario_faces[f_set]:
-            sigma = 0.0
-            for idx in face_links.get(face, ()):
-                if covers(cover.links[idx], cut):
-                    sigma += float(cover.values[idx])
-            per_face[face] = sigma
+        per_face = {face: 0.0 for face in ctx.scenario_faces[f_set]}
+        for idx in table[f_set]:
+            face = cover.links[idx].face
+            if face in per_face:
+                per_face[face] += float(cover.values[idx])
         masses[f_set] = per_face
         eligible = [f for f in sorted(per_face) if per_face[f] >= threshold]
         if not eligible:
@@ -180,14 +179,12 @@ def chords_to_rectangles(ci):
                            tuple(left_demands), tuple(top_demands))
 
 
-def solve_anchored_cover(points, rects, side="L"):
+def solve_anchored_cover(points, rects):
     """Exact minimum-cost rectangle cover of the given points.
 
     `points` maps point ids to (x, y); `rects` maps rectangle ids to
-    (rectangle, cost).  Returns (chosen rect ids, total cost).  The `side`
-    tag only documents which anchored family is being solved.
+    (rectangle, cost).  Returns (chosen rect ids, total cost).
     """
-    del side
     point_ids = sorted(points)
     rect_ids = sorted(rects)
     index_of = {p: i for i, p in enumerate(point_ids)}
@@ -203,9 +200,9 @@ def solve_anchored_cover(points, rects, side="L"):
     return tuple(rect_ids[i] for i in picked), cost
 
 
-def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, bound,
-                 fallback, circle=None, system=None):
-    cuts = ctx.cuts
+def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_cost,
+                 bound, fallback, circle=None, system=None):
+    covered = covered_by(ctx.covering(cover.links), scenarios)
     demand_list = []
     for pos, f_set in enumerate(scenarios):
         entry = {"scenario": sorted(f_set)}
@@ -228,8 +225,7 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, bound,
             "v": link.v,
             "cost": link.cost,
             "x": float(cover.values[idx]),
-            "covers": [pos for pos, f_set in enumerate(scenarios)
-                       if covers(link, cuts[f_set])],
+            "covers": covered.get(idx, []),
         }
         if idx in chord_of:
             entry["chord"] = list(chord_of[idx])
@@ -241,8 +237,7 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, bound,
         "face": face,
         "fallback": fallback,
         "level": ctx.level,
-        "lp_face_cost": sum(cover.links[i].cost * float(cover.values[i])
-                            for i in link_ids),
+        "lp_face_cost": lp_face_cost,
         "bound": bound,
         "cost": cost,
         "demands": demand_list,
@@ -272,24 +267,26 @@ def round_face(ctx, cover, partition, face):
     lp_face_cost = sum(cover.links[i].cost * float(cover.values[i]) for i in link_ids)
     bound = 8.0 * level * lp_face_cost
     if not scenarios:
-        record = _record_face(ctx, face, (), cover, link_ids, (), 0.0, bound, False)
+        record = _record_face(ctx, face, (), cover, link_ids, (), 0.0, lp_face_cost,
+                              bound, False)
         return RoundedFace(face, (), 0.0, bound, False, record)
 
     walk = ctx.subgraph.faces.faces[face]
     tails = [tail for tail, _ in walk]
     simple = len(set(tails)) == len(tails)
+    table = ctx.covering(cover.links)
 
     if simple:
         circle = build_circle_instance(ctx, face, scenarios, cover)
         system = chords_to_rectangles(circle)
         # live equivalence check: chord domination == endpoint cover relation
         for d_idx, (f_set, d_chord) in enumerate(circle.demands):
-            cut = ctx.cuts[f_set]
+            cut_links = set(table[f_set])
             for c_idx, (lidx, c_chord, _, _) in enumerate(circle.coverers):
                 geo = chords_intersect(d_chord, c_chord)
                 rect = (_in_rect(system.points[d_idx], system.lefts[c_idx])
                         or _in_rect(system.points[d_idx], system.tops[c_idx]))
-                via_cut = covers(cover.links[lidx], cut)
+                via_cut = lidx in cut_links
                 if geo != via_cut or geo != rect:
                     raise InvariantError(
                         "chord/rectangle/cut disagreement on face "
@@ -304,20 +301,16 @@ def round_face(ctx, cover, partition, face):
         top_rects = {c: (system.tops[c], rect_costs[c]) for c in system.tops}
         chosen_cov = set()
         if left_pts:
-            picked, _ = solve_anchored_cover(left_pts, left_rects, "L")
+            picked, _ = solve_anchored_cover(left_pts, left_rects)
             chosen_cov.update(picked)
         if top_pts:
-            picked, _ = solve_anchored_cover(top_pts, top_rects, "T")
+            picked, _ = solve_anchored_cover(top_pts, top_rects)
             chosen_cov.update(picked)
         chosen = tuple(sorted(circle.coverers[c][0] for c in chosen_cov))
     else:
         circle = system = None
-        index_of = {f_set: pos for pos, f_set in enumerate(scenarios)}
-        sets = []
-        for idx in link_ids:
-            link = cover.links[idx]
-            covered = [index_of[f] for f in scenarios if covers(link, ctx.cuts[f])]
-            sets.append((link.cost, covered))
+        covered = covered_by(table, scenarios)
+        sets = [(cover.links[idx].cost, covered.get(idx, [])) for idx in link_ids]
         try:
             _, picked = exact_min_cover(len(scenarios), sets)
         except ValueError:
@@ -326,8 +319,7 @@ def round_face(ctx, cover, partition, face):
         chosen = tuple(sorted(link_ids[i] for i in picked))
 
     for f_set in scenarios:
-        cut = ctx.cuts[f_set]
-        if not any(covers(cover.links[idx], cut) for idx in chosen):
+        if set(chosen).isdisjoint(table[f_set]):
             raise InvariantError(
                 f"rounded face {face} leaves failure set {sorted(f_set)} uncovered",
                 payload={"chosen": chosen})
@@ -338,7 +330,7 @@ def round_face(ctx, cover, partition, face):
             payload={"chosen": chosen, "lp_face_cost": lp_face_cost,
                      "level": level, "fallback": not simple})
     record = _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost,
-                          bound, not simple, circle, system)
+                          lp_face_cost, bound, not simple, circle, system)
     return RoundedFace(face, chosen, cost, bound, not simple, record)
 
 

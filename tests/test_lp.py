@@ -126,7 +126,6 @@ def test_solve_link_lp_triangle():
     cover = solve_link_lp(ctx, links)
     assert abs(cover.objective - 2.0) < 1e-7
     assert abs(float(cover.values[0]) - 1.0) < 1e-7
-    assert cover.tight == (frozenset({0}),)
 
 
 def test_solve_link_lp_mass_may_split():

@@ -127,7 +127,7 @@ def test_domination_equivalence_exhaustive_small():
 def test_anchored_cover_prefers_cheaper():
     points = {0: (1, 2)}
     rects = {0: ((0, 1, 1, 3), 3), 1: ((0, 2, 2, 3), 5)}
-    chosen, cost = solve_anchored_cover(points, rects, "L")
+    chosen, cost = solve_anchored_cover(points, rects)
     assert chosen == (0,) and cost == 3
 
 
@@ -138,12 +138,12 @@ def test_anchored_cover_two_points():
         "B": ((0, 0, 1, 1), 1),     # covers point 0
         "C": ((0, 2, 3, 3), 1),     # covers point 1
     }
-    chosen, cost = solve_anchored_cover(points, rects, "L")
+    chosen, cost = solve_anchored_cover(points, rects)
     assert set(chosen) == {"B", "C"} and cost == 2
 
 
 def test_anchored_cover_no_points():
-    chosen, cost = solve_anchored_cover({}, {0: ((0, 1, 0, 1), 2)}, "T")
+    chosen, cost = solve_anchored_cover({}, {0: ((0, 1, 0, 1), 2)})
     assert chosen == () and cost == 0
 
 
