@@ -205,6 +205,11 @@ class PlaneGraph:
     def is_connected(self):
         return connected_under(self.nodes, ((u, v) for u, v, _ in self.edges.values()))
 
+    @cached_property
+    def faces(self):
+        """The faces `trace_faces` finds, traced once per graph."""
+        return self.trace_faces()
+
     def trace_faces(self):
         """Walk every dart once: follow an edge to its head, continue with the
         successor of the edge in the head's rotation."""
@@ -240,7 +245,7 @@ class PlaneGraph:
 
     def euler_defect(self):
         """n - m + f - 2; zero for a valid embedding of a connected graph."""
-        return len(self.nodes) - len(self.edges) + len(self.trace_faces()) - 2
+        return len(self.nodes) - len(self.edges) + len(self.faces) - 2
 
     def contract(self, eid):
         """Contract one edge; returns (graph, node_map).
@@ -515,7 +520,7 @@ def serialize_instance(instance):
 def trace_faces(obj):
     """Faces of an Instance or PlaneGraph; raises if the Euler check fails."""
     graph = obj.graph if isinstance(obj, Instance) else obj
-    faces = graph.trace_faces()
+    faces = graph.faces
     if len(graph.nodes) - len(graph.edges) + len(faces) != 2:
         raise InstanceError("rotation system not planar (Euler check failed)")
     return faces
@@ -540,7 +545,7 @@ def induced_faces(obj, chosen):
     if not connected_under(sub_nodes, (graph.endpoints(e) for e in chosen)):
         raise InstanceError("chosen edge set is disconnected")
 
-    parent_faces = graph.trace_faces()
+    parent_faces = graph.faces
     uf = UnionFind(range(len(parent_faces)))
     rest = sorted(set(graph.edges) - chosen)
     for e in rest:

@@ -1,10 +1,13 @@
 """Small dense LP solving, max-flow separation oracles, and the link LP.
 
-The covering LP is solved with lazy constraints: start without covering
-rows, repeatedly ask the min-cut oracle for a violated failure set, add
-its row (read from the level's `StepContext.covering` table), re-solve.
-A dense two-phase simplex (Dantzig pivoting, Bland's rule after a stall)
-does the re-solves; everything is deterministic.
+The covering LP has one row per relevant failure set.  `preprocess_step`
+already enumerates them all, so the LP is solved once over the distinct
+rows of the level's `StepContext.covering` table by a dense two-phase
+simplex (Dantzig pivoting, Bland's rule after a stall), and its value is
+certified by the duals read off the final tableau.  The min-cut
+separation oracle is the paper's way to find violated rows when they are
+not enumerated; here it stays as an independent check of the solution.
+Everything is deterministic.
 """
 
 from dataclasses import dataclass
@@ -18,7 +21,6 @@ EPS_LP = 1e-7       # objective tolerance
 _PIVOT_EPS = 1e-9
 _STALL_LIMIT = 30
 _MAX_PIVOTS = 20000
-_MAX_ROUNDS = 200
 
 
 @dataclass
@@ -46,6 +48,7 @@ class SimplexResult:
     status: str                     # "optimal" | "infeasible" | "unbounded"
     value: float = None
     x: np.ndarray = None
+    duals: np.ndarray = None        # one per row, >= 0 at an optimum
 
 
 def _pivot(tableau, basis, row, col):
@@ -94,7 +97,7 @@ def simplex_min(lp):
     n = lp.objective.shape[0]
     m = len(lp.rows)
     if m == 0:
-        return SimplexResult("optimal", 0.0, np.zeros(n))
+        return SimplexResult("optimal", 0.0, np.zeros(n), np.zeros(0))
 
     # Equality form with nonnegative right-hand sides: rows with b <= 0 get a
     # slack that can start basic; rows with b > 0 get a surplus plus an
@@ -147,7 +150,9 @@ def simplex_min(lp):
     for r, b in enumerate(basis):
         if b < n:
             x[b] = tableau[r, -1]
-    return SimplexResult("optimal", float(lp.objective @ x), x)
+    # The reduced cost of row r's surplus (or slack) column is that row's dual.
+    return SimplexResult("optimal", float(lp.objective @ x), x,
+                         tableau[-1, n:n + m].copy())
 
 
 def lp_to_text(lp):
@@ -225,12 +230,11 @@ def max_flow_min_cut(arc_list, source, sink):
 
 @dataclass
 class FractionalCover:
-    """A fractional link-covering solution with bookkeeping."""
+    """A fractional link-covering solution."""
 
     links: tuple
     values: np.ndarray
     objective: float = 0.0
-    oracle_calls: int = 0
 
 
 @dataclass
@@ -291,11 +295,13 @@ def separation_oracle(ctx, cover, scenario_index):
 
 
 def solve_link_lp(ctx, links):
-    """Cutting-plane solve of the link-covering LP over typed links.
+    """Solve the link-covering LP over typed links in one simplex call.
 
-    Alternates the per-scenario min-cut oracle with dense simplex re-solves
-    until no scenario yields a violated failure set, then re-checks every
-    enumerated failure set explicitly.
+    One row per distinct covering set of omega (first occurrence kept, in
+    omega order), no upper-bound rows: with nonnegative costs an optimum
+    never needs x_i > 1, and the result is clipped to [0, 1].  The duals
+    must certify the value, and every enumerated failure set is re-checked
+    against the clipped solution.
     """
     links = tuple(links)
     costs = np.array([link.cost for link in links], dtype=float)
@@ -306,52 +312,31 @@ def solve_link_lp(ctx, links):
             "augmentation impossible: no candidate links at this level")
 
     table = ctx.covering(links)
-    scenario_count = len(ctx.instance.scenario_sets)
-    rows = []
-    row_set = set()
-    x = np.zeros(len(links))
-    calls = 0
-    for _ in range(_MAX_ROUNDS):
-        cover = FractionalCover(links, x)
-        fresh = []
-        stalled_violation = False
-        for j in range(scenario_count):
-            result = separation_oracle(ctx, cover, j)
-            calls += 1
-            if result.violating is None:
-                continue
-            row = frozenset(table[result.violating])
-            if not row:
-                raise InfeasibleError(
-                    f"augmentation impossible: failure set "
-                    f"{sorted(result.violating)} has no covering link")
-            if row in row_set:
-                stalled_violation = True
-            else:
-                row_set.add(row)
-                fresh.append(row)
-        if not fresh:
-            if stalled_violation:
-                raise InvariantError("separation keeps violating an added row")
-            break
-        rows.extend(fresh)
-        lp_rows = []
-        for row in rows:
-            a = np.zeros(len(links))
-            a[sorted(row)] = 1.0
-            lp_rows.append((a, 1.0))
-        for i in range(len(links)):
-            a = np.zeros(len(links))
-            a[i] = -1.0
-            lp_rows.append((a, -1.0))
-        result = simplex_min(LinearProgram(costs, lp_rows))
-        if result.status == "infeasible":
-            raise InfeasibleError("augmentation impossible: covering LP infeasible")
-        if result.status == "unbounded":
-            raise InvariantError("covering LP cannot be unbounded")
-        x = np.clip(result.x, 0.0, 1.0)
-    else:
-        raise InvariantError("cutting-plane loop exceeded its round cap")
+    rows = {}
+    for f_set in ctx.omega:
+        if not table[f_set]:
+            raise InfeasibleError(
+                f"augmentation impossible: failure set {sorted(f_set)} has no "
+                "covering link")
+        rows.setdefault(table[f_set], None)
+    matrix = np.zeros((len(rows), len(links)))
+    for r, row in enumerate(rows):
+        matrix[r, list(row)] = 1.0
+    result = simplex_min(LinearProgram(costs, [(a, 1.0) for a in matrix]))
+    if result.status == "infeasible":
+        raise InfeasibleError("augmentation impossible: covering LP infeasible")
+    if result.status == "unbounded":
+        raise InvariantError("covering LP cannot be unbounded")
+    x = np.clip(result.x, 0.0, 1.0)
+    objective = float(costs @ x)
+
+    y = result.duals
+    gap = abs(float(y.sum()) - objective)
+    if (y < -EPS_FEAS).any() or (matrix.T @ y > costs + EPS_FEAS).any() \
+            or gap > EPS_FEAS * max(1.0, objective):
+        raise InvariantError(
+            f"covering LP value {objective:.9f} is not certified by its duals "
+            f"(dual value {float(y.sum()):.9f})")
 
     for f_set in ctx.omega:
         mass = float(sum(x[i] for i in table[f_set]))
@@ -359,4 +344,4 @@ def solve_link_lp(ctx, links):
             raise InvariantError(
                 f"final LP solution leaves failure set {sorted(f_set)} uncovered "
                 f"(mass {mass:.9f})")
-    return FractionalCover(links, x, float(costs @ x), calls)
+    return FractionalCover(links, x, objective)

@@ -1,4 +1,4 @@
-"""LP solving, the min-cut separation oracle, and the cutting-plane loop."""
+"""LP solving, the min-cut separation oracle, and the link LP."""
 
 import itertools
 import random
@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from bulkrobust import (FractionalCover, InfeasibleError, LinearProgram,
-                        enumerate_typed_links, max_flow_min_cut,
-                        preprocess_step, separation_oracle, simplex_min,
-                        solve_link_lp)
-from conftest import square_with_chords, triangle_instance
+                        enumerate_typed_links, gen_hypergraph_vc,
+                        max_flow_min_cut, preprocess_step, separation_oracle,
+                        simplex_min, solve, solve_link_lp)
+from conftest import (build_suite_instance, square_with_chords, suite_schedule,
+                      triangle_instance)
 
 
 def test_simplex_single_variable():
@@ -184,3 +185,76 @@ def test_upper_bounds_do_not_change_value():
         capped = simplex_min(LinearProgram(c, capped_rows))
         assert free.status == capped.status == "optimal"
         assert abs(free.value - capped.value) < 1e-6
+
+
+def test_duals_certify_the_value():
+    # covering LPs with and without -x_i >= -1 rows, and general LPs: the
+    # duals are dual feasible and reach the primal value
+    rng = random.Random(5)
+    checked = 0
+    for trial in range(150):
+        n = rng.randint(1, 6)
+        c = np.array([rng.randint(0, 6) for _ in range(n)], float)
+        if trial % 3 == 2:
+            rows = [(np.array([rng.randint(-3, 5) for _ in range(n)], float),
+                     float(rng.randint(-4, 6))) for _ in range(rng.randint(1, 8))]
+        else:
+            rows = []
+            for _ in range(rng.randint(1, 5)):
+                support = [i for i in range(n) if rng.random() < 0.6] or [rng.randrange(n)]
+                a = np.zeros(n)
+                a[support] = 1.0
+                rows.append((a, 1.0))
+            if trial % 3 == 1:
+                rows += [(-np.eye(n)[i], -1.0) for i in range(n)]
+        res = simplex_min(LinearProgram(c, rows))
+        if trial % 3 != 2:
+            assert res.status == "optimal"
+        if res.status != "optimal":
+            continue
+        a = np.array([row for row, _ in rows])
+        b = np.array([bound for _, bound in rows])
+        y = res.duals
+        assert y.shape == (len(rows),)
+        assert (y >= -1e-9).all()
+        assert (a.T @ y <= c + 1e-9).all()
+        assert abs(float(b @ y) - res.value) < 1e-9
+        checked += 1
+    assert checked > 110
+
+
+@pytest.fixture(scope="module")
+def lp_levels():
+    """(ctx, links, cover) of every link LP in the first 40 suite solves
+    and one hypergraph vertex-cover solve."""
+    found = []
+    instances = [build_suite_instance(p) for p in suite_schedule(40)]
+    instances.append(gen_hypergraph_vc(3, 3, 12, 5)[1])
+    for instance in instances:
+        solve(instance, on_lp=lambda level, ctx, links, cover:
+              found.append((ctx, links, cover)))
+    return found
+
+
+def test_lp_solution_passes_the_separation_oracle(lp_levels):
+    checked = 0
+    for ctx, _, cover in lp_levels:
+        for j, full in enumerate(ctx.instance.scenario_sets):
+            if len(full) >= ctx.level:
+                assert separation_oracle(ctx, cover, j).violating is None
+                checked += 1
+    assert checked > 0
+
+
+def test_lp_value_matches_highs(lp_levels):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    assert lp_levels
+    for ctx, links, cover in lp_levels:
+        rows = sorted(set(ctx.covering(links).values()))
+        a = np.zeros((len(rows), len(links)))
+        for r, row in enumerate(rows):
+            a[r, list(row)] = 1.0
+        res = linprog([link.cost for link in links], A_ub=-a,
+                      b_ub=-np.ones(len(rows)), bounds=(0, None), method="highs")
+        assert res.status == 0
+        assert abs(res.fun - cover.objective) < 1e-7
