@@ -14,8 +14,8 @@ from .generators import (Hypergraph, gen_grid, gen_hypergraph_vc,
                          random_hypergraph, reduce_hypergraph_vc,
                          serialize_hypergraph)
 from .instance import (EmbeddedSubgraph, FaceSet, Instance, PlaneGraph,
-                       contract_edge, induced_faces, parse_instance,
-                       serialize_instance, trace_faces)
+                       induced_faces, parse_instance, serialize_instance,
+                       trace_faces)
 from .links import (FailureCut, StepContext, TypedLink, covers,
                     enumerate_typed_links, failure_components,
                     preprocess_step)
@@ -38,8 +38,7 @@ __all__ = [
     "parse_hypergraph", "random_hypergraph", "reduce_hypergraph_vc",
     "serialize_hypergraph",
     "EmbeddedSubgraph", "FaceSet", "Instance", "PlaneGraph",
-    "contract_edge", "induced_faces", "parse_instance",
-    "serialize_instance", "trace_faces",
+    "induced_faces", "parse_instance", "serialize_instance", "trace_faces",
     "FailureCut", "StepContext", "TypedLink", "covers",
     "enumerate_typed_links", "failure_components", "preprocess_step",
     "FractionalCover", "LinearProgram", "SeparationResult",

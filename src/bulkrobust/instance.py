@@ -349,7 +349,10 @@ class Instance:
                 raise InstanceError(f"self-loop on edge {e}")
             if w < 0:
                 raise InstanceError(f"negative weight on edge {e}")
-        if set(self.rotation) != set(range(self.node_count)):
+        # n distinct keys in [0, n): bounds n by the file size before anything
+        # per node is built.
+        if len(self.rotation) != self.node_count or min(self.rotation) < 0 \
+                or max(self.rotation) >= self.node_count:
             raise InstanceError("rotation must list every node exactly once")
         incident = {n: [] for n in range(self.node_count)}
         for e, u, v, _ in self.edges:
@@ -574,43 +577,3 @@ def induced_faces(obj, chosen):
         cls = uf.find(parent_faces.edge_faces[e][0])
         edge_face[e] = class_to_face[cls]
     return EmbeddedSubgraph(graph, chosen, sub_nodes, walks, edge_face)
-
-
-def contract_edge(obj, edge_id):
-    """Contract an edge of an Instance (or PlaneGraph).
-
-    For an Instance the contracted edge must not belong to any scenario
-    (the caller's obligation when contracting during augmentation), node
-    ids are compacted back to 0..n-2, and the result is revalidated.  For
-    a bare PlaneGraph the splice result is returned as-is together with
-    the node map.
-    """
-    if isinstance(obj, PlaneGraph):
-        graph, node_map, _ = obj.contract(edge_id)
-        return graph, node_map
-    inst = obj
-    if edge_id not in inst.edge_map:
-        raise KeyError(f"no edge {edge_id}")
-    for i, sc in enumerate(inst.scenario_sets):
-        if edge_id in sc:
-            raise InstanceError(
-                f"cannot contract edge {edge_id}: it appears in scenario {i}")
-    graph, node_map, _ = inst.graph.contract(edge_id)
-    relabel = {old: new for new, old in enumerate(sorted(graph.nodes))}
-    remap = lambda n: relabel[node_map[n]]
-    if inst.problem == "st" and remap(inst.s) == remap(inst.t):
-        raise InstanceError("contraction would merge the two terminals")
-    new_edges = []
-    for e, _, _, _ in inst.edges:
-        if e in graph.edges:
-            u, v, w = graph.edges[e]
-            new_edges.append((e, relabel[u], relabel[v], w))
-    return Instance(
-        node_count=len(graph.nodes),
-        edges=new_edges,
-        rotation={relabel[n]: rot for n, rot in graph.rotation.items()},
-        problem=inst.problem,
-        s=remap(inst.s) if inst.problem == "st" else None,
-        t=remap(inst.t) if inst.problem == "st" else None,
-        scenarios=inst.scenarios,
-    )

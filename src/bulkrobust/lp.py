@@ -4,7 +4,9 @@ The covering LP has one row per relevant failure set.  `preprocess_step`
 already enumerates them all, so the LP is solved once over the distinct
 rows of the level's `StepContext.covering` table by a dense two-phase
 simplex (Dantzig pivoting, Bland's rule after a stall), and its value is
-certified by the duals read off the final tableau.  The min-cut
+certified by the duals read off the final tableau.  The tableau holds the
+structural, surplus/slack and right-hand-side columns only; each pivot is
+one whole-array update and each ratio test one vector division.  The min-cut
 separation oracle is the paper's way to find violated rows when they are
 not enumerated; here it stays as an independent check of the solution.
 Everything is deterministic.
@@ -53,39 +55,43 @@ class SimplexResult:
 
 def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 1e-14:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    # Factors of at most 1e-14 are zeroed, so those rows keep their values.
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    factors[np.abs(factors) <= 1e-14] = 0.0
+    tableau -= np.multiply.outer(factors, tableau[row])
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, ncols):
+def _run_simplex(tableau, basis):
     """Minimize the objective row in place; returns 'optimal' or 'unbounded'.
 
-    Entering columns are drawn from the first `ncols` columns only, which
-    keeps artificial variables from re-entering during phase 1.
+    Entering columns are the structural and surplus/slack columns, all but
+    the right-hand side; the tableau has no artificial columns, so an
+    artificial variable cannot re-enter during phase 1.
     """
     stall = 0
     last = tableau[-1, -1]
     for _ in range(_MAX_PIVOTS):
-        obj = tableau[-1, :ncols]
+        obj = tableau[-1, :-1]
         if stall < _STALL_LIMIT:
-            col = int(np.argmin(obj))
+            col = int(obj.argmin())
             if obj[col] >= -_PIVOT_EPS:
                 return "optimal"
         else:
-            negatives = np.nonzero(obj < -_PIVOT_EPS)[0]
+            negatives = (obj < -_PIVOT_EPS).nonzero()[0]
             if negatives.size == 0:
                 return "optimal"
             col = int(negatives[0])    # Bland's rule
         column = tableau[:-1, col]
-        rhs = tableau[:-1, -1]
-        ratios = [(rhs[r] / column[r], basis[r], r)
-                  for r in range(len(basis)) if column[r] > _PIVOT_EPS]
-        if not ratios:
+        rows = (column > _PIVOT_EPS).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        _, _, row = min(ratios)
-        _pivot(tableau, basis, row, col)
+        if rows.size > 1:
+            ratios = tableau[rows, -1] / column[rows]
+            rows = rows[ratios == ratios.min()]
+        # Among exact ties the row with the smallest basic index leaves.
+        _pivot(tableau, basis, int(rows[basis[rows].argmin()]), col)
         now = tableau[-1, -1]
         stall = stall + 1 if now >= last - 1e-12 else 0
         last = now
@@ -100,40 +106,34 @@ def simplex_min(lp):
         return SimplexResult("optimal", 0.0, np.zeros(n), np.zeros(0))
 
     # Equality form with nonnegative right-hand sides: rows with b <= 0 get a
-    # slack that can start basic; rows with b > 0 get a surplus plus an
-    # artificial variable for phase 1.
-    need_artificial = [b > 0 for _, b in lp.rows]
-    n_art = sum(need_artificial)
-    ncols = n + m + n_art
-    tableau = np.zeros((m + 1, ncols + 1))
-    basis = [0] * m
-    art_col = n + m
+    # slack that starts basic; rows with b > 0 get a surplus and start with
+    # an artificial variable basic.  No artificial column is ever read, so
+    # the tableau has none: basis[r] = n + m + r marks an artificial row,
+    # and orders artificials after every real column, by row.
+    tableau = np.zeros((m + 1, n + m + 1))
+    basis = np.arange(n, n + m)
     for r, (a, b) in enumerate(lp.rows):
         if b <= 0:
             tableau[r, :n] = -a
             tableau[r, n + r] = 1.0
             tableau[r, -1] = -b
-            basis[r] = n + r
         else:
             tableau[r, :n] = a
             tableau[r, n + r] = -1.0
-            tableau[r, art_col] = 1.0
             tableau[r, -1] = b
-            basis[r] = art_col
-            art_col += 1
+            basis[r] += m
 
-    if n_art:
-        for r in range(m):
-            if basis[r] >= n + m:
-                tableau[-1] -= tableau[r]
-        status = _run_simplex(tableau, basis, n + m)
-        if status == "unbounded":
+    artificial = np.nonzero(basis >= n + m)[0]
+    if artificial.size:
+        for r in artificial:
+            tableau[-1] -= tableau[r]
+        if _run_simplex(tableau, basis) == "unbounded":
             raise InvariantError("phase-1 objective cannot be unbounded")
         if -tableau[-1, -1] > EPS_FEAS:
             return SimplexResult("infeasible")
         for r in range(m):
             if basis[r] >= n + m:
-                pivots = np.nonzero(np.abs(tableau[r, :n + m]) > _PIVOT_EPS)[0]
+                pivots = np.nonzero(np.abs(tableau[r, :-1]) > _PIVOT_EPS)[0]
                 if pivots.size:
                     _pivot(tableau, basis, r, int(pivots[0]))
                 # else: redundant row, the artificial stays basic at zero
@@ -143,13 +143,11 @@ def simplex_min(lp):
     for r in range(m):
         if basis[r] < n + m and abs(tableau[-1, basis[r]]) > 1e-14:
             tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    status = _run_simplex(tableau, basis, n + m)
-    if status == "unbounded":
+    if _run_simplex(tableau, basis) == "unbounded":
         return SimplexResult("unbounded")
     x = np.zeros(n)
-    for r, b in enumerate(basis):
-        if b < n:
-            x[b] = tableau[r, -1]
+    structural = basis < n
+    x[basis[structural]] = tableau[:-1, -1][structural]
     # The reduced cost of row r's surplus (or slack) column is that row's dual.
     return SimplexResult("optimal", float(lp.objective @ x), x,
                          tableau[-1, n:n + m].copy())

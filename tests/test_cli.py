@@ -123,13 +123,14 @@ TRIANGLE_EDGES = [[0, 0, 1, 1], [1, 0, 2, 1], [2, 2, 1, 1]]
 @pytest.mark.parametrize("key, value, solution", [
     ("rotation", dict(TRIANGLE_ROTATION, **{"0": 5}), None),
     ("nodes", "x", None),
+    ("nodes", 10**30, None),
     ("scenarios", [0], None),
     ("edges", [[0, 0, 1, 1.7]] + TRIANGLE_EDGES[1:], None),
     ("edges", [[0, 0, 1, True]] + TRIANGLE_EDGES[1:], None),
     (None, None, [1, 2]),
     (None, None, {"chosen_edges": ["a"]}),
-], ids=["rotation-int", "nodes-str", "scenario-int", "weight-float",
-        "weight-bool", "solution-list", "solution-edge-str"])
+], ids=["rotation-int", "nodes-str", "nodes-huge", "scenario-int",
+        "weight-float", "weight-bool", "solution-list", "solution-edge-str"])
 def test_malformed_input_exit_code(tmp_path, capsys, key, value, solution):
     data = json.loads(serialize_instance(triangle_instance()))
     if key is not None:

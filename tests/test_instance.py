@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from bulkrobust import (InfeasibleError, InstanceError, Instance,
-                        contract_edge, gen_grid, gen_series_parallel,
-                        induced_faces, parse_instance, serialize_instance,
-                        trace_faces)
+from bulkrobust import (InfeasibleError, InstanceError, Instance, gen_grid,
+                        gen_series_parallel, induced_faces, parse_instance,
+                        serialize_instance, trace_faces)
 from conftest import grid_2x3, square_cycle, triangle_instance
 
 TRIANGLE_JSON = {
@@ -148,34 +147,45 @@ def test_induced_faces_partition_property():
         assert all(0 <= f < len(sub.faces) for f in sub.edge_face.values())
 
 
+def _assert_valid_embedding(graph):
+    """What Instance validation checks of a graph: each rotation lists the
+    node's incident edges once, the graph is connected, and Euler holds."""
+    incident = {n: [] for n in graph.nodes}
+    for e, (u, v, _) in graph.edges.items():
+        incident[u].append(e)
+        incident[v].append(e)
+    assert set(graph.rotation) == set(graph.nodes)
+    for n, rot in graph.rotation.items():
+        assert sorted(rot) == sorted(incident[n])
+    assert graph.is_connected()
+    assert graph.euler_defect() == 0
+
+
 def test_contract_path_edge():
     path = Instance(3, [(0, 0, 2, 1), (1, 2, 1, 1)],
                     {0: [0], 2: [0, 1], 1: [1]}, "st", 0, 1)
-    out = contract_edge(path, 0)
-    assert out.node_count == 2
-    assert len(out.edges) == 1
+    out, node_map, loops = path.graph.contract(0)
+    assert len(out.nodes) == 2
+    assert len(out.edges) == 1 and loops == ()
+    assert node_map[2] == 0
+    _assert_valid_embedding(out)
 
 
 def test_contract_creates_parallel_edges():
     tri = triangle_instance(problem="mst", scenarios=((1,),))
-    out = contract_edge(tri, 0)
-    assert out.node_count == 2
-    assert len(out.edges) == 2   # parallel pair is kept
-
-
-def test_contract_rejects_scenario_edge():
-    tri = triangle_instance()
-    with pytest.raises(InstanceError, match="scenario"):
-        contract_edge(tri, 0)
+    out, _, loops = tri.graph.contract(0)
+    assert len(out.nodes) == 2
+    assert len(out.edges) == 2 and loops == ()   # parallel pair is kept
+    _assert_valid_embedding(out)
 
 
 def test_contract_preserves_planarity_grid():
     g = gen_grid(2, 3, 1, 1, 1, seed=7)
     base = Instance(g.node_count, g.edges, g.rotation, "mst")
     for e in sorted(base.edge_map):
-        out = contract_edge(base, e)   # validation re-checks Euler inside
-        assert out.node_count == base.node_count - 1
-        assert out.graph.is_connected()
+        out, _, _ = base.graph.contract(e)
+        assert len(out.nodes) == base.node_count - 1
+        _assert_valid_embedding(out)
 
 
 def test_orientation_mirror_still_valid():

@@ -10,6 +10,8 @@ from bulkrobust import (FractionalCover, InfeasibleError, LinearProgram,
                         enumerate_typed_links, gen_hypergraph_vc,
                         max_flow_min_cut, preprocess_step, separation_oracle,
                         simplex_min, solve, solve_link_lp)
+from bulkrobust import lp as lp_module
+from bulkrobust.lp import _PIVOT_EPS, _STALL_LIMIT, EPS_FEAS, SimplexResult
 from conftest import (build_suite_instance, square_with_chords, suite_schedule,
                       triangle_instance)
 
@@ -77,6 +79,170 @@ def test_simplex_matches_vertex_enumeration():
             assert abs(got.value - expect) < 1e-6
         agreed += 1
     assert agreed == 80
+
+
+# -- reference: the row-by-row simplex the vectorised one must reproduce ------
+
+def _reference_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and abs(tableau[r, col]) > 1e-14:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _reference_run(tableau, basis, ncols, bland):
+    stall = 0
+    last = tableau[-1, -1]
+    while True:
+        obj = tableau[-1, :ncols]
+        if stall < _STALL_LIMIT:
+            col = int(np.argmin(obj))
+            if obj[col] >= -_PIVOT_EPS:
+                return "optimal"
+        else:
+            negatives = np.nonzero(obj < -_PIVOT_EPS)[0]
+            if negatives.size == 0:
+                return "optimal"
+            col = int(negatives[0])
+            bland.append(col)
+        column = tableau[:-1, col]
+        rhs = tableau[:-1, -1]
+        ratios = [(rhs[r] / column[r], basis[r], r)
+                  for r in range(len(basis)) if column[r] > _PIVOT_EPS]
+        if not ratios:
+            return "unbounded"
+        _, _, row = min(ratios)
+        _reference_pivot(tableau, basis, row, col)
+        now = tableau[-1, -1]
+        stall = stall + 1 if now >= last - 1e-12 else 0
+        last = now
+
+
+def _reference_simplex_min(lp, bland):
+    """Two-phase simplex with one artificial column per b > 0 row, a
+    per-row pivot loop and a tuple ratio test; appends every column that
+    Bland's rule picks to `bland`."""
+    n = lp.objective.shape[0]
+    m = len(lp.rows)
+    n_art = sum(b > 0 for _, b in lp.rows)
+    tableau = np.zeros((m + 1, n + m + n_art + 1))
+    basis = [0] * m
+    art_col = n + m
+    for r, (a, b) in enumerate(lp.rows):
+        if b <= 0:
+            tableau[r, :n] = -a
+            tableau[r, n + r] = 1.0
+            tableau[r, -1] = -b
+            basis[r] = n + r
+        else:
+            tableau[r, :n] = a
+            tableau[r, n + r] = -1.0
+            tableau[r, art_col] = 1.0
+            tableau[r, -1] = b
+            basis[r] = art_col
+            art_col += 1
+    if n_art:
+        for r in range(m):
+            if basis[r] >= n + m:
+                tableau[-1] -= tableau[r]
+        assert _reference_run(tableau, basis, n + m, bland) == "optimal"
+        if -tableau[-1, -1] > EPS_FEAS:
+            return SimplexResult("infeasible")
+        for r in range(m):
+            if basis[r] >= n + m:
+                pivots = np.nonzero(np.abs(tableau[r, :n + m]) > _PIVOT_EPS)[0]
+                if pivots.size:
+                    _reference_pivot(tableau, basis, r, int(pivots[0]))
+    tableau[-1, :] = 0.0
+    tableau[-1, :n] = lp.objective
+    for r in range(m):
+        if basis[r] < n + m and abs(tableau[-1, basis[r]]) > 1e-14:
+            tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
+    if _reference_run(tableau, basis, n + m, bland) == "unbounded":
+        return SimplexResult("unbounded")
+    x = np.zeros(n)
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[r, -1]
+    return SimplexResult("optimal", float(lp.objective @ x), x,
+                         tableau[-1, n:n + m].copy())
+
+
+def _assert_same_as_reference(lp, bland):
+    """Same status, value, x and duals as the reference, float for float
+    (array_equal, so a zero may differ only in its sign)."""
+    got = simplex_min(lp)
+    want = _reference_simplex_min(lp, bland)
+    assert got.status == want.status
+    assert got.value == want.value
+    for field in ("x", "duals"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or np.array_equal(a, b)
+    return got.status
+
+
+def _random_covering_rows(rng, n, m, density):
+    rows = []
+    for _ in range(m):
+        a = np.array([1.0 if rng.random() < density else 0.0 for _ in range(n)])
+        if not a.any():
+            a[rng.randrange(n)] = 1.0
+        rows.append((a, 1.0))
+    return rows
+
+
+def test_simplex_matches_reference_on_degenerate_covering_lps():
+    # unit and near-unit costs make these LPs degenerate enough that the
+    # Dantzig rule stalls and Bland's rule takes over
+    rng = random.Random(11)
+    reached_bland = 0
+    for trial in range(40):
+        n, m = rng.randint(10, 40), rng.randint(15, 60)
+        c = np.array([rng.randint(1, 1 + trial % 3) for _ in range(n)], float)
+        bland = []
+        rows = _random_covering_rows(rng, n, m, rng.uniform(0.08, 0.25))
+        assert _assert_same_as_reference(LinearProgram(c, rows), bland) == "optimal"
+        reached_bland += bool(bland)
+    assert reached_bland >= 20
+
+
+def test_simplex_matches_reference_with_slack_rows():
+    # -x_i >= -1 rows (b <= 0) start with a basic slack, not an artificial
+    rng = random.Random(12)
+    for _ in range(40):
+        n, m = rng.randint(2, 20), rng.randint(1, 25)
+        c = np.array([rng.randint(0, 5) for _ in range(n)], float)
+        rows = _random_covering_rows(rng, n, m, 0.3)
+        rows += [(-np.eye(n)[i], -1.0) for i in range(n)]
+        rng.shuffle(rows)
+        assert _assert_same_as_reference(LinearProgram(c, rows), []) == "optimal"
+
+
+def test_simplex_matches_reference_on_infeasible_and_unbounded():
+    rng = random.Random(13)
+    statuses = []
+    for _ in range(200):
+        n, m = rng.randint(1, 6), rng.randint(1, 8)
+        c = np.array([rng.randint(-3, 6) for _ in range(n)], float)
+        rows = [(np.array([rng.randint(-3, 5) for _ in range(n)], float),
+                 float(rng.randint(-4, 6))) for _ in range(m)]
+        statuses.append(_assert_same_as_reference(LinearProgram(c, rows), []))
+    assert {"optimal", "infeasible", "unbounded"} <= set(statuses)
+
+
+def test_simplex_matches_reference_on_hypergraph_lp_levels(monkeypatch):
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return simplex_min(lp)
+
+    monkeypatch.setattr(lp_module, "simplex_min", record)
+    solve(gen_hypergraph_vc(3, 3, 12, 5)[1])
+    assert programs
+    for lp in programs:
+        assert _assert_same_as_reference(lp, []) == "optimal"
 
 
 def test_max_flow_square():
