@@ -72,7 +72,10 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     inst = _read_instance(args.instance)
     with open(args.solution, "r", encoding="utf-8") as fh:
-        sol = json.load(fh)
+        try:
+            sol = json.load(fh)
+        except ValueError as exc:   # bad JSON, or an integer over Python's digit limit
+            raise InstanceError(f"malformed solution file: {exc}") from None
     if type(sol) is not dict or not is_int_rows([sol.get("chosen_edges")]):
         raise InstanceError("solution file must map chosen_edges to a list of edge ids")
     chosen = frozenset(sol["chosen_edges"])
@@ -388,8 +391,7 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return 3
-    except (InstanceError, BudgetError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:
+    except (InstanceError, BudgetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -14,6 +14,10 @@ from itertools import chain
 
 from .errors import InfeasibleError, InstanceError, InvariantError
 
+# Costs and LP values are also handled as floats; up to this total weight
+# every sum of weights is exact in one.
+MAX_TOTAL_WEIGHT = 2 ** 53
+
 
 class UnionFind:
     __slots__ = ("parent",)
@@ -349,6 +353,8 @@ class Instance:
                 raise InstanceError(f"self-loop on edge {e}")
             if w < 0:
                 raise InstanceError(f"negative weight on edge {e}")
+        if sum(w for _, _, _, w in self.edges) > MAX_TOTAL_WEIGHT:
+            raise InstanceError("total edge weight exceeds 2**53")
         # n distinct keys in [0, n): bounds n by the file size before anything
         # per node is built.
         if len(self.rotation) != self.node_count or min(self.rotation) < 0 \
@@ -476,7 +482,7 @@ def parse_instance(data):
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # bad JSON, or an integer over Python's digit limit
             raise InstanceError(f"malformed instance file: {exc}") from None
     if not isinstance(data, dict):
         raise InstanceError("instance file must hold a JSON object")

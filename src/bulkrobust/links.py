@@ -45,17 +45,19 @@ def dijkstra(adj, source):
     return dist
 
 
-def lex_shortest_path(adj, src, dst):
+def lex_shortest_path(adj, src, dst, dist=None):
     """Minimum-cost simple src-dst path; ties broken by the lexicographically
     smallest edge-id sequence.  Returns (cost, edge id tuple) or None.
 
     Runs a depth-first search in increasing edge-id order, pruned with exact
     distances to the target, and stops at the first optimum it completes;
-    that path is the lexicographic minimum.
+    that path is the lexicographic minimum.  `dist` is `dijkstra(adj, dst)`
+    when the caller already has it.
     """
     if src == dst:
         return 0, ()
-    dist = dijkstra(adj, dst)
+    if dist is None:
+        dist = dijkstra(adj, dst)
     if src not in dist:
         return None
     best = dist[src]
@@ -82,6 +84,20 @@ def lex_shortest_path(adj, src, dst):
     if not walk(src, 0):
         raise InvariantError("pruned path search missed a reachable target")
     return best, tuple(path)
+
+
+def lex_shortest_paths(adj, pairs):
+    """`lex_shortest_path` for each (src, dst) pair, in order, skipping pairs
+    with an endpoint outside `adj`; yields (src, dst, result).  Pairs with the
+    same destination share one distance map."""
+    dists = {}
+    for src, dst in pairs:
+        if src not in adj or dst not in adj:
+            continue
+        dist = dists.get(dst)
+        if dist is None:
+            dist = dists[dst] = dijkstra(adj, dst)
+        yield src, dst, lex_shortest_path(adj, src, dst, dist)
 
 
 # -- step data -------------------------------------------------------------
@@ -386,12 +402,7 @@ def enumerate_typed_links(ctx):
             adj.setdefault(v, []).append((e, u, w))
         adj = {n: tuple(sorted(lst)) for n, lst in adj.items()}
         boundary = sorted(ctx.subgraph.face_nodes[face_idx])
-        for u, v in combinations(boundary, 2):
-            if u not in adj or v not in adj:
-                continue
-            found = lex_shortest_path(adj, u, v)
-            if found is None:
-                continue
-            cost, path = found
-            links.append(TypedLink(u, v, face_idx, path, cost))
+        for u, v, found in lex_shortest_paths(adj, combinations(boundary, 2)):
+            if found is not None:
+                links.append(TypedLink(u, v, face_idx, found[1], found[0]))
     return tuple(links)

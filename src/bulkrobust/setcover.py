@@ -4,24 +4,86 @@ Used wherever an exact small cover is needed: per-side rectangle covering,
 spanning-tree augmentation at level 1, and the hypergraph vertex cover
 reference.  Elements are 0..n-1 and coverage is tracked in bitmasks, so
 instances stay fast well past the sizes this package generates.
+
+The search is a depth-first branch and bound; the incumbent changes only on
+a strictly cheaper leaf, so the result is the first optimal leaf in DFS
+order.  A node is pruned only when a lower bound shows that no strictly
+cheaper leaf lies below it, which never prunes that leaf: pruning changes
+how many nodes are visited, never the returned (cost, picks).  Two bounds
+are used: the cheapest set of the branching element, and, once a search has
+visited `LP_BOUND_AFTER` nodes, an LP dual bound.  The covering LP is solved
+once per search; its duals y, clipped to y >= 0 and scaled down until every
+set S has sum(y over S) <= cost(S) (checked, not trusted), make sum(y over
+the uncovered elements) a lower bound on the cost of covering them.  With
+integer costs a node is pruned once cost + that bound > best - 1, since a
+strictly cheaper leaf costs at most best - 1; a tolerance relative to the
+dual value keeps float error from pruning that leaf.  Small searches never
+reach the trigger and never pay for the LP.  `node_cap` bounds the visited
+nodes; past it the search raises `BudgetError`.
 """
 
-from .errors import BudgetError
+import numpy as np
+
+from .errors import BudgetError, InvariantError
+from .lp import LinearProgram, simplex_min
+
+LP_BOUND_AFTER = 1000
+_FLOAT_EXACT = 2 ** 53      # costs up to this convert to float exactly
+_BOUND_RTOL = 1e-9          # prune tolerance, relative to the dual value
+
+
+def dual_bound(candidates, costs):
+    """Per-element weights y >= 0 with sum(y over S) <= cost(S) for every set
+    S, from the covering LP's duals; None when the costs are not all
+    nonnegative and exact as floats.  `candidates[el]` lists the indices of
+    the sets that hold element el, cheapest first.
+
+    The LP is solved by column generation: first over each element's
+    cheapest set, then again with every set whose constraint the duals
+    violate added, until none is; each tableau stays a fraction of the full
+    one.
+    """
+    if not all(0 <= c <= _FLOAT_EXACT for c in costs):
+        return None
+    c = np.array(costs, dtype=float)
+    a = np.zeros((len(candidates), c.size))
+    for el, ids in enumerate(candidates):
+        a[el, ids] = 1.0
+    slack = -_BOUND_RTOL * max(1.0, float(c.max()))
+    columns = sorted({ids[0] for ids in candidates})
+    while True:
+        result = simplex_min(LinearProgram(c[columns], [(row, 1.0) for row in a[:, columns]]))
+        if result.status != "optimal":
+            raise InvariantError(f"covering LP of a coverable instance is {result.status}")
+        y = np.clip(result.duals, 0.0, None)
+        violated = set((c - a.T @ y < slack).nonzero()[0].tolist()) - set(columns)
+        if not violated:
+            break
+        columns = sorted(violated.union(columns))
+    y[c[[ids[0] for ids in candidates]] == 0] = 0.0     # elements of zero-cost sets
+    load = a.T @ y
+    loaded = load > 0
+    if loaded.any():
+        y *= min(1.0, float((c[loaded] / load[loaded]).min())) * (1 - 1e-12)
+    if (a.T @ y > c).any():
+        raise InvariantError("scaled covering LP duals exceed a set's cost")
+    return y.tolist()
 
 
 def exact_min_cover(element_count, sets, node_cap=None):
     """Minimum-cost subcollection covering all elements.
 
-    `sets` is a sequence of (cost, elements) pairs.  Returns
-    (total_cost, tuple of chosen set indices).  Deterministic: branching
-    always targets the uncovered element with the fewest candidates and
-    children are explored by (cost, index).  Raises ValueError when some
-    element is uncoverable and BudgetError when `node_cap` search nodes
-    are exceeded.
+    `sets` is a sequence of (cost, elements) pairs with nonnegative costs
+    and `elements` a sequence.  Returns (total_cost, tuple of chosen set
+    indices).  Deterministic: branching always targets the uncovered element
+    with the fewest candidates and children are explored by (cost, index).
+    Raises ValueError when some element is uncoverable and BudgetError when
+    `node_cap` search nodes are exceeded.
     """
     full = (1 << element_count) - 1
     masks = []
     costs = []
+    members = []
     for cost, elements in sets:
         mask = 0
         for el in elements:
@@ -30,6 +92,7 @@ def exact_min_cover(element_count, sets, node_cap=None):
             mask |= 1 << el
         masks.append(mask)
         costs.append(cost)
+        members.append(elements)
 
     if element_count == 0:
         return 0, ()
@@ -37,24 +100,29 @@ def exact_min_cover(element_count, sets, node_cap=None):
     candidates = [[] for _ in range(element_count)]
     order = sorted(range(len(masks)), key=lambda i: (costs[i], i))
     for i in order:
-        mask = masks[i]
-        for el in range(element_count):
-            if mask >> el & 1:
-                candidates[el].append(i)
+        for el in set(members[i]):
+            candidates[el].append(i)
     for el in range(element_count):
         if not candidates[el]:
             raise ValueError(f"element {el} is uncoverable")
     cheapest = [costs[candidates[el][0]] for el in range(element_count)]
+    # With integer costs a strictly cheaper leaf is cheaper by at least one.
+    step = 1 if all(type(c) is int for c in costs) else 0
 
     best_cost = None
     best_pick = None
     nodes = 0
+    y = None        # dual weights, from the LP_BOUND_AFTER-th node on
+    tol = 0.0
 
     def branch(covered, cost, picked):
-        nonlocal best_cost, best_pick, nodes
+        nonlocal best_cost, best_pick, nodes, y, tol
         nodes += 1
         if node_cap is not None and nodes > node_cap:
             raise BudgetError(f"set-cover search exceeded {node_cap} nodes")
+        if nodes == LP_BOUND_AFTER:
+            y = dual_bound(candidates, costs)
+            tol = _BOUND_RTOL * max(1.0, sum(y)) if y is not None else 0.0
         if covered == full:
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -64,14 +132,21 @@ def exact_min_cover(element_count, sets, node_cap=None):
             return
         # branch on the uncovered element with the fewest candidate sets
         target, fanout = -1, None
+        need = 0.0
         for el in range(element_count):
             if covered >> el & 1:
                 continue
+            if y is not None:
+                need += y[el]
             size = len(candidates[el])
             if fanout is None or size < fanout:
                 target, fanout = el, size
-        if best_cost is not None and cost + cheapest[target] >= best_cost:
-            return
+        if best_cost is not None:
+            if cost + cheapest[target] >= best_cost:
+                return
+            # The gap best - step - cost is exact; only the dual sum is a float.
+            if y is not None and need > (best_cost - step - cost) + tol:
+                return
         for i in candidates[target]:
             picked.append(i)
             branch(covered | masks[i], cost + costs[i], picked)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bulkrobust import brute_force_vc, parse_hypergraph
+from bulkrobust import brute_force_vc, gen_hypergraph_vc, parse_hypergraph
 from bulkrobust.cli import main
 from bulkrobust.lp import LinearProgram, simplex_min
 from conftest import build_suite_instance, suite_schedule, triangle_instance
@@ -127,10 +127,12 @@ TRIANGLE_EDGES = [[0, 0, 1, 1], [1, 0, 2, 1], [2, 2, 1, 1]]
     ("scenarios", [0], None),
     ("edges", [[0, 0, 1, 1.7]] + TRIANGLE_EDGES[1:], None),
     ("edges", [[0, 0, 1, True]] + TRIANGLE_EDGES[1:], None),
+    ("edges", [[0, 0, 1, 10**400]] + TRIANGLE_EDGES[1:], None),
     (None, None, [1, 2]),
     (None, None, {"chosen_edges": ["a"]}),
 ], ids=["rotation-int", "nodes-str", "nodes-huge", "scenario-int",
-        "weight-float", "weight-bool", "solution-list", "solution-edge-str"])
+        "weight-float", "weight-bool", "weight-huge", "solution-list",
+        "solution-edge-str"])
 def test_malformed_input_exit_code(tmp_path, capsys, key, value, solution):
     data = json.loads(serialize_instance(triangle_instance()))
     if key is not None:
@@ -146,6 +148,35 @@ def test_malformed_input_exit_code(tmp_path, capsys, key, value, solution):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_weights_on_an_lp_level_exit_code(tmp_path, capsys):
+    # Levels 2 and up convert costs to floats; 10**400 used to overflow there.
+    _, hvc = gen_hypergraph_vc(3, 3, 12, 5)
+    data = hvc.to_dict()
+    data["edges"] = [[e, u, v, w * 10**400] for e, u, v, w in data["edges"]]
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: total edge weight exceeds 2**53\n"
+
+
+def test_oversized_integer_exit_code(tmp_path, capsys):
+    # More digits than Python's int conversion limit is a ValueError in json.
+    digits = "9" * 5000
+    inst = tmp_path / "inst.json"
+    bad = tmp_path / "bad.json"
+    inst.write_text(serialize_instance(triangle_instance()))
+    for text, argv in (
+            ('{"nodes": %s}' % digits,
+             ["solve", "-i", str(bad), "-o", str(tmp_path / "sol.json")]),
+            ('{"chosen_edges": [%s]}' % digits,
+             ["verify", "-i", str(inst), "-s", str(bad)])):
+        bad.write_text(text)
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
 
 
 def test_non_utf8_input_exit_code(tmp_path, capsys):

@@ -55,6 +55,16 @@ def test_parse_rejects_self_loop():
         parse_instance(json.dumps(bad))
 
 
+def test_parse_bounds_the_total_weight():
+    data = json.loads(json.dumps(TRIANGLE_JSON))
+    data["edges"][0][3] = 2 ** 53 - 2       # total exactly 2**53
+    inst = parse_instance(json.dumps(data))
+    assert inst.weight_of(inst.edge_ids) == 2 ** 53
+    data["edges"][0][3] += 1
+    with pytest.raises(InstanceError, match="total edge weight exceeds 2"):
+        parse_instance(json.dumps(data))
+
+
 def test_parse_rejects_bad_rotation():
     bad = json.loads(json.dumps(TRIANGLE_JSON))
     bad["rotation"]["0"] = [0]
