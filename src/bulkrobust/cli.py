@@ -105,18 +105,22 @@ def _cmd_oracle(args):
 # -- generate ----------------------------------------------------------------
 
 def _cmd_generate(args):
-    if args.family == "grid":
-        inst = generators.gen_grid(args.rows, args.cols, args.scenarios, args.k,
-                                   args.weight_max, args.seed, problem=args.problem)
-    elif args.family == "sp":
-        inst = generators.gen_series_parallel(args.depth, args.scenarios, args.k,
-                                              args.weight_max, args.seed,
-                                              problem=args.problem)
-    else:
-        h, inst = generators.gen_hypergraph_vc(args.k, args.part_size, args.edges,
-                                               args.seed)
-        if args.hypergraph_out:
-            _write(args.hypergraph_out, generators.serialize_hypergraph(h))
+    try:
+        if args.family == "grid":
+            inst = generators.gen_grid(args.rows, args.cols, args.scenarios, args.k,
+                                       args.weight_max, args.seed, problem=args.problem)
+        elif args.family == "sp":
+            inst = generators.gen_series_parallel(args.depth, args.scenarios, args.k,
+                                                  args.weight_max, args.seed,
+                                                  problem=args.problem)
+        else:
+            h, inst = generators.gen_hypergraph_vc(args.k, args.part_size, args.edges,
+                                                   args.seed)
+    except ValueError as exc:   # a generator's parameter check
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    if args.family == "hvc" and args.hypergraph_out:
+        _write(args.hypergraph_out, generators.serialize_hypergraph(h))
     _write(args.output, serialize_instance(inst))
     print(f"wrote {args.output}: {inst.node_count} nodes, "
           f"{len(inst.edges)} edges, k={inst.k}")

@@ -9,7 +9,8 @@ algorithm relies on is re-checked at runtime, and the trace records enough
 per-level and per-face data to audit a run after the fact.
 
 On the tree, level 1 covers every relevant failure set with cheapest
-detours between pairs of tree nodes, by an exact branch and bound that may
+detours between pairs of tree nodes: the typed links of the one face the
+contracted tree induces.  An exact branch and bound picks them and may
 visit at most `LEVEL1_NODE_CAP` nodes; past that `solve` raises
 `BudgetError`.
 
@@ -178,9 +179,9 @@ def _augment_level1_st(ctx, trace):
 
 
 def _augment_level1_mst(ctx, trace):
-    detours = _detour_links(ctx, combinations(sorted(ctx.subgraph.nodes), 2))
-    covered = covered_by(ctx.covering((u, v) for u, v, _, _ in detours), ctx.omega)
-    sets = [(cost, covered.get(i, [])) for i, (_, _, cost, _) in enumerate(detours)]
+    links = enumerate_typed_links(ctx)     # the contracted tree induces one face
+    covered = covered_by(ctx.covering(links), ctx.omega)
+    sets = [(link.cost, covered.get(i, [])) for i, link in enumerate(links)]
     try:
         total, picked = exact_min_cover(len(ctx.omega), sets, node_cap=LEVEL1_NODE_CAP)
     except ValueError as exc:
@@ -189,7 +190,7 @@ def _augment_level1_mst(ctx, trace):
         raise BudgetError(
             f"level-1 spanning-tree cover exceeded its budget of {LEVEL1_NODE_CAP} "
             "search nodes") from None
-    added = frozenset(e for i in picked for e in detours[i][3])
+    added = frozenset(e for i in picked for e in links[i].path)
     trace.round_cost = float(total)
     return added
 

@@ -251,49 +251,46 @@ class PlaneGraph:
         """n - m + f - 2; zero for a valid embedding of a connected graph."""
         return len(self.nodes) - len(self.edges) + len(self.faces) - 2
 
-    def contract(self, eid):
-        """Contract one edge; returns (graph, node_map).
+    def contract(self, eids):
+        """Contract the edges `eids` in one pass; returns (graph, node_map,
+        contracted, loops).
 
-        The surviving node keeps the smaller of the two endpoint ids and its
-        rotation is spliced at the removed darts so the embedding stays
-        planar.  Parallel edges that turn into self-loops are deleted.
+        One union-find takes `eids` in ascending id order, as Kruskal does;
+        `contracted` holds the edges it merges, and `loops` every other edge
+        whose ends merged, both ascending.  Loops are deleted.  Each merged
+        group keeps its smallest node id, and its rotation is the walk around
+        its contracted tree: at a tree edge, move to the other end and go on
+        just after that edge in its rotation.  The walk visits each dart of
+        the group once and keeps the embedding planar.  With nothing to
+        contract, the graph itself comes back.
         """
-        if eid not in self.edges:
-            raise KeyError(f"no edge {eid}")
-        u, v, _ = self.edges[eid]
-        if u == v:
-            raise InstanceError(f"edge {eid} is a self-loop")
-        keep, drop = (u, v) if u < v else (v, u)
-        rot_keep = list(self.rotation[keep])
-        rot_drop = list(self.rotation[drop])
-        ik = rot_keep.index(eid)
-        idr = rot_drop.index(eid)
-        spliced = rot_keep[:ik] + rot_drop[idr + 1:] + rot_drop[:idr] + rot_keep[ik + 1:]
-
-        edges = {}
-        loops = []
-        for e, (a, b, w) in self.edges.items():
-            if e == eid:
-                continue
-            a2 = keep if a == drop else a
-            b2 = keep if b == drop else b
-            if a2 == b2:
-                loops.append(e)
-                continue
-            edges[e] = (a2, b2, w)
-        spliced = [e for e in spliced if e not in loops]
-        rotation = {}
-        for node, rot in self.rotation.items():
-            if node == drop:
-                continue
-            if node == keep:
-                rotation[node] = tuple(spliced)
-            else:
-                rotation[node] = rot
-        nodes = tuple(n for n in self.nodes if n != drop)
-        node_map = {n: n for n in self.nodes}
-        node_map[drop] = keep
-        return PlaneGraph(nodes, edges, rotation), node_map, tuple(loops)
+        uf = UnionFind(self.nodes)
+        tree = [e for e in sorted(eids) if uf.union(*self.endpoints(e))]
+        node_map = {n: uf.find(n) for n in self.nodes}
+        if not tree:
+            return self, node_map, (), ()
+        edges = {e: (node_map[a], node_map[b], w) for e, (a, b, w) in self.edges.items()
+                 if node_map[a] != node_map[b]}
+        loops = tuple(sorted(self.edges.keys() - edges.keys() - set(tree)))
+        rotation = {n: rot for n, rot in self.rotation.items() if node_map[n] == n}
+        tree_set = set(tree)
+        for root in {node_map[self.edges[e][0]] for e in tree}:
+            walk, node, i = [], root, 0
+            while True:
+                rot = self.rotation[node]
+                e = rot[i]
+                if e in tree_set:
+                    node = self.other(e, node)
+                    rot = self.rotation[node]
+                    i = rot.index(e)
+                elif e in edges:
+                    walk.append(e)
+                i = (i + 1) % len(rot)
+                if i == 0 and node == root:
+                    break
+            rotation[root] = tuple(walk)
+        nodes = tuple(n for n in self.nodes if node_map[n] == n)
+        return PlaneGraph(nodes, edges, rotation), node_map, tuple(tree), loops
 
 
 @dataclass(frozen=True)
@@ -396,9 +393,10 @@ class Instance:
             self.check_feasible()
 
     def check_feasible(self):
-        """Removing any single full scenario must keep the requirement."""
+        """Removing any single full scenario must keep the requirement; read
+        from the Feasibility table of the whole edge set."""
         for i, sc in enumerate(self.scenario_sets):
-            if not self.requirement_holds(self.edge_ids - sc):
+            if not self.feasibility(self.edge_ids).holds(i, sc):
                 raise InfeasibleError(
                     f"infeasible instance: removing scenario {i} breaks the requirement")
 

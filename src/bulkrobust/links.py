@@ -5,6 +5,9 @@ edges of any one scenario fail) and prepares everything the LP and the
 rounding stage need: the relevant failure sets, the contracted embedded
 subgraph, the two-sided cuts, and the per-face shortest-path links.
 
+The X edges in no relevant failure set are contracted in one pass
+(`PlaneGraph.contract`), not with one copy of the graph per edge.
+
 A link covers a relevant failure set iff its endpoints lie on different
 sides of that set's two-sided cut: `covers` for one pair.  The relation is
 computed once per level by `StepContext.covering`, and the LP, the face
@@ -260,18 +263,8 @@ def preprocess_step(instance, x_edges, level):
     if not union_omega <= x:
         raise InvariantError("a relevant failure set contains a non-X edge")
 
-    graph = instance.graph
-    node_map = {v: v for v in graph.nodes}
-    dropped = []
-    contracted = []
-    for e in sorted(x - union_omega):
-        if e not in graph.edges:
-            continue  # already lost as a parallel loop
-        graph, nm, loops = graph.contract(e)
-        contracted.append(e)
-        node_map = {orig: nm[cur] for orig, cur in node_map.items()}
-        dropped.extend(loops)
-    if set(dropped) & union_omega:
+    graph, node_map, contracted, loops = instance.graph.contract(x - union_omega)
+    if union_omega.intersection(loops):
         raise InvariantError("contraction deleted an edge of a relevant failure set")
     if graph.euler_defect() != 0:
         raise InvariantError("contracted graph lost its planar embedding")
@@ -337,7 +330,7 @@ def preprocess_step(instance, x_edges, level):
     ctx.kept_x = kept
     ctx.e_rest = e_rest
     ctx.subgraph = subgraph
-    ctx.contracted = tuple(contracted)
+    ctx.contracted = contracted
     ctx.cuts = cuts
     ctx.scenario_faces = scenario_faces
     ctx.cut_face_checks = checks

@@ -178,8 +178,8 @@ def max_flow_min_cut(arc_list, source, sink):
         arcs.append([v, float(cap)])
         adjacency.setdefault(v, []).append(len(arcs))
         arcs.append([u, float(cap)])
-    if source not in adjacency or sink not in adjacency:
-        return 0.0, frozenset(adjacency) | {source}
+    for node in (source, sink):     # an isolated end gives flow 0
+        adjacency.setdefault(node, [])
 
     flow = 0.0
     while True:

@@ -1,11 +1,14 @@
 """Command line behavior: exit codes, files, reports."""
 
+import copy
 import csv
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from bulkrobust import brute_force_vc, gen_hypergraph_vc, parse_hypergraph
+from bulkrobust import brute_force_vc, gen_grid, gen_hypergraph_vc, parse_hypergraph
 from bulkrobust.cli import main
 from bulkrobust.lp import LinearProgram, simplex_min
 from conftest import build_suite_instance, suite_schedule, triangle_instance
@@ -195,6 +198,77 @@ def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--nonsense"])
     assert exc.value.code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--rows", "1"],
+    ["grid", "--scenarios", "0"],
+    ["sp", "--depth", "-1"],
+    ["hvc", "--k", "1"],
+    ["hvc", "--part-size", "0"],
+    ["hvc", "--k", "2", "--part-size", "2", "--edges", "5"],
+], ids=["grid-rows", "grid-scenarios", "sp-depth", "hvc-k", "hvc-part-size",
+        "hvc-edges"])
+def test_generate_bad_parameters_exit_code(tmp_path, capsys, argv):
+    out = tmp_path / "inst.json"
+    assert main(["generate", *argv, "--seed", "1", "-o", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Replacement values for the fuzz below: wrong types, out-of-range ids,
+# empty containers and an integer too large for a float.
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-2, 12), st.just(10 ** 30),
+                 st.floats(-2, 12), st.text(max_size=2), st.just([]), st.just({}),
+                 st.lists(st.integers(-1, 12), max_size=4))
+FUZZ_BASES = [json.loads(serialize_instance(gen_grid(2, 3, 2, 2, 3, seed, problem)))
+              for seed, problem in ((1, "st"), (2, "mst"))]
+
+
+def _mutate(doc, draw):
+    """Apply one random edit to a parsed instance file in place."""
+    op = draw(st.sampled_from(["replace", "retype-edge", "retype-rotation", "permute",
+                               "zero", "scenarios"]))
+    edges, rotation = doc.get("edges"), doc.get("rotation")
+    if op == "replace":
+        key = draw(st.sampled_from(["nodes", "edges", "rotation", "problem", "s", "t",
+                                    "scenarios", "extra"]))
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(st.one_of(JUNK, st.sampled_from(["st", "mst"])))
+    elif op == "retype-edge" and isinstance(edges, list) and edges:
+        row = edges[draw(st.integers(0, len(edges) - 1))]
+        if isinstance(row, list) and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(JUNK)
+    elif op == "retype-rotation" and isinstance(rotation, dict) and rotation:
+        rotation[draw(st.sampled_from(sorted(rotation)))] = draw(JUNK)
+    elif op == "permute" and isinstance(rotation, dict) and rotation:
+        node = draw(st.sampled_from(sorted(rotation)))
+        if isinstance(rotation[node], list):
+            rotation[node] = draw(st.permutations(rotation[node]))
+    elif op == "zero" and isinstance(edges, list):
+        for row in edges:
+            if isinstance(row, list) and len(row) == 4 and draw(st.booleans()):
+                row[3] = 0
+    elif op == "scenarios":
+        doc["scenarios"] = draw(st.lists(st.lists(st.integers(-1, 8), max_size=4),
+                                         max_size=4))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_instance_files_exit_cleanly(tmp_path, data):
+    """A mutated instance file solves, is infeasible, or is rejected as bad
+    input: never a traceback, a verification failure or an invariant breach."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) in (0, 2, 4)
 
 
 def test_bench_report_schema(tmp_path):

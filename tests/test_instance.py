@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from bulkrobust import (InfeasibleError, InstanceError, Instance, gen_grid,
-                        gen_series_parallel, induced_faces, parse_instance,
-                        serialize_instance, trace_faces)
+from bulkrobust import (InfeasibleError, InstanceError, Instance, PlaneGraph,
+                        gen_grid, gen_hypergraph_vc, gen_series_parallel,
+                        induced_faces, parse_instance, serialize_instance,
+                        trace_faces)
 from conftest import grid_2x3, square_cycle, triangle_instance
 
 TRIANGLE_JSON = {
@@ -174,7 +175,7 @@ def _assert_valid_embedding(graph):
 def test_contract_path_edge():
     path = Instance(3, [(0, 0, 2, 1), (1, 2, 1, 1)],
                     {0: [0], 2: [0, 1], 1: [1]}, "st", 0, 1)
-    out, node_map, loops = path.graph.contract(0)
+    out, node_map, _, loops = path.graph.contract({0})
     assert len(out.nodes) == 2
     assert len(out.edges) == 1 and loops == ()
     assert node_map[2] == 0
@@ -183,7 +184,7 @@ def test_contract_path_edge():
 
 def test_contract_creates_parallel_edges():
     tri = triangle_instance(problem="mst", scenarios=((1,),))
-    out, _, loops = tri.graph.contract(0)
+    out, _, _, loops = tri.graph.contract({0})
     assert len(out.nodes) == 2
     assert len(out.edges) == 2 and loops == ()   # parallel pair is kept
     _assert_valid_embedding(out)
@@ -193,9 +194,69 @@ def test_contract_preserves_planarity_grid():
     g = gen_grid(2, 3, 1, 1, 1, seed=7)
     base = Instance(g.node_count, g.edges, g.rotation, "mst")
     for e in sorted(base.edge_map):
-        out, _, _ = base.graph.contract(e)
+        out, _, _, _ = base.graph.contract({e})
         assert len(out.nodes) == base.node_count - 1
         _assert_valid_embedding(out)
+
+
+def contract_edge_by_edge(graph, eids):
+    """Reference: contract `eids` one edge at a time in ascending id order,
+    splicing the two rotations at each contracted edge; returns the
+    4-tuple `PlaneGraph.contract` returns."""
+    node_map = {n: n for n in graph.nodes}
+    contracted, loops = [], set()
+    for eid in sorted(eids):
+        if eid not in graph.edges:
+            continue        # already deleted as a loop
+        u, v, _ = graph.edges[eid]
+        keep, drop = min(u, v), max(u, v)
+        rot_keep, rot_drop = list(graph.rotation[keep]), list(graph.rotation[drop])
+        ik, idr = rot_keep.index(eid), rot_drop.index(eid)
+        spliced = rot_keep[:ik] + rot_drop[idr + 1:] + rot_drop[:idr] + rot_keep[ik + 1:]
+        edges = {}
+        for e, (a, b, w) in graph.edges.items():
+            a, b = (keep if a == drop else a), (keep if b == drop else b)
+            if e != eid and a == b:
+                loops.add(e)
+            elif e != eid:
+                edges[e] = (a, b, w)
+        rotation = {n: rot for n, rot in graph.rotation.items() if n != drop}
+        rotation[keep] = tuple(e for e in spliced if e in edges)
+        graph = PlaneGraph(tuple(n for n in graph.nodes if n != drop), edges, rotation)
+        node_map = {n: keep if m == drop else m for n, m in node_map.items()}
+        contracted.append(eid)
+    return graph, node_map, tuple(contracted), tuple(sorted(loops))
+
+
+def _cyclic_shift_of(rot, ref):
+    return len(rot) == len(ref) and (not ref or any(
+        rot[i:] + rot[:i] == ref for i in range(len(rot))))
+
+
+def test_contract_matches_edge_by_edge_splicing():
+    rng = random.Random(2015)
+    graphs = [gen_grid(rows, cols, 1, 1, 3, seed=seed).graph
+              for rows, cols, seed in ((2, 3, 1), (3, 4, 2), (4, 4, 3), (5, 6, 4))]
+    graphs += [gen_series_parallel(depth, 1, 1, 3, seed=seed).graph
+               for depth, seed in ((2, 5), (3, 6), (4, 7), (5, 8))]
+    graphs += [gen_hypergraph_vc(k, 2, edges, seed)[1].graph
+               for k, edges, seed in ((2, 3, 9), (3, 5, 10), (4, 8, 11))]
+    cycles = 0
+    for graph in graphs:
+        ids = sorted(graph.edges)
+        for _ in range(25):
+            eids = set(rng.sample(ids, rng.randint(0, len(ids))))
+            got = graph.contract(eids)
+            want = contract_edge_by_edge(graph, eids)
+            out, ref = got[0], want[0]
+            assert out.nodes == ref.nodes and out.edges == ref.edges
+            assert got[1:] == want[1:]
+            assert set(out.rotation) == set(ref.rotation)
+            for n, rot in out.rotation.items():
+                assert _cyclic_shift_of(rot, ref.rotation[n]), (n, rot, ref.rotation[n])
+            assert out.trace_faces() == ref.trace_faces()
+            cycles += bool(eids & set(got[3]))
+    assert cycles > 50      # many subsets hold a cycle or a parallel pair
 
 
 def test_orientation_mirror_still_valid():
