@@ -78,14 +78,16 @@ def _cmd_verify(args):
             raise InstanceError(f"malformed solution file: {exc}") from None
     if type(sol) is not dict or not is_int_rows([sol.get("chosen_edges")]):
         raise InstanceError("solution file must map chosen_edges to a list of edge ids")
+    if type(sol.get("cost")) is not int:
+        raise InstanceError("solution file must give cost as a JSON integer")
     chosen = frozenset(sol["chosen_edges"])
     dangling = chosen - inst.edge_ids
     if dangling:
         print(f"solution references unknown edges {sorted(dangling)}")
         return 1
     cost = inst.weight_of(chosen)
-    if cost != sol.get("cost"):
-        print(f"cost mismatch: file says {sol.get('cost')}, edges sum to {cost}")
+    if cost != sol["cost"]:
+        print(f"cost mismatch: file says {sol['cost']}, edges sum to {cost}")
         return 1
     if not is_feasible(inst, chosen):
         print("solution is not feasible")

@@ -10,9 +10,9 @@ per-level and per-face data to audit a run after the fact.
 
 On the tree, level 1 covers every relevant failure set with cheapest
 detours between pairs of tree nodes: the typed links of the one face the
-contracted tree induces.  An exact branch and bound picks them and may
-visit at most `LEVEL1_NODE_CAP` nodes; past that `solve` raises
-`BudgetError`.
+contracted tree induces.  An exact branch and bound picks them.  It and
+the two anchored-side covers of every rounded face may each visit at most
+`NODE_CAP` nodes; past that `solve` raises `BudgetError`.
 
 Feasibility checks go through the instance's `Feasibility` table of the
 current solution X: O(n + |X|) per scenario, built once per distinct X
@@ -32,10 +32,10 @@ from .lp import solve_link_lp
 from .rounding import cover_intervals_exact, partition_scenarios, round_face
 from .setcover import exact_min_cover
 
-# Search nodes the level-1 spanning-tree cover may visit; the largest search
-# in the benchmark's tree-cover and small-mix workloads (seeds 101 and 102)
-# visits under 10**5.
-LEVEL1_NODE_CAP = 10 ** 6
+# Search nodes each exact cover inside `solve` may visit (the level-1 tree
+# and every anchored side); the largest search in the benchmark's tree-cover
+# and small-mix workloads (seeds 101 and 102) visits under 10**5.
+NODE_CAP = 10 ** 6
 
 
 @dataclass
@@ -49,7 +49,6 @@ class LevelTrace:
     added: tuple = ()
     added_cost: int = 0
     faces: list = field(default_factory=list)
-    fallback_faces: int = 0
     cut_face_checks: int = 0
 
     def to_dict(self):
@@ -63,7 +62,6 @@ class LevelTrace:
             "added_edges": sorted(self.added),
             "added_cost": self.added_cost,
             "faces": self.faces,
-            "fallback_faces": self.fallback_faces,
             "cut_face_checks": self.cut_face_checks,
         }
 
@@ -183,12 +181,12 @@ def _augment_level1_mst(ctx, trace):
     covered = covered_by(ctx.covering(links), ctx.omega)
     sets = [(link.cost, covered.get(i, [])) for i, link in enumerate(links)]
     try:
-        total, picked = exact_min_cover(len(ctx.omega), sets, node_cap=LEVEL1_NODE_CAP)
+        total, picked = exact_min_cover(len(ctx.omega), sets, node_cap=NODE_CAP)
     except ValueError as exc:
         raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
     except BudgetError:
         raise BudgetError(
-            f"level-1 spanning-tree cover exceeded its budget of {LEVEL1_NODE_CAP} "
+            f"level-1 spanning-tree cover exceeded its budget of {NODE_CAP} "
             "search nodes") from None
     added = frozenset(e for i in picked for e in links[i].path)
     trace.round_cost = float(total)
@@ -224,9 +222,8 @@ def augment_step(instance, x_edges, level, on_lp=None):
         added = set()
         total = 0.0
         for face in sorted(set(partition.face_scenarios) | set(partition.face_links)):
-            rounded = round_face(ctx, cover, partition, face)
+            rounded = round_face(ctx, cover, partition, face, NODE_CAP)
             trace.faces.append(rounded.record)
-            trace.fallback_faces += 1 if rounded.fallback else 0
             total += rounded.cost
             for idx in rounded.chosen:
                 added.update(cover.links[idx].path)

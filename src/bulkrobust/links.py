@@ -54,8 +54,9 @@ def lex_shortest_path(adj, src, dst, dist=None):
 
     Runs a depth-first search in increasing edge-id order, pruned with exact
     distances to the target, and stops at the first optimum it completes;
-    that path is the lexicographic minimum.  `dist` is `dijkstra(adj, dst)`
-    when the caller already has it.
+    that path is the lexicographic minimum.  The search keeps its own stack,
+    so path length is not limited by Python's recursion limit.  `dist` is
+    `dijkstra(adj, dst)` when the caller already has it.
     """
     if src == dst:
         return 0, ()
@@ -66,27 +67,27 @@ def lex_shortest_path(adj, src, dst, dist=None):
     best = dist[src]
     path = []
     visited = {src}
-
-    def walk(node, cost):
-        if node == dst:
-            return True
-        for eid, other, w in adj.get(node, ()):
+    stack = [(src, 0, iter(adj.get(src, ())))]
+    while stack:
+        node, cost, todo = stack[-1]
+        for eid, other, w in todo:
             if other in visited:
                 continue
             rest = dist.get(other)
             if rest is None or cost + w + rest > best:
                 continue
-            visited.add(other)
             path.append(eid)
-            if walk(other, cost + w):
-                return True
-            path.pop()
-            visited.remove(other)
-        return False
-
-    if not walk(src, 0):
-        raise InvariantError("pruned path search missed a reachable target")
-    return best, tuple(path)
+            if other == dst:
+                return best, tuple(path)
+            visited.add(other)
+            stack.append((other, cost + w, iter(adj.get(other, ()))))
+            break
+        else:
+            stack.pop()
+            if stack:
+                path.pop()
+                visited.remove(node)
+    raise InvariantError("pruned path search missed a reachable target")
 
 
 def lex_shortest_paths(adj, pairs):
@@ -147,16 +148,15 @@ class StepContext:
     cut_face_checks: int = 0        # validated (failure set, face) pairs
 
     def covering(self, links):
-        """For each failure set of omega, the ascending indices of the links
-        (TypedLinks or (u, v) pairs) that cover it; the last table is kept."""
+        """For each failure set of omega, the ascending indices of the
+        TypedLinks that cover it; the last table is kept."""
         links = tuple(links)
         cached = self.__dict__.get("_covering")
         if cached is not None and cached[0] == links:
             return cached[1]
         if not self.omega:
             return {}
-        ends = [(link.u, link.v) if isinstance(link, TypedLink) else link
-                for link in links]
+        ends = [(link.u, link.v) for link in links]
         for node in chain.from_iterable(ends):
             if node not in self.subgraph.nodes:
                 raise ValueError(f"node {node} is not incident to the current solution")

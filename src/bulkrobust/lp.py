@@ -261,8 +261,7 @@ def separation_oracle(ctx, cover, scenario_index):
         u, v, _ = ctx.graph.edges[e]
         arc_list.append((u, v, 1.0 if e in full else sentinel))
     for link, val in zip(cover.links, values):
-        u, v = (link.u, link.v) if hasattr(link, "u") else link
-        arc_list.append((u, v, max(0.0, float(val))))
+        arc_list.append((link.u, link.v, max(0.0, float(val))))
 
     if ctx.instance.problem == "st":
         value, side = max_flow_min_cut(arc_list, ctx.s, ctx.t)

@@ -1,23 +1,25 @@
 """Rounding a fractional link cover, one induced face at a time.
 
 Each face with assigned failure sets becomes a restricted dominating-set
-instance on a circle: the face boundary (with one subdivision point per
-boundary edge) is the circle, failure sets become demand chords between
+instance on a circle: the face's boundary walk (with one subdivision point
+per boundary edge) is the circle, failure sets become demand chords between
 subdivision points, links become weighted covering chords between boundary
-nodes.  Chord domination transfers to containment of points in anchored
-axis-aligned rectangles inside a square, demands split by where at least
-half their fractional mass lives (left-anchored vs top-anchored), and each
-side is then solved exactly.  The level-1 cases never build circles: an
-s-t path step is a weighted interval covering problem solved by dynamic
-programming, and a spanning-tree step is a plain exact cover over
-tree-edge cuts.  Which links cover which failure set is read from the
-level's table `StepContext.covering`, the same one the LP used.
+nodes.  A node the walk visits more than once sits at its first corner, so
+every face takes this one path.  Chord domination transfers to containment
+of points in anchored axis-aligned rectangles inside a square, demands
+split by where at least half their fractional mass lives (left-anchored vs
+top-anchored), and each side is then solved exactly within a node budget.
+The level-1 cases never build circles: an s-t path step is a weighted
+interval covering problem solved by dynamic programming, and a
+spanning-tree step is a plain exact cover over tree-edge cuts.  Which links
+cover which failure set is read from the level's table
+`StepContext.covering`, the same one the LP used.
 """
 
 import bisect
 from dataclasses import dataclass
 
-from .errors import InvariantError
+from .errors import BudgetError, InvariantError
 from .links import covered_by
 from .lp import EPS_FEAS
 from .setcover import exact_min_cover
@@ -65,8 +67,8 @@ class RoundedFace:
     chosen: tuple            # link indices
     cost: float
     bound: float
-    fallback: bool
     record: dict
+    fallback = False         # no face has another path; perfbench's tracer reads it
 
 
 def partition_scenarios(ctx, cover):
@@ -104,12 +106,22 @@ def partition_scenarios(ctx, cover):
 
 
 def build_circle_instance(ctx, face, scenarios, cover):
-    """Subdivide the face boundary and attach demand and covering chords."""
+    """Subdivide the face boundary and attach demand and covering chords.
+
+    Corner l of the boundary walk is circle point 2l and its edge l is
+    point 2l + 1.  A node the walk visits more than once takes the point of
+    its first corner, and chord crossing still equals the cover relation:
+    the two edges a failure set has on the face cut the walk into two arcs,
+    each arc is joined by kept edges outside the set, and both failure
+    edges cross the set's cut, so the arcs lie on opposite sides of it.
+    Every corner of a node therefore lies on the arc of the node's own
+    side, and a link's chord crosses a demand chord iff the link covers
+    that failure set.  `round_face` checks this on every pair.
+    """
     walk = ctx.subgraph.faces.faces[face]
-    tails = [tail for tail, _ in walk]
-    if len(set(tails)) != len(tails):
-        raise ValueError(f"face {face} repeats a boundary node; use the fallback")
-    node_pos = {tail: 2 * l for l, tail in enumerate(tails)}
+    node_pos = {}
+    for l, (tail, _) in enumerate(walk):
+        node_pos.setdefault(tail, 2 * l)
     edge_pos = {eid: 2 * l + 1 for l, (_, eid) in enumerate(walk)}
 
     demands = []
@@ -179,11 +191,12 @@ def chords_to_rectangles(ci):
                            tuple(left_demands), tuple(top_demands))
 
 
-def solve_anchored_cover(points, rects):
+def solve_anchored_cover(points, rects, node_cap=None):
     """Exact minimum-cost rectangle cover of the given points.
 
     `points` maps point ids to (x, y); `rects` maps rectangle ids to
-    (rectangle, cost).  Returns (chosen rect ids, total cost).
+    (rectangle, cost).  Returns (chosen rect ids, total cost).  The search
+    visits at most `node_cap` nodes (BudgetError past that).
     """
     point_ids = sorted(points)
     rect_ids = sorted(rects)
@@ -194,14 +207,14 @@ def solve_anchored_cover(points, rects):
         covered = [index_of[p] for p in point_ids if _in_rect(points[p], rect)]
         sets.append((cost, covered))
     try:
-        cost, picked = exact_min_cover(len(point_ids), sets)
+        cost, picked = exact_min_cover(len(point_ids), sets, node_cap=node_cap)
     except ValueError as exc:
         raise ValueError(f"anchored cover is infeasible: {exc}") from None
     return tuple(rect_ids[i] for i in picked), cost
 
 
 def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_cost,
-                 bound, fallback, circle=None, system=None):
+                 bound, circle=None, system=None):
     covered = covered_by(ctx.covering(cover.links), scenarios)
     demand_list = []
     for pos, f_set in enumerate(scenarios):
@@ -235,7 +248,6 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
         cover_list.append(entry)
     record = {
         "face": face,
-        "fallback": fallback,
         "level": ctx.level,
         "lp_face_cost": lp_face_cost,
         "bound": bound,
@@ -252,14 +264,14 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
     return record
 
 
-def round_face(ctx, cover, partition, face):
+def round_face(ctx, cover, partition, face, node_cap=None):
     """Cover the failure sets assigned to one face with its typed links.
 
-    For a simple-cycle boundary the circle/rectangle construction is used
-    and each anchored side is solved exactly; a boundary that repeats a
-    node falls back to exact covering over the face's links directly.
-    Either way the result covers every assigned failure set and its cost
-    is checked against 8 * level * (face share of the LP objective).
+    The face becomes a circle instance (`build_circle_instance`), its
+    chords anchored rectangles, and each anchored side is solved exactly,
+    visiting at most `node_cap` search nodes per side.  The result covers
+    every assigned failure set and its cost is checked against
+    8 * level * (face share of the LP objective).
     """
     level = ctx.level
     scenarios = partition.face_scenarios.get(face, ())
@@ -268,55 +280,43 @@ def round_face(ctx, cover, partition, face):
     bound = 8.0 * level * lp_face_cost
     if not scenarios:
         record = _record_face(ctx, face, (), cover, link_ids, (), 0.0, lp_face_cost,
-                              bound, False)
-        return RoundedFace(face, (), 0.0, bound, False, record)
+                              bound)
+        return RoundedFace(face, (), 0.0, bound, record)
 
-    walk = ctx.subgraph.faces.faces[face]
-    tails = [tail for tail, _ in walk]
-    simple = len(set(tails)) == len(tails)
     table = ctx.covering(cover.links)
-
-    if simple:
-        circle = build_circle_instance(ctx, face, scenarios, cover)
-        system = chords_to_rectangles(circle)
-        # live equivalence check: chord domination == endpoint cover relation
-        for d_idx, (f_set, d_chord) in enumerate(circle.demands):
-            cut_links = set(table[f_set])
-            for c_idx, (lidx, c_chord, _, _) in enumerate(circle.coverers):
-                geo = chords_intersect(d_chord, c_chord)
-                rect = (_in_rect(system.points[d_idx], system.lefts[c_idx])
-                        or _in_rect(system.points[d_idx], system.tops[c_idx]))
-                via_cut = lidx in cut_links
-                if geo != via_cut or geo != rect:
-                    raise InvariantError(
-                        "chord/rectangle/cut disagreement on face "
-                        f"{face}: demand {sorted(f_set)}, link {lidx}",
-                        payload={"demand": d_chord, "coverer": c_chord,
-                                 "geo": geo, "cut": via_cut, "rect": rect})
-        rect_costs = {c_idx: ci_cost for c_idx, (_, _, ci_cost, _)
-                      in enumerate(circle.coverers)}
-        left_pts = {d: system.points[d] for d in system.left_demands}
-        top_pts = {d: system.points[d] for d in system.top_demands}
-        left_rects = {c: (system.lefts[c], rect_costs[c]) for c in system.lefts}
-        top_rects = {c: (system.tops[c], rect_costs[c]) for c in system.tops}
-        chosen_cov = set()
-        if left_pts:
-            picked, _ = solve_anchored_cover(left_pts, left_rects)
-            chosen_cov.update(picked)
-        if top_pts:
-            picked, _ = solve_anchored_cover(top_pts, top_rects)
-            chosen_cov.update(picked)
-        chosen = tuple(sorted(circle.coverers[c][0] for c in chosen_cov))
-    else:
-        circle = system = None
-        covered = covered_by(table, scenarios)
-        sets = [(cover.links[idx].cost, covered.get(idx, [])) for idx in link_ids]
+    circle = build_circle_instance(ctx, face, scenarios, cover)
+    system = chords_to_rectangles(circle)
+    # live equivalence check: chord domination == endpoint cover relation
+    for d_idx, (f_set, d_chord) in enumerate(circle.demands):
+        cut_links = set(table[f_set])
+        for c_idx, (lidx, c_chord, _, _) in enumerate(circle.coverers):
+            geo = chords_intersect(d_chord, c_chord)
+            rect = (_in_rect(system.points[d_idx], system.lefts[c_idx])
+                    or _in_rect(system.points[d_idx], system.tops[c_idx]))
+            via_cut = lidx in cut_links
+            if geo != via_cut or geo != rect:
+                raise InvariantError(
+                    "chord/rectangle/cut disagreement on face "
+                    f"{face}: demand {sorted(f_set)}, link {lidx}",
+                    payload={"demand": d_chord, "coverer": c_chord,
+                             "geo": geo, "cut": via_cut, "rect": rect})
+    rect_costs = {c_idx: ci_cost for c_idx, (_, _, ci_cost, _)
+                  in enumerate(circle.coverers)}
+    chosen_cov = set()
+    for demands, rects in ((system.left_demands, system.lefts),
+                           (system.top_demands, system.tops)):
+        if not demands:
+            continue
         try:
-            _, picked = exact_min_cover(len(scenarios), sets)
-        except ValueError:
-            raise InvariantError(
-                f"face {face} has an uncoverable failure set") from None
-        chosen = tuple(sorted(link_ids[i] for i in picked))
+            picked, _ = solve_anchored_cover(
+                {d: system.points[d] for d in demands},
+                {c: (rects[c], rect_costs[c]) for c in rects}, node_cap)
+        except BudgetError:
+            raise BudgetError(
+                f"level {level}, face {face}: anchored-side cover exceeded its "
+                f"budget of {node_cap} search nodes") from None
+        chosen_cov.update(picked)
+    chosen = tuple(sorted(circle.coverers[c][0] for c in chosen_cov))
 
     for f_set in scenarios:
         if set(chosen).isdisjoint(table[f_set]):
@@ -328,10 +328,10 @@ def round_face(ctx, cover, partition, face):
         raise InvariantError(
             f"face {face} rounding cost {cost} exceeds its bound {bound}",
             payload={"chosen": chosen, "lp_face_cost": lp_face_cost,
-                     "level": level, "fallback": not simple})
+                     "level": level})
     record = _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost,
-                          lp_face_cost, bound, not simple, circle, system)
-    return RoundedFace(face, chosen, cost, bound, not simple, record)
+                          lp_face_cost, bound, circle, system)
+    return RoundedFace(face, chosen, cost, bound, record)
 
 
 def cover_intervals_exact(points, intervals):

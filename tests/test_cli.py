@@ -133,9 +133,12 @@ TRIANGLE_EDGES = [[0, 0, 1, 1], [1, 0, 2, 1], [2, 2, 1, 1]]
     ("edges", [[0, 0, 1, 10**400]] + TRIANGLE_EDGES[1:], None),
     (None, None, [1, 2]),
     (None, None, {"chosen_edges": ["a"]}),
+    (None, None, {"chosen_edges": [0, 1, 2], "cost": 3.0}),
+    (None, None, {"chosen_edges": [0], "cost": True}),
+    (None, None, {"chosen_edges": [0, 1, 2]}),
 ], ids=["rotation-int", "nodes-str", "nodes-huge", "scenario-int",
         "weight-float", "weight-bool", "weight-huge", "solution-list",
-        "solution-edge-str"])
+        "solution-edge-str", "cost-float", "cost-bool", "cost-missing"])
 def test_malformed_input_exit_code(tmp_path, capsys, key, value, solution):
     data = json.loads(serialize_instance(triangle_instance()))
     if key is not None:
@@ -151,6 +154,34 @@ def test_malformed_input_exit_code(tmp_path, capsys, key, value, solution):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_long_path_solves_and_verifies(tmp_path, capsys):
+    # A 2 x 1100 grid: the cheapest s-t path and its detours run over
+    # thousands of edges, more than Python's recursion limit.
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    assert main(["generate", "grid", "--rows", "2", "--cols", "1100",
+                 "--scenarios", "1", "--k", "1", "--weight-max", "1",
+                 "--seed", "3", "-o", str(inst)]) == 0
+    assert main(["solve", "-i", str(inst), "-o", str(sol)]) == 0
+    assert main(["verify", "-i", str(inst), "-s", str(sol)]) == 0
+    assert capsys.readouterr().out.endswith("OK: feasible, cost 1103\n")
+
+
+def test_anchored_cover_budget_exits_4(tmp_path, capsys, monkeypatch):
+    import bulkrobust.driver as driver_mod
+    monkeypatch.setattr(driver_mod, "NODE_CAP", 1)
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "grid", "--rows", "3", "--cols", "4",
+                 "--scenarios", "3", "--k", "2", "--weight-max", "3",
+                 "--seed", "2", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: level 2, face ")
+    assert "anchored-side cover exceeded its budget of 1 search nodes" in err
 
 
 def test_huge_weights_on_an_lp_level_exit_code(tmp_path, capsys):

@@ -4,9 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from bulkrobust import (covers, enumerate_typed_links, gen_hypergraph_vc,
-                        preprocess_step, solve)
-from bulkrobust.driver import _detour_links, minimum_spanning_tree
+from bulkrobust import (TypedLink, covers, enumerate_typed_links,
+                        gen_hypergraph_vc, preprocess_step, solve)
+from bulkrobust.driver import minimum_spanning_tree
 from conftest import build_suite_instance, square_with_chords, suite_schedule
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
@@ -50,9 +50,8 @@ def test_table_matches_definition_on_level1_tree_detours():
         ctx = preprocess_step(instance, minimum_spanning_tree(instance), 1)
         if not ctx.omega:
             continue
-        nodes = sorted(ctx.subgraph.nodes)
-        pairs = [(u, v) for u, v, _, _ in _detour_links(ctx, combinations(nodes, 2))]
-        assert ctx.covering(pairs) == by_definition(ctx, pairs)
+        links = enumerate_typed_links(ctx)
+        assert ctx.covering(links) == by_definition(ctx, links)
         seen += 1
     assert seen > 0
 
@@ -61,7 +60,7 @@ def test_non_incident_endpoint_raises():
     ctx, _ = square_level2()
     u = min(ctx.subgraph.nodes)
     with pytest.raises(ValueError, match="node 99 is not incident"):
-        ctx.covering([(u, 99)])
+        ctx.covering([TypedLink(u, 99, 0, (), 1)])
 
 
 def test_same_links_reuse_the_table_and_new_links_rebuild_it():
@@ -69,7 +68,8 @@ def test_same_links_reuse_the_table_and_new_links_rebuild_it():
     table = ctx.covering(links)
     assert ctx.covering(links) is table
     assert ctx.covering(list(links)) is table
-    pairs = list(combinations(sorted(ctx.subgraph.nodes), 2))
+    pairs = [TypedLink(u, v, 0, (), 1)
+             for u, v in combinations(sorted(ctx.subgraph.nodes), 2)]
     other = ctx.covering(pairs)
     assert other is not table
     assert other == by_definition(ctx, pairs)

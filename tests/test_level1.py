@@ -245,7 +245,7 @@ def test_weighted_tree_grids_finish_under_the_cap(weight_max, seed):
 
 def test_level1_budget_exits_4(tmp_path, capsys, monkeypatch):
     import bulkrobust.driver as driver_mod
-    monkeypatch.setattr(driver_mod, "LEVEL1_NODE_CAP", 1)
+    monkeypatch.setattr(driver_mod, "NODE_CAP", 1)
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(gen_grid(10, 10, 36, 3, 5, 0, "mst")))
     assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4

@@ -6,11 +6,13 @@ import random
 import numpy as np
 import pytest
 
-from bulkrobust import (CircleInstance, FractionalCover, build_circle_instance,
-                        chords_intersect, chords_to_rectangles,
-                        cover_intervals_exact, enumerate_typed_links,
-                        exact_min_cover, partition_scenarios, preprocess_step,
-                        round_face, solve_anchored_cover, solve_link_lp)
+from bulkrobust import (CircleInstance, FractionalCover, Instance,
+                        build_circle_instance, chords_intersect,
+                        chords_to_rectangles, cover_intervals_exact, covers,
+                        enumerate_typed_links, exact_min_cover, gen_grid,
+                        partition_scenarios, preprocess_step, round_face,
+                        solve, solve_anchored_cover, solve_link_lp)
+from bulkrobust.driver import augment_step
 from bulkrobust.rounding import _in_rect
 from conftest import square_with_chords
 
@@ -219,18 +221,16 @@ def test_round_face_forced_pair():
     covered = set()
     for f_set in ctx.omega:
         cut = ctx.cuts[f_set]
-        from bulkrobust import covers
         assert any(covers(cover.links[i], cut) for i in picked)
         covered.add(f_set)
     assert covered == set(ctx.omega)
 
 
-def test_round_face_fallback_on_repeated_boundary_node():
+def test_round_face_circle_on_repeated_boundary_node():
     # bowtie: two triangles sharing node c, every solution edge threatened,
     # detours a-b and s-t drawn in the outer face.  The outer face walk
-    # visits c twice, so rounding must take the direct exact-cover fallback.
-    from bulkrobust import Instance
-    from bulkrobust.driver import augment_step
+    # visits c twice; c sits at its first corner and the face still takes
+    # the circle/rectangle path.
     bow = Instance(
         5,
         [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 0, 1), (3, 2, 3, 1),
@@ -244,11 +244,50 @@ def test_round_face_fallback_on_repeated_boundary_node():
     ctx = preprocess_step(bow, x, 2)
     assert ctx.contracted == ()
     walks = [[tail for tail, _ in w] for w in ctx.subgraph.faces.faces]
-    assert any(len(set(w)) != len(w) for w in walks)
+    repeated = [f for f, w in enumerate(walks) if len(set(w)) != len(w)]
+    assert repeated
     added, level = augment_step(bow, x, 2)
     assert added == frozenset({7})
-    assert level.fallback_faces == 1
     assert level.round_cost <= level.bound + 1e-6
+    records = [r for r in level.faces if r["face"] in repeated and r["demands"]]
+    assert records
+    for record in records:
+        assert "fallback" not in record
+        assert record["circle_points"] == 2 * len(walks[record["face"]])
+        assert all("chord" in d for d in record["demands"])
+        assert all("chord" in c and "rect_left" in c and "rect_top" in c
+                   for c in record["coverers"])
+        assert record["cost"] <= record["bound"] + 1e-6
+    assert "fallback_faces" not in level.to_dict()
+
+
+def test_chord_crossing_is_cover_on_faces_with_repeated_nodes():
+    # Spanning-tree grids give level-2 faces whose walks repeat a node.  On
+    # each, put every failure set with edges on the face on the circle and
+    # compare chord crossing with `covers` for every link of the face.
+    faces = pairs = 0
+    for seed in range(60):
+        inst = gen_grid(10, 10, 36, 3, 1, seed, "mst")
+        levels = []
+        solve(inst, on_lp=lambda lv, ctx, links, cover: levels.append((ctx, cover)))
+        for ctx, cover in levels:
+            for face, walk in enumerate(ctx.subgraph.faces.faces):
+                tails = [tail for tail, _ in walk]
+                on_face = [f for f in ctx.omega if face in ctx.scenario_faces[f]]
+                if len(set(tails)) == len(tails) or not on_face:
+                    continue
+                circle = build_circle_instance(ctx, face, on_face, cover)
+                if not circle.coverers:
+                    continue
+                faces += 1
+                for f_set, d_chord in circle.demands:
+                    for lidx, c_chord, _, _ in circle.coverers:
+                        assert chords_intersect(d_chord, c_chord) == covers(
+                            cover.links[lidx], ctx.cuts[f_set]), (seed, face, lidx)
+                        pairs += 1
+        if faces >= 30:
+            break
+    assert faces >= 30 and pairs > faces
 
 
 # -- interval covering ------------------------------------------------------------
