@@ -240,7 +240,8 @@ def _cmd_bench(args):
 # -- gap ---------------------------------------------------------------------
 
 def face_gap(record):
-    """(integral exact cost) / (fractional LP optimum) for one face record."""
+    """(integral exact cost) / (fractional LP optimum) for one face record;
+    the exact search has `exact_min_cover`'s budget."""
     demands = record["demands"]
     coverers = record["coverers"]
     if not demands:

@@ -2,40 +2,32 @@
 
 The base solution is a cheapest s-t path (or a minimum spanning tree),
 then one augmentation per level i = 1..k makes the solution survive every
-failure of i edges from a single scenario.  Level 1 is solved exactly
-(interval covering on the path, exact cut covering on the tree); levels
-two and up run the LP plus per-face rounding.  Every guarantee the
-algorithm relies on is re-checked at runtime, and the trace records enough
-per-level and per-face data to audit a run after the fact.
-
-On the tree, level 1 covers every relevant failure set with cheapest
-detours between pairs of tree nodes: the typed links of the one face the
-contracted tree induces.  An exact branch and bound picks them.  It and
-the two anchored-side covers of every rounded face may each visit at most
-`NODE_CAP` nodes; past that `solve` raises `BudgetError`.
+failure of i edges from a single scenario.  Every level has one shape:
+the current solution induces faces, the typed links of those faces go in,
+and a cover step returns the indices of the links it picks and their
+cost.  At level 1 the contracted path or tree induces exactly one face and
+the cover is exact (an interval DP on the path, an exact cut cover on the
+tree); levels two and up run the LP plus per-face rounding.  The exact
+searches own their budget (`setcover.NODE_CAP` nodes, and the simplex's
+pivot cap); past it `solve` raises `BudgetError` naming the level.  Every
+guarantee the algorithm relies on is re-checked at runtime, and the trace
+records enough per-level and per-face data to audit a run after the fact.
 
 Feasibility checks go through the instance's `Feasibility` table of the
 current solution X: O(n + |X|) per scenario, built once per distinct X
 (so once per level), then O(k) per failure subset.  The table of X after
-level i serves this level's checks here and level i + 1's preprocessing.
+level i answers `augment_step`'s check, the one in `solve` and level
+i + 1's precondition, and checks each subset once.
 """
 
 from dataclasses import dataclass, field
 
-from itertools import combinations
-
 from .errors import BudgetError, InvariantError
 from .instance import UnionFind
-from .links import (covered_by, enumerate_typed_links, lex_shortest_path,
-                    lex_shortest_paths, preprocess_step)
+from .links import covered_by, enumerate_typed_links, lex_shortest_path, preprocess_step
 from .lp import solve_link_lp
 from .rounding import cover_intervals_exact, partition_scenarios, round_face
 from .setcover import exact_min_cover
-
-# Search nodes each exact cover inside `solve` may visit (the level-1 tree
-# and every anchored side); the largest search in the benchmark's tree-cover
-# and small-mix workloads (seeds 101 and 102) visits under 10**5.
-NODE_CAP = 10 ** 6
 
 
 @dataclass
@@ -140,64 +132,62 @@ def _walk_path(ctx):
     return nodes, edges
 
 
-def _rest_adjacency(ctx):
-    adj = {}
-    for e in sorted(ctx.e_rest):
-        u, v, w = ctx.e_rest[e]
-        adj.setdefault(u, []).append((e, v, w))
-        adj.setdefault(v, []).append((e, u, w))
-    return {n: tuple(sorted(lst)) for n, lst in adj.items()}
-
-
-def _detour_links(ctx, endpoints):
-    """Cheapest candidate-edge paths between the given solution nodes."""
-    return [(u, v, found[0], found[1]) for u, v, found
-            in lex_shortest_paths(_rest_adjacency(ctx), endpoints)
-            if found is not None]
-
-
-def _augment_level1_st(ctx, trace):
+def _cover_path(ctx, links):
+    """Level 1 on the s-t path: a link covers the failure edges between its
+    endpoints' path positions, so the cover is an interval DP."""
     nodes, path_edges = _walk_path(ctx)
     pos_of_node = {n: i for i, n in enumerate(nodes)}
     pos_of_edge = {e: i for i, e in enumerate(path_edges)}
     points = sorted(pos_of_edge[next(iter(f))] for f in ctx.omega)
-
-    detours = _detour_links(ctx, combinations(nodes, 2))
     intervals = []
-    for u, v, cost, path in detours:
-        a, b = sorted((pos_of_node[u], pos_of_node[v]))
-        intervals.append((a, b - 1, cost))
-    try:
-        picked, total = cover_intervals_exact(points, intervals)
-    except ValueError as exc:
-        raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
-    added = frozenset(e for i in picked for e in detours[i][3])
-    trace.round_cost = float(total)
-    return added
+    for link in links:
+        a, b = sorted((pos_of_node[link.u], pos_of_node[link.v]))
+        intervals.append((a, b - 1, link.cost))
+    return cover_intervals_exact(points, intervals)
 
 
-def _augment_level1_mst(ctx, trace):
-    links = enumerate_typed_links(ctx)     # the contracted tree induces one face
+def _cover_tree(ctx, links):
+    """Level 1 on the spanning tree: an exact cover of the tree-edge cuts."""
     covered = covered_by(ctx.covering(links), ctx.omega)
     sets = [(link.cost, covered.get(i, [])) for i, link in enumerate(links)]
     try:
-        total, picked = exact_min_cover(len(ctx.omega), sets, node_cap=NODE_CAP)
-    except ValueError as exc:
-        raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
-    except BudgetError:
-        raise BudgetError(
-            f"level-1 spanning-tree cover exceeded its budget of {NODE_CAP} "
-            "search nodes") from None
-    added = frozenset(e for i in picked for e in links[i].path)
-    trace.round_cost = float(total)
-    return added
+        total, picked = exact_min_cover(len(ctx.omega), sets)
+    except BudgetError as exc:
+        raise BudgetError("level-1 spanning-tree cover", exc.budget) from None
+    return picked, total
+
+
+def _round_faces(ctx, links, trace, on_lp):
+    """Levels 2 and up: the link LP, then every face rounded on its circle."""
+    level = ctx.level
+    try:
+        cover = solve_link_lp(ctx, links)
+    except BudgetError as exc:
+        raise BudgetError(f"level {level} link LP", exc.budget) from None
+    if on_lp is not None:
+        on_lp(level, ctx, links, cover)
+    trace.lp_value = cover.objective
+    trace.bound = 8.0 * level * cover.objective
+    partition = partition_scenarios(ctx, cover)
+    picked = []
+    total = 0.0
+    for face in sorted(set(partition.face_scenarios) | set(partition.face_links)):
+        rounded = round_face(ctx, cover, partition, face)
+        trace.faces.append(rounded.record)
+        total += rounded.cost
+        picked.extend(rounded.chosen)
+    if total > trace.bound + 1e-6:
+        raise InvariantError(
+            f"level {level} rounding cost {total} exceeds 8i * lp "
+            f"= {trace.bound}")
+    return picked, total
 
 
 def augment_step(instance, x_edges, level, on_lp=None):
     """One augmentation level; returns (added edge set, LevelTrace).
 
-    Wherever the solution changes hands the contract is re-checked: the
-    result must cover every relevant failure set of this level.
+    The typed links of the faces X induces go in, one cover step picks
+    among them, and X plus the picked paths must meet the level's contract.
     """
     ctx = preprocess_step(instance, x_edges, level)
     trace = LevelTrace(level=level, omega_size=len(ctx.omega))
@@ -206,40 +196,23 @@ def augment_step(instance, x_edges, level, on_lp=None):
     trace.contracted = ctx.contracted
     trace.cut_face_checks = ctx.cut_face_checks
 
-    if level == 1:
-        if instance.problem == "st":
-            added = _augment_level1_st(ctx, trace)
-        else:
-            added = _augment_level1_mst(ctx, trace)
+    links = enumerate_typed_links(ctx)
+    if level > 1:
+        picked, total = _round_faces(ctx, links, trace, on_lp)
     else:
-        links = enumerate_typed_links(ctx)
-        cover = solve_link_lp(ctx, links)
-        if on_lp is not None:
-            on_lp(level, ctx, links, cover)
-        trace.lp_value = cover.objective
-        trace.bound = 8.0 * level * cover.objective
-        partition = partition_scenarios(ctx, cover)
-        added = set()
-        total = 0.0
-        for face in sorted(set(partition.face_scenarios) | set(partition.face_links)):
-            rounded = round_face(ctx, cover, partition, face, NODE_CAP)
-            trace.faces.append(rounded.record)
-            total += rounded.cost
-            for idx in rounded.chosen:
-                added.update(cover.links[idx].path)
-        trace.round_cost = total
-        if total > trace.bound + 1e-6:
-            raise InvariantError(
-                f"level {level} rounding cost {total} exceeds 8i * lp "
-                f"= {trace.bound}")
-        added = frozenset(added)
+        cover_step = _cover_path if instance.problem == "st" else _cover_tree
+        try:
+            picked, total = cover_step(ctx, links)
+        except ValueError as exc:
+            raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
+    added = frozenset(e for i in picked for e in links[i].path)
+    trace.round_cost = float(total)
 
-    feasible = instance.feasibility(frozenset(x_edges) | added)
-    for f_set in ctx.omega:
-        if not feasible.holds(ctx.omega_scenario[f_set], f_set):
-            raise InvariantError(
-                f"augmentation at level {level} leaves failure set "
-                f"{sorted(f_set)} disconnecting")
+    failed = instance.feasibility(frozenset(x_edges) | added).first_failure(level)
+    if failed is not None:
+        raise InvariantError(
+            f"augmentation at level {level} leaves {sorted(failed[1])} of "
+            f"scenario {failed[0]} disconnecting")
     trace.added = tuple(sorted(added))
     trace.added_cost = instance.weight_of(added)
     return added, trace
@@ -271,14 +244,11 @@ def solve(instance, on_lp=None):
             raise InvariantError("augmentation re-added already chosen edges")
         x = x | added
         trace.levels.append(level_trace)
-        feasible = instance.feasibility(x)
-        for jdx, full in enumerate(instance.scenario_sets):
-            size = min(level, len(full))
-            for sub in combinations(sorted(full), size):
-                if not feasible.holds(jdx, sub):
-                    raise InvariantError(
-                        f"after level {level}, removing {sorted(sub)} of scenario "
-                        f"{jdx} still disconnects the requirement")
+        failed = instance.feasibility(x).first_failure(level)
+        if failed is not None:
+            raise InvariantError(
+                f"after level {level}, removing {sorted(failed[1])} of scenario "
+                f"{failed[0]} still disconnects the requirement")
 
     if not instance.requirement_holds(x):
         raise InvariantError("final solution fails the base requirement")

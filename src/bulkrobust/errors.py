@@ -22,4 +22,11 @@ class InvariantError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """A brute-force computation exceeded its configured budget."""
+    """A brute-force computation exceeded its configured budget.  With a
+    ``budget`` such as "10 search nodes", ``message`` names what exceeded it."""
+
+    def __init__(self, message, budget=None):
+        if budget is not None:
+            message = f"{message} exceeded its budget of {budget}"
+        super().__init__(message)
+        self.budget = budget

@@ -10,7 +10,7 @@ testing.
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 
 from .errors import InfeasibleError, InstanceError, InvariantError
 
@@ -97,11 +97,13 @@ class Feasibility:
     which is O(k).  Holds no reference to the instance.
     """
 
-    __slots__ = ("x", "_mst", "_scenarios")
+    __slots__ = ("x", "_mst", "_full", "_scenarios", "_clean")
 
     def __init__(self, instance, x):
         self.x = x = frozenset(x)
         self._mst = instance.problem == "mst"
+        self._full = instance.scenario_sets
+        self._clean = -1        # largest size `first_failure` found clean
         n = instance.node_count
         ends = instance.edge_map
         x_rows = [(e, ends[e][0], ends[e][1]) for e in x]
@@ -155,6 +157,19 @@ class Feasibility:
         if self._mst:
             return target - merges == 1
         return _find(parent, target[0]) == _find(parent, target[1])
+
+    def first_failure(self, size):
+        """The first (j, S), S a min(size, |F_j|)-subset of scenario F_j, whose
+        removal breaks the requirement, or None.  Removing fewer edges never
+        hurts, so the largest size found clean answers every smaller one."""
+        if size <= self._clean:
+            return None
+        for j, full in enumerate(self._full):
+            for sub in combinations(sorted(full), min(size, len(full))):
+                if not self.holds(j, sub):
+                    return j, sub
+        self._clean = size
+        return None
 
 
 @dataclass(frozen=True)
@@ -395,10 +410,10 @@ class Instance:
     def check_feasible(self):
         """Removing any single full scenario must keep the requirement; read
         from the Feasibility table of the whole edge set."""
-        for i, sc in enumerate(self.scenario_sets):
-            if not self.feasibility(self.edge_ids).holds(i, sc):
-                raise InfeasibleError(
-                    f"infeasible instance: removing scenario {i} breaks the requirement")
+        failed = self.feasibility(self.edge_ids).first_failure(self.k)
+        if failed is not None:
+            raise InfeasibleError(
+                f"infeasible instance: removing scenario {failed[0]} breaks the requirement")
 
     def requirement_holds(self, edge_subset):
         """Connectivity requirement on (V, edge_subset)."""

@@ -134,7 +134,6 @@ class StepContext:
     level: int
     x_edges: frozenset
     omega: tuple                    # relevant failure sets, deterministic order
-    omega_scenario: dict = field(default_factory=dict)  # failure set -> a scenario holding it
     graph: object = None            # contracted PlaneGraph
     node_map: dict = field(default_factory=dict)   # original node -> contracted node
     kept_x: frozenset = frozenset()
@@ -227,20 +226,18 @@ def preprocess_step(instance, x_edges, level):
 
     # X must survive every failure of fewer than `level` edges.
     feasible = instance.feasibility(x)
-    for jdx, full in enumerate(instance.scenario_sets):
-        size = min(level - 1, len(full))
-        for sub in combinations(sorted(full), size):
-            if not feasible.holds(jdx, sub):
-                raise ValueError(
-                    f"X is not feasible for level {level - 1}: removing "
-                    f"{sorted(sub)} from scenario {jdx} disconnects it")
+    failed = feasible.first_failure(level - 1)
+    if failed is not None:
+        raise ValueError(
+            f"X is not feasible for level {level - 1}: removing "
+            f"{sorted(failed[1])} from scenario {failed[0]} disconnects it")
 
     total = sum(comb(len(f), level) for f in instance.scenario_sets if len(f) >= level)
     if total > OMEGA_CAP:
         raise BudgetError(
             f"failure-set enumeration needs {total} subsets (cap {OMEGA_CAP})")
 
-    relevant = {}
+    relevant = set()
     for jdx, full in enumerate(instance.scenario_sets):
         if len(full) < level:
             continue
@@ -248,14 +245,11 @@ def preprocess_step(instance, x_edges, level):
             fs = frozenset(sub)
             if not fs <= x:
                 continue  # removal reduces to a smaller subset, never disconnects
-            if fs in relevant:
-                continue
-            if not feasible.holds(jdx, sub):
-                relevant[fs] = jdx
+            if fs not in relevant and not feasible.holds(jdx, sub):
+                relevant.add(fs)
     omega = tuple(sorted(relevant, key=lambda f: tuple(sorted(f))))
 
-    ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega,
-                      omega_scenario=relevant)
+    ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega)
     if not omega:
         return ctx
 

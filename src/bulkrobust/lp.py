@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, InvariantError
+from .errors import BudgetError, InfeasibleError, InvariantError
 
 EPS_FEAS = 1e-6     # constraint satisfaction tolerance
 EPS_LP = 1e-7       # objective tolerance
 _PIVOT_EPS = 1e-9
 _STALL_LIMIT = 30
-_MAX_PIVOTS = 20000
+_MAX_PIVOTS = 20000    # per simplex phase; past it the solve raises BudgetError
 
 
 @dataclass
@@ -64,7 +64,8 @@ def _pivot(tableau, basis, row, col):
 
 
 def _run_simplex(tableau, basis):
-    """Minimize the objective row in place; returns 'optimal' or 'unbounded'.
+    """Minimize the objective row in place; returns 'optimal' or 'unbounded',
+    or raises BudgetError after `_MAX_PIVOTS` pivots.
 
     Entering columns are the structural and surplus/slack columns, all but
     the right-hand side; the tableau has no artificial columns, so an
@@ -95,7 +96,7 @@ def _run_simplex(tableau, basis):
         now = tableau[-1, -1]
         stall = stall + 1 if now >= last - 1e-12 else 0
         last = now
-    raise InvariantError("simplex exceeded its pivot cap")
+    raise BudgetError("simplex", f"{_MAX_PIVOTS} pivots")
 
 
 def simplex_min(lp):

@@ -1,10 +1,14 @@
 """Exact brute-force references for desk-scale verification.
 
-These never share code paths with the solver: feasibility is re-derived
-from scratch, and the optimum comes from a pruned subset search.  Removing
-fewer edges never hurts, so feasibility only needs the full scenarios
-(plus the solution itself); the same monotonicity lets the search
-pre-include every zero-weight edge and branch over the rest.
+Feasibility and the instance optimum share no code paths with the solver:
+feasibility is re-derived from scratch, and the optimum comes from a
+pruned subset search.  Removing fewer edges never hurts, so feasibility
+only needs the full scenarios (plus the solution itself); the same
+monotonicity lets the search pre-include every zero-weight edge and
+branch over the rest.  `brute_force_vc`, the hypergraph vertex-cover
+reference, does share one: it runs the solver's `exact_min_cover`, with
+its own node budget.  Acceptance criterion 9 checks `exact_min_cover`
+against exhaustive enumeration independently.
 """
 
 from dataclasses import dataclass

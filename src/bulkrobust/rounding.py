@@ -8,12 +8,12 @@ nodes.  A node the walk visits more than once sits at its first corner, so
 every face takes this one path.  Chord domination transfers to containment
 of points in anchored axis-aligned rectangles inside a square, demands
 split by where at least half their fractional mass lives (left-anchored vs
-top-anchored), and each side is then solved exactly within a node budget.
-The level-1 cases never build circles: an s-t path step is a weighted
-interval covering problem solved by dynamic programming, and a
-spanning-tree step is a plain exact cover over tree-edge cuts.  Which links
-cover which failure set is read from the level's table
-`StepContext.covering`, the same one the LP used.
+top-anchored), and each side is then solved exactly within the budget of
+`setcover.exact_min_cover`.  The level-1 cases never build circles: the
+contracted path or tree induces one face, and its typed links are covered
+exactly (`cover_intervals_exact` on the path, an exact cut cover on the
+tree).  Which links cover which failure set is read from the level's
+table `StepContext.covering`, the same one the LP used.
 """
 
 import bisect
@@ -191,12 +191,12 @@ def chords_to_rectangles(ci):
                            tuple(left_demands), tuple(top_demands))
 
 
-def solve_anchored_cover(points, rects, node_cap=None):
+def solve_anchored_cover(points, rects):
     """Exact minimum-cost rectangle cover of the given points.
 
     `points` maps point ids to (x, y); `rects` maps rectangle ids to
     (rectangle, cost).  Returns (chosen rect ids, total cost).  The search
-    visits at most `node_cap` nodes (BudgetError past that).
+    has `exact_min_cover`'s budget (BudgetError past it).
     """
     point_ids = sorted(points)
     rect_ids = sorted(rects)
@@ -207,7 +207,7 @@ def solve_anchored_cover(points, rects, node_cap=None):
         covered = [index_of[p] for p in point_ids if _in_rect(points[p], rect)]
         sets.append((cost, covered))
     try:
-        cost, picked = exact_min_cover(len(point_ids), sets, node_cap=node_cap)
+        cost, picked = exact_min_cover(len(point_ids), sets)
     except ValueError as exc:
         raise ValueError(f"anchored cover is infeasible: {exc}") from None
     return tuple(rect_ids[i] for i in picked), cost
@@ -264,14 +264,15 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
     return record
 
 
-def round_face(ctx, cover, partition, face, node_cap=None):
+def round_face(ctx, cover, partition, face):
     """Cover the failure sets assigned to one face with its typed links.
 
     The face becomes a circle instance (`build_circle_instance`), its
-    chords anchored rectangles, and each anchored side is solved exactly,
-    visiting at most `node_cap` search nodes per side.  The result covers
-    every assigned failure set and its cost is checked against
-    8 * level * (face share of the LP objective).
+    chords anchored rectangles, and each anchored side is solved exactly
+    within `exact_min_cover`'s budget; past it the BudgetError names the
+    level and the face.  The result covers every assigned failure set and
+    its cost is checked against 8 * level * (face share of the LP
+    objective).
     """
     level = ctx.level
     scenarios = partition.face_scenarios.get(face, ())
@@ -310,11 +311,10 @@ def round_face(ctx, cover, partition, face, node_cap=None):
         try:
             picked, _ = solve_anchored_cover(
                 {d: system.points[d] for d in demands},
-                {c: (rects[c], rect_costs[c]) for c in rects}, node_cap)
-        except BudgetError:
-            raise BudgetError(
-                f"level {level}, face {face}: anchored-side cover exceeded its "
-                f"budget of {node_cap} search nodes") from None
+                {c: (rects[c], rect_costs[c]) for c in rects})
+        except BudgetError as exc:
+            raise BudgetError(f"level {level}, face {face}: anchored-side cover",
+                              exc.budget) from None
         chosen_cov.update(picked)
     chosen = tuple(sorted(circle.coverers[c][0] for c in chosen_cov))
 

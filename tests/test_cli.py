@@ -9,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bulkrobust import brute_force_vc, gen_grid, gen_hypergraph_vc, parse_hypergraph
-from bulkrobust.cli import main
+from bulkrobust import setcover
+from bulkrobust.cli import face_gap, main
+from bulkrobust.errors import BudgetError
 from bulkrobust.lp import LinearProgram, simplex_min
 from conftest import build_suite_instance, suite_schedule, triangle_instance
 from bulkrobust.instance import serialize_instance
@@ -40,13 +42,14 @@ def test_solve_writes_trace_and_lp_dump(tmp_path):
     out = tmp_path / "sol.json"
     trace = tmp_path / "trace.json"
     dump = tmp_path / "lp.txt"
-    assert main(["generate", "grid", "--rows", "3", "--cols", "3",
-                 "--scenarios", "2", "--k", "2", "--seed", "5",
-                 "-o", str(inst)]) == 0
+    # k = 2 with a relevant failure set at level 2, so one LP is dumped
+    assert main(["generate", "hvc", "--k", "2", "--part-size", "2",
+                 "--edges", "3", "--seed", "5", "-o", str(inst)]) == 0
     assert main(["solve", "-i", str(inst), "-o", str(out),
                  "--trace", str(trace), "--lp-dump", str(dump)]) == 0
     assert json.loads(trace.read_text())["alg_cost"] == \
         json.loads(out.read_text())["cost"]
+    assert "# level 2\n" in dump.read_text()
 
 
 def _parse_lp_dump(text):
@@ -170,8 +173,7 @@ def test_long_path_solves_and_verifies(tmp_path, capsys):
 
 
 def test_anchored_cover_budget_exits_4(tmp_path, capsys, monkeypatch):
-    import bulkrobust.driver as driver_mod
-    monkeypatch.setattr(driver_mod, "NODE_CAP", 1)
+    monkeypatch.setattr(setcover, "NODE_CAP", 1)
     inst = tmp_path / "inst.json"
     assert main(["generate", "grid", "--rows", "3", "--cols", "4",
                  "--scenarios", "3", "--k", "2", "--weight-max", "3",
@@ -182,6 +184,18 @@ def test_anchored_cover_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
     assert err.startswith("error: level 2, face ")
     assert "anchored-side cover exceeded its budget of 1 search nodes" in err
+
+
+def test_pivot_budget_exits_4(tmp_path, capsys, monkeypatch):
+    import bulkrobust.lp as lp_mod
+    monkeypatch.setattr(lp_mod, "_MAX_PIVOTS", 1)
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "hvc", "--k", "2", "--part-size", "2",
+                 "--edges", "3", "--seed", "5", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: level 2 link LP exceeded its budget of 1 pivots\n"
 
 
 def test_huge_weights_on_an_lp_level_exit_code(tmp_path, capsys):
@@ -333,19 +347,26 @@ def test_bench_report_stable_modulo_timing(tmp_path):
     assert strip_timing(r1) == strip_timing(r2)
 
 
+# 3 demands, 3 unit coverers, each hitting 2 demands: LP 1.5, exact 2
+ODD_CYCLE_FACE = {
+    "demands": [{"scenario": [0]}, {"scenario": [1]}, {"scenario": [2]}],
+    "coverers": [
+        {"cost": 1, "covers": [0, 1]},
+        {"cost": 1, "covers": [1, 2]},
+        {"cost": 1, "covers": [0, 2]},
+    ],
+}
+
+
 def test_face_gap_measures_fractional_slack():
-    # 3 demands, 3 unit coverers, each hitting 2 demands: LP 1.5, exact 2
-    from bulkrobust.cli import face_gap
-    record = {
-        "demands": [{"scenario": [0]}, {"scenario": [1]}, {"scenario": [2]}],
-        "coverers": [
-            {"cost": 1, "covers": [0, 1]},
-            {"cost": 1, "covers": [1, 2]},
-            {"cost": 1, "covers": [0, 2]},
-        ],
-    }
-    assert abs(face_gap(record) - 4 / 3) < 1e-9
+    assert abs(face_gap(ODD_CYCLE_FACE) - 4 / 3) < 1e-9
     assert face_gap({"demands": [], "coverers": []}) is None
+
+
+def test_face_gap_search_has_the_node_budget(monkeypatch):
+    monkeypatch.setattr(setcover, "NODE_CAP", 1)
+    with pytest.raises(BudgetError, match="budget of 1 search nodes"):
+        face_gap(ODD_CYCLE_FACE)
 
 
 def test_bench_hvc_family(tmp_path):

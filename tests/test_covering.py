@@ -6,7 +6,7 @@ import pytest
 
 from bulkrobust import (TypedLink, covers, enumerate_typed_links,
                         gen_hypergraph_vc, preprocess_step, solve)
-from bulkrobust.driver import minimum_spanning_tree
+from bulkrobust.driver import _walk_path, minimum_spanning_tree, shortest_st_path
 from conftest import build_suite_instance, square_with_chords, suite_schedule
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
@@ -54,6 +54,29 @@ def test_table_matches_definition_on_level1_tree_detours():
         assert ctx.covering(links) == by_definition(ctx, links)
         seen += 1
     assert seen > 0
+
+
+def test_path_positions_match_covering_on_level1_path_links():
+    # The path step reads a link (u, v) as covering the failure edges at
+    # path positions pos(u) .. pos(v) - 1; that must be the cover relation.
+    paths = [build_suite_instance(p) for p in suite_schedule(200) if p["problem"] == "st"]
+    seen = pairs = 0
+    for instance in paths + [HVC]:
+        ctx = preprocess_step(instance, shortest_st_path(instance), 1)
+        if not ctx.omega:
+            continue
+        nodes, path_edges = _walk_path(ctx)
+        pos_of_node = {n: i for i, n in enumerate(nodes)}
+        pos_of_edge = {e: i for i, e in enumerate(path_edges)}
+        for link in enumerate_typed_links(ctx):
+            a, b = sorted((pos_of_node[link.u], pos_of_node[link.v]))
+            by_position = {f for f in ctx.omega
+                           if a <= pos_of_edge[next(iter(f))] <= b - 1}
+            by_cut = {f for f in ctx.omega if covers(link, ctx.cuts[f])}
+            assert by_position == by_cut, link
+            pairs += len(by_cut)
+        seen += 1
+    assert seen > 0 and pairs > 0
 
 
 def test_non_incident_endpoint_raises():

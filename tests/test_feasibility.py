@@ -16,8 +16,17 @@ HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
 INSTANCES = SUITE + [HVC]
 
 
+def first_failure_by_definition(instance, x, size):
+    for jdx, full in enumerate(instance.scenario_sets):
+        for sub in combinations(sorted(full), min(size, len(full))):
+            if not instance.requirement_holds(x - frozenset(sub)):
+                return jdx, sub
+    return None
+
+
 def assert_agrees(instance, x):
-    """Every S within every scenario, of every size from 0 to |F_j|."""
+    """Every S within every scenario, of every size from 0 to |F_j|, and
+    `first_failure` at every size from 0 to k."""
     x = frozenset(x)
     table = Feasibility(instance, x)
     for jdx, full in enumerate(instance.scenario_sets):
@@ -25,6 +34,9 @@ def assert_agrees(instance, x):
             for sub in combinations(sorted(full), size):
                 expected = instance.requirement_holds(x - frozenset(sub))
                 assert table.holds(jdx, sub) == expected, (jdx, sub, sorted(x))
+    for size in range(instance.k + 1):
+        expected = first_failure_by_definition(instance, x, size)
+        assert table.first_failure(size) == expected, (size, sorted(x))
 
 
 def level_solutions(instance):
@@ -68,6 +80,21 @@ def instance_and_solution(draw):
 @given(instance_and_solution())
 def test_agrees_on_random_solutions(case):
     assert_agrees(*case)
+
+
+def test_first_failure_checks_each_subset_once(monkeypatch):
+    x = level_solutions(HVC)[-1]
+    table = Feasibility(HVC, x)
+    calls = []
+    holds = Feasibility.holds
+    monkeypatch.setattr(Feasibility, "holds",
+                        lambda self, j, sub: calls.append(j) or holds(self, j, sub))
+    assert table.first_failure(HVC.k) is None
+    assert calls
+    calls.clear()
+    for size in range(HVC.k, -1, -1):     # smaller sizes follow from the larger
+        assert table.first_failure(size) is None
+    assert calls == []
 
 
 def test_instance_keeps_the_table_of_the_last_solution():

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from bulkrobust import gen_grid, is_feasible, serialize_instance, solve
-from bulkrobust import setcover
+from bulkrobust import lp, setcover
 from bulkrobust.cli import main
 from bulkrobust.errors import BudgetError, InvariantError
 from bulkrobust.links import dijkstra, lex_shortest_paths
@@ -244,11 +244,22 @@ def test_weighted_tree_grids_finish_under_the_cap(weight_max, seed):
 
 
 def test_level1_budget_exits_4(tmp_path, capsys, monkeypatch):
-    import bulkrobust.driver as driver_mod
-    monkeypatch.setattr(driver_mod, "NODE_CAP", 1)
+    monkeypatch.setattr(setcover, "NODE_CAP", 1)
     inst = tmp_path / "inst.json"
     inst.write_text(serialize_instance(gen_grid(10, 10, 36, 3, 5, 0, "mst")))
     assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: level-1 ") and "budget of 1 search nodes" in err
+
+
+def test_level1_pivot_budget_keeps_its_cause(tmp_path, capsys, monkeypatch):
+    # The tree search's dual bound runs the simplex; its budget is reported
+    # as a pivot budget, not as search nodes.
+    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", 1)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 1)
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize_instance(gen_grid(10, 10, 36, 3, 5, 0, "mst")))
+    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: level-1 spanning-tree cover exceeded its budget of 1 pivots\n"
