@@ -49,12 +49,6 @@ class UnionFind:
     def component_count(self):
         return len({self.find(x) for x in self.parent})
 
-    def components(self):
-        groups = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), set()).add(x)
-        return [groups[r] for r in sorted(groups)]
-
 
 def connected_under(nodes, edge_endpoints):
     """True iff all of `nodes` lie in one component of the given edges."""
@@ -86,15 +80,33 @@ def _label(parent, label, node):
     return label.setdefault(_find(parent, node), len(label))
 
 
+def _join(rows, size, removed):
+    """Union the labels of the rows (e, a, b) whose edge is not in `removed`;
+    returns (parent, merges)."""
+    parent = list(range(size))
+    merges = 0
+    for e, a, b in rows:
+        if e in removed:
+            continue
+        ra, rb = _find(parent, a), _find(parent, b)
+        if ra != rb:
+            parent[rb] = ra
+            merges += 1
+    return parent, merges
+
+
 class Feasibility:
     """The requirement on (V, X - S) for every S inside one scenario.
 
     Built once per solution X: for each scenario F_j a list-based
     union-find labels the components of (V, X - F_j), O(n + |X|).  Only
-    the labels that a query can touch are kept: those of the endpoints of
-    the edges in F_j & X, and of s and t.  `holds(j, S)` for S within F_j
-    then unions the surviving edges of (F_j & X) - S over those labels,
-    which is O(k).  Holds no reference to the instance.
+    the components that a query can touch get a label: those of the
+    endpoints of the edges in F_j & X, and of s and t.  For S within F_j
+    the components of X - S are these joined by the surviving edges of
+    (F_j & X) - S, an O(k) union over the labels: `holds(j, S)` reads the
+    requirement from it and `cut(j, S)` the components themselves.  Each
+    non-trivial scenario keeps its forest, so `labels(j, nodes)` names the
+    component of any node.  Holds no reference to the instance.
     """
 
     __slots__ = ("x", "_mst", "_full", "_scenarios", "_clean")
@@ -135,7 +147,7 @@ class Feasibility:
             rows = tuple((e, _label(parent, label, ends[e][0]),
                           _label(parent, label, ends[e][1]))
                          for e in sorted(full & x))
-            scenarios.append((rows, len(label), target))
+            scenarios.append((rows, len(label), target, parent, label))
         self._scenarios = tuple(scenarios)
 
     def holds(self, j, removed):
@@ -144,19 +156,30 @@ class Feasibility:
         scenario = self._scenarios[j]
         if scenario is None:
             return True
-        rows, size, target = scenario
-        parent = list(range(size))
-        merges = 0
-        for e, a, b in rows:
-            if e in removed:
-                continue
-            ra, rb = _find(parent, a), _find(parent, b)
-            if ra != rb:
-                parent[rb] = ra
-                merges += 1
+        rows, size, target, _, _ = scenario
+        parent, merges = _join(rows, size, removed)
         if self._mst:
             return target - merges == 1
         return _find(parent, target[0]) == _find(parent, target[1])
+
+    def cut(self, j, removed):
+        """(count, roots) for S = `removed` inside scenario j, where the
+        requirement fails: the number of labelled components of X - S, and
+        the root label of each label's component."""
+        rows, size, _, _, _ = self._scenarios[j]
+        parent, merges = _join(rows, size, removed)
+        return size - merges, [_find(parent, a) for a in range(size)]
+
+    def labels(self, j, nodes):
+        """The label of each node's component of (V, X - F_j), None where no
+        label was given; scenario j must be one where the requirement fails."""
+        _, _, _, parent, label = self._scenarios[j]
+        found = []
+        for node in nodes:          # _find inlined: one pass per (level, scenario)
+            while parent[node] != node:
+                parent[node] = node = parent[parent[node]]
+            found.append(label.get(node))
+        return found
 
     def first_failure(self, size):
         """The first (j, S), S a min(size, |F_j|)-subset of scenario F_j, whose

@@ -15,17 +15,26 @@ partition, the rounding and the trace all read that one table.
 
 Feasibility questions go through the instance's `Feasibility` table of X:
 O(n + |X|) per scenario to build, once per distinct X, then O(k) per
-failure subset.  The no-bridge guarantee of the contracted solution is
-checked by one depth-first pass, O(|kept|).
+failure subset.  The same table gives each relevant set's two-sided cut.
+A contracted node keeps the smallest original id of its group, and a group
+is merged only by X edges outside every relevant set, so its side is the
+side of its own id's component of X - f.  The solution nodes are labelled
+once per (level, scenario), O(|nodes|), and each set's sides are read from
+its scenario's labels, O(k).  A cut is stored as the scenario's shared
+label list plus one side per label; `failure_components` builds the
+`FailureCut` when asked.  The no-bridge guarantee of the contracted
+solution is checked by one depth-first pass, O(|kept|).
 """
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import comb
+from operator import ne
+from typing import NamedTuple
 
 from .errors import BudgetError, InvariantError
-from .instance import UnionFind, induced_faces
+from .instance import induced_faces
 
 OMEGA_CAP = 10 ** 5
 
@@ -106,8 +115,7 @@ def lex_shortest_paths(adj, pairs):
 
 # -- step data -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TypedLink:
+class TypedLink(NamedTuple):
     """A shortest path between two boundary nodes, confined to one induced face."""
 
     u: int
@@ -140,7 +148,9 @@ class StepContext:
     e_rest: dict = field(default_factory=dict)     # candidate edge ids -> (u, v, w)
     subgraph: object = None         # EmbeddedSubgraph of (graph, kept_x)
     contracted: tuple = ()          # X edges contracted away
-    cuts: dict = field(default_factory=dict)       # failure set -> FailureCut
+    cut_nodes: tuple = ()           # the solution's nodes, ascending
+    cut_labels: dict = field(default_factory=dict)  # scenario -> label per cut node
+    cuts: dict = field(default_factory=dict)       # failure set -> (scenario, sides)
     scenario_faces: dict = field(default_factory=dict)  # failure set -> face indices
     s: int = None
     t: int = None
@@ -155,15 +165,18 @@ class StepContext:
             return cached[1]
         if not self.omega:
             return {}
-        ends = [(link.u, link.v) for link in links]
-        for node in chain.from_iterable(ends):
-            if node not in self.subgraph.nodes:
+        pos = {node: i for i, node in enumerate(self.cut_nodes)}
+        for node in chain.from_iterable((link.u, link.v) for link in links):
+            if node not in pos:
                 raise ValueError(f"node {node} is not incident to the current solution")
+        us = [pos[link.u] for link in links]
+        vs = [pos[link.v] for link in links]
+        index = range(len(links))
         table = {}
         for f_set in self.omega:
-            side = self.cuts[f_set].side_s
-            table[f_set] = tuple(i for i, (u, v) in enumerate(ends)
-                                 if (u in side) != (v in side))
+            j, sides = self.cuts[f_set]
+            side = list(map(sides.__getitem__, self.cut_labels[j])).__getitem__
+            table[f_set] = tuple(compress(index, map(ne, map(side, us), map(side, vs))))
         self._covering = (links, table)
         return table
 
@@ -237,7 +250,7 @@ def preprocess_step(instance, x_edges, level):
         raise BudgetError(
             f"failure-set enumeration needs {total} subsets (cap {OMEGA_CAP})")
 
-    relevant = set()
+    relevant = {}       # failure set -> the first scenario it disconnects
     for jdx, full in enumerate(instance.scenario_sets):
         if len(full) < level:
             continue
@@ -246,7 +259,7 @@ def preprocess_step(instance, x_edges, level):
             if not fs <= x:
                 continue  # removal reduces to a smaller subset, never disconnects
             if fs not in relevant and not feasible.holds(jdx, sub):
-                relevant.add(fs)
+                relevant[fs] = jdx
     omega = tuple(sorted(relevant, key=lambda f: tuple(sorted(f))))
 
     ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega)
@@ -274,29 +287,34 @@ def preprocess_step(instance, x_edges, level):
     subgraph = induced_faces(graph, kept)
     e_rest = {e: graph.edges[e] for e in sorted(graph.edges) if e not in kept}
 
+    cut_nodes = tuple(sorted(sub_nodes))
+    pos = {node: i for i, node in enumerate(cut_nodes)}
+    # side_s holds s, or for mst the smallest node.
+    anchor = pos[node_map[instance.s]] if instance.problem == "st" else 0
+    cut_labels = {}
     cuts = {}
     for f_set in omega:
-        uf = UnionFind(sub_nodes)
-        for e in kept:
-            if e not in f_set:
-                uf.union(*graph.endpoints(e))
-        comps = uf.components()
-        if len(comps) != 2:
+        j = relevant[f_set]
+        labels = cut_labels.get(j)
+        if labels is None:
+            labels = cut_labels[j] = feasible.labels(j, cut_nodes)
+            if None in labels:
+                raise InvariantError(
+                    f"solution node {cut_nodes[labels.index(None)]} lies in no "
+                    f"labelled component of scenario {j} at level {level}")
+        count, roots = feasible.cut(j, f_set)
+        if count != 2:
             raise InvariantError(
-                f"failure set {sorted(f_set)} leaves {len(comps)} components, "
+                f"failure set {sorted(f_set)} leaves {count} components, "
                 "expected exactly 2")
-        if instance.problem == "st":
-            s_c = node_map[instance.s]
-            first = comps[0] if s_c in comps[0] else comps[1]
-        else:
-            first = comps[0] if min(sub_nodes) in comps[0] else comps[1]
-        second = comps[1] if first is comps[0] else comps[0]
+        first = roots[labels[anchor]]
+        sides = tuple(root == first for root in roots)
         for e in f_set:
             u, v, _ = graph.edges[e]
-            if (u in first) == (v in first):
+            if sides[labels[pos[u]]] == sides[labels[pos[v]]]:
                 raise InvariantError(
                     f"edge {e} of failure set {sorted(f_set)} does not cross its cut")
-        cuts[f_set] = FailureCut(f_set, frozenset(first), frozenset(second))
+        cuts[f_set] = (j, sides)
 
     scenario_faces = {}
     checks = 0
@@ -325,6 +343,8 @@ def preprocess_step(instance, x_edges, level):
     ctx.e_rest = e_rest
     ctx.subgraph = subgraph
     ctx.contracted = contracted
+    ctx.cut_nodes = cut_nodes
+    ctx.cut_labels = cut_labels
     ctx.cuts = cuts
     ctx.scenario_faces = scenario_faces
     ctx.cut_face_checks = checks
@@ -335,11 +355,16 @@ def preprocess_step(instance, x_edges, level):
 
 
 def failure_components(ctx, f_set):
-    """The two-sided cut of a relevant failure set."""
-    cut = ctx.cuts.get(frozenset(f_set))
+    """The two-sided cut of a relevant failure set, built from its labels."""
+    f_set = frozenset(f_set)
+    cut = ctx.cuts.get(f_set)
     if cut is None:
         raise ValueError(f"{sorted(f_set)} is not a relevant failure set of this step")
-    return cut
+    j, sides = cut
+    side = [sides[a] for a in ctx.cut_labels[j]]
+    return FailureCut(f_set,
+                      frozenset(n for n, s in zip(ctx.cut_nodes, side) if s),
+                      frozenset(n for n, s in zip(ctx.cut_nodes, side) if not s))
 
 
 def covers(link_or_pair, cut):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from bulkrobust import (TypedLink, covers, enumerate_typed_links,
+from bulkrobust import (TypedLink, covers, enumerate_typed_links, failure_components,
                         gen_hypergraph_vc, preprocess_step, solve)
 from bulkrobust.driver import _walk_path, minimum_spanning_tree, shortest_st_path
 from conftest import build_suite_instance, square_with_chords, suite_schedule
@@ -15,9 +15,9 @@ HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
 
 def by_definition(ctx, links):
     """The table built pair by pair from the single-pair definition."""
-    return {f_set: tuple(i for i, link in enumerate(links)
-                         if covers(link, ctx.cuts[f_set]))
-            for f_set in ctx.omega}
+    cuts = {f_set: failure_components(ctx, f_set) for f_set in ctx.omega}
+    return {f_set: tuple(i for i, link in enumerate(links) if covers(link, cut))
+            for f_set, cut in cuts.items()}
 
 
 def lp_levels(instance):
@@ -68,11 +68,12 @@ def test_path_positions_match_covering_on_level1_path_links():
         nodes, path_edges = _walk_path(ctx)
         pos_of_node = {n: i for i, n in enumerate(nodes)}
         pos_of_edge = {e: i for i, e in enumerate(path_edges)}
+        cuts = {f: failure_components(ctx, f) for f in ctx.omega}
         for link in enumerate_typed_links(ctx):
             a, b = sorted((pos_of_node[link.u], pos_of_node[link.v]))
             by_position = {f for f in ctx.omega
                            if a <= pos_of_edge[next(iter(f))] <= b - 1}
-            by_cut = {f for f in ctx.omega if covers(link, ctx.cuts[f])}
+            by_cut = {f for f in ctx.omega if covers(link, cuts[f])}
             assert by_position == by_cut, link
             pairs += len(by_cut)
         seen += 1

@@ -5,11 +5,14 @@ import random
 import pytest
 
 from bulkrobust import (InvariantError, covers, enumerate_typed_links,
-                        failure_components, gen_grid, preprocess_step)
+                        failure_components, gen_grid, gen_hypergraph_vc,
+                        preprocess_step, solve)
+from bulkrobust import driver
 from bulkrobust.driver import minimum_spanning_tree as mst
-from bulkrobust.instance import UnionFind, connected_under
+from bulkrobust.instance import Feasibility, UnionFind, connected_under
 from bulkrobust.links import bridges, dijkstra, lex_shortest_path
-from conftest import square_with_chords, triangle_instance
+from conftest import (build_suite_instance, square_with_chords, suite_schedule,
+                      triangle_instance)
 
 
 def test_preprocess_triangle_level1():
@@ -96,6 +99,84 @@ def test_failure_components_tree_edge():
     ctx = preprocess_step(inst, frozenset(tree), 1)
     cut = failure_components(ctx, {tree[0]})
     assert len(cut.side_s) + len(cut.side_t) == len(ctx.subgraph.nodes)
+
+
+def reference_cuts(ctx):
+    """Failure set -> (side_s, side_t) by one union-find over the kept edges
+    per failure set, as `preprocess_step` computed them before it read the
+    cuts from the Feasibility table."""
+    sub_nodes = ctx.subgraph.nodes
+    cuts = {}
+    for f_set in ctx.omega:
+        uf = UnionFind(sub_nodes)
+        for e in ctx.kept_x:
+            if e not in f_set:
+                uf.union(*ctx.graph.endpoints(e))
+        groups = {}
+        for node in sub_nodes:
+            groups.setdefault(uf.find(node), set()).add(node)
+        comps = [groups[r] for r in sorted(groups)]
+        assert len(comps) == 2, sorted(f_set)
+        anchor = ctx.s if ctx.instance.problem == "st" else min(sub_nodes)
+        first = comps[0] if anchor in comps[0] else comps[1]
+        second = comps[1] if first is comps[0] else comps[0]
+        cuts[f_set] = (frozenset(first), frozenset(second))
+    return cuts
+
+
+def cut_instances():
+    yield from (build_suite_instance(p) for p in suite_schedule(200))
+    yield gen_hypergraph_vc(3, 3, 12, 5)[1]
+    for weight in (1, 3):
+        for seed in range(4):
+            yield gen_grid(10, 10, 36, 3, weight, seed, "mst")
+
+
+def test_table_cuts_match_the_per_set_union_find(monkeypatch):
+    contexts = []
+
+    def recording(instance, x_edges, level):
+        ctx = preprocess_step(instance, x_edges, level)
+        if ctx.omega:
+            contexts.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(driver, "preprocess_step", recording)
+    levels, sets = set(), 0
+    for idx, instance in enumerate(cut_instances()):
+        contexts.clear()
+        solve(instance)
+        for ctx in contexts:
+            for f_set, (side_s, side_t) in reference_cuts(ctx).items():
+                cut = failure_components(ctx, f_set)
+                assert (cut.side_s, cut.side_t) == (side_s, side_t), sorted(f_set)
+                sets += 1
+            levels.add((idx, ctx.level))
+    assert {level for _, level in levels} == {1, 2, 3} and len(levels) > 200
+    assert sets > 700
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("cut", r"^failure set \[0, 2\] leaves 3 components, expected exactly 2$"),
+    ("sides", r"^edge 0 of failure set \[0, 2\] does not cross its cut$"),
+    ("labels", r"^solution node 1 lies in no labelled component of scenario 0 "
+               r"at level 2$"),
+])
+def test_preprocess_checks_the_cuts_it_reads(monkeypatch, patch, message):
+    cut, labels = Feasibility.cut, Feasibility.labels
+    if patch == "cut":
+        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
+            3, cut(self, j, removed)[1]))
+    elif patch == "sides":     # two components, but every label on one side
+        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
+            2, [0] * len(cut(self, j, removed)[1])))
+    else:
+        monkeypatch.setattr(Feasibility, "labels", lambda self, j, nodes: [
+            None if node == max(nodes) else found
+            for node, found in zip(nodes, labels(self, j, nodes))])
+    sq = square_with_chords(inner=True, outer=False)
+    with pytest.raises(InvariantError, match=message):
+        preprocess_step(sq, {0, 1, 2, 3}, 2)
 
 
 def test_covers_is_endpoint_only_and_symmetric():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from bulkrobust import (FractionalCover, InfeasibleError, LinearProgram,
-                        enumerate_typed_links, gen_hypergraph_vc,
-                        max_flow_min_cut, preprocess_step, separation_oracle,
-                        simplex_min, solve, solve_link_lp)
+                        enumerate_typed_links, failure_components,
+                        gen_hypergraph_vc, max_flow_min_cut, preprocess_step,
+                        separation_oracle, simplex_min, solve, solve_link_lp)
 from bulkrobust import lp as lp_module
 from bulkrobust.lp import _PIVOT_EPS, _STALL_LIMIT, EPS_FEAS, SimplexResult
 from conftest import (build_suite_instance, square_with_chords, suite_schedule,
@@ -315,7 +315,7 @@ def test_solve_link_lp_lower_bounds_integral_covers():
     cover = solve_link_lp(ctx, links)
     # every single-link integral cover costs >= the LP optimum
     from bulkrobust import covers
-    cut = ctx.cuts[frozenset({0, 2})]
+    cut = failure_components(ctx, {0, 2})
     for link in links:
         if covers(link, cut):
             assert cover.objective <= link.cost + 1e-7

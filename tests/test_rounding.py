@@ -9,9 +9,10 @@ import pytest
 from bulkrobust import (CircleInstance, FractionalCover, Instance,
                         build_circle_instance, chords_intersect,
                         chords_to_rectangles, cover_intervals_exact, covers,
-                        enumerate_typed_links, exact_min_cover, gen_grid,
-                        partition_scenarios, preprocess_step, round_face,
-                        solve, solve_anchored_cover, solve_link_lp)
+                        enumerate_typed_links, exact_min_cover,
+                        failure_components, gen_grid, partition_scenarios,
+                        preprocess_step, round_face, solve,
+                        solve_anchored_cover, solve_link_lp)
 from bulkrobust.driver import augment_step
 from bulkrobust.rounding import _in_rect
 from conftest import square_with_chords
@@ -220,7 +221,7 @@ def test_round_face_forced_pair():
         picked.update(rounded.chosen)
     covered = set()
     for f_set in ctx.omega:
-        cut = ctx.cuts[f_set]
+        cut = failure_components(ctx, f_set)
         assert any(covers(cover.links[i], cut) for i in picked)
         covered.add(f_set)
     assert covered == set(ctx.omega)
@@ -280,10 +281,11 @@ def test_chord_crossing_is_cover_on_faces_with_repeated_nodes():
                 if not circle.coverers:
                     continue
                 faces += 1
+                cuts = {f_set: failure_components(ctx, f_set) for f_set in on_face}
                 for f_set, d_chord in circle.demands:
                     for lidx, c_chord, _, _ in circle.coverers:
                         assert chords_intersect(d_chord, c_chord) == covers(
-                            cover.links[lidx], ctx.cuts[f_set]), (seed, face, lidx)
+                            cover.links[lidx], cuts[f_set]), (seed, face, lidx)
                         pairs += 1
         if faces >= 30:
             break
