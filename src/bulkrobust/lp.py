@@ -1,15 +1,22 @@
-"""Small dense LP solving, max-flow separation oracles, and the link LP.
+"""Covering LPs by a one-phase dense simplex, max-flow separation oracles,
+and the link LP.
 
-The covering LP has one row per relevant failure set.  `preprocess_step`
-already enumerates them all, so the LP is solved once over the distinct
-rows of the level's `StepContext.covering` table by a dense two-phase
-simplex (Dantzig pivoting, Bland's rule after a stall), and its value is
-certified by the duals read off the final tableau.  The tableau holds the
-structural, surplus/slack and right-hand-side columns only; each pivot is
-one whole-array update and each ratio test one vector division.  The min-cut
-separation oracle is the paper's way to find violated rows when they are
-not enumerated; here it stays as an independent check of the solution.
-Everything is deterministic.
+Every LP here is a covering LP: minimize c.x subject to A x >= 1 and
+x >= 0, with A 0/1, every row covering some column, and c >= 0.
+`simplex_min` solves its packing dual, maximize 1.y subject to A^T y <= c
+and y >= 0, from the slack basis, which c >= 0 makes feasible; each y_r is
+at most the cost of a column row r covers, so the dual is bounded and one
+phase suffices.  Pivots follow Dantzig's rule, and Bland's rule once
+`_STALL_LIMIT` pivots in a row leave the packing value unchanged, until a
+pivot raises it again.  y is read from the basic values and x from the
+slacks' reduced costs, and the solve checks the pair as a certificate: x
+primal feasible, y dual feasible, equal values.  Each pivot is one
+whole-array update and each ratio test one vector division.  The link LP
+has one row per relevant failure set; `preprocess_step` already enumerates
+them all, so it is solved once over the distinct rows of the level's
+`StepContext.covering` table.  The min-cut separation oracle is the paper's
+way to find violated rows when they are not enumerated; here it stays as an
+independent check of the solution.  Everything is deterministic.
 """
 
 from dataclasses import dataclass
@@ -19,38 +26,38 @@ import numpy as np
 from .errors import BudgetError, InfeasibleError, InvariantError
 
 EPS_FEAS = 1e-6     # constraint satisfaction tolerance
-EPS_LP = 1e-7       # objective tolerance
 _PIVOT_EPS = 1e-9
 _STALL_LIMIT = 30
-_MAX_PIVOTS = 20000    # per simplex phase; past it the solve raises BudgetError
+_MAX_PIVOTS = 20000    # per solve; past it the solve raises BudgetError
 
 
 @dataclass
 class LinearProgram:
-    """minimize c.x subject to a.x >= b per row, x >= 0."""
+    """minimize c.x subject to a.x >= 1 per row, x >= 0, where every row a
+    is a 0/1 vector with at least one 1 and every cost is finite and >= 0."""
 
     objective: np.ndarray
-    rows: list                      # list of (coefficients, bound)
+    rows: list                      # list of (coefficients, 1.0)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.rows = [(np.asarray(a, dtype=float), float(b)) for a, b in self.rows]
-        n = self.objective.shape[0]
-        for a, b in self.rows:
-            if a.shape != (n,):
-                raise ValueError("constraint row has wrong width")
-            if not (np.isfinite(a).all() and np.isfinite(b)):
-                raise ValueError("non-finite LP entry")
-        if not np.isfinite(self.objective).all():
-            raise ValueError("non-finite objective entry")
+        c = self.objective
+        if c.ndim != 1 or not (np.isfinite(c) & (c >= 0)).all():
+            raise ValueError("LP costs must be finite and nonnegative")
+        if any(a.shape != c.shape for a, _ in self.rows):
+            raise ValueError("constraint row has wrong width")
+        a = np.array([a for a, _ in self.rows]).reshape(len(self.rows), c.size)
+        if any(b != 1.0 for _, b in self.rows) or ((a != 0) & (a != 1)).any() \
+                or not a.any(axis=1).all():
+            raise ValueError("covering rows are nonzero 0/1 vectors with bound 1")
 
 
 @dataclass
 class SimplexResult:
-    status: str                     # "optimal" | "infeasible" | "unbounded"
-    value: float = None
-    x: np.ndarray = None
-    duals: np.ndarray = None        # one per row, >= 0 at an optimum
+    value: float                    # c.x, equal to 1.y
+    x: np.ndarray                   # a covering optimum
+    duals: np.ndarray               # y, one per row: a packing optimum
 
 
 def _pivot(tableau, basis, row, col):
@@ -63,14 +70,28 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(tableau, basis):
-    """Minimize the objective row in place; returns 'optimal' or 'unbounded',
-    or raises BudgetError after `_MAX_PIVOTS` pivots.
-
-    Entering columns are the structural and surplus/slack columns, all but
-    the right-hand side; the tableau has no artificial columns, so an
-    artificial variable cannot re-enter during phase 1.
-    """
+def simplex_min(lp):
+    """Optimum of the covering LP `lp`, solved as its packing dual and
+    certified; raises BudgetError after `_MAX_PIVOTS` pivots."""
+    c = lp.objective
+    n, m = c.shape[0], len(lp.rows)
+    if m == 0:
+        return SimplexResult(0.0, np.zeros(n), np.zeros(0))
+    a = np.array([row for row, _ in lp.rows])
+    # One row per column j, A_j^T y + s_j = c_j; columns y, s, right-hand
+    # side.  The objective row minimizes -1.y, so its last cell is 1.y.
+    tableau = np.zeros((n + 1, m + n + 1))
+    tableau[:-1, :m] = a.T
+    np.fill_diagonal(tableau[:-1, m:-1], 1.0)
+    tableau[:-1, -1] = c
+    tableau[-1, :m] = -1.0
+    basis = np.arange(m, m + n)
+    # Basic values below `zero` are rounding error and are set to 0, so a
+    # degenerate pivot keeps the packing value exactly and Bland's rule sees
+    # exact ties; the certificate below is computed from A and c, not from
+    # the tableau.
+    rhs = tableau[:-1, -1]
+    zero = 1e-12 * max(1.0, float(c.max()))
     stall = 0
     last = tableau[-1, -1]
     for _ in range(_MAX_PIVOTS):
@@ -78,80 +99,43 @@ def _run_simplex(tableau, basis):
         if stall < _STALL_LIMIT:
             col = int(obj.argmin())
             if obj[col] >= -_PIVOT_EPS:
-                return "optimal"
+                break
         else:
             negatives = (obj < -_PIVOT_EPS).nonzero()[0]
             if negatives.size == 0:
-                return "optimal"
+                break
             col = int(negatives[0])    # Bland's rule
         column = tableau[:-1, col]
         rows = (column > _PIVOT_EPS).nonzero()[0]
         if rows.size == 0:
-            return "unbounded"
+            raise InvariantError("the packing dual of a covering LP is unbounded")
         if rows.size > 1:
-            ratios = tableau[rows, -1] / column[rows]
+            ratios = rhs[rows] / column[rows]
             rows = rows[ratios == ratios.min()]
         # Among exact ties the row with the smallest basic index leaves.
         _pivot(tableau, basis, int(rows[basis[rows].argmin()]), col)
+        rhs[rhs < zero] = 0.0
+        # Only a degenerate pivot leaves the packing value where it was.
         now = tableau[-1, -1]
-        stall = stall + 1 if now >= last - 1e-12 else 0
+        stall = stall + 1 if now <= last + 1e-12 else 0
         last = now
-    raise BudgetError("simplex", f"{_MAX_PIVOTS} pivots")
+    else:
+        raise BudgetError("simplex", f"{_MAX_PIVOTS} pivots")
 
-
-def simplex_min(lp):
-    """Two-phase dense simplex for `min c.x, A x >= b, x >= 0`."""
-    n = lp.objective.shape[0]
-    m = len(lp.rows)
-    if m == 0:
-        return SimplexResult("optimal", 0.0, np.zeros(n), np.zeros(0))
-
-    # Equality form with nonnegative right-hand sides: rows with b <= 0 get a
-    # slack that starts basic; rows with b > 0 get a surplus and start with
-    # an artificial variable basic.  No artificial column is ever read, so
-    # the tableau has none: basis[r] = n + m + r marks an artificial row,
-    # and orders artificials after every real column, by row.
-    tableau = np.zeros((m + 1, n + m + 1))
-    basis = np.arange(n, n + m)
-    for r, (a, b) in enumerate(lp.rows):
-        if b <= 0:
-            tableau[r, :n] = -a
-            tableau[r, n + r] = 1.0
-            tableau[r, -1] = -b
-        else:
-            tableau[r, :n] = a
-            tableau[r, n + r] = -1.0
-            tableau[r, -1] = b
-            basis[r] += m
-
-    artificial = np.nonzero(basis >= n + m)[0]
-    if artificial.size:
-        for r in artificial:
-            tableau[-1] -= tableau[r]
-        if _run_simplex(tableau, basis) == "unbounded":
-            raise InvariantError("phase-1 objective cannot be unbounded")
-        if -tableau[-1, -1] > EPS_FEAS:
-            return SimplexResult("infeasible")
-        for r in range(m):
-            if basis[r] >= n + m:
-                pivots = np.nonzero(np.abs(tableau[r, :-1]) > _PIVOT_EPS)[0]
-                if pivots.size:
-                    _pivot(tableau, basis, r, int(pivots[0]))
-                # else: redundant row, the artificial stays basic at zero
-
-    tableau[-1, :] = 0.0
-    tableau[-1, :n] = lp.objective
-    for r in range(m):
-        if basis[r] < n + m and abs(tableau[-1, basis[r]]) > 1e-14:
-            tableau[-1] -= tableau[-1, basis[r]] * tableau[r]
-    if _run_simplex(tableau, basis) == "unbounded":
-        return SimplexResult("unbounded")
-    x = np.zeros(n)
-    structural = basis < n
-    x[basis[structural]] = tableau[:-1, -1][structural]
-    # The reduced cost of row r's surplus (or slack) column is that row's dual.
-    return SimplexResult("optimal", float(lp.objective @ x), x,
-                         tableau[-1, n:n + m].copy())
+    y = np.zeros(m)
+    packing = basis < m
+    y[basis[packing]] = rhs[packing]
+    x = tableau[-1, m:-1].copy()
+    value, bound = float(c @ x), float(y.sum())
+    # x is at most 1 at a vertex; y and the values scale with the costs.
+    tol = EPS_FEAS * max(1.0, float(c.max()))
+    if (x < -EPS_FEAS).any() or (a @ x < 1 - EPS_FEAS).any() \
+            or (y < -tol).any() or (a.T @ y > c + tol).any() \
+            or abs(bound - value) > EPS_FEAS * max(1.0, value):
+        raise InvariantError(
+            f"covering LP value {value:.9f} is not certified by its packing "
+            f"dual (value {bound:.9f})")
+    return SimplexResult(value, x, y)
 
 
 def lp_to_text(lp):
@@ -297,9 +281,10 @@ def solve_link_lp(ctx, links):
 
     One row per distinct covering set of omega (first occurrence kept, in
     omega order), no upper-bound rows: with nonnegative costs an optimum
-    never needs x_i > 1, and the result is clipped to [0, 1].  The duals
-    must certify the value, and every enumerated failure set is re-checked
-    against the clipped solution.
+    never needs x_i > 1, and the result is clipped to [0, 1].  `simplex_min`
+    certifies the value and checks every row's mass; clipping leaves each
+    row at least min(1, its mass), so every enumerated failure set stays
+    covered.
     """
     links = tuple(links)
     costs = np.array([link.cost for link in links], dtype=float)
@@ -320,26 +305,6 @@ def solve_link_lp(ctx, links):
     matrix = np.zeros((len(rows), len(links)))
     for r, row in enumerate(rows):
         matrix[r, list(row)] = 1.0
-    result = simplex_min(LinearProgram(costs, [(a, 1.0) for a in matrix]))
-    if result.status == "infeasible":
-        raise InfeasibleError("augmentation impossible: covering LP infeasible")
-    if result.status == "unbounded":
-        raise InvariantError("covering LP cannot be unbounded")
-    x = np.clip(result.x, 0.0, 1.0)
-    objective = float(costs @ x)
-
-    y = result.duals
-    gap = abs(float(y.sum()) - objective)
-    if (y < -EPS_FEAS).any() or (matrix.T @ y > costs + EPS_FEAS).any() \
-            or gap > EPS_FEAS * max(1.0, objective):
-        raise InvariantError(
-            f"covering LP value {objective:.9f} is not certified by its duals "
-            f"(dual value {float(y.sum()):.9f})")
-
-    for f_set in ctx.omega:
-        mass = float(sum(x[i] for i in table[f_set]))
-        if mass < 1 - EPS_FEAS:
-            raise InvariantError(
-                f"final LP solution leaves failure set {sorted(f_set)} uncovered "
-                f"(mass {mass:.9f})")
-    return FractionalCover(links, x, objective)
+    x = np.clip(simplex_min(LinearProgram(costs, [(a, 1.0) for a in matrix])).x,
+                0.0, 1.0)
+    return FractionalCover(links, x, float(costs @ x))

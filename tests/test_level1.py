@@ -9,6 +9,7 @@ element.  The fast versions must return exactly what they return.
 
 import random
 
+import numpy as np
 import pytest
 
 from bulkrobust import gen_grid, is_feasible, serialize_instance, solve
@@ -225,6 +226,43 @@ def test_dual_bound_is_dual_feasible():
             assert min(y) >= 0
             for c, els in sets:
                 assert sum(y[el] for el in set(els)) <= c
+
+
+def test_dual_bound_reaches_the_lp_value(monkeypatch):
+    # Before scaling, y is the mean of the last round's two packing optima:
+    # it must reach the covering LP's value (HiGHS) and fit under every set.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    solves = []
+
+    def record(lp):
+        solves.append(setcover_simplex(lp))
+        return solves[-1]
+
+    setcover_simplex = setcover.simplex_min
+    monkeypatch.setattr(setcover, "simplex_min", record)
+    rng = random.Random(4)
+    for kind in sorted(COSTS):
+        cost = COSTS[kind](rng)
+        for _ in range(20):
+            n = rng.randint(5, 16)
+            sets = random_cover(rng, n, cost)
+            costs = [c for c, _ in sets]
+            candidates = [sorted((i for i, (_, els) in enumerate(sets) if el in els),
+                                 key=lambda i: (costs[i], i)) for el in range(n)]
+            solves.clear()
+            setcover.dual_bound(candidates, costs)
+            forward, backward = solves[-2:]
+            y = np.clip((forward.duals + backward.duals[::-1]) / 2, 0.0, None)
+            a = np.zeros((len(sets), n))
+            for i, (_, els) in enumerate(sets):
+                a[i, list(els)] = 1.0
+            scale = max(1, max(costs))      # HiGHS fails on costs near 2**53
+            highs = linprog(np.array(costs, float) / scale, A_ub=-a.T,
+                            b_ub=-np.ones(n), bounds=(0, None), method="highs")
+            assert highs.status == 0
+            value = highs.fun * scale
+            assert abs(float(y.sum()) - value) <= 1e-9 * max(1.0, value)
+            assert (a @ y <= np.array(costs, float) + 1e-9 * max(1, max(costs))).all()
 
 
 def test_dual_bound_skips_costs_floats_cannot_hold():
