@@ -8,18 +8,20 @@ and y >= 0, from the slack basis, which c >= 0 makes feasible; each y_r is
 at most the cost of a column row r covers, so the dual is bounded and one
 phase suffices.  Pivots follow Dantzig's rule, and Bland's rule once
 `_STALL_LIMIT` pivots in a row leave the packing value unchanged, until a
-pivot raises it again.  y is read from the basic values and x from the
-slacks' reduced costs, and the solve checks the pair as a certificate: x
-primal feasible, y dual feasible, equal values.  Each pivot is one
-whole-array update and each ratio test one vector division.  The link LP
-has one row per relevant failure set; `preprocess_step` already enumerates
-them all, so it is solved once over the distinct rows of the level's
-`StepContext.covering` table.  The min-cut separation oracle is the paper's
-way to find violated rows when they are not enumerated; here it stays as an
-independent check of the solution.  Everything is deterministic.
+pivot raises it again.  A basic value within rounding of zero, relative to
+the two terms a pivot subtracts, is set to 0.  y is read from the basic
+values and x from the slacks' reduced costs, and the solve checks the pair
+as a certificate: x primal feasible, y dual feasible, equal values.  Each
+pivot is one whole-array update and each ratio test one vector division.
+The link LP has one row per relevant failure set; `preprocess_step` already
+enumerates them all, so it is solved once over the distinct rows of the
+level's `StepContext.covering` table.  The min-cut separation oracle is the
+paper's way to find violated rows when they are not enumerated; here it
+stays as an independent check of the solution.  Everything is
+deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +40,8 @@ class LinearProgram:
 
     objective: np.ndarray
     rows: list                      # list of (coefficients, 1.0)
+    # The rows' coefficients stacked, one row each; set from `rows`.
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -51,6 +55,7 @@ class LinearProgram:
         if any(b != 1.0 for _, b in self.rows) or ((a != 0) & (a != 1)).any() \
                 or not a.any(axis=1).all():
             raise ValueError("covering rows are nonzero 0/1 vectors with bound 1")
+        self.matrix = a
 
 
 @dataclass
@@ -66,7 +71,15 @@ def _pivot(tableau, basis, row, col):
     factors = tableau[:, col].copy()
     factors[row] = 0.0
     factors[np.abs(factors) <= 1e-14] = 0.0
+    rhs = tableau[:-1, -1]
+    # Each basic value is the difference of two terms; a result within 1e-12
+    # of the larger term (or below 0) is rounding error and is set to 0, so
+    # a degenerate pivot keeps the packing value exactly and Bland's rule
+    # sees exact ties.  The scale is per row: a small value is kept beside a
+    # large cost in another row.
+    scale = np.maximum(np.abs(rhs), np.abs(factors[:-1] * tableau[row, -1]))
     tableau -= np.multiply.outer(factors, tableau[row])
+    rhs[rhs <= 1e-12 * scale] = 0.0
     basis[row] = col
 
 
@@ -77,7 +90,7 @@ def simplex_min(lp):
     n, m = c.shape[0], len(lp.rows)
     if m == 0:
         return SimplexResult(0.0, np.zeros(n), np.zeros(0))
-    a = np.array([row for row, _ in lp.rows])
+    a = lp.matrix
     # One row per column j, A_j^T y + s_j = c_j; columns y, s, right-hand
     # side.  The objective row minimizes -1.y, so its last cell is 1.y.
     tableau = np.zeros((n + 1, m + n + 1))
@@ -86,12 +99,7 @@ def simplex_min(lp):
     tableau[:-1, -1] = c
     tableau[-1, :m] = -1.0
     basis = np.arange(m, m + n)
-    # Basic values below `zero` are rounding error and are set to 0, so a
-    # degenerate pivot keeps the packing value exactly and Bland's rule sees
-    # exact ties; the certificate below is computed from A and c, not from
-    # the tableau.
     rhs = tableau[:-1, -1]
-    zero = 1e-12 * max(1.0, float(c.max()))
     stall = 0
     last = tableau[-1, -1]
     for _ in range(_MAX_PIVOTS):
@@ -114,7 +122,6 @@ def simplex_min(lp):
             rows = rows[ratios == ratios.min()]
         # Among exact ties the row with the smallest basic index leaves.
         _pivot(tableau, basis, int(rows[basis[rows].argmin()]), col)
-        rhs[rhs < zero] = 0.0
         # Only a degenerate pivot leaves the packing value where it was.
         now = tableau[-1, -1]
         stall = stall + 1 if now <= last + 1e-12 else 0
@@ -127,10 +134,11 @@ def simplex_min(lp):
     y[basis[packing]] = rhs[packing]
     x = tableau[-1, m:-1].copy()
     value, bound = float(c @ x), float(y.sum())
-    # x is at most 1 at a vertex; y and the values scale with the costs.
-    tol = EPS_FEAS * max(1.0, float(c.max()))
+    # The certificate is computed from A and c, not from the tableau.  x is
+    # at most 1 at a vertex; each column's load scales with its own cost.
     if (x < -EPS_FEAS).any() or (a @ x < 1 - EPS_FEAS).any() \
-            or (y < -tol).any() or (a.T @ y > c + tol).any() \
+            or (y < -EPS_FEAS).any() \
+            or (a.T @ y > c + EPS_FEAS * np.maximum(1.0, c)).any() \
             or abs(bound - value) > EPS_FEAS * max(1.0, value):
         raise InvariantError(
             f"covering LP value {value:.9f} is not certified by its packing "

@@ -4,6 +4,7 @@ import copy
 import csv
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -88,6 +89,36 @@ def test_lp_dump_matches_trace(tmp_path):
             assert result.value == pytest.approx(lv["lp_value"], rel=0, abs=1e-9)
         dumped += len(blocks)
     assert dumped > 0
+
+
+def test_lp_levels_with_one_huge_edge_weight_match_highs(tmp_path, capsys):
+    # One edge of weight 10**13 among unit weights puts link costs from 0 to
+    # about 10**13 in both level LPs, whose optima are small.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    _, hvc = gen_hypergraph_vc(3, 3, 12, 5)
+    data = hvc.to_dict()
+    assert data["edges"][40][3] == 1
+    data["edges"][40][3] = 10**13
+    inst = tmp_path / "inst.json"
+    out = tmp_path / "sol.json"
+    trace = tmp_path / "trace.json"
+    dump = tmp_path / "lp.txt"
+    inst.write_text(json.dumps(data))
+    assert main(["solve", "-i", str(inst), "-o", str(out),
+                 "--trace", str(trace), "--lp-dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "-i", str(inst), "-s", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("OK")
+    lp_levels = [lv for lv in json.loads(trace.read_text())["levels"]
+                 if lv["lp_value"] is not None]
+    blocks = _parse_lp_dump(dump.read_text())
+    assert len(blocks) == len(lp_levels) == 2
+    for (level, lp), lv in zip(blocks, lp_levels):
+        assert lp.objective.max() >= 10**13 and lp.objective.min() <= 1
+        highs = linprog(lp.objective, A_ub=-lp.matrix, b_ub=-np.ones(len(lp.rows)),
+                        bounds=(0, None), method="highs")
+        assert highs.status == 0 and highs.fun < 10
+        assert lv["lp_value"] == pytest.approx(highs.fun, rel=1e-9)
 
 
 def test_generate_deterministic(tmp_path):

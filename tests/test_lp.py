@@ -67,9 +67,32 @@ def test_uncertified_solution_raises_invariant_error(monkeypatch):
 
 def test_unbounded_packing_dual_raises_invariant_error():
     lp = LinearProgram([1.0], [([1.0], 1.0)])
-    lp.rows = [(np.zeros(1), 1.0)]      # past the constructor's check
+    lp.matrix = np.zeros((1, 1))        # past the constructor's check
     with pytest.raises(InvariantError, match="unbounded"):
         simplex_min(lp)
+
+
+def test_simplex_keeps_small_values_next_to_large_costs():
+    res = simplex_min(LinearProgram([1.0, 1e13], [([1.0, 1.0], 1.0)]))
+    assert res.value == 1.0
+    assert list(res.x) == [1.0, 0.0] and list(res.duals) == [1.0]
+
+
+def test_simplex_matches_highs_on_mixed_scale_costs():
+    # Costs from 0 to 2**53 side by side, as edge weights may have them.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = random.Random(3)
+    for _ in range(200):
+        n, m = rng.randint(1, 30), rng.randint(1, 40)
+        c, rows = _random_covering_lp(rng, n, m, 0.3)
+        for j in range(n):
+            if rng.random() < 0.3:
+                c[j] = rng.choice([1e6, 1e13, 2.0 ** 52, 2.0 ** 53])
+        res = simplex_min(LinearProgram(c, rows))
+        highs = linprog(c, A_ub=-np.array([a for a, _ in rows]),
+                        b_ub=-np.ones(m), bounds=(0, None), method="highs")
+        assert highs.status == 0
+        assert res.value == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
 
 
 def _vertex_enumeration_min(c, rows):
@@ -166,18 +189,26 @@ def test_upper_bounds_do_not_change_value():
 
 def _reference_pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and abs(tableau[r, col]) > 1e-14:
+    for r in range(tableau.shape[0] - 1):
+        if r == row:
+            continue
+        scale = abs(tableau[r, -1])
+        if abs(tableau[r, col]) > 1e-14:
+            scale = max(scale, abs(tableau[r, col] * tableau[row, -1]))
             tableau[r] -= tableau[r, col] * tableau[row]
+        if tableau[r, -1] <= 1e-12 * scale:
+            tableau[r, -1] = 0.0
+    if abs(tableau[-1, col]) > 1e-14:
+        tableau[-1] -= tableau[-1, col] * tableau[row]
     basis[row] = col
 
 
 def _reference_simplex_min(lp, pivots):
     """The packing dual, max 1.y subject to A^T y <= c and y >= 0, from the
-    slack basis, with a per-row pivot loop and a tuple ratio test.  Basic
-    values below 1e-12 times the largest cost are set to 0 after each pivot,
-    and a pivot counts as a stall only if it leaves the packing value
-    unchanged.  Appends
+    slack basis, with a per-row pivot loop and a tuple ratio test.  A pivot
+    sets a basic value to 0 when it is at most 1e-12 times the larger of the
+    two terms it came from, and counts as a stall only if it leaves the
+    packing value unchanged.  Appends
     (Dantzig's column, Bland's column, rule used, value rose) per pivot to
     `pivots`; returns (value, x, y)."""
     c = lp.objective
@@ -191,7 +222,6 @@ def _reference_simplex_min(lp, pivots):
         tableau[j, -1] = c[j]
     tableau[-1, :m] = -1.0
     basis = [m + j for j in range(n)]
-    zero = 1e-12 * max(1.0, max(c))
     stall = 0
     while True:
         obj = tableau[-1, :-1]
@@ -207,9 +237,6 @@ def _reference_simplex_min(lp, pivots):
                         for r in range(n) if column[r] > _PIVOT_EPS)
         last = tableau[-1, -1]
         _reference_pivot(tableau, basis, row, col)
-        for r in range(n):
-            if tableau[r, -1] < zero:
-                tableau[r, -1] = 0.0
         rose = tableau[-1, -1] > last + 1e-12
         stall = 0 if rose else stall + 1
         pivots.append((dantzig, bland, rule, rose))
