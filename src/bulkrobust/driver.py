@@ -14,8 +14,9 @@ guarantee the algorithm relies on is re-checked at runtime, and the trace
 records enough per-level and per-face data to audit a run after the fact.
 
 Feasibility checks go through the instance's `Feasibility` table of the
-current solution X: O(n + |X|) per scenario, built once per distinct X
-(so once per level), then O(k) per failure subset.  The table of X after
+current solution X, built once per distinct X (so once per level): one
+pass over X - U, U the union of the scenarios, then O(n + |X & U|) per
+scenario.  It answers each failure subset in O(k).  The table of X after
 level i answers `augment_step`'s check, the one in `solve` and level
 i + 1's precondition, and checks each subset once.
 """
@@ -187,7 +188,7 @@ def augment_step(instance, x_edges, level, on_lp=None):
     """One augmentation level; returns (added edge set, LevelTrace).
 
     The typed links of the faces X induces go in, one cover step picks
-    among them, and X plus the picked paths must meet the level's contract.
+    among them, and X plus the picked links' paths must meet the level's contract.
     """
     ctx = preprocess_step(instance, x_edges, level)
     trace = LevelTrace(level=level, omega_size=len(ctx.omega))
@@ -205,7 +206,7 @@ def augment_step(instance, x_edges, level, on_lp=None):
             picked, total = cover_step(ctx, links)
         except ValueError as exc:
             raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
-    added = frozenset(e for i in picked for e in links[i].path)
+    added = frozenset(e for i in picked for e in ctx.link_path(links[i]))
     trace.round_cost = float(total)
 
     failed = instance.feasibility(frozenset(x_edges) | added).first_failure(level)

@@ -80,17 +80,19 @@ def _label(parent, label, node):
     return label.setdefault(_find(parent, node), len(label))
 
 
-def _join(rows, size, removed):
-    """Union the labels of the rows (e, a, b) whose edge is not in `removed`;
-    returns (parent, merges)."""
-    parent = list(range(size))
+def _merge(parent, rows, skip=()):
+    """Union the rows (e, a, b) whose edge is not in `skip` into the list-based
+    forest `parent`; returns (parent, merges)."""
     merges = 0
-    for e, a, b in rows:
-        if e in removed:
+    for e, u, v in rows:        # _find inlined: this loop is the hot path
+        if e in skip:
             continue
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
             merges += 1
     return parent, merges
 
@@ -98,10 +100,12 @@ def _join(rows, size, removed):
 class Feasibility:
     """The requirement on (V, X - S) for every S inside one scenario.
 
-    Built once per solution X: for each scenario F_j a list-based
-    union-find labels the components of (V, X - F_j), O(n + |X|).  Only
-    the components that a query can touch get a label: those of the
-    endpoints of the edges in F_j & X, and of s and t.  For S within F_j
+    Built once per solution X: a list-based union-find of the X edges in
+    no scenario, one pass, is copied for each scenario F_j, which adds its
+    own surviving edges of X & U (U the union of the scenarios) to label
+    the components of (V, X - F_j), O(n + |X & U|).  Only the components
+    that a query can touch get a label: those of the endpoints of the
+    edges in F_j & X, and of s and t.  For S within F_j
     the components of X - S are these joined by the surviving edges of
     (F_j & X) - S, an O(k) union over the labels: `holds(j, S)` reads the
     requirement from it and `cut(j, S)` the components themselves.  Each
@@ -118,21 +122,14 @@ class Feasibility:
         self._clean = -1        # largest size `first_failure` found clean
         n = instance.node_count
         ends = instance.edge_map
-        x_rows = [(e, ends[e][0], ends[e][1]) for e in x]
+        touched = frozenset().union(*self._full)
+        base, base_merges = _merge(list(range(n)),
+                                   [(e, ends[e][0], ends[e][1]) for e in x - touched])
+        shared = [(e, ends[e][0], ends[e][1]) for e in x & touched]
         scenarios = []
-        for full in instance.scenario_sets:
-            parent = list(range(n))
-            merges = 0
-            for e, u, v in x_rows:      # _find inlined: this loop is the hot path
-                if e in full:
-                    continue
-                while parent[u] != u:
-                    parent[u] = u = parent[parent[u]]
-                while parent[v] != v:
-                    parent[v] = v = parent[parent[v]]
-                if u != v:
-                    parent[v] = u
-                    merges += 1
+        for full in self._full:
+            parent, merges = _merge(base[:], shared, full)
+            merges += base_merges
             label = {}
             if self._mst:
                 target = n - merges     # components left to merge into one
@@ -157,7 +154,7 @@ class Feasibility:
         if scenario is None:
             return True
         rows, size, target, _, _ = scenario
-        parent, merges = _join(rows, size, removed)
+        parent, merges = _merge(list(range(size)), rows, removed)
         if self._mst:
             return target - merges == 1
         return _find(parent, target[0]) == _find(parent, target[1])
@@ -167,7 +164,7 @@ class Feasibility:
         requirement fails: the number of labelled components of X - S, and
         the root label of each label's component."""
         rows, size, _, _, _ = self._scenarios[j]
-        parent, merges = _join(rows, size, removed)
+        parent, merges = _merge(list(range(size)), rows, removed)
         return size - merges, [_find(parent, a) for a in range(size)]
 
     def labels(self, j, nodes):

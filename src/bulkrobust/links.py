@@ -4,6 +4,9 @@ A level-i step receives the current solution X (feasible when at most i-1
 edges of any one scenario fail) and prepares everything the LP and the
 rounding stage need: the relevant failure sets, the contracted embedded
 subgraph, the two-sided cuts, and the per-face shortest-path links.
+A typed link is (u, v, face, cost): the LP, the covers and the rounding
+read nothing else, and `StepContext.link_path` builds the edges of the
+links a level picks, O(picked) path searches instead of one per link.
 
 The X edges in no relevant failure set are contracted in one pass
 (`PlaneGraph.contract`), not with one copy of the graph per edge.
@@ -13,8 +16,9 @@ sides of that set's two-sided cut: `covers` for one pair.  The relation is
 computed once per level by `StepContext.covering`, and the LP, the face
 partition, the rounding and the trace all read that one table.
 
-Feasibility questions go through the instance's `Feasibility` table of X:
-O(n + |X|) per scenario to build, once per distinct X, then O(k) per
+Feasibility questions go through the instance's `Feasibility` table of X,
+built once per distinct X: one pass over the X edges in no scenario, then
+O(n + |X & U|) per scenario, U the union of the scenarios, then O(k) per
 failure subset.  The same table gives each relevant set's two-sided cut.
 A contracted node keeps the smallest original id of its group, and a group
 is merged only by X edges outside every relevant set, so its side is the
@@ -99,29 +103,14 @@ def lex_shortest_path(adj, src, dst, dist=None):
     raise InvariantError("pruned path search missed a reachable target")
 
 
-def lex_shortest_paths(adj, pairs):
-    """`lex_shortest_path` for each (src, dst) pair, in order, skipping pairs
-    with an endpoint outside `adj`; yields (src, dst, result).  Pairs with the
-    same destination share one distance map."""
-    dists = {}
-    for src, dst in pairs:
-        if src not in adj or dst not in adj:
-            continue
-        dist = dists.get(dst)
-        if dist is None:
-            dist = dists[dst] = dijkstra(adj, dst)
-        yield src, dst, lex_shortest_path(adj, src, dst, dist)
-
-
 # -- step data -------------------------------------------------------------
 
 class TypedLink(NamedTuple):
-    """A shortest path between two boundary nodes, confined to one induced face."""
+    """The ends, face and cost of a face-confined shortest path; see `link_path`."""
 
     u: int
     v: int
     face: int
-    path: tuple      # edge ids, all assigned to `face`
     cost: int
 
 
@@ -136,7 +125,7 @@ class FailureCut:
 
 @dataclass
 class StepContext:
-    """Everything one augmentation level needs; immutable but for its covering cache."""
+    """Everything one augmentation level needs; immutable but for its link caches."""
 
     instance: object
     level: int
@@ -155,6 +144,7 @@ class StepContext:
     s: int = None
     t: int = None
     cut_face_checks: int = 0        # validated (failure set, face) pairs
+    face_maps: dict = field(default_factory=dict)  # face -> (adj, end -> dist map)
 
     def covering(self, links):
         """For each failure set of omega, the ascending indices of the
@@ -179,6 +169,17 @@ class StepContext:
             table[f_set] = tuple(compress(index, map(ne, map(side, us), map(side, vs))))
         self._covering = (links, table)
         return table
+
+    def link_path(self, link):
+        """The edge ids of a link from `enumerate_typed_links`, searched with
+        the distance map its cost was read from, so with the same tie-break;
+        they must weigh `link.cost` and lie on `link.face`."""
+        adj, dists = self.face_maps[link.face]
+        found = lex_shortest_path(adj, link.u, link.v, dists[link.v])
+        if (found is None or sum(self.e_rest[e][2] for e in found[1]) != link.cost
+                or any(self.subgraph.edge_face[e] != link.face for e in found[1])):
+            raise InvariantError(f"{link} has no path of its cost on its face")
+        return found[1]
 
 
 def bridges(edges):
@@ -396,25 +397,24 @@ def enumerate_typed_links(ctx):
     """All face-confined shortest-path links between boundary node pairs.
 
     For each induced face and each unordered pair of distinct boundary
-    nodes, the cheapest path through the candidate edges assigned to that
-    face (omitted when none exists).  Tie-breaking is deterministic.
+    nodes, the cost of the cheapest path through the candidate edges
+    assigned to that face (omitted when none exists), one Dijkstra map per
+    far end; `ctx.face_maps` keeps them for `StepContext.link_path`.
     """
     links = []
-    face_edge_lists = {}
-    for e, f in ctx.subgraph.edge_face.items():
-        face_edge_lists.setdefault(f, []).append(e)
-    for face_idx in range(len(ctx.subgraph.faces)):
-        pool = sorted(face_edge_lists.get(face_idx, ()))
-        if not pool:
-            continue
-        adj = {}
-        for e in pool:
-            u, v, w = ctx.e_rest[e]
-            adj.setdefault(u, []).append((e, v, w))
-            adj.setdefault(v, []).append((e, u, w))
+    face_adj = {}
+    for e in sorted(ctx.subgraph.edge_face):
+        u, v, w = ctx.e_rest[e]
+        adj = face_adj.setdefault(ctx.subgraph.edge_face[e], {})
+        adj.setdefault(u, []).append((e, v, w))
+        adj.setdefault(v, []).append((e, u, w))
+    for face_idx, adj in sorted(face_adj.items()):
         adj = {n: tuple(sorted(lst)) for n, lst in adj.items()}
-        boundary = sorted(ctx.subgraph.face_nodes[face_idx])
-        for u, v, found in lex_shortest_paths(adj, combinations(boundary, 2)):
-            if found is not None:
-                links.append(TypedLink(u, v, face_idx, found[1], found[0]))
+        ends = [n for n in sorted(ctx.subgraph.face_nodes[face_idx]) if n in adj]
+        dists = {v: dijkstra(adj, v) for v in ends[1:]}
+        ctx.face_maps[face_idx] = (adj, dists)
+        for u, v in combinations(ends, 2):
+            cost = dists[v].get(u)
+            if cost is not None:
+                links.append(TypedLink(u, v, face_idx, cost))
     return tuple(links)

@@ -84,7 +84,7 @@ def test_non_incident_endpoint_raises():
     ctx, _ = square_level2()
     u = min(ctx.subgraph.nodes)
     with pytest.raises(ValueError, match="node 99 is not incident"):
-        ctx.covering([TypedLink(u, 99, 0, (), 1)])
+        ctx.covering([TypedLink(u, 99, 0, 1)])
 
 
 def test_same_links_reuse_the_table_and_new_links_rebuild_it():
@@ -92,7 +92,7 @@ def test_same_links_reuse_the_table_and_new_links_rebuild_it():
     table = ctx.covering(links)
     assert ctx.covering(links) is table
     assert ctx.covering(list(links)) is table
-    pairs = [TypedLink(u, v, 0, (), 1)
+    pairs = [TypedLink(u, v, 0, 1)
              for u, v in combinations(sorted(ctx.subgraph.nodes), 2)]
     other = ctx.covering(pairs)
     assert other is not table

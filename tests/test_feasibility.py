@@ -7,13 +7,14 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bulkrobust import gen_hypergraph_vc, solve
-from bulkrobust.instance import Feasibility
+from bulkrobust import gen_grid, gen_hypergraph_vc, solve
+from bulkrobust.instance import Feasibility, UnionFind
 from conftest import build_suite_instance, suite_schedule
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(24)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
 INSTANCES = SUITE + [HVC]
+TREE_GRID = gen_grid(10, 10, 36, 3, 1, 101, "mst")     # a tree-cover instance
 
 
 def first_failure_by_definition(instance, x, size):
@@ -67,6 +68,69 @@ def test_agrees_on_empty_and_scenario_free_solutions():
         assert_agrees(instance, frozenset())
         assert_agrees(instance, instance.edge_ids - touched)
         assert_agrees(instance, instance.edge_ids)
+
+
+def components(instance, edges):
+    uf = UnionFind(range(instance.node_count))
+    for e in edges:
+        uf.union(*instance.edge_map[e][:2])
+    return uf
+
+
+def assert_cuts_agree(instance, x):
+    """`labels` and `cut` of every scenario F_j where X - F_j breaks the
+    requirement, against a UnionFind of X - F_j and one of X - S for every
+    S within F_j; returns the number of such scenarios."""
+    x = frozenset(x)
+    table = Feasibility(instance, x)
+    nodes = range(instance.node_count)
+    terminals = [instance.s, instance.t] if instance.problem == "st" else []
+    checked = 0
+    for jdx, full in enumerate(instance.scenario_sets):
+        if instance.requirement_holds(x - full):
+            continue
+        checked += 1
+        labels = table.labels(jdx, nodes)
+        # Labels are numbered on first sight: s and t, then the ends of F_j & X.
+        sighted = terminals + [n for e in sorted(full & x)
+                               for n in instance.edge_map[e][:2]]
+        order = list(dict.fromkeys(labels[n] for n in sighted))
+        assert order == list(range(len(order))), (jdx, sorted(x))
+        # One label per component of X - F_j holding a sighted node, None elsewhere.
+        uf = components(instance, x - full)
+        label_of = {uf.find(n): labels[n] for n in sighted}
+        assert len(set(label_of.values())) == len(label_of)
+        assert labels == [label_of.get(uf.find(n)) for n in nodes], (jdx, sorted(x))
+        for size in range(len(full) + 1):
+            for sub in combinations(sorted(full), size):
+                count, roots = table.cut(jdx, sub)
+                assert len(roots) == len(order)
+                after = components(instance, x - frozenset(sub))
+                root_of = {labels[n]: after.find(n) for n in sighted}
+                assert count == len(set(root_of.values())), (jdx, sub, sorted(x))
+                for a, b in combinations(range(len(order)), 2):
+                    assert (roots[a] == roots[b]) == (root_of[a] == root_of[b])
+    return checked
+
+
+def test_labels_and_cuts_on_a_tree_cover_grid():
+    instance = TREE_GRID
+    touched = frozenset().union(*instance.scenario_sets)
+    solutions = level_solutions(instance)
+    # Most of each solution lies outside every scenario.
+    assert all(len(x - touched) > len(x & touched) for x in solutions)
+    assert sum(assert_cuts_agree(instance, x) for x in solutions) > 20
+    # Solutions whose edges all lie in some scenario break every scenario.
+    for x in solutions + [touched]:
+        assert assert_cuts_agree(instance, x & touched) == len(instance.scenario_sets)
+
+
+def test_labels_and_cuts_on_every_level_of_a_solve():
+    checked = 0
+    for instance in INSTANCES:
+        for x in level_solutions(instance):
+            checked += assert_cuts_agree(instance, x)
+    assert checked > 20
 
 
 @st.composite

@@ -8,15 +8,16 @@ element.  The fast versions must return exactly what they return.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bulkrobust import gen_grid, is_feasible, serialize_instance, solve
+from bulkrobust import driver, gen_grid, is_feasible, links, serialize_instance, solve
 from bulkrobust import lp, setcover
 from bulkrobust.cli import main
 from bulkrobust.errors import BudgetError, InvariantError
-from bulkrobust.links import dijkstra, lex_shortest_paths
+from bulkrobust.links import StepContext, dijkstra, enumerate_typed_links
 from bulkrobust.setcover import exact_min_cover
 
 
@@ -133,21 +134,64 @@ def random_multigraph(rng):
     return n, {node: tuple(sorted(lst)) for node, lst in adj.items()}
 
 
+def one_face_context(adj, boundary):
+    """A StepContext whose only face holds every edge of `adj`."""
+    e_rest = {e: (node, other, w) for node, lst in adj.items() for e, other, w in lst}
+    subgraph = SimpleNamespace(face_nodes=(frozenset(boundary),),
+                               edge_face=dict.fromkeys(e_rest, 0))
+    return StepContext(None, 1, frozenset(), (), subgraph=subgraph, e_rest=e_rest)
+
+
 def test_grouped_paths_match_per_pair_search():
     rng = random.Random(6)
-    unreachable = same = 0
+    unreachable = skipped = 0
     for _ in range(300):
         n, adj = random_multigraph(rng)
-        pairs = [(u, v) for u in range(n) for v in range(n)]
-        rng.shuffle(pairs)
-        got = list(lex_shortest_paths(adj, pairs))
-        kept = [(u, v) for u, v in pairs if u in adj and v in adj]
-        assert [(u, v) for u, v, _ in got] == kept
-        for u, v, found in got:
-            assert found == per_pair_lex_shortest_path(adj, u, v)
-            unreachable += found is None
-            same += u == v
-    assert unreachable > 100 and same > 100
+        ctx = one_face_context(adj, range(n))
+        got = {(link.u, link.v): link for link in enumerate_typed_links(ctx)}
+        for u in range(n):
+            for v in range(u + 1, n):
+                if u not in adj or v not in adj:
+                    assert (u, v) not in got
+                    skipped += 1
+                    continue
+                found = per_pair_lex_shortest_path(adj, u, v)
+                unreachable += found is None
+                if found is None:
+                    assert (u, v) not in got
+                    continue
+                link = got.pop((u, v))
+                assert link.face == 0
+                assert (link.cost, ctx.link_path(link)) == found
+        assert got == {}
+    assert unreachable > 100 and skipped > 100
+
+
+def test_paths_are_built_for_picked_links_only(monkeypatch):
+    inst = gen_grid(10, 10, 36, 3, 1, 101, "mst")
+    searches = []
+    picked = []
+    enumerated = []
+
+    def wrap(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            result = original(*args, **kwargs)
+            record(args, result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    wrap(links, "lex_shortest_path", lambda args, found: searches.append(args[1:3]))
+    wrap(driver, "enumerate_typed_links", lambda args, found: enumerated.append(len(found)))
+    for step in ("_cover_tree", "_round_faces"):    # each returns (picked, cost)
+        wrap(driver, step, lambda args, found: picked.extend(args[1][i] for i in found[0]))
+    _, trace = solve(inst)
+    assert trace.levels[0].omega_size > 0
+    assert len(searches) == len(picked) > 0
+    assert searches == [(link.u, link.v) for link in picked]
+    assert sum(enumerated) > 10 * len(picked)
 
 
 # -- exact cover -----------------------------------------------------------------

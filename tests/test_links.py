@@ -195,7 +195,7 @@ def test_typed_links_triangle():
     assert len(links) == 1
     link = links[0]
     assert (link.u, link.v) == (0, 1)
-    assert link.path == (1, 2)
+    assert ctx.link_path(link) == (1, 2)
     assert link.cost == 2
 
 
@@ -222,7 +222,7 @@ def test_typed_links_grid_outer_cycle():
     ctx = preprocess_step(inst, outer, 2)
     links = enumerate_typed_links(ctx)
     assert len(links) == 1
-    assert links[0].path == (mid,)
+    assert ctx.link_path(links[0]) == (mid,)
     assert {links[0].u, links[0].v} == {ctx.node_map[1], ctx.node_map[4]}
     assert links[0].cost == g.edge_map[mid][2]
 
@@ -246,7 +246,20 @@ def test_typed_link_costs_match_face_dijkstra():
                 adj.setdefault(v, []).append((e, u, w))
             dist = dijkstra(adj, link.u)
             assert dist[link.v] == link.cost
-            assert sum(ctx.e_rest[e][2] for e in link.path) == link.cost
+            assert sum(ctx.e_rest[e][2] for e in ctx.link_path(link)) == link.cost
+
+
+def test_link_path_checks_cost_and_face():
+    g = gen_grid(3, 3, 2, 2, 3, seed=4)
+    ctx = preprocess_step(g, frozenset(mst(g)), 1)
+    link = max(enumerate_typed_links(ctx), key=lambda found: found.cost)
+    path = ctx.link_path(link)
+    assert path
+    with pytest.raises(InvariantError, match="no path of its cost on its face"):
+        ctx.link_path(link._replace(cost=link.cost + 1))
+    ctx.subgraph.edge_face[path[-1]] = link.face + 1
+    with pytest.raises(InvariantError, match="no path of its cost on its face"):
+        ctx.link_path(link)
 
 
 def test_face_cut_structure_validated():
