@@ -28,6 +28,22 @@ tolerance relative to the dual value keeps float error from pruning that
 leaf.  Small searches never reach the trigger and never pay for the LP.
 Past `node_cap` visited nodes (default `NODE_CAP`, read when the search
 starts) it raises `BudgetError`.
+
+A visited node is the root or any child the search reaches, leaves and
+children pruned at once included; `NODE_CAP`, `LP_BOUND_AFTER` and the node
+counts above count exactly these.  The parent settles its children itself,
+and recurses only into a child that is neither a leaf nor at least as
+costly as the incumbent.  Children are tried by (cost, index), so costs only
+rise along the loop: once a child reaches the incumbent, it and every later
+sibling are counted in one step, and a bulk count that crosses the LP
+trigger or the budget acts as a node-by-node count would.  A child that
+covers every element becomes the incumbent without a call.  The branching
+order is fixed once per search: each element's mask bit is its rank by
+(candidate count, index), so the uncovered element with the fewest
+candidates is the lowest zero bit of the covered mask.  When the LP bound
+starts, y becomes one table per byte of the uncovered mask, holding the y
+sum of every byte value; a node's bound is one lookup per byte, read only
+when the cheapest-set test has not pruned.
 """
 
 import numpy as np
@@ -88,83 +104,107 @@ def exact_min_cover(element_count, sets, node_cap=None):
     `sets` is a sequence of (cost, elements) pairs with nonnegative costs
     and `elements` a sequence.  Returns (total_cost, tuple of chosen set
     indices).  Deterministic: branching always targets the uncovered element
-    with the fewest candidates and children are explored by (cost, index).
-    Raises ValueError when some element is uncoverable and BudgetError when
-    more than `node_cap` search nodes (default `NODE_CAP`) are visited.
+    with the fewest candidates (the lowest index among ties) and children
+    are explored by (cost, index).  That order is fixed once per search: each
+    element's mask bit is its rank by (candidate count, index), so the
+    branching element is the lowest uncovered bit.  A parent settles its
+    children itself and recurses only into those that are neither leaves nor
+    at least as costly as the incumbent; every child still counts as one
+    visited node.  Raises ValueError when some element is out of range or
+    uncoverable and BudgetError when more than `node_cap` search nodes
+    (default `NODE_CAP`) are visited.
     """
     if node_cap is None:
         node_cap = NODE_CAP
-    full = (1 << element_count) - 1
-    masks = []
-    costs = []
-    members = []
-    for cost, elements in sets:
-        mask = 0
-        for el in elements:
+    trigger = LP_BOUND_AFTER
+    costs = [cost for cost, _ in sets]
+    candidates = [[] for _ in range(element_count)]
+    # by (cost, index), and below by (candidate count, index): sorted is stable
+    for i in sorted(range(len(costs)), key=costs.__getitem__):
+        for el in sets[i][1]:
             if not 0 <= el < element_count:
                 raise ValueError(f"element {el} out of range")
-            mask |= 1 << el
-        masks.append(mask)
-        costs.append(cost)
-        members.append(elements)
+            ids = candidates[el]
+            if not ids or ids[-1] != i:     # an element listed twice in one set
+                ids.append(i)
 
     if element_count == 0:
         return 0, ()
-
-    candidates = [[] for _ in range(element_count)]
-    order = sorted(range(len(masks)), key=lambda i: (costs[i], i))
-    for i in order:
-        for el in set(members[i]):
-            candidates[el].append(i)
     for el in range(element_count):
         if not candidates[el]:
             raise ValueError(f"element {el} is uncoverable")
-    cheapest = [costs[candidates[el][0]] for el in range(element_count)]
+
+    rank = sorted(range(element_count), key=lambda el: len(candidates[el]))
+    masks = [0] * len(costs)
+    for bit, el in enumerate(rank):
+        bit = 1 << bit
+        for i in candidates[el]:
+            masks[i] |= bit
+    branch_ids = [candidates[el] for el in rank]
+    cheapest = [costs[ids[0]] for ids in branch_ids]
+    full = (1 << element_count) - 1
+    width = (element_count + 7) // 8
     # With integer costs a strictly cheaper leaf is cheaper by at least one.
     step = 1 if all(type(c) is int for c in costs) else 0
 
     best_cost = None
     best_pick = None
+    picked = []
     nodes = 0
-    y = None        # dual weights, from the LP_BOUND_AFTER-th node on
+    tables = None   # y sums per byte value of the uncovered mask, from the trigger on
     tol = 0.0
 
-    def branch(covered, cost, picked):
-        nonlocal best_cost, best_pick, nodes, y, tol
-        nodes += 1
+    def visit(count):
+        """Count `count` visited nodes, with the LP trigger and the budget
+        taking effect exactly where a node-by-node count would."""
+        nonlocal nodes, tables, tol
+        start = nodes
+        nodes += count
+        if start < trigger <= nodes and trigger <= node_cap:
+            y = dual_bound(candidates, costs)
+            if y is not None:
+                tol = _BOUND_RTOL * max(1.0, sum(y))
+                tables = []
+                for byte in range(width):
+                    table = [0.0]
+                    for el in rank[8 * byte:8 * byte + 8]:
+                        table += [s + y[el] for s in table]
+                    tables.append(table)
         if nodes > node_cap:
             raise BudgetError("set-cover search", f"{node_cap} search nodes")
-        if nodes == LP_BOUND_AFTER:
-            y = dual_bound(candidates, costs)
-            tol = _BOUND_RTOL * max(1.0, sum(y)) if y is not None else 0.0
-        if covered == full:
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_pick = tuple(picked)
-            return
-        if best_cost is not None and cost >= best_cost:
-            return
-        # branch on the uncovered element with the fewest candidate sets
-        target, fanout = -1, None
-        need = 0.0
-        for el in range(element_count):
-            if covered >> el & 1:
-                continue
-            if y is not None:
-                need += y[el]
-            size = len(candidates[el])
-            if fanout is None or size < fanout:
-                target, fanout = el, size
+
+    def branch(covered, cost):
+        # Entered for a counted node that is neither a leaf nor, against the
+        # incumbent, too costly.
+        nonlocal best_cost, best_pick
+        bit = (~covered & (covered + 1)).bit_length() - 1    # lowest zero bit
         if best_cost is not None:
-            if cost + cheapest[target] >= best_cost:
+            if cost + cheapest[bit] >= best_cost:
                 return
             # The gap best - step - cost is exact; only the dual sum is a float.
-            if y is not None and need > (best_cost - step - cost) + tol:
+            if tables is not None:
+                need = sum(map(list.__getitem__, tables,
+                               (full ^ covered).to_bytes(width, "little")))
+                if need > (best_cost - step - cost) + tol:
+                    return
+        ids = branch_ids[bit]
+        for j, i in enumerate(ids):
+            child = cost + costs[i]
+            if best_cost is not None and child >= best_cost:
+                # Costs only rise along ids: this child and every later one
+                # is a leaf no cheaper than the incumbent or a pruned node.
+                visit(len(ids) - j)
                 return
-        for i in candidates[target]:
+            visit(1)
             picked.append(i)
-            branch(covered | masks[i], cost + costs[i], picked)
+            mask = covered | masks[i]
+            if mask == full:
+                best_cost = child
+                best_pick = tuple(picked)
+            else:
+                branch(mask, child)
             picked.pop()
 
-    branch(0, 0, [])
+    visit(1)
+    branch(0, 0)
     return best_cost, best_pick

@@ -1,10 +1,13 @@
 """The level-1 spanning-tree step: grouped shortest paths, the lazily bounded
 exact cover, and its node budget.
 
-`per_pair_lex_shortest_path` and `bound_free_exact_min_cover` are the
-earlier implementations, kept here as references: one Dijkstra per pair,
-and a branch and bound whose only bound is the cheapest set of the branching
-element.  The fast versions must return exactly what they return.
+`per_pair_lex_shortest_path`, `bound_free_exact_min_cover` and
+`recursive_exact_min_cover` are the earlier implementations, kept here as
+references: one Dijkstra per pair, a branch and bound whose only bound is the
+cheapest set of the branching element, and the node-by-node search with the
+lazy LP bound, one call per visited node.  The fast versions must return
+exactly what they return, and the exact cover must visit as many nodes as
+the node-by-node search.
 """
 
 import random
@@ -113,6 +116,85 @@ def bound_free_exact_min_cover(element_count, sets, node_cap=None):
 
     branch(0, 0, [])
     return best_cost, best_pick
+
+
+def recursive_exact_min_cover(element_count, sets, node_cap=None):
+    """`exact_min_cover` with one call per visited node, scanning every element
+    for the branching one; returns (cost, picks, visited nodes).  Reads
+    `setcover`'s `LP_BOUND_AFTER`, `NODE_CAP` and `dual_bound` at call time."""
+    if node_cap is None:
+        node_cap = setcover.NODE_CAP
+    full = (1 << element_count) - 1
+    masks = []
+    costs = []
+    members = []
+    for cost, elements in sets:
+        mask = 0
+        for el in elements:
+            if not 0 <= el < element_count:
+                raise ValueError(f"element {el} out of range")
+            mask |= 1 << el
+        masks.append(mask)
+        costs.append(cost)
+        members.append(elements)
+
+    if element_count == 0:
+        return 0, (), 0
+
+    candidates = [[] for _ in range(element_count)]
+    order = sorted(range(len(masks)), key=lambda i: (costs[i], i))
+    for i in order:
+        for el in set(members[i]):
+            candidates[el].append(i)
+    for el in range(element_count):
+        if not candidates[el]:
+            raise ValueError(f"element {el} is uncoverable")
+    cheapest = [costs[candidates[el][0]] for el in range(element_count)]
+    step = 1 if all(type(c) is int for c in costs) else 0
+
+    best_cost = None
+    best_pick = None
+    nodes = 0
+    y = None
+    tol = 0.0
+
+    def branch(covered, cost, picked):
+        nonlocal best_cost, best_pick, nodes, y, tol
+        nodes += 1
+        if nodes > node_cap:
+            raise BudgetError("set-cover search", f"{node_cap} search nodes")
+        if nodes == setcover.LP_BOUND_AFTER:
+            y = setcover.dual_bound(candidates, costs)
+            tol = setcover._BOUND_RTOL * max(1.0, sum(y)) if y is not None else 0.0
+        if covered == full:
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_pick = tuple(picked)
+            return
+        if best_cost is not None and cost >= best_cost:
+            return
+        target, fanout = -1, None
+        need = 0.0
+        for el in range(element_count):
+            if covered >> el & 1:
+                continue
+            if y is not None:
+                need += y[el]
+            size = len(candidates[el])
+            if fanout is None or size < fanout:
+                target, fanout = el, size
+        if best_cost is not None:
+            if cost + cheapest[target] >= best_cost:
+                return
+            if y is not None and need > (best_cost - step - cost) + tol:
+                return
+        for i in candidates[target]:
+            picked.append(i)
+            branch(covered | masks[i], cost + costs[i], picked)
+            picked.pop()
+
+    branch(0, 0, [])
+    return best_cost, best_pick, nodes
 
 
 # -- shortest paths ------------------------------------------------------------
@@ -256,6 +338,67 @@ def test_bound_from_the_first_node_keeps_cost_and_picks(kind, lp_calls, monkeypa
     assert len(lp_calls) >= 50
 
 
+def visited_nodes(n, sets):
+    """The recursive search's visited-node count, after checking that
+    `exact_min_cover` returns the same (cost, picks) within exactly that many
+    nodes and raises BudgetError with one node fewer."""
+    cost, picks, nodes = recursive_exact_min_cover(n, sets)
+    assert exact_min_cover(n, sets, node_cap=nodes) == (cost, picks)
+    with pytest.raises(BudgetError):
+        exact_min_cover(n, sets, node_cap=nodes - 1)
+    return nodes
+
+
+@pytest.mark.parametrize("trigger", [1, 2, 5, 1000])
+@pytest.mark.parametrize("kind", sorted(COSTS))
+def test_search_visits_the_nodes_of_the_recursive_search(kind, trigger, lp_calls,
+                                                        monkeypatch):
+    # Triggers 2 and 5 fall among the first children, often inside a run of
+    # siblings the parent counts in one step; 1000 inside larger searches.
+    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
+    rng = random.Random(f"nodes {kind} {trigger}")
+    for _ in range(30):
+        n = rng.randint(1, 9)
+        cost = COSTS[kind](rng)
+        sets = [(cost(), rng.sample(range(n), rng.randint(1, n)))
+                for _ in range(rng.randint(1, 12))] + [(cost(), range(n))]
+        visited_nodes(n, sets)
+    for _ in range(6):
+        n = rng.randint(16, 22)
+        visited_nodes(n, random_cover(rng, n, COSTS[kind](rng)))
+    assert lp_calls
+
+
+@pytest.mark.parametrize("sets", [
+    [(0, [0, 1]), (0, [0]), (0, [1]), (1, [0, 1])],
+    [(0, [0]), (3, [1, 2]), (0, [1]), (2, [2]), (0, [0, 2]), (1, [1, 2])],
+    [(2, [0, 1]), (1, [0]), (1, [1]), (2, [0, 1]), (2, [1, 2]), (0, [2])],
+    [(1, [0, 1, 2]), (1, [0, 1, 2]), (1, [0]), (2, [1, 2, 1]), (1, [0, 1, 2])],
+], ids=["zero-cost-cover", "zero-cost-mix", "ties-at-the-incumbent", "repeats"])
+@pytest.mark.parametrize("trigger", [1, 2, 3, 1000])
+def test_zero_costs_and_ties_visit_the_same_nodes(sets, trigger, monkeypatch):
+    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
+    visited_nodes(1 + max(el for _, els in sets for el in els), sets)
+
+
+def test_counts_that_skip_siblings_cross_the_trigger_and_the_budget(lp_calls, monkeypatch):
+    # Root (node 1), a leaf at cost 1 (node 2), then five siblings no cheaper
+    # than that leaf, counted in one step (nodes 3 to 7).
+    sets = [(1, [0]), (1, [0]), (2, [0]), (3, [0]), (4, [0]), (5, [0])]
+    assert recursive_exact_min_cover(1, sets)[2] == 7
+    for trigger, cap, reaches_lp, within in [(5, 7, True, True), (8, 7, False, True),
+                                            (5, 6, True, False), (7, 6, False, False),
+                                            (3, 2, False, False), (2, 2, True, False)]:
+        monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
+        lp_calls.clear()
+        if within:
+            assert exact_min_cover(1, sets, node_cap=cap) == (1, (0,))
+        else:
+            with pytest.raises(BudgetError):
+                exact_min_cover(1, sets, node_cap=cap)
+        assert len(lp_calls) == reaches_lp, (trigger, cap)
+
+
 def test_dual_bound_is_dual_feasible():
     rng = random.Random(3)
     for kind in sorted(COSTS):
@@ -323,6 +466,25 @@ def test_weighted_tree_grids_finish_under_the_cap(weight_max, seed):
     x, trace = solve(inst)
     assert trace.levels[0].omega_size > 0
     assert is_feasible(inst, x)
+
+
+@pytest.mark.parametrize("seed", [0, 6, 11])
+def test_tree_searches_visit_the_nodes_of_the_recursive_search(seed, lp_calls, monkeypatch):
+    # The tree-cover workload's shape: every level-1 search here passes the
+    # LP trigger, so the dual bound prunes from per-byte tables.
+    searches = []
+    original = driver.exact_min_cover
+
+    def record(n, sets, node_cap=None):
+        searches.append((n, sets))
+        return original(n, sets, node_cap)
+
+    monkeypatch.setattr(driver, "exact_min_cover", record)
+    solve(gen_grid(10, 10, 36, 3, 1, seed, "mst"))
+    assert len(searches) == 1 and searches[0][0] > 8
+    lp_calls.clear()
+    assert visited_nodes(*searches[0]) > setcover.LP_BOUND_AFTER
+    assert len(lp_calls) == 3     # the reference, and both capped searches
 
 
 def test_level1_budget_exits_4(tmp_path, capsys, monkeypatch):
