@@ -14,8 +14,7 @@ from .generators import (Hypergraph, gen_grid, gen_hypergraph_vc,
                          random_hypergraph, reduce_hypergraph_vc,
                          serialize_hypergraph)
 from .instance import (EmbeddedSubgraph, FaceSet, Instance, PlaneGraph,
-                       induced_faces, parse_instance, serialize_instance,
-                       trace_faces)
+                       parse_instance, serialize_instance)
 from .links import (FailureCut, StepContext, TypedLink, covers,
                     enumerate_typed_links, failure_components,
                     preprocess_step)
@@ -26,7 +25,7 @@ from .oracle import OracleBudget, brute_force_opt, brute_force_vc, is_feasible
 from .rounding import (CircleInstance, RectangleSystem, ScenarioPartition,
                        build_circle_instance, chords_intersect,
                        chords_to_rectangles, cover_intervals_exact,
-                       partition_scenarios, round_face, solve_anchored_cover)
+                       partition_scenarios, round_face)
 from .setcover import exact_min_cover
 
 __version__ = "0.1.0"
@@ -38,7 +37,7 @@ __all__ = [
     "parse_hypergraph", "random_hypergraph", "reduce_hypergraph_vc",
     "serialize_hypergraph",
     "EmbeddedSubgraph", "FaceSet", "Instance", "PlaneGraph",
-    "induced_faces", "parse_instance", "serialize_instance", "trace_faces",
+    "parse_instance", "serialize_instance",
     "FailureCut", "StepContext", "TypedLink", "covers",
     "enumerate_typed_links", "failure_components", "preprocess_step",
     "FractionalCover", "LinearProgram", "SeparationResult",
@@ -47,6 +46,5 @@ __all__ = [
     "CircleInstance", "RectangleSystem", "ScenarioPartition",
     "build_circle_instance", "chords_intersect", "chords_to_rectangles",
     "cover_intervals_exact", "partition_scenarios", "round_face",
-    "solve_anchored_cover",
     "exact_min_cover",
 ]

@@ -356,7 +356,7 @@ class Instance:
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
-                 scenarios=(), precheck=True):
+                 scenarios=()):
         self.node_count = int(node_count)
         self.edges = tuple((int(e), int(u), int(v), int(w)) for e, u, v, w in edges)
         self.rotation = {int(n): tuple(int(e) for e in rot) for n, rot in rotation.items()}
@@ -364,11 +364,11 @@ class Instance:
         self.s = None if s is None else int(s)
         self.t = None if t is None else int(t)
         self.scenarios = tuple(tuple(int(e) for e in sc) for sc in scenarios)
-        self._validate(precheck)
+        self._validate()
 
     # -- validation -----------------------------------------------------
 
-    def _validate(self, precheck):
+    def _validate(self):
         if self.node_count < 1:
             raise InstanceError("node count must be positive")
         if self.problem not in ("st", "mst"):
@@ -424,8 +424,7 @@ class Instance:
             raise InstanceError("graph is not connected")
         if self.graph.euler_defect() != 0:
             raise InstanceError("rotation system not planar (Euler check failed)")
-        if precheck:
-            self.check_feasible()
+        self.check_feasible()
 
     def check_feasible(self):
         """Removing any single full scenario must keep the requirement; read
@@ -508,13 +507,26 @@ def is_int_rows(value, width=None):
             and (width is None or set(map(len, value)) <= {width}))
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a key given twice is an error, not overwritten."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        data[key] = value
+    return data
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def parse_instance(data):
     """Parse the JSON instance format into a validated Instance."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
-            data = json.loads(data)
+            data = _DECODER.decode(data)
         except ValueError as exc:   # bad JSON, or an integer over Python's digit limit
             raise InstanceError(f"malformed instance file: {exc}") from None
     if not isinstance(data, dict):
@@ -536,6 +548,9 @@ def parse_instance(data):
             raise ValueError
     except (AttributeError, ValueError):
         raise InstanceError("rotation must map node ids to edge id lists") from None
+    for key in data["rotation"]:
+        if str(int(key)) != key:    # "02", "+2", " 2": one node, two spellings
+            raise InstanceError(f"rotation key {key!r} is not a canonical node id")
     if any(data.get(key) is not None and type(data[key]) is not int for key in ("s", "t")):
         raise InstanceError("terminals s and t must be integer node ids")
     scenarios = data.get("scenarios", [])
@@ -559,24 +574,14 @@ def serialize_instance(instance):
 
 # -- face machinery -------------------------------------------------------
 
-def trace_faces(obj):
-    """Faces of an Instance or PlaneGraph; raises if the Euler check fails."""
-    graph = obj.graph if isinstance(obj, Instance) else obj
-    faces = graph.faces
-    if len(graph.nodes) - len(graph.edges) + len(faces) != 2:
-        raise InstanceError("rotation system not planar (Euler check failed)")
-    return faces
-
-
-def induced_faces(obj, chosen):
-    """Faces of the subgraph (V[X], X) induced by the parent embedding.
+def induced_faces(graph, chosen):
+    """Faces of the subgraph (V[X], X) induced by the PlaneGraph's embedding.
 
     Computed by union-find over parent faces (merging the two sides of
     every unchosen edge), with the boundary walks recovered by tracing the
     rotation system restricted to X.  Every unchosen edge is assigned to
     the induced face containing it.
     """
-    graph = obj.graph if isinstance(obj, Instance) else obj
     chosen = frozenset(chosen)
     if not chosen:
         raise ValueError("chosen edge set must be nonempty")

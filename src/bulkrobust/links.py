@@ -26,8 +26,14 @@ side of its own id's component of X - f.  The solution nodes are labelled
 once per (level, scenario), O(|nodes|), and each set's sides are read from
 its scenario's labels, O(k).  A cut is stored as the scenario's shared
 label list plus one side per label; `failure_components` builds the
-`FailureCut` when asked.  The no-bridge guarantee of the contracted
-solution is checked by one depth-first pass, O(|kept|).
+`FailureCut` when asked.
+
+At level >= 2 no pass looks for bridges of the contracted solution: the
+face check rules them out.  Every kept edge lies in a relevant failure set,
+and in the connected solution a non-bridge borders two distinct induced
+faces, a bridge one.  The face check wants 2 * level edge-face incidences
+from each set's `level` edges (0 or 2 on every face, 2 on exactly `level`
+faces), which a set holding a bridge cannot give.
 """
 
 import heapq
@@ -182,48 +188,6 @@ class StepContext:
         return found[1]
 
 
-def bridges(edges):
-    """Sorted ids of the bridges of a multigraph given as (id, u, v) rows.
-
-    One iterative depth-first pass (Tarjan 1974): the edge into a node is a
-    bridge iff no edge from that node's subtree reaches above it.  The edge
-    into a node is skipped by id, not by the parent node, so an edge
-    parallel to it counts as a way back and parallel edges are never
-    bridges.
-    """
-    adj = {}
-    for e, u, v in edges:
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    order = {}      # node -> discovery index
-    low = {}        # node -> lowest discovery index its subtree reaches
-    found = []
-    for root in adj:
-        if root in order:
-            continue
-        order[root] = low[root] = len(order)
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            node, via, todo = stack[-1]
-            for e, other in todo:
-                if e == via:
-                    continue
-                if other in order:
-                    low[node] = min(low[node], order[other])
-                else:
-                    order[other] = low[other] = len(order)
-                    stack.append((other, e, iter(adj[other])))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > order[parent]:
-                        found.append(via)
-    return sorted(found)
-
-
 def preprocess_step(instance, x_edges, level):
     """Build the StepContext for augmentation level `level`.
 
@@ -267,28 +231,17 @@ def preprocess_step(instance, x_edges, level):
     if not omega:
         return ctx
 
-    union_omega = frozenset().union(*omega)
-    if not union_omega <= x:
-        raise InvariantError("a relevant failure set contains a non-X edge")
-
-    graph, node_map, contracted, loops = instance.graph.contract(x - union_omega)
-    if union_omega.intersection(loops):
+    kept = frozenset().union(*omega)    # inside X: the loop skips other sets
+    graph, node_map, contracted, loops = instance.graph.contract(x - kept)
+    if kept.intersection(loops):
         raise InvariantError("contraction deleted an edge of a relevant failure set")
     if graph.euler_defect() != 0:
         raise InvariantError("contracted graph lost its planar embedding")
 
-    kept = union_omega
-    sub_nodes = frozenset(n for e in kept for n in graph.endpoints(e))
-    if level >= 2:
-        found = bridges((e, *graph.endpoints(e)) for e in kept)
-        if found:
-            raise InvariantError(
-                f"edge {found[0]} is a bridge of the contracted solution at level {level}")
-
     subgraph = induced_faces(graph, kept)
     e_rest = {e: graph.edges[e] for e in sorted(graph.edges) if e not in kept}
 
-    cut_nodes = tuple(sorted(sub_nodes))
+    cut_nodes = tuple(sorted(subgraph.nodes))
     pos = {node: i for i, node in enumerate(cut_nodes)}
     # side_s holds s, or for mst the smallest node.
     anchor = pos[node_map[instance.s]] if instance.problem == "st" else 0

@@ -6,14 +6,16 @@ per boundary edge) is the circle, failure sets become demand chords between
 subdivision points, links become weighted covering chords between boundary
 nodes.  A node the walk visits more than once sits at its first corner, so
 every face takes this one path.  Chord domination transfers to containment
-of points in anchored axis-aligned rectangles inside a square, demands
-split by where at least half their fractional mass lives (left-anchored vs
-top-anchored), and each side is then solved exactly within the budget of
-`setcover.exact_min_cover`.  The level-1 cases never build circles: the
-contracted path or tree induces one face, and its typed links are covered
-exactly (`cover_intervals_exact` on the path, an exact cut cover on the
-tree).  Which links cover which failure set is read from the level's
-table `StepContext.covering`, the same one the LP used.
+of points in anchored axis-aligned rectangles inside a square, and which
+rectangles hold each point is computed once per face.  From that relation
+demands split by where at least half their fractional mass lives (left-
+vs top-anchored), `round_face` checks it against chords and cuts, and each
+side is solved exactly within the budget of `setcover.exact_min_cover`.
+The level-1 cases never build circles: the contracted path or tree induces
+one face, and its typed links are covered exactly (`cover_intervals_exact`
+on the path, an exact cut cover on the tree).  Which links cover which
+failure set is read from the level's table `StepContext.covering`, the
+same one the LP used.
 """
 
 import bisect
@@ -52,11 +54,11 @@ class CircleInstance:
 class RectangleSystem:
     """The circle instance mapped into a size x size square."""
 
-    size: int
-    points: dict             # demand index -> (x, y) above the main diagonal
-    lefts: dict              # coverer index -> left-anchored rectangle
-    tops: dict               # coverer index -> top-anchored rectangle
-    z: dict                  # coverer index -> fractional value
+    points: tuple            # per demand: (x, y) above the main diagonal
+    lefts: tuple             # per coverer: left-anchored rectangle
+    tops: tuple              # per coverer: top-anchored rectangle
+    in_left: tuple           # per demand: coverers whose left rectangle holds it
+    in_top: tuple            # per demand: coverers whose top rectangle holds it
     left_demands: tuple      # demand indices with >= 1/2 mass on left rectangles
     top_demands: tuple       # the rest
 
@@ -105,8 +107,10 @@ def partition_scenarios(ctx, cover):
     return ScenarioPartition(face_scenarios, chosen_face, masses, face_links)
 
 
-def build_circle_instance(ctx, face, scenarios, cover):
-    """Subdivide the face boundary and attach demand and covering chords.
+def build_circle_instance(ctx, cover, partition, face):
+    """Subdivide the face boundary and attach demand and covering chords:
+    one demand per failure set the partition assigns to the face, one
+    coverer per link of `partition.face_links[face]`, in that order.
 
     Corner l of the boundary walk is circle point 2l and its edge l is
     point 2l + 1.  A node the walk visits more than once takes the point of
@@ -125,7 +129,7 @@ def build_circle_instance(ctx, face, scenarios, cover):
     edge_pos = {eid: 2 * l + 1 for l, (_, eid) in enumerate(walk)}
 
     demands = []
-    for f_set in scenarios:
+    for f_set in partition.face_scenarios.get(face, ()):
         on_face = sorted(edge_pos[e] for e in f_set if e in edge_pos)
         if len(on_face) != 2:
             raise InvariantError(
@@ -135,9 +139,8 @@ def build_circle_instance(ctx, face, scenarios, cover):
 
     coverers = []
     level = ctx.level
-    for idx, link in enumerate(cover.links):
-        if link.face != face:
-            continue
+    for idx in partition.face_links.get(face, ()):
+        link = cover.links[idx]
         a, b = node_pos[link.u], node_pos[link.v]
         chord = (a, b) if a < b else (b, a)
         coverers.append((idx, chord, link.cost, level * float(cover.values[idx])))
@@ -166,55 +169,32 @@ def chords_to_rectangles(ci):
     [p_0, p_l] x [p_l, p_r] and the top-anchored rectangle
     [p_l, p_r] x [p_r, p_last]; a demand chord becomes the point of its
     endpoint pair.  Domination is exactly containment in either rectangle.
+    Containment is computed here once per (demand, coverer) pair, and the
+    mass split, `round_face`'s check and both side covers read it.
     """
     last = ci.size - 1
-    points = {}
-    for d_idx, (_, chord) in enumerate(ci.demands):
-        points[d_idx] = chord        # already normalized (l, r), l < r
-    lefts = {}
-    tops = {}
-    z = {}
-    for c_idx, (_, chord, _, zval) in enumerate(ci.coverers):
-        l, r = chord
-        lefts[c_idx] = (0, l, l, r)
-        tops[c_idx] = (l, r, r, last)
-        z[c_idx] = zval
+    points = tuple(chord for _, chord in ci.demands)    # normalized (l, r), l < r
+    lefts = tuple((0, l, l, r) for _, (l, r), _, _ in ci.coverers)
+    tops = tuple((l, r, r, last) for _, (l, r), _, _ in ci.coverers)
+    in_left = tuple(tuple(c for c, rect in enumerate(lefts) if _in_rect(point, rect))
+                    for point in points)
+    in_top = tuple(tuple(c for c, rect in enumerate(tops) if _in_rect(point, rect))
+                   for point in points)
     left_demands = []
     top_demands = []
-    for d_idx in range(len(ci.demands)):
-        left_mass = sum(z[c] for c in lefts if _in_rect(points[d_idx], lefts[c]))
-        if left_mass >= 0.5 - EPS_FEAS:
+    for d_idx, held in enumerate(in_left):
+        if sum(ci.coverers[c][3] for c in held) >= 0.5 - EPS_FEAS:
             left_demands.append(d_idx)
         else:
             top_demands.append(d_idx)
-    return RectangleSystem(ci.size, points, lefts, tops, z,
+    return RectangleSystem(points, lefts, tops, in_left, in_top,
                            tuple(left_demands), tuple(top_demands))
-
-
-def solve_anchored_cover(points, rects):
-    """Exact minimum-cost rectangle cover of the given points.
-
-    `points` maps point ids to (x, y); `rects` maps rectangle ids to
-    (rectangle, cost).  Returns (chosen rect ids, total cost).  The search
-    has `exact_min_cover`'s budget (BudgetError past it).
-    """
-    point_ids = sorted(points)
-    rect_ids = sorted(rects)
-    index_of = {p: i for i, p in enumerate(point_ids)}
-    sets = []
-    for rid in rect_ids:
-        rect, cost = rects[rid]
-        covered = [index_of[p] for p in point_ids if _in_rect(points[p], rect)]
-        sets.append((cost, covered))
-    try:
-        cost, picked = exact_min_cover(len(point_ids), sets)
-    except ValueError as exc:
-        raise ValueError(f"anchored cover is infeasible: {exc}") from None
-    return tuple(rect_ids[i] for i in picked), cost
 
 
 def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_cost,
                  bound, circle=None, system=None):
+    """The face's trace record; coverer i of `circle` and `system` is link
+    `link_ids[i]`."""
     covered = covered_by(ctx.covering(cover.links), scenarios)
     demand_list = []
     for pos, f_set in enumerate(scenarios):
@@ -222,15 +202,8 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
         if circle is not None:
             entry["chord"] = list(circle.demands[pos][1])
         demand_list.append(entry)
-    chord_of = {}
-    rect_of = {}
-    if circle is not None:
-        for c_idx, (lidx, chord, _, _) in enumerate(circle.coverers):
-            chord_of[lidx] = chord
-            if system is not None:
-                rect_of[lidx] = (system.lefts[c_idx], system.tops[c_idx])
     cover_list = []
-    for idx in link_ids:
+    for pos, idx in enumerate(link_ids):
         link = cover.links[idx]
         entry = {
             "link": idx,
@@ -240,11 +213,10 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
             "x": float(cover.values[idx]),
             "covers": covered.get(idx, []),
         }
-        if idx in chord_of:
-            entry["chord"] = list(chord_of[idx])
-        if idx in rect_of:
-            entry["rect_left"] = list(rect_of[idx][0])
-            entry["rect_top"] = list(rect_of[idx][1])
+        if circle is not None:
+            entry["chord"] = list(circle.coverers[pos][1])
+            entry["rect_left"] = list(system.lefts[pos])
+            entry["rect_top"] = list(system.tops[pos])
         cover_list.append(entry)
     record = {
         "face": face,
@@ -258,7 +230,6 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
     }
     if circle is not None:
         record["circle_points"] = circle.size
-    if system is not None:
         record["left_demands"] = list(system.left_demands)
         record["top_demands"] = list(system.top_demands)
     return record
@@ -268,11 +239,12 @@ def round_face(ctx, cover, partition, face):
     """Cover the failure sets assigned to one face with its typed links.
 
     The face becomes a circle instance (`build_circle_instance`), its
-    chords anchored rectangles, and each anchored side is solved exactly
-    within `exact_min_cover`'s budget; past it the BudgetError names the
-    level and the face.  The result covers every assigned failure set and
-    its cost is checked against 8 * level * (face share of the LP
-    objective).
+    chords anchored rectangles, and each anchored side goes to
+    `exact_min_cover` as one set per coverer: the side's demands whose
+    point its rectangle holds.  Past the search budget the BudgetError
+    names the level and the face.  The result covers every assigned
+    failure set and its cost is checked against 8 * level * (face share of
+    the LP objective).
     """
     level = ctx.level
     scenarios = partition.face_scenarios.get(face, ())
@@ -285,15 +257,15 @@ def round_face(ctx, cover, partition, face):
         return RoundedFace(face, (), 0.0, bound, record)
 
     table = ctx.covering(cover.links)
-    circle = build_circle_instance(ctx, face, scenarios, cover)
+    circle = build_circle_instance(ctx, cover, partition, face)
     system = chords_to_rectangles(circle)
     # live equivalence check: chord domination == endpoint cover relation
     for d_idx, (f_set, d_chord) in enumerate(circle.demands):
         cut_links = set(table[f_set])
+        held = set(system.in_left[d_idx]).union(system.in_top[d_idx])
         for c_idx, (lidx, c_chord, _, _) in enumerate(circle.coverers):
             geo = chords_intersect(d_chord, c_chord)
-            rect = (_in_rect(system.points[d_idx], system.lefts[c_idx])
-                    or _in_rect(system.points[d_idx], system.tops[c_idx]))
+            rect = c_idx in held
             via_cut = lidx in cut_links
             if geo != via_cut or geo != rect:
                 raise InvariantError(
@@ -301,17 +273,19 @@ def round_face(ctx, cover, partition, face):
                     f"{face}: demand {sorted(f_set)}, link {lidx}",
                     payload={"demand": d_chord, "coverer": c_chord,
                              "geo": geo, "cut": via_cut, "rect": rect})
-    rect_costs = {c_idx: ci_cost for c_idx, (_, _, ci_cost, _)
-                  in enumerate(circle.coverers)}
     chosen_cov = set()
-    for demands, rects in ((system.left_demands, system.lefts),
-                           (system.top_demands, system.tops)):
+    for demands, holders in ((system.left_demands, system.in_left),
+                             (system.top_demands, system.in_top)):
         if not demands:
             continue
+        members = [[] for _ in circle.coverers]
+        for pos, d_idx in enumerate(demands):
+            for c_idx in holders[d_idx]:
+                members[c_idx].append(pos)
+        sets = [(c_cost, members[c_idx])
+                for c_idx, (_, _, c_cost, _) in enumerate(circle.coverers)]
         try:
-            picked, _ = solve_anchored_cover(
-                {d: system.points[d] for d in demands},
-                {c: (rects[c], rect_costs[c]) for c in rects})
+            _, picked = exact_min_cover(len(demands), sets)
         except BudgetError as exc:
             raise BudgetError(f"level {level}, face {face}: anchored-side cover",
                               exc.budget) from None

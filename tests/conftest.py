@@ -12,13 +12,13 @@ def triangle_instance(problem="st", scenarios=((0,),)):
                     {0: [0, 1], 1: [0, 2], 2: [1, 2]}, problem, s, t, scenarios)
 
 
-def square_cycle(scenarios=((0,),), weights=(1, 1, 1, 1), precheck=True):
+def square_cycle(scenarios=((0,),), weights=(1, 1, 1, 1)):
     """4-cycle s=0, a=1, t=2, b=3 with edges e0=sa, e1=at, e2=tb, e3=bs."""
     w = weights
     return Instance(4, [(0, 0, 1, w[0]), (1, 1, 2, w[1]),
                         (2, 2, 3, w[2]), (3, 3, 0, w[3])],
                     {0: [0, 3], 1: [1, 0], 2: [2, 1], 3: [3, 2]},
-                    "st", 0, 2, scenarios, precheck=precheck)
+                    "st", 0, 2, scenarios)
 
 
 def square_with_chords(inner=True, outer=True, chord_weight=5,

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from bulkrobust import brute_force_vc, gen_grid, gen_hypergraph_vc, parse_hypergraph
 from bulkrobust import setcover
 from bulkrobust.cli import face_gap, main
-from bulkrobust.errors import BudgetError
+from bulkrobust.errors import BudgetError, InstanceError
 from bulkrobust.lp import LinearProgram, simplex_min
 from conftest import build_suite_instance, suite_schedule, triangle_instance
-from bulkrobust.instance import serialize_instance
+from bulkrobust.instance import parse_instance, serialize_instance
 
 
 def _write_triangle(path):
@@ -187,6 +187,29 @@ def test_malformed_input_exit_code(tmp_path, capsys, key, value, solution):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rotation_keys_must_name_each_node_once(tmp_path, capsys):
+    # Every key here names node 1 or 2 other than as "1" or "2"; read with
+    # int(), "02" next to "2" would replace node 2's rotation.  The last
+    # text gives the key "2" twice.
+    rotations = [dict(TRIANGLE_ROTATION, **{"02": [2, 1]})]
+    for key, spelled in (("2", "+2"), ("1", " 1"), ("2", "0_2")):
+        rotation = dict(TRIANGLE_ROTATION)
+        rotation[spelled] = rotation.pop(key)
+        rotations.append(rotation)
+    data = json.loads(serialize_instance(triangle_instance()))
+    texts = [json.dumps(dict(data, rotation=rot)) for rot in rotations]
+    texts.append(json.dumps(data).replace('"2": [1, 2]', '"2": [1, 2], "2": [2, 1]'))
+    assert '"2": [2, 1]' in texts[-1]
+    inst = tmp_path / "inst.json"
+    for text in texts:
+        with pytest.raises(InstanceError, match="rotation key|appears twice"):
+            parse_instance(text)
+        inst.write_text(text)
+        assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_long_path_solves_and_verifies(tmp_path, capsys):

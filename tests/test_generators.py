@@ -6,14 +6,14 @@ from bulkrobust import (Hypergraph, InstanceError, brute_force_opt,
                         brute_force_vc, gen_grid, gen_hypergraph_vc,
                         gen_series_parallel, parse_hypergraph, parse_instance,
                         random_hypergraph, reduce_hypergraph_vc,
-                        serialize_hypergraph, serialize_instance, trace_faces)
+                        serialize_hypergraph, serialize_instance)
 
 
 def test_grid_basic():
     inst = gen_grid(2, 3, 1, 1, 1, seed=7)
     assert inst.node_count == 6
     assert len(inst.edges) == 7
-    assert len(trace_faces(inst)) == 3
+    assert len(inst.graph.faces) == 3
     assert inst.problem == "st" and inst.s == 0 and inst.t == 5
 
 
@@ -83,13 +83,13 @@ def _series_parallel_reducible(inst):
 def test_sp_depth0():
     inst = gen_series_parallel(0, 0, 1, 1, seed=0)
     assert inst.node_count == 2 and len(inst.edges) == 1
-    assert len(trace_faces(inst)) == 1
+    assert len(inst.graph.faces) == 1
 
 
 def test_sp_depth1_parallel_root():
     inst = gen_series_parallel(1, 1, 1, 1, seed=9)
     assert inst.node_count == 2 and len(inst.edges) == 2
-    assert len(trace_faces(inst)) == 2
+    assert len(inst.graph.faces) == 2
 
 
 def test_sp_structure_and_recognizer():

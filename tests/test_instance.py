@@ -7,8 +7,8 @@ import pytest
 
 from bulkrobust import (InfeasibleError, InstanceError, Instance, PlaneGraph,
                         gen_grid, gen_hypergraph_vc, gen_series_parallel,
-                        induced_faces, parse_instance, serialize_instance,
-                        trace_faces)
+                        parse_instance, serialize_instance)
+from bulkrobust.instance import induced_faces
 from conftest import grid_2x3, square_cycle, triangle_instance
 
 TRIANGLE_JSON = {
@@ -89,11 +89,11 @@ def test_roundtrip_idempotent():
 
 
 def test_trace_faces_counts():
-    assert len(trace_faces(triangle_instance())) == 2
-    assert len(trace_faces(grid_2x3())) == 3
+    assert len(triangle_instance().graph.faces) == 2
+    assert len(grid_2x3().graph.faces) == 3
     path = Instance(3, [(0, 0, 1, 1), (1, 1, 2, 1)],
                     {0: [0], 1: [0, 1], 2: [1]}, "mst")
-    faces = trace_faces(path)
+    faces = path.graph.faces
     assert len(faces) == 1
     assert len(faces.faces[0]) == 4
 
@@ -101,7 +101,7 @@ def test_trace_faces_counts():
 def test_trace_faces_euler_everywhere():
     for seed in range(10):
         inst = gen_grid(2 + seed % 3, 3, 1, 2, 3, seed=seed)
-        faces = trace_faces(inst)
+        faces = inst.graph.faces
         n, m = inst.node_count, len(inst.edges)
         assert n - m + len(faces) == 2
         # every dart in exactly one face, walk lengths sum to 2 m
@@ -110,13 +110,13 @@ def test_trace_faces_euler_everywhere():
 
 def test_induced_faces_chosen_equals_all():
     sq = square_cycle()
-    sub = induced_faces(sq, {0, 1, 2, 3})
+    sub = induced_faces(sq.graph, {0, 1, 2, 3})
     assert len(sub.faces) == 2
     assert sub.edge_face == {}
 
 
 def test_induced_faces_triangle_single_edge():
-    sub = induced_faces(triangle_instance(), {0})
+    sub = induced_faces(triangle_instance().graph, {0})
     assert len(sub.faces) == 1
     assert sub.edge_face == {1: 0, 2: 0}
 
@@ -129,7 +129,7 @@ def test_induced_faces_grid_outer_cycle():
     mid = [e for e, (u, v, _) in g.edge_map.items() if {u, v} == {1, 4}]
     assert len(mid) == 1
     chosen = set(g.edge_map) - set(mid)
-    sub = induced_faces(g, chosen)
+    sub = induced_faces(g.graph, chosen)
     assert len(sub.faces) == 2
     inner = sub.edge_face[mid[0]]
     inner_nodes = {tail for tail, _ in sub.faces.faces[inner]}
@@ -152,7 +152,7 @@ def test_induced_faces_partition_property():
         if not connected_under(nodes, (g.edge_map[e][:2] for e in chosen)):
             continue
         tried += 1
-        sub = induced_faces(g, chosen)
+        sub = induced_faces(g.graph, chosen)
         rest = set(all_edges) - chosen
         assert set(sub.edge_face) == rest
         assert all(0 <= f < len(sub.faces) for f in sub.edge_face.values())
@@ -266,4 +266,4 @@ def test_orientation_mirror_still_valid():
     mirrored = Instance(g.node_count, g.edges,
                         {n: list(reversed(rot)) for n, rot in g.rotation.items()},
                         g.problem, g.s, g.t, g.scenarios)
-    assert len(trace_faces(mirrored)) == len(trace_faces(g))
+    assert len(mirrored.graph.faces) == len(g.graph.faces)

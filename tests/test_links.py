@@ -1,16 +1,14 @@
 """Step preprocessing, cuts, the cover relation, typed links."""
 
-import random
-
 import pytest
 
-from bulkrobust import (InvariantError, covers, enumerate_typed_links,
+from bulkrobust import (Instance, InvariantError, covers, enumerate_typed_links,
                         failure_components, gen_grid, gen_hypergraph_vc,
                         preprocess_step, solve)
 from bulkrobust import driver
 from bulkrobust.driver import minimum_spanning_tree as mst
-from bulkrobust.instance import Feasibility, UnionFind, connected_under
-from bulkrobust.links import bridges, dijkstra, lex_shortest_path
+from bulkrobust.instance import Feasibility, UnionFind
+from bulkrobust.links import dijkstra, lex_shortest_path
 from conftest import (build_suite_instance, square_with_chords, suite_schedule,
                       triangle_instance)
 
@@ -199,11 +197,12 @@ def test_typed_links_triangle():
     assert link.cost == 2
 
 
-def test_typed_links_empty_interior():
+def test_typed_links_empty_interior(monkeypatch):
     # chord-free square cycle: no candidate edges, so no links (the bare
     # instance is infeasible as a whole, which is fine for a step test)
     from conftest import square_cycle
-    sq = square_cycle(scenarios=((0, 2),), precheck=False)
+    monkeypatch.setattr(Instance, "check_feasible", lambda self: None)
+    sq = square_cycle(scenarios=((0, 2),))
     ctx = preprocess_step(sq, {0, 1, 2, 3}, 2)
     assert ctx.omega == (frozenset({0, 2}),)
     assert enumerate_typed_links(ctx) == ()
@@ -292,64 +291,25 @@ def test_lex_shortest_path_tie_break():
     assert path == (0, 2)
 
 
-def bridges_by_definition(edges):
-    """Edges whose deletion splits their component, by connected_under."""
-    uf = UnionFind({n for _, u, v in edges for n in (u, v)})
-    for _, u, v in edges:
-        uf.union(u, v)
-    found = []
-    for e, u, v in edges:
-        comp = {n for n in uf.parent if uf.same(n, u)}
-        rest = [(a, b) for e2, a, b in edges if e2 != e and a in comp]
-        if not connected_under(comp, rest):
-            found.append(e)
-    return sorted(found)
-
-
-def random_multigraph(rng):
-    """Up to 10 nodes in up to 3 groups, edges only inside a group, and
-    parallel copies of some edges."""
-    groups = [[] for _ in range(rng.randint(1, 3))]
-    for node in range(rng.randint(2, 10)):
-        rng.choice(groups).append(node)
-    groups = [g for g in groups if len(g) > 1]
-    rows = []
-    for e in rng.sample(range(100), rng.randint(1, 12) if groups else 0):
-        u, v = rng.sample(rng.choice(groups), 2)
-        rows.append((e, u, v))
-        if rng.random() < 0.2:
-            rows.append((100 + len(rows), v, u))
-    return rows
-
-
-def test_bridges_match_the_definition():
-    rng = random.Random(11)
-    parallel = components = 0
-    for _ in range(400):
-        rows = random_multigraph(rng)
-        assert bridges(rows) == bridges_by_definition(rows), rows
-        pairs = [frozenset((u, v)) for _, u, v in rows]
-        parallel += len(pairs) != len(set(pairs))
-        uf = UnionFind({n for _, u, v in rows for n in (u, v)})
-        for _, u, v in rows:
-            uf.union(u, v)
-        components += uf.component_count() > 1
-    assert parallel > 100 and components > 100
-
-
-def test_bridges_by_hand():
-    # a triangle 0-1-2, a doubled edge 2-3, a pendant edge 3-4, and a
-    # separate edge 5-6
-    rows = [(0, 0, 1), (1, 1, 2), (2, 2, 0), (3, 2, 3), (4, 3, 2),
-            (5, 3, 4), (6, 5, 6)]
-    assert bridges(rows) == [5, 6]
-    assert bridges([]) == []
-
-
-def test_preprocess_names_the_smallest_bridge(monkeypatch):
-    import bulkrobust.links as links_mod
-    monkeypatch.setattr(links_mod, "bridges", lambda rows: [2, 7])
-    sq = square_with_chords(inner=True, outer=False)
-    with pytest.raises(InvariantError, match=r"^edge 2 is a bridge of the "
-                       r"contracted solution at level 2$"):
-        preprocess_step(sq, {0, 1, 2, 3}, 2)
+@pytest.mark.parametrize("forge_cut, message", [
+    (False, r"^edge 0 of failure set \[0, 4\] does not cross its cut$"),
+    (True, r"^face \d carries 1 edges of failure set \[0, 4\]; expected 0 or 2$"),
+], ids=["cut-check", "face-check"])
+def test_preprocess_rejects_a_bridge_in_a_failure_set(monkeypatch, forge_cut, message):
+    # A square 0-1-2-3 with a pendant edge 4 = (2, 4), a bridge of X that
+    # both level-2 failure sets hold.  Only an X that fails level 1 has one,
+    # so the level-1 checks are switched off.  The cut check refuses the set;
+    # with the cut forged to pass (contracted node 1 against nodes 0 and 4),
+    # the face check refuses it: edge 4 borders one face, edge 0 two.
+    monkeypatch.setattr(Instance, "check_feasible", lambda self: None)
+    monkeypatch.setattr(Feasibility, "first_failure", lambda self, size: None)
+    if forge_cut:
+        monkeypatch.setattr(Feasibility, "labels",
+                            lambda self, j, nodes: list(range(len(nodes))))
+        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (2, [0, 1, 0]))
+    inst = Instance(5, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1), (3, 3, 0, 1),
+                        (4, 2, 4, 1)],
+                    {0: [0, 3], 1: [1, 0], 2: [2, 1, 4], 3: [3, 2], 4: [4]},
+                    "mst", scenarios=[(0, 4), (2, 4)])
+    with pytest.raises(InvariantError, match=message):
+        preprocess_step(inst, range(5), 2)

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from bulkrobust import (FractionalCover, InfeasibleError, InvariantError,
+from bulkrobust import (FractionalCover, InfeasibleError, Instance, InvariantError,
                         LinearProgram,
                         enumerate_typed_links, failure_components,
                         gen_hypergraph_vc, max_flow_min_cut, preprocess_step,
@@ -379,9 +379,10 @@ def test_solve_link_lp_lower_bounds_integral_covers():
             assert cover.objective <= link.cost + 1e-7
 
 
-def test_solve_link_lp_infeasible_without_links():
+def test_solve_link_lp_infeasible_without_links(monkeypatch):
     from conftest import square_cycle
-    sq = square_cycle(scenarios=((0, 2),), precheck=False)
+    monkeypatch.setattr(Instance, "check_feasible", lambda self: None)
+    sq = square_cycle(scenarios=((0, 2),))
     ctx = preprocess_step(sq, {0, 1, 2, 3}, 2)
     with pytest.raises(InfeasibleError):
         solve_link_lp(ctx, ())

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 
 from bulkrobust import (CircleInstance, FractionalCover, Instance,
-                        build_circle_instance, chords_intersect,
-                        chords_to_rectangles, cover_intervals_exact, covers,
-                        enumerate_typed_links, exact_min_cover,
-                        failure_components, gen_grid, partition_scenarios,
-                        preprocess_step, round_face, solve,
-                        solve_anchored_cover, solve_link_lp)
+                        ScenarioPartition, build_circle_instance,
+                        chords_intersect, chords_to_rectangles,
+                        cover_intervals_exact, covers, enumerate_typed_links,
+                        exact_min_cover, failure_components, gen_grid,
+                        gen_hypergraph_vc, partition_scenarios,
+                        preprocess_step, round_face, solve, solve_link_lp)
 from bulkrobust.driver import augment_step
 from bulkrobust.rounding import _in_rect
-from conftest import square_with_chords
+from conftest import build_suite_instance, square_with_chords, suite_schedule
 
 
 # -- partition ---------------------------------------------------------------
@@ -65,8 +65,7 @@ def test_circle_point_layout():
     cover = solve_link_lp(ctx, links)
     part = partition_scenarios(ctx, cover)
     face = part.chosen_face[frozenset({0, 2})]
-    scen = part.face_scenarios[face]
-    circle = build_circle_instance(ctx, face, scen, cover)
+    circle = build_circle_instance(ctx, cover, part, face)
     assert circle.size == 2 * len(ctx.subgraph.faces.faces[face])
     assert sorted(circle.node_pos.values()) == list(
         range(0, circle.size, 2))
@@ -120,35 +119,14 @@ def test_domination_equivalence_exhaustive_small():
                                 coverers=((0, b, 1, 1.0),))
             system = chords_to_rectangles(ci)
             geometric = chords_intersect(a, b)
-            contained = (_in_rect(system.points[0], system.lefts[0])
-                         or _in_rect(system.points[0], system.tops[0]))
-            assert geometric == contained, (m, a, b)
+            in_left = _in_rect(system.points[0], system.lefts[0])
+            in_top = _in_rect(system.points[0], system.tops[0])
+            assert geometric == (in_left or in_top), (m, a, b)
+            assert system.in_left == ((0,) if in_left else (),), (m, a, b)
+            assert system.in_top == ((0,) if in_top else (),), (m, a, b)
 
 
 # -- exact covers ---------------------------------------------------------------
-
-def test_anchored_cover_prefers_cheaper():
-    points = {0: (1, 2)}
-    rects = {0: ((0, 1, 1, 3), 3), 1: ((0, 2, 2, 3), 5)}
-    chosen, cost = solve_anchored_cover(points, rects)
-    assert chosen == (0,) and cost == 3
-
-
-def test_anchored_cover_two_points():
-    points = {0: (0, 1), 1: (2, 3)}
-    rects = {
-        "A": ((0, 2, 0, 3), 3),     # covers both
-        "B": ((0, 0, 1, 1), 1),     # covers point 0
-        "C": ((0, 2, 3, 3), 1),     # covers point 1
-    }
-    chosen, cost = solve_anchored_cover(points, rects)
-    assert set(chosen) == {"B", "C"} and cost == 2
-
-
-def test_anchored_cover_no_points():
-    chosen, cost = solve_anchored_cover({}, {0: ((0, 1, 0, 1), 2)})
-    assert chosen == () and cost == 0
-
 
 def test_exact_cover_matches_enumeration():
     rng = random.Random(11)
@@ -262,6 +240,35 @@ def test_round_face_circle_on_repeated_boundary_node():
     assert "fallback_faces" not in level.to_dict()
 
 
+def test_face_records_replay_the_side_covers():
+    # Re-derive each rounded face's picks from its trace record alone: the
+    # demand points and each coverer's rectangle give, by `_in_rect`, every
+    # side's sets, with the coverers' costs, in coverer order.  The cheapest
+    # cover of each side, mapped back to link ids, must be what was chosen.
+    faces = split = 0
+    instances = [build_suite_instance(p) for p in suite_schedule(200)]
+    instances.append(gen_hypergraph_vc(3, 3, 12, 5)[1])
+    for instance in instances:
+        _, trace = solve(instance)
+        for record in (r for level in trace.levels for r in level.faces):
+            if "left_demands" not in record:
+                continue
+            coverers = record["coverers"]
+            chosen = set()
+            for side, rect in (("left_demands", "rect_left"), ("top_demands", "rect_top")):
+                points = [record["demands"][d]["chord"] for d in record[side]]
+                if not points:
+                    continue
+                sets = [(c["cost"], [i for i, p in enumerate(points) if _in_rect(p, c[rect])])
+                        for c in coverers]
+                _, picked = exact_min_cover(len(points), sets)
+                chosen.update(coverers[c]["link"] for c in picked)
+            assert record["chosen"] == sorted(chosen), record
+            faces += 1
+            split += bool(record["left_demands"] and record["top_demands"])
+    assert faces > 50 and split > 5
+
+
 def test_chord_crossing_is_cover_on_faces_with_repeated_nodes():
     # Spanning-tree grids give level-2 faces whose walks repeat a node.  On
     # each, put every failure set with edges on the face on the circle and
@@ -272,12 +279,14 @@ def test_chord_crossing_is_cover_on_faces_with_repeated_nodes():
         levels = []
         solve(inst, on_lp=lambda lv, ctx, links, cover: levels.append((ctx, cover)))
         for ctx, cover in levels:
+            face_links = partition_scenarios(ctx, cover).face_links
             for face, walk in enumerate(ctx.subgraph.faces.faces):
                 tails = [tail for tail, _ in walk]
                 on_face = [f for f in ctx.omega if face in ctx.scenario_faces[f]]
                 if len(set(tails)) == len(tails) or not on_face:
                     continue
-                circle = build_circle_instance(ctx, face, on_face, cover)
+                part = ScenarioPartition({face: tuple(on_face)}, {}, {}, face_links)
+                circle = build_circle_instance(ctx, cover, part, face)
                 if not circle.coverers:
                     continue
                 faces += 1
