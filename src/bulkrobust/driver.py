@@ -24,7 +24,7 @@ i + 1's precondition, and checks each subset once.
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, InvariantError
-from .instance import UnionFind
+from .instance import _union
 from .links import covered_by, enumerate_typed_links, lex_shortest_path, preprocess_step
 from .lp import solve_link_lp
 from .rounding import cover_intervals_exact, partition_scenarios, round_face
@@ -100,12 +100,9 @@ def shortest_st_path(instance):
 
 def minimum_spanning_tree(instance):
     """Kruskal with (weight, edge id) ordering."""
-    uf = UnionFind(range(instance.node_count))
-    chosen = []
-    for e, u, v, w in sorted(instance.edges, key=lambda r: (r[3], r[0])):
-        if uf.union(u, v):
-            chosen.append(e)
-    return frozenset(chosen)
+    parent = list(range(instance.node_count))
+    return frozenset(e for e, u, v, _ in sorted(instance.edges, key=lambda r: (r[3], r[0]))
+                     if _union(parent, u, v))
 
 
 def _walk_path(ctx):

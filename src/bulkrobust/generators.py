@@ -11,20 +11,22 @@ import random
 from dataclasses import dataclass
 
 from .errors import InstanceError
-from .instance import Instance, connected_under, same_component
+from .instance import Instance, requirement_met
 
 _MAX_RESAMPLES = 1000
 
 
-def _sample_scenarios(edge_ids, m, k, rng, keeps_requirement):
-    """Draw m random failure sets of size <= k that pass the feasibility precheck."""
+def _sample_scenarios(node_count, weighted, problem, s, t, m, k, rng):
+    """Draw m random failure sets of size <= k, each of whose removal from the
+    edges `weighted` (rows (e, u, v, w)) keeps the requirement."""
     scenarios = []
-    pool = sorted(edge_ids)
+    rows = [(e, u, v) for e, u, v, _ in weighted]
+    pool = sorted(e for e, _, _ in rows)
     for idx in range(m):
         for _ in range(_MAX_RESAMPLES):
             size = rng.randint(1, k)
             cand = tuple(sorted(rng.sample(pool, min(size, len(pool)))))
-            if keeps_requirement(frozenset(cand)):
+            if requirement_met(node_count, rows, problem, s, t, frozenset(cand)):
                 scenarios.append(cand)
                 break
         else:
@@ -32,15 +34,6 @@ def _sample_scenarios(edge_ids, m, k, rng, keeps_requirement):
                 f"could not sample a feasible scenario {idx} within "
                 f"{_MAX_RESAMPLES} attempts")
     return scenarios
-
-
-def _requirement_checker(edge_map, node_count, problem, s, t):
-    def ok(removed):
-        ends = [edge_map[e][:2] for e in edge_map if e not in removed]
-        if problem == "st":
-            return same_component(s, t, ends, nodes=range(node_count))
-        return connected_under(range(node_count), ends)
-    return ok
 
 
 def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st"):
@@ -75,10 +68,9 @@ def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st
                 rot.append(edge_at[(r, c - 1, "E")])
             rotation[node(r, c)] = rot
     weighted = [(e, u, v, rng.randint(1, weight_max)) for e, u, v in edges]
-    edge_map = {e: (u, v, w) for e, u, v, w in weighted}
     s, t = (0, rows * cols - 1) if problem == "st" else (None, None)
-    ok = _requirement_checker(edge_map, rows * cols, problem, s, t)
-    scenarios = _sample_scenarios(edge_map, scenario_count, diameter, rng, ok)
+    scenarios = _sample_scenarios(rows * cols, weighted, problem, s, t,
+                                  scenario_count, diameter, rng)
     return Instance(rows * cols, weighted, rotation, problem, s, t, scenarios)
 
 
@@ -148,12 +140,9 @@ def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, probl
     weighted = [(e, relabel[u], relabel[v], rng.randint(1, weight_max))
                 for e, (u, v) in sorted(builder.edges.items())]
     rotation = {relabel[n]: list(rot) for n, rot in builder.rotation.items()}
-    edge_map = {e: (u, v, w) for e, u, v, w in weighted}
     n = len(order)
     st = (0, 1) if problem == "st" else (None, None)
-    ok = _requirement_checker(edge_map, n, problem, st[0], st[1])
-    scenarios = _sample_scenarios(edge_map, scenario_count, diameter, rng, ok) \
-        if scenario_count else []
+    scenarios = _sample_scenarios(n, weighted, problem, *st, scenario_count, diameter, rng)
     return Instance(n, weighted, rotation, problem, st[0], st[1], scenarios)
 
 

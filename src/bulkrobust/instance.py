@@ -5,6 +5,10 @@ ids, and a rotation system (per node, the cyclic clockwise order of
 incident edge ids).  The rotation system *is* the embedding; validity is
 checked through Euler's formula after face tracing, never by planarity
 testing.
+
+The package's one union-find is a list indexed by node (or face) id, run
+by `_find`, `_union` and `_merge`; `requirement_met` and `Feasibility` read
+the requirement from it.
 """
 
 import json
@@ -19,60 +23,23 @@ from .errors import InfeasibleError, InstanceError, InvariantError
 MAX_TOTAL_WEIGHT = 2 ** 53
 
 
-class UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def same(self, a, b):
-        return self.find(a) == self.find(b)
-
-    def component_count(self):
-        return len({self.find(x) for x in self.parent})
-
-
-def connected_under(nodes, edge_endpoints):
-    """True iff all of `nodes` lie in one component of the given edges."""
-    nodes = list(nodes)
-    if len(nodes) <= 1:
-        return True
-    uf = UnionFind(nodes)
-    for u, v in edge_endpoints:
-        uf.union(u, v)
-    return uf.component_count() == 1
-
-
-def same_component(a, b, edge_endpoints, nodes):
-    uf = UnionFind(nodes)
-    for u, v in edge_endpoints:
-        uf.union(u, v)
-    return uf.same(a, b)
-
-
 def _find(parent, x):
     """Root of x in a list-based union-find, halving the path on the way."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
+
+
+def _union(parent, a, b):
+    """Join the trees of a and b, the smaller root on top, so that every root
+    is its tree's smallest id; True iff they were apart."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a == b:
+        return False
+    if b < a:
+        a, b = b, a
+    parent[b] = a
+    return True
 
 
 def _label(parent, label, node):
@@ -95,6 +62,16 @@ def _merge(parent, rows, skip=()):
             parent[v] = u
             merges += 1
     return parent, merges
+
+
+def requirement_met(node_count, rows, problem, s, t, skip=()):
+    """The requirement on nodes 0..node_count-1 joined by the rows (e, u, v)
+    whose edge is not in `skip`: s and t in one component for 'st', all
+    nodes in one for 'mst'."""
+    parent, merges = _merge(list(range(node_count)), rows, skip)
+    if problem == "mst":
+        return merges == node_count - 1
+    return _find(parent, s) == _find(parent, t)
 
 
 class Feasibility:
@@ -121,11 +98,10 @@ class Feasibility:
         self._full = instance.scenario_sets
         self._clean = -1        # largest size `first_failure` found clean
         n = instance.node_count
-        ends = instance.edge_map
+        ends = instance.edge_rows
         touched = frozenset().union(*self._full)
-        base, base_merges = _merge(list(range(n)),
-                                   [(e, ends[e][0], ends[e][1]) for e in x - touched])
-        shared = [(e, ends[e][0], ends[e][1]) for e in x & touched]
+        base, base_merges = _merge(list(range(n)), [ends[e] for e in x - touched])
+        shared = [ends[e] for e in x & touched]
         scenarios = []
         for full in self._full:
             parent, merges = _merge(base[:], shared, full)
@@ -141,8 +117,8 @@ class Feasibility:
             if trivial:     # X - F_j already meets it, so every X - S does
                 scenarios.append(None)
                 continue
-            rows = tuple((e, _label(parent, label, ends[e][0]),
-                          _label(parent, label, ends[e][1]))
+            rows = tuple((e, _label(parent, label, ends[e][1]),
+                          _label(parent, label, ends[e][2]))
                          for e in sorted(full & x))
             scenarios.append((rows, len(label), target, parent, label))
         self._scenarios = tuple(scenarios)
@@ -211,8 +187,9 @@ class FaceSet:
 class PlaneGraph:
     """Undirected multigraph with a clockwise rotation system.
 
-    Node ids are arbitrary ints (not necessarily contiguous); edge ids are
-    distinct ints.  Parallel edges are allowed, self-loops are not.
+    Node ids are nonnegative ints, not necessarily contiguous, so a forest
+    over them is a list indexed by id; edge ids are distinct ints.  Parallel
+    edges are allowed, self-loops are not.
     """
 
     nodes: tuple
@@ -240,9 +217,6 @@ class PlaneGraph:
             adj[u].append((eid, v, w))
             adj[v].append((eid, u, w))
         return {v: tuple(lst) for v, lst in adj.items()}
-
-    def is_connected(self):
-        return connected_under(self.nodes, ((u, v) for u, v, _ in self.edges.values()))
 
     @cached_property
     def faces(self):
@@ -299,9 +273,9 @@ class PlaneGraph:
         the group once and keeps the embedding planar.  With nothing to
         contract, the graph itself comes back.
         """
-        uf = UnionFind(self.nodes)
-        tree = [e for e in sorted(eids) if uf.union(*self.endpoints(e))]
-        node_map = {n: uf.find(n) for n in self.nodes}
+        parent = list(range(max(self.nodes) + 1))
+        tree = [e for e in sorted(eids) if _union(parent, *self.endpoints(e))]
+        node_map = {n: _find(parent, n) for n in self.nodes}
         if not tree:
             return self, node_map, (), ()
         edges = {e: (node_map[a], node_map[b], w) for e, (a, b, w) in self.edges.items()
@@ -360,6 +334,8 @@ class Instance:
         self.node_count = int(node_count)
         self.edges = tuple((int(e), int(u), int(v), int(w)) for e, u, v, w in edges)
         self.rotation = {int(n): tuple(int(e) for e in rot) for n, rot in rotation.items()}
+        if len(self.rotation) != len(rotation):     # 2 and "2", or "2" and "02"
+            raise InstanceError("rotation names one node under two keys")
         self.problem = problem
         self.s = None if s is None else int(s)
         self.t = None if t is None else int(t)
@@ -420,7 +396,7 @@ class Instance:
             for e in sc:
                 if e not in edge_ids:
                     raise InstanceError(f"dangling edge id {e} in scenario {i}")
-        if not self.graph.is_connected():
+        if not requirement_met(self.node_count, self.edge_rows.values(), "mst", None, None):
             raise InstanceError("graph is not connected")
         if self.graph.euler_defect() != 0:
             raise InstanceError("rotation system not planar (Euler check failed)")
@@ -436,10 +412,8 @@ class Instance:
 
     def requirement_holds(self, edge_subset):
         """Connectivity requirement on (V, edge_subset)."""
-        ends = [self.edge_map[e][:2] for e in edge_subset]
-        if self.problem == "st":
-            return same_component(self.s, self.t, ends, nodes=range(self.node_count))
-        return connected_under(range(self.node_count), ends)
+        return requirement_met(self.node_count, [self.edge_rows[e] for e in edge_subset],
+                               self.problem, self.s, self.t)
 
     def feasibility(self, x):
         """The Feasibility table of solution X.
@@ -459,6 +433,11 @@ class Instance:
     @cached_property
     def edge_map(self):
         return {e: (u, v, w) for e, u, v, w in self.edges}
+
+    @cached_property
+    def edge_rows(self):
+        """edge id -> (e, u, v), the row the union-find helpers take."""
+        return {e: (e, u, v) for e, u, v, _ in self.edges}
 
     @cached_property
     def edge_ids(self):
@@ -589,16 +568,18 @@ def induced_faces(graph, chosen):
     if missing:
         raise KeyError(f"unknown edge ids {sorted(missing)}")
     sub_nodes = frozenset(n for e in chosen for n in graph.endpoints(e))
-    if not connected_under(sub_nodes, (graph.endpoints(e) for e in chosen)):
+    _, merges = _merge(list(range(max(sub_nodes) + 1)),
+                       [(e, *graph.endpoints(e)) for e in chosen])
+    if merges != len(sub_nodes) - 1:
         raise InstanceError("chosen edge set is disconnected")
 
     parent_faces = graph.faces
-    uf = UnionFind(range(len(parent_faces)))
+    parent = list(range(len(parent_faces)))
+    classes = len(parent_faces)
     rest = sorted(set(graph.edges) - chosen)
     for e in rest:
         fs = parent_faces.edge_faces[e]
-        if len(fs) == 2:
-            uf.union(fs[0], fs[1])
+        classes -= _union(parent, fs[0], fs[-1])
 
     restricted = PlaneGraph(
         tuple(sorted(sub_nodes)),
@@ -609,15 +590,15 @@ def induced_faces(graph, chosen):
 
     class_to_face = {}
     for idx, walk in enumerate(walks.faces):
-        cls = uf.find(parent_faces.dart_face[walk[0]])
+        cls = _find(parent, parent_faces.dart_face[walk[0]])
         if cls in class_to_face:
             raise InvariantError("two induced faces share a parent-face class")
         class_to_face[cls] = idx
-    if len(class_to_face) != uf.component_count():
+    if len(class_to_face) != classes:
         raise InvariantError("induced face count does not match merged classes")
 
     edge_face = {}
     for e in rest:
-        cls = uf.find(parent_faces.edge_faces[e][0])
+        cls = _find(parent, parent_faces.edge_faces[e][0])
         edge_face[e] = class_to_face[cls]
     return EmbeddedSubgraph(graph, chosen, sub_nodes, walks, edge_face)

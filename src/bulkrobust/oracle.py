@@ -1,10 +1,11 @@
 """Exact brute-force references for desk-scale verification.
 
 Feasibility and the instance optimum share no code paths with the solver:
-feasibility is re-derived from scratch, and the optimum comes from a
-pruned subset search.  Removing fewer edges never hurts, so feasibility
-only needs the full scenarios (plus the solution itself); the same
-monotonicity lets the search pre-include every zero-weight edge and
+feasibility is re-derived from scratch by a depth-first search over the
+subset's edges, with none of the solver's union-find, and the optimum
+comes from a pruned subset search.  Removing fewer edges never hurts, so
+feasibility only needs the full scenarios (plus the solution itself); the
+same monotonicity lets the search pre-include every zero-weight edge and
 branch over the rest.  `brute_force_vc`, the hypergraph vertex-cover
 reference, does share one: it runs the solver's `exact_min_cover`, with
 its own node budget.  Acceptance criterion 9 checks `exact_min_cover`
@@ -30,6 +31,20 @@ class OracleBudget:
     max_subsets: int = 2_000_000
 
 
+def _requirement_holds(instance, edges):
+    """The requirement on (V, edges), `edges` a set: a depth-first search from
+    s (from node 0 for 'mst') that follows only those edges."""
+    adjacency = instance.graph.adjacency
+    mst = instance.problem == "mst"
+    seen, stack = set(), [0 if mst else instance.s]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            stack.extend(other for e, other, _ in adjacency[node] if e in edges)
+    return len(seen) == instance.node_count if mst else instance.t in seen
+
+
 def is_feasible(instance, edge_subset):
     """True iff the subset satisfies the requirement under every scenario.
 
@@ -38,12 +53,8 @@ def is_feasible(instance, edge_subset):
     redundant because removing fewer edges only helps.
     """
     chosen = frozenset(edge_subset)
-    if not instance.requirement_holds(chosen):
-        return False
-    for full in instance.scenario_sets:
-        if not instance.requirement_holds(chosen - full):
-            return False
-    return True
+    return all(_requirement_holds(instance, chosen - full)
+               for full in (frozenset(), *instance.scenario_sets))
 
 
 def brute_force_opt(instance, budget=None):

@@ -1,5 +1,6 @@
 """Shared fixtures and instance builders."""
 
+import networkx as nx
 import pytest
 
 from bulkrobust import Instance, gen_grid, gen_series_parallel
@@ -36,6 +37,15 @@ def square_with_chords(inner=True, outer=True, chord_weight=5,
         rot[0] = rot[0] + [eid]
         rot[2] = [eid] + rot[2]
     return Instance(4, edges, rot, "st", 0, 2, scenarios)
+
+
+def component_of(nodes, ends):
+    """node -> index of its component of the graph (nodes, ends), by
+    networkx: the tests' reference for the package's union-find."""
+    graph = nx.Graph()
+    graph.add_nodes_from(nodes)
+    graph.add_edges_from(ends)
+    return {n: i for i, comp in enumerate(nx.connected_components(graph)) for n in comp}
 
 
 def grid_2x3():

@@ -20,10 +20,9 @@ from bulkrobust import (CircleInstance, FractionalCover, OracleBudget,
                         gen_hypergraph_vc, guarantee_factor, is_feasible,
                         preprocess_step, separation_oracle, solve)
 from bulkrobust.cli import face_gap
-from bulkrobust.instance import UnionFind
 from bulkrobust.lp import EPS_FEAS
 from bulkrobust.rounding import _in_rect
-from conftest import build_suite_instance, suite_schedule
+from conftest import build_suite_instance, component_of, suite_schedule
 
 SUITE_SIZE = 200
 ORACLE_EDGE_CAP = 20
@@ -141,17 +140,15 @@ def _violating_sets_by_enumeration(ctx, cover, scenario_index):
         f_set = frozenset(sub)
         if not f_set <= x:
             continue
-        uf = UnionFind(vbar)
-        for e in x - f_set:
-            uf.union(*inst.edge_map[e][:2])
+        component = component_of(vbar, (inst.edge_map[e][:2] for e in x - f_set))
         if inst.problem == "st":
-            disconnected = not uf.same(inst.s, inst.t)
+            disconnected = component[inst.s] != component[inst.t]
         else:
-            disconnected = uf.component_count() != 1
+            disconnected = len(set(component.values())) != 1
         if not disconnected:
             continue
         mass = sum(float(v) for link, v in zip(cover.links, cover.values)
-                   if not uf.same(preimage[link.u], preimage[link.v]))
+                   if component[preimage[link.u]] != component[preimage[link.v]])
         if mass < 1 - EPS_FEAS:
             found.append(f_set)
     return found
@@ -226,9 +223,11 @@ def test_criterion_8_circle_rectangle_equivalence():
                                 coverers=((0, coverer, 1, 1.0),))
             system = chords_to_rectangles(ci)
             geometric = chords_intersect(demand, coverer)
-            contained = (_in_rect(system.points[0], system.lefts[0])
-                         or _in_rect(system.points[0], system.tops[0]))
-            assert geometric == contained, (m, demand, coverer)
+            in_left = _in_rect(system.points[0], system.lefts[0])
+            in_top = _in_rect(system.points[0], system.tops[0])
+            assert geometric == (in_left or in_top), (m, demand, coverer)
+            assert system.in_left == ((0,) if in_left else (),), (m, demand, coverer)
+            assert system.in_top == ((0,) if in_top else (),), (m, demand, coverer)
             checked += 1
     print(f"criterion 8 PASS: {checked} chord pairs, intersection == "
           "rectangle containment")

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bulkrobust import gen_grid, gen_hypergraph_vc, solve
-from bulkrobust.instance import Feasibility, UnionFind
-from conftest import build_suite_instance, suite_schedule
+from bulkrobust.instance import Feasibility
+from conftest import build_suite_instance, component_of, suite_schedule
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(24)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
@@ -71,15 +71,13 @@ def test_agrees_on_empty_and_scenario_free_solutions():
 
 
 def components(instance, edges):
-    uf = UnionFind(range(instance.node_count))
-    for e in edges:
-        uf.union(*instance.edge_map[e][:2])
-    return uf
+    return component_of(range(instance.node_count),
+                        (instance.edge_map[e][:2] for e in edges))
 
 
 def assert_cuts_agree(instance, x):
     """`labels` and `cut` of every scenario F_j where X - F_j breaks the
-    requirement, against a UnionFind of X - F_j and one of X - S for every
+    requirement, against the networkx components of X - F_j and of X - S for every
     S within F_j; returns the number of such scenarios."""
     x = frozenset(x)
     table = Feasibility(instance, x)
@@ -97,16 +95,16 @@ def assert_cuts_agree(instance, x):
         order = list(dict.fromkeys(labels[n] for n in sighted))
         assert order == list(range(len(order))), (jdx, sorted(x))
         # One label per component of X - F_j holding a sighted node, None elsewhere.
-        uf = components(instance, x - full)
-        label_of = {uf.find(n): labels[n] for n in sighted}
+        component = components(instance, x - full)
+        label_of = {component[n]: labels[n] for n in sighted}
         assert len(set(label_of.values())) == len(label_of)
-        assert labels == [label_of.get(uf.find(n)) for n in nodes], (jdx, sorted(x))
+        assert labels == [label_of.get(component[n]) for n in nodes], (jdx, sorted(x))
         for size in range(len(full) + 1):
             for sub in combinations(sorted(full), size):
                 count, roots = table.cut(jdx, sub)
                 assert len(roots) == len(order)
                 after = components(instance, x - frozenset(sub))
-                root_of = {labels[n]: after.find(n) for n in sighted}
+                root_of = {labels[n]: after[n] for n in sighted}
                 assert count == len(set(root_of.values())), (jdx, sub, sorted(x))
                 for a, b in combinations(range(len(order)), 2):
                     assert (roots[a] == roots[b]) == (root_of[a] == root_of[b])

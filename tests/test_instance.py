@@ -9,7 +9,7 @@ from bulkrobust import (InfeasibleError, InstanceError, Instance, PlaneGraph,
                         gen_grid, gen_hypergraph_vc, gen_series_parallel,
                         parse_instance, serialize_instance)
 from bulkrobust.instance import induced_faces
-from conftest import grid_2x3, square_cycle, triangle_instance
+from conftest import component_of, grid_2x3, square_cycle, triangle_instance
 
 TRIANGLE_JSON = {
     "nodes": 3,
@@ -71,6 +71,15 @@ def test_parse_rejects_bad_rotation():
     bad["rotation"]["0"] = [0]
     with pytest.raises(InstanceError, match="rotation at node 0"):
         parse_instance(json.dumps(bad))
+
+
+@pytest.mark.parametrize("rotation", [
+    {"0": [0, 1], "1": [0, 2], "2": [1, 2], "02": [2, 1]},
+    {0: [0, 1], 1: [0, 2], 2: [1, 2], "2": [2, 1]},
+])
+def test_instance_rejects_two_rotation_keys_for_one_node(rotation):
+    with pytest.raises(InstanceError, match="one node under two keys"):
+        Instance(3, [(0, 0, 1, 1), (1, 0, 2, 1), (2, 2, 1, 1)], rotation, "st", 0, 1, [[0]])
 
 
 def test_parse_rejects_infeasible():
@@ -148,8 +157,7 @@ def test_induced_faces_partition_property():
         if not chosen:
             continue
         nodes = {n for e in chosen for n in g.edge_map[e][:2]}
-        from bulkrobust.instance import connected_under
-        if not connected_under(nodes, (g.edge_map[e][:2] for e in chosen)):
+        if len(set(component_of(nodes, (g.edge_map[e][:2] for e in chosen)).values())) > 1:
             continue
         tried += 1
         sub = induced_faces(g.graph, chosen)
@@ -168,7 +176,8 @@ def _assert_valid_embedding(graph):
     assert set(graph.rotation) == set(graph.nodes)
     for n, rot in graph.rotation.items():
         assert sorted(rot) == sorted(incident[n])
-    assert graph.is_connected()
+    component = component_of(graph.nodes, (e[:2] for e in graph.edges.values()))
+    assert len(set(component.values())) == 1
     assert graph.euler_defect() == 0
 
 

@@ -7,10 +7,10 @@ from bulkrobust import (Instance, InvariantError, covers, enumerate_typed_links,
                         preprocess_step, solve)
 from bulkrobust import driver
 from bulkrobust.driver import minimum_spanning_tree as mst
-from bulkrobust.instance import Feasibility, UnionFind
+from bulkrobust.instance import Feasibility
 from bulkrobust.links import dijkstra, lex_shortest_path
-from conftest import (build_suite_instance, square_with_chords, suite_schedule,
-                      triangle_instance)
+from conftest import (build_suite_instance, component_of, square_with_chords,
+                      suite_schedule, triangle_instance)
 
 
 def test_preprocess_triangle_level1():
@@ -100,20 +100,18 @@ def test_failure_components_tree_edge():
 
 
 def reference_cuts(ctx):
-    """Failure set -> (side_s, side_t) by one union-find over the kept edges
-    per failure set, as `preprocess_step` computed them before it read the
-    cuts from the Feasibility table."""
+    """Failure set -> (side_s, side_t) from the networkx components of the
+    kept edges outside each failure set, independent of the Feasibility
+    table that `preprocess_step` reads the cuts from."""
     sub_nodes = ctx.subgraph.nodes
     cuts = {}
     for f_set in ctx.omega:
-        uf = UnionFind(sub_nodes)
-        for e in ctx.kept_x:
-            if e not in f_set:
-                uf.union(*ctx.graph.endpoints(e))
+        component = component_of(sub_nodes, (ctx.graph.endpoints(e) for e in ctx.kept_x
+                                             if e not in f_set))
         groups = {}
         for node in sub_nodes:
-            groups.setdefault(uf.find(node), set()).add(node)
-        comps = [groups[r] for r in sorted(groups)]
+            groups.setdefault(component[node], set()).add(node)
+        comps = list(groups.values())
         assert len(comps) == 2, sorted(f_set)
         anchor = ctx.s if ctx.instance.problem == "st" else min(sub_nodes)
         first = comps[0] if anchor in comps[0] else comps[1]

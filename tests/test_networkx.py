@@ -1,13 +1,17 @@
 """Differential tests against networkx, an independent reference used only
-in tests: the Euler check on rotation systems and the max-flow min-cut."""
+in tests: the Euler check on rotation systems, the max-flow min-cut, and
+what the union-find and the oracle's search answer (the requirement,
+feasibility, contraction groups, the MST weight)."""
 
 import random
 
 import networkx as nx
 import pytest
 
-from bulkrobust import Instance, InstanceError
+from bulkrobust import Instance, InstanceError, is_feasible
+from bulkrobust.driver import minimum_spanning_tree
 from bulkrobust.lp import max_flow_min_cut
+from conftest import build_suite_instance, component_of, suite_schedule
 
 
 def random_rotation_system(rng):
@@ -73,3 +77,46 @@ def test_max_flow_agrees_with_networkx(seed):
         assert source in side and sink not in side, (arcs, source, sink)
         cut = sum(cap for u, v, cap in arcs if (u in side) != (v in side))
         assert value == expected and cut == expected, (arcs, source, sink)
+
+
+def nx_requirement(instance, edges):
+    component = component_of(range(instance.node_count),
+                             (instance.edge_map[e][:2] for e in edges))
+    if instance.problem == "st":
+        return component[instance.s] == component[instance.t]
+    return len(set(component.values())) == 1
+
+
+def test_connectivity_agrees_with_networkx():
+    """On random edge subsets of suite instances: the requirement, the
+    oracle's feasibility and the contracted node map; per instance, the
+    minimum spanning tree's weight."""
+    rng = random.Random(2016)
+    verdicts = []
+    for instance in (build_suite_instance(p) for p in suite_schedule(60)):
+        ids = sorted(instance.edge_ids)
+        for _ in range(20):
+            subset = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+            holds = nx_requirement(instance, subset)
+            assert instance.requirement_holds(subset) == holds, sorted(subset)
+            feasible = all(nx_requirement(instance, subset - full)
+                           for full in (frozenset(), *instance.scenario_sets))
+            assert is_feasible(instance, subset) == feasible, sorted(subset)
+            verdicts.append((holds, feasible))
+
+            _, node_map, _, _ = instance.graph.contract(subset)
+            component = component_of(range(instance.node_count),
+                                      (instance.edge_map[e][:2] for e in subset))
+            smallest = {}
+            for n in range(instance.node_count):
+                smallest.setdefault(component[n], n)
+            assert node_map == {n: smallest[component[n]] for n in range(instance.node_count)}
+
+        reference = nx.MultiGraph()
+        reference.add_weighted_edges_from((u, v, w) for _, u, v, w in instance.edges)
+        tree = minimum_spanning_tree(instance)
+        assert len(tree) == instance.node_count - 1
+        assert instance.weight_of(tree) == nx.minimum_spanning_tree(
+            reference).size(weight="weight")
+    for verdict in ((False, False), (True, False), (True, True)):
+        assert verdicts.count(verdict) > 100, verdict

@@ -1,6 +1,5 @@
 """Face rounding: partition, circle/rectangle mapping, exact covers."""
 
-import itertools
 import random
 
 import numpy as np
@@ -107,23 +106,6 @@ def test_rectangle_figure_configuration():
         coverers=((0, (1, 3), 1, 1.0),))
     system = chords_to_rectangles(ci)
     assert _in_rect(system.points[0], system.lefts[0])
-
-
-def test_domination_equivalence_exhaustive_small():
-    for m in range(4, 13):
-        for quad in itertools.permutations(range(m), 4):
-            a = (min(quad[0], quad[1]), max(quad[0], quad[1]))
-            b = (min(quad[2], quad[3]), max(quad[2], quad[3]))
-            ci = CircleInstance(size=m, node_pos={}, edge_pos={},
-                                demands=((frozenset({0}), a),),
-                                coverers=((0, b, 1, 1.0),))
-            system = chords_to_rectangles(ci)
-            geometric = chords_intersect(a, b)
-            in_left = _in_rect(system.points[0], system.lefts[0])
-            in_top = _in_rect(system.points[0], system.tops[0])
-            assert geometric == (in_left or in_top), (m, a, b)
-            assert system.in_left == ((0,) if in_left else (),), (m, a, b)
-            assert system.in_top == ((0,) if in_top else (),), (m, a, b)
 
 
 # -- exact covers ---------------------------------------------------------------
