@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InstanceError
-from .instance import Instance, requirement_met
+from .instance import Instance, is_int_rows, requirement_met
 
 _MAX_RESAMPLES = 1000
 
@@ -120,6 +120,8 @@ def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, probl
         raise ValueError("depth must be nonnegative")
     if scenario_count < 0 or weight_max < 1:
         raise ValueError("bad parameters")
+    if diameter < 1:
+        raise ValueError("diameter must be positive")
     rng = random.Random(seed)
     builder = _SPBuilder()
 
@@ -182,15 +184,17 @@ class Hypergraph:
 
 
 def parse_hypergraph(data):
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"malformed hypergraph file: {exc}") from None
+    except ValueError as exc:   # not UTF-8, bad JSON, or an integer over Python's digit limit
+        raise InstanceError(f"malformed hypergraph file: {exc}") from None
     if not isinstance(data, dict) or set(data) != {"parts", "hyperedges"}:
         raise InstanceError("hypergraph file must hold keys 'parts' and 'hyperedges'")
+    if not (is_int_rows(data["parts"]) and is_int_rows(data["hyperedges"])):
+        raise InstanceError("parts and hyperedges must be lists of integer node id lists")
     return Hypergraph(tuple(tuple(p) for p in data["parts"]),
                       tuple(tuple(e) for e in data["hyperedges"]))
 

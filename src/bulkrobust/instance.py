@@ -257,8 +257,9 @@ class PlaneGraph:
         return FaceSet(tuple(faces), edge_faces, dart_face)
 
     def euler_defect(self):
-        """n - m + f - 2; zero for a valid embedding of a connected graph."""
-        return len(self.nodes) - len(self.edges) + len(self.faces) - 2
+        """n - m + f - 2; zero for a valid embedding of a connected graph.
+        A graph without edges has one face but no dart to trace it from."""
+        return len(self.nodes) - len(self.edges) + max(len(self.faces), 1) - 2
 
     def contract(self, eids):
         """Contract the edges `eids` in one pass; returns (graph, node_map,
@@ -304,10 +305,8 @@ class PlaneGraph:
 
 @dataclass(frozen=True)
 class EmbeddedSubgraph:
-    """A chosen edge set X with the faces it induces in the parent embedding."""
+    """The faces a chosen edge set X induces in its graph's embedding."""
 
-    graph: PlaneGraph       # parent graph (already contracted when used per step)
-    chosen: frozenset       # X
     nodes: frozenset        # nodes incident to X
     faces: FaceSet          # induced faces, walks over X darts
     edge_face: dict         # edge id in E \ X -> induced face index
@@ -601,4 +600,4 @@ def induced_faces(graph, chosen):
     for e in rest:
         cls = _find(parent, parent_faces.edge_faces[e][0])
         edge_face[e] = class_to_face[cls]
-    return EmbeddedSubgraph(graph, chosen, sub_nodes, walks, edge_face)
+    return EmbeddedSubgraph(sub_nodes, walks, edge_face)

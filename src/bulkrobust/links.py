@@ -12,9 +12,9 @@ The X edges in no relevant failure set are contracted in one pass
 (`PlaneGraph.contract`), not with one copy of the graph per edge.
 
 A link covers a relevant failure set iff its endpoints lie on different
-sides of that set's two-sided cut: `covers` for one pair.  The relation is
-computed once per level by `StepContext.covering`, and the LP, the face
-partition, the rounding and the trace all read that one table.
+sides of that set's two-sided cut.  The relation is computed once per level
+by `StepContext.covering`, and the LP, the face partition, the rounding and
+the trace all read that one table.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X: one pass over the X edges in no scenario, then
@@ -25,8 +25,7 @@ is merged only by X edges outside every relevant set, so its side is the
 side of its own id's component of X - f.  The solution nodes are labelled
 once per (level, scenario), O(|nodes|), and each set's sides are read from
 its scenario's labels, O(k).  A cut is stored as the scenario's shared
-label list plus one side per label; `failure_components` builds the
-`FailureCut` when asked.
+label list plus one side per label.
 
 At level >= 2 no pass looks for bridges of the contracted solution: the
 face check rules them out.  Every kept edge lies in a relevant failure set,
@@ -118,15 +117,6 @@ class TypedLink(NamedTuple):
     v: int
     face: int
     cost: int
-
-
-@dataclass(frozen=True)
-class FailureCut:
-    """The two components a relevant failure set leaves behind."""
-
-    scenario: frozenset
-    side_s: frozenset
-    side_t: frozenset
 
 
 @dataclass
@@ -306,34 +296,6 @@ def preprocess_step(instance, x_edges, level):
         ctx.s = node_map[instance.s]
         ctx.t = node_map[instance.t]
     return ctx
-
-
-def failure_components(ctx, f_set):
-    """The two-sided cut of a relevant failure set, built from its labels."""
-    f_set = frozenset(f_set)
-    cut = ctx.cuts.get(f_set)
-    if cut is None:
-        raise ValueError(f"{sorted(f_set)} is not a relevant failure set of this step")
-    j, sides = cut
-    side = [sides[a] for a in ctx.cut_labels[j]]
-    return FailureCut(f_set,
-                      frozenset(n for n, s in zip(ctx.cut_nodes, side) if s),
-                      frozenset(n for n, s in zip(ctx.cut_nodes, side) if not s))
-
-
-def covers(link_or_pair, cut):
-    """True iff the link's endpoints lie on different sides of the cut.
-
-    Depends only on the endpoints, never on the representative path.
-    """
-    if isinstance(link_or_pair, TypedLink):
-        u, v = link_or_pair.u, link_or_pair.v
-    else:
-        u, v = link_or_pair
-    for node in (u, v):
-        if node not in cut.side_s and node not in cut.side_t:
-            raise ValueError(f"node {node} is not incident to the current solution")
-    return (u in cut.side_s) != (v in cut.side_s)
 
 
 def covered_by(table, f_sets):

@@ -34,8 +34,6 @@ class ScenarioPartition:
     """Assignment of every relevant failure set to one of its faces."""
 
     face_scenarios: dict     # face index -> tuple of failure sets
-    chosen_face: dict        # failure set -> face index carrying >= 1/level mass
-    masses: dict             # failure set -> {face index: covering mass}
     face_links: dict         # face index -> tuple of link indices
 
 
@@ -85,8 +83,6 @@ def partition_scenarios(ctx, cover):
     face_links = {f: tuple(lst) for f, lst in face_links.items()}
 
     face_scenarios = {}
-    chosen_face = {}
-    masses = {}
     threshold = 1.0 / level - EPS_FEAS
     table = ctx.covering(cover.links)
     for f_set in ctx.omega:
@@ -95,16 +91,14 @@ def partition_scenarios(ctx, cover):
             face = cover.links[idx].face
             if face in per_face:
                 per_face[face] += float(cover.values[idx])
-        masses[f_set] = per_face
         eligible = [f for f in sorted(per_face) if per_face[f] >= threshold]
         if not eligible:
             raise InvariantError(
                 f"no face carries 1/{level} of the mass covering "
                 f"{sorted(f_set)}; the LP solution is not feasible")
-        chosen_face[f_set] = eligible[0]
         face_scenarios.setdefault(eligible[0], []).append(f_set)
     face_scenarios = {f: tuple(lst) for f, lst in face_scenarios.items()}
-    return ScenarioPartition(face_scenarios, chosen_face, masses, face_links)
+    return ScenarioPartition(face_scenarios, face_links)
 
 
 def build_circle_instance(ctx, cover, partition, face):

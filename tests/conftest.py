@@ -48,6 +48,28 @@ def component_of(nodes, ends):
     return {n: i for i, comp in enumerate(nx.connected_components(graph)) for n in comp}
 
 
+def reference_cuts(ctx):
+    """Failure set -> (side_s, side_t) of every relevant set of a step, from
+    the networkx components of the kept edges outside the set: the tests'
+    single-pair cover reference, read from neither `ctx.cuts` nor the
+    Feasibility table.  side_s holds s, or for mst the smallest node."""
+    sub_nodes = ctx.subgraph.nodes
+    anchor = ctx.s if ctx.instance.problem == "st" else min(sub_nodes)
+    cuts = {}
+    for f_set in ctx.omega:
+        component = component_of(sub_nodes, (ctx.graph.endpoints(e) for e in ctx.kept_x
+                                             if e not in f_set))
+        assert len(set(component.values())) == 2, sorted(f_set)
+        side_s = frozenset(n for n in sub_nodes if component[n] == component[anchor])
+        cuts[f_set] = (side_s, sub_nodes - side_s)
+    return cuts
+
+
+def crosses(link, sides):
+    """True iff the link's ends lie on different sides of a reference cut."""
+    return (link.u in sides[0]) != (link.v in sides[0])
+
+
 def grid_2x3():
     return gen_grid(2, 3, 1, 1, 1, seed=7)
 

@@ -13,15 +13,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from bulkrobust import (CircleInstance, FractionalCover, OracleBudget,
-                        brute_force_opt, brute_force_vc, chords_intersect,
-                        chords_to_rectangles, cover_intervals_exact,
-                        enumerate_typed_links, exact_min_cover,
-                        gen_hypergraph_vc, guarantee_factor, is_feasible,
-                        preprocess_step, separation_oracle, solve)
+from bulkrobust import (OracleBudget, brute_force_opt, gen_hypergraph_vc,
+                        guarantee_factor, is_feasible, solve)
 from bulkrobust.cli import face_gap
-from bulkrobust.lp import EPS_FEAS
-from bulkrobust.rounding import _in_rect
+from bulkrobust.links import enumerate_typed_links, preprocess_step
+from bulkrobust.lp import EPS_FEAS, FractionalCover, separation_oracle
+from bulkrobust.oracle import brute_force_vc
+from bulkrobust.rounding import (CircleInstance, _in_rect, chords_intersect,
+                                 chords_to_rectangles, cover_intervals_exact)
+from bulkrobust.setcover import exact_min_cover
 from conftest import build_suite_instance, component_of, suite_schedule
 
 SUITE_SIZE = 200

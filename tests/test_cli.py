@@ -9,13 +9,30 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bulkrobust import brute_force_vc, gen_grid, gen_hypergraph_vc, parse_hypergraph
-from bulkrobust import setcover
+import bulkrobust
+from bulkrobust import gen_grid, gen_hypergraph_vc, setcover
 from bulkrobust.cli import face_gap, main
 from bulkrobust.errors import BudgetError, InstanceError
-from bulkrobust.lp import LinearProgram, simplex_min
-from conftest import build_suite_instance, suite_schedule, triangle_instance
+from bulkrobust.generators import parse_hypergraph
 from bulkrobust.instance import parse_instance, serialize_instance
+from bulkrobust.lp import LinearProgram, simplex_min
+from bulkrobust.oracle import brute_force_vc
+from conftest import build_suite_instance, suite_schedule, triangle_instance
+
+ROOT_EXPORTS = {
+    "solve", "solution_dict", "guarantee_factor",
+    "Instance", "parse_instance", "serialize_instance",
+    "is_feasible", "brute_force_opt", "OracleBudget",
+    "gen_grid", "gen_series_parallel", "gen_hypergraph_vc", "serialize_hypergraph",
+    "BudgetError", "InfeasibleError", "InstanceError", "InvariantError",
+}
+
+
+def test_package_root_exports_only_the_entry_points():
+    assert len(bulkrobust.__all__) == len(ROOT_EXPORTS) == 17
+    assert set(bulkrobust.__all__) == ROOT_EXPORTS
+    for name in ROOT_EXPORTS:
+        assert getattr(bulkrobust, name).__module__.startswith("bulkrobust.")
 
 
 def _write_triangle(path):
@@ -225,6 +242,21 @@ def test_long_path_solves_and_verifies(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("OK: feasible, cost 1103\n")
 
 
+def test_one_node_spanning_instance_round_trip(tmp_path, capsys):
+    # No edge, so no dart to trace: the one face still counts for Euler.
+    inst = tmp_path / "inst.json"
+    sol = tmp_path / "sol.json"
+    inst.write_text(json.dumps({"nodes": 1, "edges": [], "rotation": {"0": []},
+                                "problem": "mst", "scenarios": []}))
+    assert main(["solve", "-i", str(inst), "-o", str(sol)]) == 0
+    assert json.loads(sol.read_text())["cost"] == 0
+    assert main(["verify", "-i", str(inst), "-s", str(sol)]) == 0
+    assert main(["oracle", "-i", str(inst)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2] == "OK: feasible, cost 0"
+    assert json.loads(out[-1]) == {"opt": 0, "witness": []}
+
+
 def test_anchored_cover_budget_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(setcover, "NODE_CAP", 1)
     inst = tmp_path / "inst.json"
@@ -315,10 +347,11 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["grid", "--rows", "1"],
     ["grid", "--scenarios", "0"],
     ["sp", "--depth", "-1"],
+    ["sp", "--k", "0"],
     ["hvc", "--k", "1"],
     ["hvc", "--part-size", "0"],
     ["hvc", "--k", "2", "--part-size", "2", "--edges", "5"],
-], ids=["grid-rows", "grid-scenarios", "sp-depth", "hvc-k", "hvc-part-size",
+], ids=["grid-rows", "grid-scenarios", "sp-depth", "sp-k", "hvc-k", "hvc-part-size",
         "hvc-edges"])
 def test_generate_bad_parameters_exit_code(tmp_path, capsys, argv):
     out = tmp_path / "inst.json"

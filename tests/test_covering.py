@@ -1,23 +1,25 @@
-"""StepContext.covering, the per-level cover table, against `covers`."""
+"""StepContext.covering, the per-level cover table, against cuts built
+independently with networkx."""
 
 from itertools import combinations
 
 import pytest
 
-from bulkrobust import (TypedLink, covers, enumerate_typed_links, failure_components,
-                        gen_hypergraph_vc, preprocess_step, solve)
+from bulkrobust import gen_hypergraph_vc, solve
 from bulkrobust.driver import _walk_path, minimum_spanning_tree, shortest_st_path
-from conftest import build_suite_instance, square_with_chords, suite_schedule
+from bulkrobust.links import TypedLink, enumerate_typed_links, preprocess_step
+from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
+                      suite_schedule)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
 
 
 def by_definition(ctx, links):
-    """The table built pair by pair from the single-pair definition."""
-    cuts = {f_set: failure_components(ctx, f_set) for f_set in ctx.omega}
-    return {f_set: tuple(i for i, link in enumerate(links) if covers(link, cut))
-            for f_set, cut in cuts.items()}
+    """The table built pair by pair: a link covers a failure set iff its ends
+    lie on different sides of the set's reference cut."""
+    return {f_set: tuple(i for i, link in enumerate(links) if crosses(link, sides))
+            for f_set, sides in reference_cuts(ctx).items()}
 
 
 def lp_levels(instance):
@@ -68,12 +70,12 @@ def test_path_positions_match_covering_on_level1_path_links():
         nodes, path_edges = _walk_path(ctx)
         pos_of_node = {n: i for i, n in enumerate(nodes)}
         pos_of_edge = {e: i for i, e in enumerate(path_edges)}
-        cuts = {f: failure_components(ctx, f) for f in ctx.omega}
+        cuts = reference_cuts(ctx)
         for link in enumerate_typed_links(ctx):
             a, b = sorted((pos_of_node[link.u], pos_of_node[link.v]))
             by_position = {f for f in ctx.omega
                            if a <= pos_of_edge[next(iter(f))] <= b - 1}
-            by_cut = {f for f in ctx.omega if covers(link, cuts[f])}
+            by_cut = {f for f in ctx.omega if crosses(link, cuts[f])}
             assert by_position == by_cut, link
             pairs += len(by_cut)
         seen += 1
@@ -100,3 +102,4 @@ def test_same_links_reuse_the_table_and_new_links_rebuild_it():
     rebuilt = ctx.covering(links)
     assert rebuilt is not table
     assert rebuilt == table == by_definition(ctx, links)
+    assert ctx.covering([link._replace(u=link.v, v=link.u) for link in links]) == table

@@ -4,10 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from bulkrobust import (Hypergraph, InvariantError, brute_force_opt, gen_grid,
-                        gen_series_parallel, guarantee_factor, is_feasible,
-                        reduce_hypergraph_vc, serialize_instance, solve)
+from bulkrobust import (InvariantError, brute_force_opt, gen_grid, gen_series_parallel,
+                        guarantee_factor, is_feasible, serialize_instance, solve)
 from bulkrobust.driver import LevelTrace, augment_step, solution_dict
+from bulkrobust.generators import Hypergraph, reduce_hypergraph_vc
 from conftest import square_with_chords, triangle_instance
 
 

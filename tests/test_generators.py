@@ -2,11 +2,12 @@
 
 import pytest
 
-from bulkrobust import (Hypergraph, InstanceError, brute_force_opt,
-                        brute_force_vc, gen_grid, gen_hypergraph_vc,
-                        gen_series_parallel, parse_hypergraph, parse_instance,
-                        random_hypergraph, reduce_hypergraph_vc,
-                        serialize_hypergraph, serialize_instance)
+from bulkrobust import (InstanceError, brute_force_opt, gen_grid, gen_hypergraph_vc,
+                        gen_series_parallel, parse_instance, serialize_hypergraph,
+                        serialize_instance)
+from bulkrobust.generators import (Hypergraph, parse_hypergraph, random_hypergraph,
+                                   reduce_hypergraph_vc)
+from bulkrobust.oracle import brute_force_vc
 
 
 def test_grid_basic():
@@ -113,6 +114,17 @@ def test_hypergraph_validation():
     h = Hypergraph(((0, 1), (2,)), ((0, 2), (1, 2)))
     assert h.k == 2
     assert parse_hypergraph(serialize_hypergraph(h)).hyperedges == h.hyperedges
+    # Files that are not UTF-8, not integer id lists, or hold an integer past
+    # Python's digit limit, fail as instance errors.
+    for text, message in [
+            (b'\xff', "malformed"),
+            ('{"parts": 5, "hyperedges": []}', "integer node id lists"),
+            ('{"parts": [[' + "9" * 5000 + '], [1]], "hyperedges": []}', "malformed"),
+            ('{"parts": [["a"], [1]], "hyperedges": [["a", 1]]}', "integer node id lists"),
+            ('{"parts": [[true], [2]], "hyperedges": [[true, 2]]}', "integer node id lists"),
+            ('{"parts": [[0], [1]], "hyperedges": [[0, 1.5]]}', "integer node id lists")]:
+        with pytest.raises(InstanceError, match=message):
+            parse_hypergraph(text)
 
 
 def test_reduction_single_hyperedge():

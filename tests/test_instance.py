@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from bulkrobust import (InfeasibleError, InstanceError, Instance, PlaneGraph,
-                        gen_grid, gen_hypergraph_vc, gen_series_parallel,
-                        parse_instance, serialize_instance)
-from bulkrobust.instance import induced_faces
+from bulkrobust import (InfeasibleError, InstanceError, Instance, gen_grid,
+                        gen_hypergraph_vc, gen_series_parallel, parse_instance,
+                        serialize_instance)
+from bulkrobust.instance import PlaneGraph, induced_faces
 from conftest import component_of, grid_2x3, square_cycle, triangle_instance
 
 TRIANGLE_JSON = {

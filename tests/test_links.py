@@ -2,15 +2,23 @@
 
 import pytest
 
-from bulkrobust import (Instance, InvariantError, covers, enumerate_typed_links,
-                        failure_components, gen_grid, gen_hypergraph_vc,
-                        preprocess_step, solve)
+from bulkrobust import BudgetError, Instance, InvariantError, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust import driver
 from bulkrobust.driver import minimum_spanning_tree as mst
 from bulkrobust.instance import Feasibility
-from bulkrobust.links import dijkstra, lex_shortest_path
-from conftest import (build_suite_instance, component_of, square_with_chords,
+from bulkrobust.links import (TypedLink, dijkstra, enumerate_typed_links, lex_shortest_path,
+                              preprocess_step)
+from conftest import (build_suite_instance, reference_cuts, square_with_chords,
                       suite_schedule, triangle_instance)
+
+
+def table_sides(ctx, f_set):
+    """(side_s, side_t) of a relevant failure set as `preprocess_step` stores
+    it: its scenario's label per solution node, mapped through the set's sides."""
+    j, sides = ctx.cuts[frozenset(f_set)]
+    on_s = [sides[label] for label in ctx.cut_labels[j]]
+    side_s = frozenset(n for n, s in zip(ctx.cut_nodes, on_s) if s)
+    return side_s, frozenset(ctx.cut_nodes) - side_s
 
 
 def test_preprocess_triangle_level1():
@@ -18,9 +26,8 @@ def test_preprocess_triangle_level1():
     ctx = preprocess_step(tri, {0}, 1)
     assert ctx.omega == (frozenset({0}),)
     assert ctx.contracted == ()
-    cut = failure_components(ctx, {0})
-    assert cut.side_s == frozenset({0}) and cut.side_t == frozenset({1})
-    assert covers((0, 1), cut)
+    assert table_sides(ctx, {0}) == (frozenset({0}), frozenset({1}))
+    assert ctx.covering([TypedLink(0, 1, 0, 2)]) == {frozenset({0}): (0,)}
 
 
 def test_preprocess_square_level2():
@@ -31,22 +38,11 @@ def test_preprocess_square_level2():
     # two-edge cycle between the merged s-side and the merged a/t-side
     assert set(ctx.contracted) == {1, 3}
     assert ctx.kept_x == frozenset({0, 2})
-    cut = failure_components(ctx, {0, 2})
     s_side = ctx.node_map[0]
     a_side = ctx.node_map[1]
     assert ctx.node_map[3] == s_side and ctx.node_map[2] == a_side
-    assert cut.side_s == frozenset({s_side})
-    assert cut.side_t == frozenset({a_side})
-    assert covers((s_side, a_side), cut) is True
-
-
-def test_covers_square_cut_by_hand():
-    # cut sides {s, b} vs {a, t}: s-a crosses, s-b does not, s-t crosses
-    from bulkrobust import FailureCut
-    cut = FailureCut(frozenset({0, 2}), frozenset({0, 3}), frozenset({1, 2}))
-    assert covers((0, 1), cut) is True
-    assert covers((0, 3), cut) is False
-    assert covers((0, 2), cut) is True
+    assert table_sides(ctx, {0, 2}) == (frozenset({s_side}), frozenset({a_side}))
+    assert ctx.covering([TypedLink(s_side, a_side, 0, 1)]) == {frozenset({0, 2}): (0,)}
 
 
 def test_preprocess_irrelevant_scenario():
@@ -89,37 +85,6 @@ def test_preprocess_cycle_ignores_single_failures():
     assert ctx.omega == ()
 
 
-def test_failure_components_tree_edge():
-    g = gen_grid(2, 3, 1, 1, 1, seed=7)
-    tree = sorted(mst(g))
-    inst = type(g)(g.node_count, g.edges, g.rotation, g.problem, g.s, g.t,
-                   scenarios=[(tree[0],)])
-    ctx = preprocess_step(inst, frozenset(tree), 1)
-    cut = failure_components(ctx, {tree[0]})
-    assert len(cut.side_s) + len(cut.side_t) == len(ctx.subgraph.nodes)
-
-
-def reference_cuts(ctx):
-    """Failure set -> (side_s, side_t) from the networkx components of the
-    kept edges outside each failure set, independent of the Feasibility
-    table that `preprocess_step` reads the cuts from."""
-    sub_nodes = ctx.subgraph.nodes
-    cuts = {}
-    for f_set in ctx.omega:
-        component = component_of(sub_nodes, (ctx.graph.endpoints(e) for e in ctx.kept_x
-                                             if e not in f_set))
-        groups = {}
-        for node in sub_nodes:
-            groups.setdefault(component[node], set()).add(node)
-        comps = list(groups.values())
-        assert len(comps) == 2, sorted(f_set)
-        anchor = ctx.s if ctx.instance.problem == "st" else min(sub_nodes)
-        first = comps[0] if anchor in comps[0] else comps[1]
-        second = comps[1] if first is comps[0] else comps[0]
-        cuts[f_set] = (frozenset(first), frozenset(second))
-    return cuts
-
-
 def cut_instances():
     yield from (build_suite_instance(p) for p in suite_schedule(200))
     yield gen_hypergraph_vc(3, 3, 12, 5)[1]
@@ -143,9 +108,8 @@ def test_table_cuts_match_the_per_set_union_find(monkeypatch):
         contexts.clear()
         solve(instance)
         for ctx in contexts:
-            for f_set, (side_s, side_t) in reference_cuts(ctx).items():
-                cut = failure_components(ctx, f_set)
-                assert (cut.side_s, cut.side_t) == (side_s, side_t), sorted(f_set)
+            for f_set, sides in reference_cuts(ctx).items():
+                assert table_sides(ctx, f_set) == sides, sorted(f_set)
                 sets += 1
             levels.add((idx, ctx.level))
     assert {level for _, level in levels} == {1, 2, 3} and len(levels) > 200
@@ -173,15 +137,6 @@ def test_preprocess_checks_the_cuts_it_reads(monkeypatch, patch, message):
     sq = square_with_chords(inner=True, outer=False)
     with pytest.raises(InvariantError, match=message):
         preprocess_step(sq, {0, 1, 2, 3}, 2)
-
-
-def test_covers_is_endpoint_only_and_symmetric():
-    sq = square_with_chords(inner=True, outer=False)
-    ctx = preprocess_step(sq, {0, 1, 2, 3}, 2)
-    cut = failure_components(ctx, {0, 2})
-    assert covers((0, 1), cut) == covers((1, 0), cut)
-    with pytest.raises(ValueError, match="not incident"):
-        covers((0, 99), cut)
 
 
 def test_typed_links_triangle():
@@ -269,7 +224,6 @@ def test_face_cut_structure_validated():
 
 def test_enumeration_cap(monkeypatch):
     import bulkrobust.links as links_mod
-    from bulkrobust import BudgetError
     monkeypatch.setattr(links_mod, "OMEGA_CAP", 1)
     tri = triangle_instance(scenarios=((0,), (1,)))
     with pytest.raises(BudgetError, match="cap"):

@@ -6,15 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from bulkrobust import (FractionalCover, InfeasibleError, Instance, InvariantError,
-                        LinearProgram,
-                        enumerate_typed_links, failure_components,
-                        gen_hypergraph_vc, max_flow_min_cut, preprocess_step,
-                        separation_oracle, simplex_min, solve, solve_link_lp)
+from bulkrobust import (InfeasibleError, Instance, InvariantError, gen_hypergraph_vc,
+                        solve)
 from bulkrobust import lp as lp_module
-from bulkrobust.lp import _PIVOT_EPS, _STALL_LIMIT
-from conftest import (build_suite_instance, square_with_chords, suite_schedule,
-                      triangle_instance)
+from bulkrobust.links import enumerate_typed_links, preprocess_step
+from bulkrobust.lp import (_PIVOT_EPS, _STALL_LIMIT, FractionalCover, LinearProgram,
+                           max_flow_min_cut, separation_oracle, simplex_min,
+                           solve_link_lp)
+from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
+                      suite_schedule, triangle_instance)
 
 
 def test_simplex_single_variable():
@@ -372,10 +372,9 @@ def test_solve_link_lp_lower_bounds_integral_covers():
     links = enumerate_typed_links(ctx)
     cover = solve_link_lp(ctx, links)
     # every single-link integral cover costs >= the LP optimum
-    from bulkrobust import covers
-    cut = failure_components(ctx, {0, 2})
+    sides = reference_cuts(ctx)[frozenset({0, 2})]
     for link in links:
-        if covers(link, cut):
+        if crosses(link, sides):
             assert cover.objective <= link.cost + 1e-7
 
 

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from bulkrobust import (BudgetError, Hypergraph, OracleBudget,
-                        brute_force_opt, brute_force_vc, gen_grid,
-                        is_feasible, reduce_hypergraph_vc)
+from bulkrobust import BudgetError, OracleBudget, brute_force_opt, gen_grid, is_feasible
+from bulkrobust.generators import Hypergraph, reduce_hypergraph_vc
+from bulkrobust.oracle import brute_force_vc
 from conftest import triangle_instance
 
 

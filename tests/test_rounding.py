@@ -5,16 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from bulkrobust import (CircleInstance, FractionalCover, Instance,
-                        ScenarioPartition, build_circle_instance,
-                        chords_intersect, chords_to_rectangles,
-                        cover_intervals_exact, covers, enumerate_typed_links,
-                        exact_min_cover, failure_components, gen_grid,
-                        gen_hypergraph_vc, partition_scenarios,
-                        preprocess_step, round_face, solve, solve_link_lp)
+from bulkrobust import Instance, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust.driver import augment_step
-from bulkrobust.rounding import _in_rect
-from conftest import build_suite_instance, square_with_chords, suite_schedule
+from bulkrobust.links import enumerate_typed_links, preprocess_step
+from bulkrobust.lp import FractionalCover, solve_link_lp
+from bulkrobust.rounding import (CircleInstance, ScenarioPartition, _in_rect,
+                                 build_circle_instance, chords_intersect,
+                                 chords_to_rectangles, cover_intervals_exact,
+                                 partition_scenarios, round_face)
+from bulkrobust.setcover import exact_min_cover
+from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
+                      suite_schedule)
 
 
 # -- partition ---------------------------------------------------------------
@@ -31,8 +32,6 @@ def test_partition_tie_breaks_to_lowest_face():
     cover = FractionalCover(links, np.array([0.5, 0.5]))
     part = partition_scenarios(ctx, cover)
     f = frozenset({0, 2})
-    assert part.masses[f] == {0: 0.5, 1: 0.5}
-    assert part.chosen_face[f] == 0
     assert part.face_scenarios == {0: (f,)}
 
 
@@ -40,8 +39,7 @@ def test_partition_prefers_face_with_enough_mass():
     ctx, links = _two_face_ctx()
     cover = FractionalCover(links, np.array([0.2, 0.8]))
     part = partition_scenarios(ctx, cover)
-    f = frozenset({0, 2})
-    assert part.chosen_face[f] == 1
+    assert part.face_scenarios == {1: (frozenset({0, 2}),)}
 
 
 def test_partition_conserves_mass():
@@ -63,7 +61,7 @@ def test_circle_point_layout():
     links = enumerate_typed_links(ctx)
     cover = solve_link_lp(ctx, links)
     part = partition_scenarios(ctx, cover)
-    face = part.chosen_face[frozenset({0, 2})]
+    face = next(f for f, sets in part.face_scenarios.items() if frozenset({0, 2}) in sets)
     circle = build_circle_instance(ctx, cover, part, face)
     assert circle.size == 2 * len(ctx.subgraph.faces.faces[face])
     assert sorted(circle.node_pos.values()) == list(
@@ -180,9 +178,8 @@ def test_round_face_forced_pair():
         rounded = round_face(ctx, cover, part, face)
         picked.update(rounded.chosen)
     covered = set()
-    for f_set in ctx.omega:
-        cut = failure_components(ctx, f_set)
-        assert any(covers(cover.links[i], cut) for i in picked)
+    for f_set, sides in reference_cuts(ctx).items():
+        assert any(crosses(cover.links[i], sides) for i in picked)
         covered.add(f_set)
     assert covered == set(ctx.omega)
 
@@ -254,7 +251,7 @@ def test_face_records_replay_the_side_covers():
 def test_chord_crossing_is_cover_on_faces_with_repeated_nodes():
     # Spanning-tree grids give level-2 faces whose walks repeat a node.  On
     # each, put every failure set with edges on the face on the circle and
-    # compare chord crossing with `covers` for every link of the face.
+    # compare chord crossing with the reference cut for every link of the face.
     faces = pairs = 0
     for seed in range(60):
         inst = gen_grid(10, 10, 36, 3, 1, seed, "mst")
@@ -262,20 +259,20 @@ def test_chord_crossing_is_cover_on_faces_with_repeated_nodes():
         solve(inst, on_lp=lambda lv, ctx, links, cover: levels.append((ctx, cover)))
         for ctx, cover in levels:
             face_links = partition_scenarios(ctx, cover).face_links
+            cuts = reference_cuts(ctx)
             for face, walk in enumerate(ctx.subgraph.faces.faces):
                 tails = [tail for tail, _ in walk]
                 on_face = [f for f in ctx.omega if face in ctx.scenario_faces[f]]
                 if len(set(tails)) == len(tails) or not on_face:
                     continue
-                part = ScenarioPartition({face: tuple(on_face)}, {}, {}, face_links)
+                part = ScenarioPartition({face: tuple(on_face)}, face_links)
                 circle = build_circle_instance(ctx, cover, part, face)
                 if not circle.coverers:
                     continue
                 faces += 1
-                cuts = {f_set: failure_components(ctx, f_set) for f_set in on_face}
                 for f_set, d_chord in circle.demands:
                     for lidx, c_chord, _, _ in circle.coverers:
-                        assert chords_intersect(d_chord, c_chord) == covers(
+                        assert chords_intersect(d_chord, c_chord) == crosses(
                             cover.links[lidx], cuts[f_set]), (seed, face, lidx)
                         pairs += 1
         if faces >= 30:
