@@ -14,11 +14,14 @@ guarantee the algorithm relies on is re-checked at runtime, and the trace
 records enough per-level and per-face data to audit a run after the fact.
 
 Feasibility checks go through the instance's `Feasibility` table of the
-current solution X, built once per distinct X (so once per level): one
-pass over X - U, U the union of the scenarios, then O(n + |X & U|) per
-scenario.  It answers each failure subset in O(k).  The table of X after
-level i answers `augment_step`'s check, the one in `solve` and level
-i + 1's precondition, and checks each subset once.
+current solution X, one per distinct X (so one per level).  Only the base
+solution's table is built fresh: one pass over X - U, U the union of the
+scenarios, then O(n + |X & U|) per scenario.  Each later level grows the
+table from the one before, since a level only adds edges: per non-trivial
+scenario an O(n) copy of its forest, the merges of the added edges and an
+O(k) relabel.  The table answers each failure subset in O(k).  The table
+of X after level i answers `augment_step`'s check, the one in `solve` and
+level i + 1's precondition, and checks each subset once.
 """
 
 from dataclasses import dataclass, field

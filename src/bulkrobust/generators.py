@@ -15,6 +15,11 @@ from .instance import Instance, is_int_rows, requirement_met
 
 _MAX_RESAMPLES = 1000
 
+# A series-parallel instance has 2**depth edges, and building it takes time
+# quadratic in them (on a 2-core machine depth 12 takes about 2 s and depth
+# 14 about 30 s), so larger depths are refused before anything is built.
+MAX_SP_LEAVES = 2 ** 12
+
 
 def _sample_scenarios(node_count, weighted, problem, s, t, m, k, rng):
     """Draw m random failure sets of size <= k, each of whose removal from the
@@ -115,9 +120,14 @@ class _SPBuilder:
 
 
 def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, problem="st"):
-    """Random full-depth series/parallel composition of single edges."""
+    """Random full-depth series/parallel composition of 2**depth single
+    edges; depth is at most 12 (`MAX_SP_LEAVES` edges)."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    # 2**depth > MAX_SP_LEAVES, read from the depth so that a huge one
+    # computes no huge power.
+    if depth >= MAX_SP_LEAVES.bit_length():
+        raise ValueError(f"depth {depth} gives more than {MAX_SP_LEAVES} edges")
     if scenario_count < 0 or weight_max < 1:
         raise ValueError("bad parameters")
     if diameter < 1:

@@ -74,20 +74,54 @@ def requirement_met(node_count, rows, problem, s, t, skip=()):
     return _find(parent, s) == _find(parent, t)
 
 
+def _label_scenario(instance, x, full, parent, components):
+    """One scenario's entry of the Feasibility table of X, from `parent`, a
+    forest of (V, X - F_j) with `components` trees: None when X - F_j
+    already meets the requirement, else (rows, size, target, parent, label).
+
+    Labels are numbered on first sight: s and t, then the ends of the rows
+    of F_j & X in ascending edge order.  They depend on the forest's
+    components only, not on its roots, so every forest of X - F_j gives
+    the same entry apart from `parent`."""
+    ends = instance.edge_rows
+    label = {}
+    if instance.problem == "mst":
+        target = components     # components left to merge into one
+        trivial = target == 1
+    else:
+        target = (_label(parent, label, instance.s), _label(parent, label, instance.t))
+        trivial = target[0] == target[1]
+    if trivial:     # X - F_j already meets it, so every X - S does
+        return None
+    rows = tuple((e, _label(parent, label, ends[e][1]), _label(parent, label, ends[e][2]))
+                 for e in sorted(full & x))
+    return rows, len(label), target, parent, label
+
+
 class Feasibility:
     """The requirement on (V, X - S) for every S inside one scenario.
 
-    Built once per solution X: a list-based union-find of the X edges in
-    no scenario, one pass, is copied for each scenario F_j, which adds its
-    own surviving edges of X & U (U the union of the scenarios) to label
-    the components of (V, X - F_j), O(n + |X & U|).  Only the components
-    that a query can touch get a label: those of the endpoints of the
-    edges in F_j & X, and of s and t.  For S within F_j
-    the components of X - S are these joined by the surviving edges of
-    (F_j & X) - S, an O(k) union over the labels: `holds(j, S)` reads the
-    requirement from it and `cut(j, S)` the components themselves.  Each
-    non-trivial scenario keeps its forest, so `labels(j, nodes)` names the
-    component of any node.  Holds no reference to the instance.
+    For each scenario F_j the table keeps a list-based union-find of
+    (V, X - F_j) and labels its components, but only those a query can
+    touch: the components of the endpoints of the edges in F_j & X, and
+    of s and t.  For S within F_j the components of X - S are these
+    joined by the surviving edges of (F_j & X) - S, an O(k) union over the
+    labels: `holds(j, S)` reads the requirement from it and `cut(j, S)`
+    the components themselves.  Each non-trivial scenario keeps its
+    forest, so `labels(j, nodes)` names the component of any node.  A
+    scenario where X - F_j already meets the requirement is trivial and
+    keeps nothing.
+
+    A fresh table (`Feasibility(instance, x)`) merges the X edges in no
+    scenario once into a base forest, then copies it for each scenario
+    and adds that scenario's surviving edges of X & U (U the union of the
+    scenarios), O(n + |X & U|) per scenario.  `grown(instance, x)` builds
+    the table of a superset of X from this one: trivial scenarios stay
+    trivial, and each other scenario's forest is copied, O(n), and takes
+    the added edges outside F_j before its O(k) rows are labelled again.
+    Both builds label through `_label_scenario`, so they give the same
+    labels and cuts.  Neither changes an existing table, and a table holds
+    no reference to the instance.
     """
 
     __slots__ = ("x", "_mst", "_full", "_scenarios", "_clean")
@@ -97,31 +131,36 @@ class Feasibility:
         self._mst = instance.problem == "mst"
         self._full = instance.scenario_sets
         self._clean = -1        # largest size `first_failure` found clean
-        n = instance.node_count
-        ends = instance.edge_rows
+        n, ends = instance.node_count, instance.edge_rows
         touched = frozenset().union(*self._full)
         base, base_merges = _merge(list(range(n)), [ends[e] for e in x - touched])
         shared = [ends[e] for e in x & touched]
         scenarios = []
         for full in self._full:
             parent, merges = _merge(base[:], shared, full)
-            merges += base_merges
-            label = {}
-            if self._mst:
-                target = n - merges     # components left to merge into one
-                trivial = target == 1
-            else:
-                target = (_label(parent, label, instance.s),
-                          _label(parent, label, instance.t))
-                trivial = target[0] == target[1]
-            if trivial:     # X - F_j already meets it, so every X - S does
-                scenarios.append(None)
-                continue
-            rows = tuple((e, _label(parent, label, ends[e][1]),
-                          _label(parent, label, ends[e][2]))
-                         for e in sorted(full & x))
-            scenarios.append((rows, len(label), target, parent, label))
+            scenarios.append(_label_scenario(instance, x, full, parent,
+                                             n - base_merges - merges))
         self._scenarios = tuple(scenarios)
+
+    def grown(self, instance, x):
+        """The table of X = `x`, a superset of this table's X, built from
+        this one, which stays as it was.  Adding edges never breaks the
+        requirement, so a trivial scenario stays trivial."""
+        table = Feasibility.__new__(Feasibility)    # fields as __init__ sets them
+        table.x = x = frozenset(x)
+        table._mst, table._full, table._clean = self._mst, self._full, -1
+        ends = instance.edge_rows
+        added = [ends[e] for e in sorted(x - self.x)]
+        scenarios = []
+        for full, scenario in zip(self._full, self._scenarios):
+            if scenario is not None:
+                _, _, target, parent, _ = scenario
+                parent, merges = _merge(parent[:], added, full)
+                components = target - merges if self._mst else None
+                scenario = _label_scenario(instance, x, full, parent, components)
+            scenarios.append(scenario)
+        table._scenarios = tuple(scenarios)
+        return table
 
     def holds(self, j, removed):
         """True iff the requirement holds on (V, X - S) for S = `removed`,
@@ -418,12 +457,20 @@ class Instance:
         """The Feasibility table of solution X.
 
         The table of the last X asked for is kept, so one table serves
-        every check on the same X.  The table does not refer back to the
-        instance, so keeping it creates no reference cycle.
+        every check on the same X.  When that X is a proper subset of this
+        one, as from one augmentation level to the next, the new table is
+        grown from it: per non-trivial scenario an O(n) copy of its forest,
+        the merges of the added edges and an O(k) relabel.  Otherwise it is
+        built fresh; in a solve that happens twice, for the parse-time
+        table of all edges and for the base solution.  The table does not
+        refer back to the instance, so keeping it creates no reference
+        cycle.
         """
         x = frozenset(x)
         table = self.__dict__.get("_feasibility")
-        if table is None or table.x != x:
+        if table is not None and table.x < x:
+            table = self._feasibility = table.grown(self, x)
+        elif table is None or table.x != x:
             table = self._feasibility = Feasibility(self, x)
         return table
 

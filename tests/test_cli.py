@@ -347,12 +347,13 @@ def test_usage_error_exit_code(tmp_path, capsys):
     ["grid", "--rows", "1"],
     ["grid", "--scenarios", "0"],
     ["sp", "--depth", "-1"],
+    ["sp", "--depth", "40"],
     ["sp", "--k", "0"],
     ["hvc", "--k", "1"],
     ["hvc", "--part-size", "0"],
     ["hvc", "--k", "2", "--part-size", "2", "--edges", "5"],
-], ids=["grid-rows", "grid-scenarios", "sp-depth", "sp-k", "hvc-k", "hvc-part-size",
-        "hvc-edges"])
+], ids=["grid-rows", "grid-scenarios", "sp-depth", "sp-depth-cap", "sp-k", "hvc-k",
+        "hvc-part-size", "hvc-edges"])
 def test_generate_bad_parameters_exit_code(tmp_path, capsys, argv):
     out = tmp_path / "inst.json"
     assert main(["generate", *argv, "--seed", "1", "-o", str(out)]) == 4

@@ -144,6 +144,61 @@ def test_agrees_on_random_solutions(case):
     assert_agrees(*case)
 
 
+def answers(instance, table):
+    """Everything a table answers: `holds` for every S within every
+    scenario, `labels` of every node and `cut` for every S in every
+    non-trivial scenario, and `first_failure` at every size."""
+    nodes = range(instance.node_count)
+    found = []
+    for jdx, full in enumerate(instance.scenario_sets):
+        subsets = [sub for size in range(len(full) + 1)
+                   for sub in combinations(sorted(full), size)]
+        found.append([table.holds(jdx, sub) for sub in subsets])
+        if not table.holds(jdx, sorted(full)):
+            found.append(table.labels(jdx, nodes))
+            found.append([table.cut(jdx, sub) for sub in subsets])
+    found.append([table.first_failure(size) for size in range(instance.k + 1)])
+    return found
+
+
+def test_grown_tables_equal_fresh_ones(monkeypatch):
+    """Each level's table, grown by `instance.feasibility` from the one
+    before, answers as a table built from scratch on the same X."""
+    grown = []
+    grow = Feasibility.grown
+    monkeypatch.setattr(Feasibility, "grown",
+                        lambda self, inst, x: grown.append(x) or grow(self, inst, x))
+    levels = 0
+    for instance in INSTANCES + [TREE_GRID]:
+        solutions = list(dict.fromkeys(level_solutions(instance)))
+        levels += len(solutions) - 1
+        # After a solve the final X is kept, so the base table is built
+        # fresh; from the empty X every table is grown.
+        for start in (solutions[-1], frozenset()):
+            instance.feasibility(start)
+            grown.clear()
+            for x in solutions:
+                table = instance.feasibility(x)
+                assert table.x == x
+                assert answers(instance, table) == answers(instance, Feasibility(instance, x))
+            assert grown == [x for prev, x in zip([start] + solutions, solutions) if prev < x]
+        assert grown == solutions
+    assert levels > 20
+
+
+def test_a_held_table_survives_growth():
+    instance = HVC
+    base, *_, final = level_solutions(instance)
+    assert base < final     # so the final table is grown from the base one
+    held = instance.feasibility(base)
+    before = answers(instance, held)
+    assert before == answers(instance, Feasibility(instance, base))
+    newer = instance.feasibility(final)
+    assert newer is not held and held.x == base
+    assert answers(instance, newer) != before
+    assert answers(instance, held) == before
+
+
 def test_first_failure_checks_each_subset_once(monkeypatch):
     x = level_solutions(HVC)[-1]
     table = Feasibility(HVC, x)
