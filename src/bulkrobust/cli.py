@@ -13,13 +13,11 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import generators
 from .driver import guarantee_factor, solution_dict, solve
 from .errors import BudgetError, InfeasibleError, InstanceError, InvariantError
 from .instance import is_int_rows, parse_instance, serialize_instance
-from .lp import LinearProgram, lp_to_text, simplex_min
+from .lp import LinearProgram, covering_matrix, lp_to_text, simplex_min
 from .oracle import OracleBudget, brute_force_opt, is_feasible
 from .setcover import exact_min_cover
 
@@ -29,6 +27,13 @@ GAP_LIMIT = 8.0 + 1e-6
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(4, f"{self.prog}: error: {message}\n")
+
+
+def _count(text):
+    """The argparse type of an instance count: an integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _read_instance(path):
@@ -48,14 +53,10 @@ def _cmd_solve(args):
     dumps = []
 
     def on_lp(level, ctx, links, cover):
-        costs = [link.cost for link in links]
         table = ctx.covering(links)
-        rows = []
-        for f_set in ctx.omega:
-            a = np.zeros(len(links))
-            a[list(table[f_set])] = 1.0
-            rows.append((a, 1.0))
-        dumps.append(f"# level {level}\n" + lp_to_text(LinearProgram(costs, rows)))
+        matrix = covering_matrix([table[f_set] for f_set in ctx.omega], len(links))
+        lp = LinearProgram([link.cost for link in links], matrix)
+        dumps.append(f"# level {level}\n" + lp_to_text(lp))
 
     hook = on_lp if args.lp_dump else None
     x, trace = solve(inst, on_lp=hook)
@@ -184,13 +185,15 @@ def _bench_one(family, index, seed, problem, budget):
     }
 
 
+def _problems(family, problem):
+    """What `bench` and `gap` run for `problem`; hvc is an s-t reduction."""
+    return ("st",) if family == "hvc" else ("st", "mst") if problem == "both" else (problem,)
+
+
 def run_bench(family, count, seed, problem="st", budget=None):
     budget = budget or OracleBudget()
-    problems = ("st", "mst") if problem == "both" else (problem,)
-    if family == "hvc":
-        problems = ("st",)
     return [_bench_one(family, idx, seed, prob, budget)
-            for idx in range(count) for prob in problems]
+            for idx in range(count) for prob in _problems(family, problem)]
 
 
 def _fmt(value):
@@ -246,17 +249,11 @@ def face_gap(record):
     coverers = record["coverers"]
     if not demands:
         return None
-    costs = [cov["cost"] for cov in coverers]
-    exact, _ = exact_min_cover(
-        len(demands), [(cov["cost"], cov["covers"]) for cov in coverers])
-    rows = []
-    for d in range(len(demands)):
-        a = np.zeros(len(coverers))
-        for c, cov in enumerate(coverers):
-            if d in cov["covers"]:
-                a[c] = 1.0
-        rows.append((a, 1.0))
-    res = simplex_min(LinearProgram(np.array(costs, dtype=float), rows))
+    sets = [(cov["cost"], cov["covers"]) for cov in coverers]
+    exact, _ = exact_min_cover(len(demands), sets)
+    # One row per demand: the transpose of one row of covered demands per coverer.
+    matrix = covering_matrix([covers for _, covers in sets], len(demands)).T
+    res = simplex_min(LinearProgram([cost for cost, _ in sets], matrix))
     if res.value <= 1e-12:
         return 1.0
     return exact / res.value
@@ -264,6 +261,7 @@ def face_gap(record):
 
 def run_gap(family, count, seed, problem="st"):
     """Per-face integrality gaps across a generated family; returns records."""
+    (problem,) = _problems(family, problem)    # gap takes st or mst, never both
     out = []
     for idx in range(count):
         inst = bench_instance(family, idx, seed, problem)
@@ -367,7 +365,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="solve a generated family, write CSV")
     p.add_argument("--family", choices=("grid", "sp", "hvc"), required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problem", choices=("st", "mst", "both"), default="st")
     p.add_argument("--max-edges", type=int, default=24)
@@ -376,7 +374,7 @@ def build_parser():
 
     p = sub.add_parser("gap", help="measure per-face integrality gaps")
     p.add_argument("--family", choices=("grid", "sp", "hvc"), required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problem", choices=("st", "mst"), default="st")
     p.add_argument("--report")

@@ -15,9 +15,9 @@ from .instance import Instance, is_int_rows, requirement_met
 
 _MAX_RESAMPLES = 1000
 
-# A series-parallel instance has 2**depth edges, and building it takes time
-# quadratic in them (on a 2-core machine depth 12 takes about 2 s and depth
-# 14 about 30 s), so larger depths are refused before anything is built.
+# A series-parallel instance has 2**depth edges, so a depth such as 40 asks
+# for more memory than any machine has.  Depths past 12 (4096 edges, built
+# in about 0.1 s on a 2-core machine) are refused before anything is built.
 MAX_SP_LEAVES = 2 ** 12
 
 
@@ -80,13 +80,16 @@ def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st
 
 
 class _SPBuilder:
-    """Grows a series-parallel multigraph together with its embedding."""
+    """Grows a series-parallel multigraph together with its embedding.  An
+    edge keeps the ends it was built with; `end` resolves them after the
+    last merge."""
 
     def __init__(self):
         self.next_node = 0
         self.next_edge = 0
-        self.edges = {}      # id -> (u, v)
+        self.edges = {}      # id -> (u, v), as built
         self.rotation = {}   # node -> list of edge ids
+        self.survivor = {}   # merged-away node -> the node it was merged into
 
     def leaf(self):
         s, t = self.next_node, self.next_node + 1
@@ -99,11 +102,15 @@ class _SPBuilder:
         return s, t
 
     def _merge(self, into, gone, rot):
-        for e, (u, v) in list(self.edges.items()):
-            if u == gone or v == gone:
-                self.edges[e] = (into if u == gone else u, into if v == gone else v)
+        self.survivor[gone] = into
         self.rotation[into] = rot
         del self.rotation[gone]
+
+    def end(self, node):
+        """The node that `node` is now part of."""
+        while node in self.survivor:
+            node = self.survivor[node]
+        return node
 
     def series(self, g1, g2):
         s1, t1 = g1
@@ -149,7 +156,8 @@ def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, probl
     s, t = compose(depth, op="parallel" if depth > 0 else None)
     order = [s, t] + sorted(n for n in builder.rotation if n not in (s, t))
     relabel = {old: new for new, old in enumerate(order)}
-    weighted = [(e, relabel[u], relabel[v], rng.randint(1, weight_max))
+    weighted = [(e, relabel[builder.end(u)], relabel[builder.end(v)],
+                 rng.randint(1, weight_max))
                 for e, (u, v) in sorted(builder.edges.items())]
     rotation = {relabel[n]: list(rot) for n, rot in builder.rotation.items()}
     n = len(order)

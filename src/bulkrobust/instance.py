@@ -74,19 +74,23 @@ def requirement_met(node_count, rows, problem, s, t, skip=()):
     return _find(parent, s) == _find(parent, t)
 
 
-def _label_scenario(instance, x, full, parent, components):
-    """One scenario's entry of the Feasibility table of X, from `parent`, a
-    forest of (V, X - F_j) with `components` trees: None when X - F_j
-    already meets the requirement, else (rows, size, target, parent, label).
+def _label_scenario(instance, x, full, start, components, merge_rows):
+    """One scenario's entry of the Feasibility table of X: a copy of the
+    forest `start` (`components` trees, read for 'mst' only) takes the
+    `merge_rows` whose edge is not in F_j = `full`, giving a forest of
+    (V, X - F_j).  None when X - F_j already meets the requirement, else
+    (rows, size, target, parent, label); `target` counts components for
+    'mst' and holds the labels of s and t for 'st'.
 
     Labels are numbered on first sight: s and t, then the ends of the rows
     of F_j & X in ascending edge order.  They depend on the forest's
     components only, not on its roots, so every forest of X - F_j gives
     the same entry apart from `parent`."""
+    parent, merges = _merge(start[:], merge_rows, full)
     ends = instance.edge_rows
     label = {}
     if instance.problem == "mst":
-        target = components     # components left to merge into one
+        target = components - merges     # components left to merge into one
         trivial = target == 1
     else:
         target = (_label(parent, label, instance.s), _label(parent, label, instance.t))
@@ -112,55 +116,36 @@ class Feasibility:
     scenario where X - F_j already meets the requirement is trivial and
     keeps nothing.
 
-    A fresh table (`Feasibility(instance, x)`) merges the X edges in no
-    scenario once into a base forest, then copies it for each scenario
-    and adds that scenario's surviving edges of X & U (U the union of the
-    scenarios), O(n + |X & U|) per scenario.  `grown(instance, x)` builds
-    the table of a superset of X from this one: trivial scenarios stay
-    trivial, and each other scenario's forest is copied, O(n), and takes
-    the added edges outside F_j before its O(k) rows are labelled again.
-    Both builds label through `_label_scenario`, so they give the same
-    labels and cuts.  Neither changes an existing table, and a table holds
-    no reference to the instance.
+    One loop builds every scenario, through `_label_scenario`: copy a
+    start forest, merge rows outside F_j, label.  Builds differ only in
+    the start and the rows.  `Feasibility(instance, x)` starts from one
+    base forest of the X edges in no scenario and merges X & U (U the union
+    of the scenarios), O(n + |X & U|) per scenario.  Given `_kept`, a table
+    of a proper subset of X (only `Instance.feasibility` passes one), each
+    non-trivial scenario starts from its forest there and merges the added
+    edges; a trivial one stays trivial, since adding edges never breaks the
+    requirement.  No build changes an existing table, and a table holds no
+    reference to the instance.
     """
 
     __slots__ = ("x", "_mst", "_full", "_scenarios", "_clean")
 
-    def __init__(self, instance, x):
+    def __init__(self, instance, x, _kept=None):
         self.x = x = frozenset(x)
         self._mst = instance.problem == "mst"
         self._full = instance.scenario_sets
         self._clean = -1        # largest size `first_failure` found clean
         n, ends = instance.node_count, instance.edge_rows
-        touched = frozenset().union(*self._full)
-        base, base_merges = _merge(list(range(n)), [ends[e] for e in x - touched])
-        shared = [ends[e] for e in x & touched]
-        scenarios = []
-        for full in self._full:
-            parent, merges = _merge(base[:], shared, full)
-            scenarios.append(_label_scenario(instance, x, full, parent,
-                                             n - base_merges - merges))
-        self._scenarios = tuple(scenarios)
-
-    def grown(self, instance, x):
-        """The table of X = `x`, a superset of this table's X, built from
-        this one, which stays as it was.  Adding edges never breaks the
-        requirement, so a trivial scenario stays trivial."""
-        table = Feasibility.__new__(Feasibility)    # fields as __init__ sets them
-        table.x = x = frozenset(x)
-        table._mst, table._full, table._clean = self._mst, self._full, -1
-        ends = instance.edge_rows
-        added = [ends[e] for e in sorted(x - self.x)]
-        scenarios = []
-        for full, scenario in zip(self._full, self._scenarios):
-            if scenario is not None:
-                _, _, target, parent, _ = scenario
-                parent, merges = _merge(parent[:], added, full)
-                components = target - merges if self._mst else None
-                scenario = _label_scenario(instance, x, full, parent, components)
-            scenarios.append(scenario)
-        table._scenarios = tuple(scenarios)
-        return table
+        if _kept is None:
+            touched = frozenset().union(*self._full)
+            base, base_merges = _merge(list(range(n)), [ends[e] for e in x - touched])
+            starts = [(base, n - base_merges)] * len(self._full)
+            rows = [ends[e] for e in x & touched]
+        else:   # a non-trivial entry's target is its component count for 'mst'
+            starts = [entry and (entry[3], entry[2]) for entry in _kept._scenarios]
+            rows = [ends[e] for e in sorted(x - _kept.x)]
+        self._scenarios = tuple(start and _label_scenario(instance, x, full, *start, rows)
+                                for full, start in zip(self._full, starts))
 
     def holds(self, j, removed):
         """True iff the requirement holds on (V, X - S) for S = `removed`,
@@ -458,20 +443,19 @@ class Instance:
 
         The table of the last X asked for is kept, so one table serves
         every check on the same X.  When that X is a proper subset of this
-        one, as from one augmentation level to the next, the new table is
-        grown from it: per non-trivial scenario an O(n) copy of its forest,
-        the merges of the added edges and an O(k) relabel.  Otherwise it is
-        built fresh; in a solve that happens twice, for the parse-time
-        table of all edges and for the base solution.  The table does not
-        refer back to the instance, so keeping it creates no reference
-        cycle.
+        one, as from one augmentation level to the next, the new table's
+        scenarios start from the kept table's forests: per non-trivial
+        scenario an O(n) copy, the merges of the added edges and an O(k)
+        relabel.  Otherwise every scenario starts from a fresh base forest;
+        in a solve that happens twice, for the parse-time table of all
+        edges and for the base solution.  The table does not refer back to
+        the instance, so keeping it creates no reference cycle.
         """
         x = frozenset(x)
         table = self.__dict__.get("_feasibility")
-        if table is not None and table.x < x:
-            table = self._feasibility = table.grown(self, x)
-        elif table is None or table.x != x:
-            table = self._feasibility = Feasibility(self, x)
+        if table is None or table.x != x:
+            kept = table if table is not None and table.x < x else None
+            table = self._feasibility = Feasibility(self, x, kept)
         return table
 
     # -- derived views ---------------------------------------------------

@@ -3,6 +3,8 @@ and the link LP.
 
 Every LP here is a covering LP: minimize c.x subject to A x >= 1 and
 x >= 0, with A 0/1, every row covering some column, and c >= 0.
+`LinearProgram` checks c and A and keeps them as given; every caller
+builds A with `covering_matrix` from rows of column indices.
 `simplex_min` solves its packing dual, maximize 1.y subject to A^T y <= c
 and y >= 0, from the slack basis, which c >= 0 makes feasible; each y_r is
 at most the cost of a column row r covers, so the dual is bounded and one
@@ -21,7 +23,7 @@ stays as an independent check of the solution.  Everything is
 deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,27 +37,36 @@ _MAX_PIVOTS = 20000    # per solve; past it the solve raises BudgetError
 
 @dataclass
 class LinearProgram:
-    """minimize c.x subject to a.x >= 1 per row, x >= 0, where every row a
-    is a 0/1 vector with at least one 1 and every cost is finite and >= 0."""
+    """minimize c.x subject to A x >= 1, x >= 0, where A = `matrix` is a 0/1
+    matrix with one column per cost and no all-zero row, and every cost is
+    finite and >= 0."""
 
     objective: np.ndarray
-    rows: list                      # list of (coefficients, 1.0)
-    # The rows' coefficients stacked, one row each; set from `rows`.
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.rows = [(np.asarray(a, dtype=float), float(b)) for a, b in self.rows]
-        c = self.objective
+        self.objective = c = np.asarray(self.objective, dtype=float)
+        self.matrix = a = np.asarray(self.matrix, dtype=float)
         if c.ndim != 1 or not (np.isfinite(c) & (c >= 0)).all():
             raise ValueError("LP costs must be finite and nonnegative")
-        if any(a.shape != c.shape for a, _ in self.rows):
-            raise ValueError("constraint row has wrong width")
-        a = np.array([a for a, _ in self.rows]).reshape(len(self.rows), c.size)
-        if any(b != 1.0 for _, b in self.rows) or ((a != 0) & (a != 1)).any() \
-                or not a.any(axis=1).all():
-            raise ValueError("covering rows are nonzero 0/1 vectors with bound 1")
-        self.matrix = a
+        if a.ndim != 2 or a.shape[1] != c.size:
+            raise ValueError("constraint matrix needs two dimensions and one column per cost")
+        if ((a != 0) & (a != 1)).any() or not a.any(axis=1).all():
+            raise ValueError("covering rows are nonzero 0/1 vectors")
+
+    @property
+    def rows(self):
+        """(coefficients, bound) per row, read-only; perfbench's tracer reads it."""
+        return [(a, 1.0) for a in self.matrix]
+
+
+def covering_matrix(rows, width):
+    """The 0/1 matrix with one row per entry of `rows`, each a collection of
+    the column indices in [0, width) that hold a 1."""
+    a = np.zeros((len(rows), width))
+    for r, columns in enumerate(rows):
+        a[r, list(columns)] = 1.0
+    return a
 
 
 @dataclass
@@ -87,10 +98,10 @@ def simplex_min(lp):
     """Optimum of the covering LP `lp`, solved as its packing dual and
     certified; raises BudgetError after `_MAX_PIVOTS` pivots."""
     c = lp.objective
-    n, m = c.shape[0], len(lp.rows)
+    a = lp.matrix
+    m, n = a.shape
     if m == 0:
         return SimplexResult(0.0, np.zeros(n), np.zeros(0))
-    a = lp.matrix
     # One row per column j, A_j^T y + s_j = c_j; columns y, s, right-hand
     # side.  The objective row minimizes -1.y, so its last cell is 1.y.
     tableau = np.zeros((n + 1, m + n + 1))
@@ -147,10 +158,10 @@ def simplex_min(lp):
 
 
 def lp_to_text(lp):
-    """Plain-text dump: `min c.x; a_i.x >= b_i; x >= 0`, one row per line."""
+    """Plain-text dump: `min c.x; a_i.x >= 1.0; x >= 0`, one row per line."""
     lines = ["min " + " ".join(repr(float(c)) for c in lp.objective)]
-    for a, b in lp.rows:
-        lines.append(" ".join(repr(float(v)) for v in a) + " >= " + repr(float(b)))
+    for a in lp.matrix:
+        lines.append(" ".join(repr(float(v)) for v in a) + " >= 1.0")
     lines.append("x >= 0")
     return "\n".join(lines) + "\n"
 
@@ -310,9 +321,6 @@ def solve_link_lp(ctx, links):
                 f"augmentation impossible: failure set {sorted(f_set)} has no "
                 "covering link")
         rows.setdefault(table[f_set], None)
-    matrix = np.zeros((len(rows), len(links)))
-    for r, row in enumerate(rows):
-        matrix[r, list(row)] = 1.0
-    x = np.clip(simplex_min(LinearProgram(costs, [(a, 1.0) for a in matrix])).x,
+    x = np.clip(simplex_min(LinearProgram(costs, covering_matrix(rows, len(links)))).x,
                 0.0, 1.0)
     return FractionalCover(links, x, float(costs @ x))

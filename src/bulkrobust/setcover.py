@@ -49,7 +49,7 @@ when the cheapest-set test has not pruned.
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .lp import LinearProgram, simplex_min
+from .lp import LinearProgram, covering_matrix, simplex_min
 
 LP_BOUND_AFTER = 1000
 # The largest search in the benchmark's tree-cover and small-mix workloads
@@ -74,15 +74,13 @@ def dual_bound(candidates, costs):
     if not all(0 <= c <= _FLOAT_EXACT for c in costs):
         return None
     c = np.array(costs, dtype=float)
-    a = np.zeros((len(candidates), c.size))
-    for el, ids in enumerate(candidates):
-        a[el, ids] = 1.0
+    a = covering_matrix(candidates, c.size)
     slack = -_BOUND_RTOL * max(1.0, float(c.max()))
     columns = sorted({ids[0] for ids in candidates})
     while True:
-        rows = [(row, 1.0) for row in a[:, columns]]
-        forward = simplex_min(LinearProgram(c[columns], rows)).duals
-        backward = simplex_min(LinearProgram(c[columns], rows[::-1])).duals[::-1]
+        restricted = a[:, columns]
+        forward = simplex_min(LinearProgram(c[columns], restricted)).duals
+        backward = simplex_min(LinearProgram(c[columns], restricted[::-1])).duals[::-1]
         y = np.clip((forward + backward) / 2, 0.0, None)
         violated = set((c - a.T @ y < slack).nonzero()[0].tolist()) - set(columns)
         if not violated:

@@ -76,12 +76,13 @@ def _parse_lp_dump(text):
     for chunk in text.split("# level ")[1:]:
         head, objective, *rows, last = chunk.splitlines()
         assert objective.startswith("min ") and last == "x >= 0"
-        parsed = []
+        matrix = []
         for row in rows:
             lhs, rhs = row.split(" >= ")
-            parsed.append(([float(v) for v in lhs.split()], float(rhs)))
+            assert rhs == "1.0"
+            matrix.append([float(v) for v in lhs.split()])
         costs = [float(v) for v in objective.split()[1:]]
-        blocks.append((int(head), LinearProgram(costs, parsed)))
+        blocks.append((int(head), LinearProgram(costs, np.reshape(matrix, (-1, len(costs))))))
     return blocks
 
 
@@ -101,7 +102,7 @@ def test_lp_dump_matches_trace(tmp_path):
         assert len(blocks) == len(lp_levels)
         for (level, lp), lv in zip(blocks, lp_levels):
             assert level == lv["level"]
-            assert len(lp.rows) == lv["omega_size"]
+            assert len(lp.matrix) == lv["omega_size"]
             result = simplex_min(lp)
             assert result.value == pytest.approx(lv["lp_value"], rel=0, abs=1e-9)
         dumped += len(blocks)
@@ -132,7 +133,7 @@ def test_lp_levels_with_one_huge_edge_weight_match_highs(tmp_path, capsys):
     assert len(blocks) == len(lp_levels) == 2
     for (level, lp), lv in zip(blocks, lp_levels):
         assert lp.objective.max() >= 10**13 and lp.objective.min() <= 1
-        highs = linprog(lp.objective, A_ub=-lp.matrix, b_ub=-np.ones(len(lp.rows)),
+        highs = linprog(lp.objective, A_ub=-lp.matrix, b_ub=-np.ones(len(lp.matrix)),
                         bounds=(0, None), method="highs")
         assert highs.status == 0 and highs.fun < 10
         assert lv["lp_value"] == pytest.approx(highs.fun, rel=1e-9)
@@ -491,3 +492,26 @@ def test_gap_command(tmp_path, capsys):
     assert rows[0] == ["instance_id", "face_count", "max_gap"]
     for row in rows[1:]:
         assert float(row[2]) <= 8.0 + 1e-6
+
+
+@pytest.mark.parametrize("command", ["bench", "gap"])
+def test_negative_count_exit_code(tmp_path, capsys, command):
+    report = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--family", "grid", "--count", "-3", "--report", str(report)])
+    assert exc.value.code == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "error: argument --count: expected an integer >= 0, got '-3'" in captured.err
+    assert not report.exists()
+
+
+def test_bench_and_gap_label_hvc_instances_alike(tmp_path, capsys):
+    # The hvc family is an s-t reduction, whatever problem is asked for.
+    report = tmp_path / "hvc.csv"
+    assert main(["bench", "--family", "hvc", "--count", "1", "--problem", "mst",
+                 "--report", str(report)]) == 0
+    with open(report, newline="") as fh:
+        assert [row[0] for row in csv.reader(fh)][1:] == ["hvc-st-0-000"]
+    assert main(["gap", "--family", "hvc", "--count", "1", "--problem", "mst"]) == 0
+    assert "hvc-st-0-000: " in capsys.readouterr().out

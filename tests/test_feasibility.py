@@ -165,9 +165,14 @@ def test_grown_tables_equal_fresh_ones(monkeypatch):
     """Each level's table, grown by `instance.feasibility` from the one
     before, answers as a table built from scratch on the same X."""
     grown = []
-    grow = Feasibility.grown
-    monkeypatch.setattr(Feasibility, "grown",
-                        lambda self, inst, x: grown.append(x) or grow(self, inst, x))
+    build = Feasibility.__init__
+
+    def recording_build(self, inst, x, _kept=None):
+        if _kept is not None:
+            grown.append(x)
+        build(self, inst, x, _kept)
+
+    monkeypatch.setattr(Feasibility, "__init__", recording_build)
     levels = 0
     for instance in INSTANCES + [TREE_GRID]:
         solutions = list(dict.fromkeys(level_solutions(instance)))

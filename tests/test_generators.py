@@ -1,5 +1,7 @@
 """Generators: structure, determinism, and the vertex-cover reduction."""
 
+import hashlib
+
 import pytest
 
 from bulkrobust import (InstanceError, brute_force_opt, gen_grid, gen_hypergraph_vc,
@@ -104,6 +106,25 @@ def test_sp_determinism():
     a = serialize_instance(gen_series_parallel(3, 2, 2, 5, seed=9))
     b = serialize_instance(gen_series_parallel(3, 2, 2, 5, seed=9))
     assert a == b
+
+
+def _sp_text(depth, seed, problem):
+    # Depth 0 is a single edge; every scenario would break it, so it gets none.
+    return serialize_instance(gen_series_parallel(depth, 2 if depth else 0, 2, 5, seed,
+                                                  problem)).encode()
+
+
+def test_sp_instances_are_pinned():
+    # A change to the builder must leave every instance byte-identical.
+    digest = hashlib.sha256()
+    for depth in range(11):
+        for seed in range(4):
+            for problem in ("st", "mst"):
+                digest.update(_sp_text(depth, seed, problem))
+    assert digest.hexdigest() == \
+        "13f89f1205918d8dc925667c2dfcb1ef253b3a140accad85db7ea08efd2ba739"
+    assert hashlib.sha256(_sp_text(12, 1, "st")).hexdigest() == \
+        "aa76d0fa257d005e8220e55b27f88c5e2f84ba131a58581b039fed70002147ed"
 
 
 def test_hypergraph_validation():

@@ -11,69 +11,81 @@ from bulkrobust import (InfeasibleError, Instance, InvariantError, gen_hypergrap
 from bulkrobust import lp as lp_module
 from bulkrobust.links import enumerate_typed_links, preprocess_step
 from bulkrobust.lp import (_PIVOT_EPS, _STALL_LIMIT, FractionalCover, LinearProgram,
-                           max_flow_min_cut, separation_oracle, simplex_min,
-                           solve_link_lp)
+                           covering_matrix, lp_to_text, max_flow_min_cut,
+                           separation_oracle, simplex_min, solve_link_lp)
 from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
                       suite_schedule, triangle_instance)
 
 
 def test_simplex_single_variable():
-    res = simplex_min(LinearProgram([1.0], [([1.0], 1.0)]))
+    res = simplex_min(LinearProgram([1.0], [[1.0]]))
     assert abs(res.value - 1.0) < 1e-9
     assert abs(res.x[0] - 1.0) < 1e-9
     assert abs(res.duals[0] - 1.0) < 1e-9
 
 
 def test_simplex_two_variables():
-    res = simplex_min(LinearProgram([1.0, 1.0], [([1.0, 1.0], 1.0)]))
+    res = simplex_min(LinearProgram([1.0, 1.0], [[1.0, 1.0]]))
     assert abs(res.value - 1.0) < 1e-9
+
+
+def test_simplex_without_rows_is_zero():
+    res = simplex_min(LinearProgram([1.0, 2.0], covering_matrix([], 2)))
+    assert res.value == 0.0
+    assert list(res.x) == [0.0, 0.0] and res.duals.shape == (0,)
 
 
 def test_simplex_infeasible():
     # An infeasible program is not a covering LP: it is refused up front.
     with pytest.raises(ValueError):
-        LinearProgram([1.0], [([1.0], 1.0), ([-1.0], 0.0)])
+        LinearProgram([1.0], [[1.0], [-1.0]])
 
 
 def test_simplex_unbounded():
     # Only a negative cost makes a covering LP unbounded; it is refused.
     with pytest.raises(ValueError):
-        LinearProgram([-1.0], [([1.0], 1.0)])
+        LinearProgram([-1.0], [[1.0]])
 
 
 @pytest.mark.parametrize("costs, rows", [
-    ([1.0, 1.0], [([1.0, 2.0], 1.0)]),                  # entry not 0 or 1
-    ([1.0, 1.0], [([1.0, 0.5], 1.0)]),
-    ([1.0, 1.0], [([1.0, np.nan], 1.0)]),
-    ([1.0, 1.0], [([1.0, 1.0], 2.0)]),                  # b != 1
-    ([1.0, 1.0], [([1.0, 1.0], 0.0)]),
-    ([1.0, -1.0], [([1.0, 1.0], 1.0)]),                 # negative cost
-    ([1.0, np.inf], [([1.0, 1.0], 1.0)]),               # non-finite cost
-    ([1.0, np.nan], [([1.0, 1.0], 1.0)]),
-    ([1.0, 1.0], [([1.0, 0.0], 1.0), ([0.0, 0.0], 1.0)]),  # all-zero row
-    ([1.0, 1.0], [([1.0, 0.0, 1.0], 1.0)]),             # wrong width
+    ([1.0, 1.0], [[1.0, 2.0]]),                 # entry not 0 or 1
+    ([1.0, 1.0], [[1.0, 0.5]]),
+    ([1.0, 1.0], [[1.0, np.nan]]),
+    ([1.0, -1.0], [[1.0, 1.0]]),                # negative cost
+    ([1.0, np.inf], [[1.0, 1.0]]),              # non-finite cost
+    ([1.0, np.nan], [[1.0, 1.0]]),
+    ([1.0, 1.0], [[1.0, 0.0], [0.0, 0.0]]),     # all-zero row
+    ([1.0, 1.0], [[1.0, 0.0, 1.0]]),            # wrong width
+    ([1.0, 1.0], [1.0, 1.0]),                   # wrong dimension
+    ([1.0, 1.0], [[[1.0, 1.0]]]),
 ])
 def test_linear_program_accepts_covering_input_only(costs, rows):
     with pytest.raises(ValueError):
         LinearProgram(costs, rows)
 
 
+def test_lp_to_text_bytes():
+    # The format `solve --lp-dump` writes.
+    lp = LinearProgram([1, 2], [[1, 0], [1, 1]])
+    assert lp_to_text(lp) == "min 1.0 2.0\n1.0 0.0 >= 1.0\n1.0 1.0 >= 1.0\nx >= 0\n"
+
+
 def test_uncertified_solution_raises_invariant_error(monkeypatch):
-    lp = LinearProgram([1.0, 2.0], [([1.0, 1.0], 1.0)])
+    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]])
     monkeypatch.setattr(lp_module, "EPS_FEAS", -1.0)
     with pytest.raises(InvariantError, match="not certified"):
         simplex_min(lp)
 
 
 def test_unbounded_packing_dual_raises_invariant_error():
-    lp = LinearProgram([1.0], [([1.0], 1.0)])
+    lp = LinearProgram([1.0], [[1.0]])
     lp.matrix = np.zeros((1, 1))        # past the constructor's check
     with pytest.raises(InvariantError, match="unbounded"):
         simplex_min(lp)
 
 
 def test_simplex_keeps_small_values_next_to_large_costs():
-    res = simplex_min(LinearProgram([1.0, 1e13], [([1.0, 1.0], 1.0)]))
+    res = simplex_min(LinearProgram([1.0, 1e13], [[1.0, 1.0]]))
     assert res.value == 1.0
     assert list(res.x) == [1.0, 0.0] and list(res.duals) == [1.0]
 
@@ -84,33 +96,32 @@ def test_simplex_matches_highs_on_mixed_scale_costs():
     rng = random.Random(3)
     for _ in range(200):
         n, m = rng.randint(1, 30), rng.randint(1, 40)
-        c, rows = _random_covering_lp(rng, n, m, 0.3)
+        c, a = _random_covering_lp(rng, n, m, 0.3)
         for j in range(n):
             if rng.random() < 0.3:
                 c[j] = rng.choice([1e6, 1e13, 2.0 ** 52, 2.0 ** 53])
-        res = simplex_min(LinearProgram(c, rows))
-        highs = linprog(c, A_ub=-np.array([a for a, _ in rows]),
-                        b_ub=-np.ones(m), bounds=(0, None), method="highs")
+        res = simplex_min(LinearProgram(c, a))
+        highs = linprog(c, A_ub=-a, b_ub=-np.ones(m), bounds=(0, None), method="highs")
         assert highs.status == 0
         assert res.value == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
 
 
-def _vertex_enumeration_min(c, rows):
-    """Independent reference: scan every basic point of the polyhedron."""
+def _vertex_enumeration_min(c, a, capped=False):
+    """Independent reference: scan every basic point of the polyhedron
+    a x >= 1, x >= 0, and x <= 1 when `capped`."""
     n = len(c)
-    cons = [(np.asarray(a, float), float(b)) for a, b in rows]
-    for i in range(n):
-        unit = np.zeros(n)
-        unit[i] = 1.0
-        cons.append((unit, 0.0))
+    lhs, rhs = [a, np.eye(n)], [np.ones(len(a)), np.zeros(n)]
+    if capped:
+        lhs.append(-np.eye(n))
+        rhs.append(-np.ones(n))
+    lhs, rhs = np.vstack(lhs), np.concatenate(rhs)
     best = None
-    for combo in itertools.combinations(range(len(cons)), n):
-        A = np.array([cons[i][0] for i in combo])
-        b = np.array([cons[i][1] for i in combo])
+    for combo in itertools.combinations(range(len(rhs)), n):
+        A = lhs[list(combo)]
         if abs(np.linalg.det(A)) < 1e-9:
             continue
-        x = np.linalg.solve(A, b)
-        if all(a @ x >= bb - 1e-7 for a, bb in cons):
+        x = np.linalg.solve(A, rhs[list(combo)])
+        if (lhs @ x >= rhs - 1e-7).all():
             val = float(np.dot(c, x))
             if best is None or val < best:
                 best = val
@@ -118,8 +129,8 @@ def _vertex_enumeration_min(c, rows):
 
 
 def _random_covering_lp(rng, n, m, density, cost_max=9):
-    """Costs in 0..cost_max (zero-cost columns included) and nonzero 0/1
-    rows, some of them duplicated."""
+    """Costs in 0..cost_max (zero-cost columns included) and an m x n matrix
+    of nonzero 0/1 rows, some of them duplicated."""
     c = np.array([rng.randint(0, cost_max) for _ in range(n)], float)
     rows = []
     for _ in range(m):
@@ -129,14 +140,13 @@ def _random_covering_lp(rng, n, m, density, cost_max=9):
         a = np.array([1.0 if rng.random() < density else 0.0 for _ in range(n)])
         if not a.any():
             a[rng.randrange(n)] = 1.0
-        rows.append((a, 1.0))
-    return c, rows
+        rows.append(a)
+    return c, np.array(rows)
 
 
-def _assert_certified(c, rows, res, tol=1e-9):
+def _assert_certified(c, a, res, tol=1e-9):
     """x is primal feasible, y dual feasible, and their values agree."""
-    a = np.array([row for row, _ in rows])
-    assert res.x.shape == c.shape and res.duals.shape == (len(rows),)
+    assert res.x.shape == c.shape and res.duals.shape == (len(a),)
     assert (res.x >= -tol).all() and (a @ res.x >= 1 - tol).all()
     assert (res.duals >= -tol).all() and (a.T @ res.duals <= c + tol).all()
     assert abs(float(c @ res.x) - res.value) < tol
@@ -150,15 +160,14 @@ def test_simplex_matches_vertex_enumeration():
     for trial in range(120):
         n = rng.randint(1, 6)
         m = 1 if trial % 4 == 0 else rng.randint(2, 8)
-        c, rows = _random_covering_lp(rng, n, m, rng.uniform(0.2, 0.7))
-        res = simplex_min(LinearProgram(c, rows))
-        assert abs(res.value - _vertex_enumeration_min(c, rows)) < 1e-6
-        highs = linprog(c, A_ub=-np.array([a for a, _ in rows]),
-                        b_ub=-np.ones(m), bounds=(0, None), method="highs")
+        c, a = _random_covering_lp(rng, n, m, rng.uniform(0.2, 0.7))
+        res = simplex_min(LinearProgram(c, a))
+        assert abs(res.value - _vertex_enumeration_min(c, a)) < 1e-6
+        highs = linprog(c, A_ub=-a, b_ub=-np.ones(m), bounds=(0, None), method="highs")
         assert highs.status == 0 and abs(res.value - highs.fun) < 1e-6
-        _assert_certified(c, rows, res)
+        _assert_certified(c, a, res)
         shapes["zero-cost"] += bool((c == 0).any())
-        shapes["duplicate"] += len({a.tobytes() for a, _ in rows}) < m
+        shapes["duplicate"] += len({row.tobytes() for row in a}) < m
         shapes["single-row"] += m == 1
     assert min(shapes.values()) >= 20
 
@@ -167,9 +176,9 @@ def test_duals_certify_the_value():
     rng = random.Random(5)
     for trial in range(60):
         n, m = rng.randint(1, 30), rng.randint(1, 40)
-        c, rows = _random_covering_lp(rng, n, m, rng.uniform(0.05, 0.5),
-                                      cost_max=[1, 6, 100][trial % 3])
-        _assert_certified(c, rows, simplex_min(LinearProgram(c, rows)))
+        c, a = _random_covering_lp(rng, n, m, rng.uniform(0.05, 0.5),
+                                   cost_max=[1, 6, 100][trial % 3])
+        _assert_certified(c, a, simplex_min(LinearProgram(c, a)))
 
 
 def test_upper_bounds_do_not_change_value():
@@ -178,11 +187,10 @@ def test_upper_bounds_do_not_change_value():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 6)
-        c, rows = _random_covering_lp(rng, n, rng.randint(1, 5), 0.6, cost_max=6)
-        free = simplex_min(LinearProgram(c, rows))
+        c, a = _random_covering_lp(rng, n, rng.randint(1, 5), 0.6, cost_max=6)
+        free = simplex_min(LinearProgram(c, a))
         assert (free.x <= 1 + 1e-9).all()
-        capped_rows = rows + [(-np.eye(n)[i], -1.0) for i in range(n)]
-        assert abs(free.value - _vertex_enumeration_min(c, capped_rows)) < 1e-6
+        assert abs(free.value - _vertex_enumeration_min(c, a, capped=True)) < 1e-6
 
 
 # -- reference: the row-by-row simplex the vectorised one must reproduce ------
@@ -212,9 +220,9 @@ def _reference_simplex_min(lp, pivots):
     (Dantzig's column, Bland's column, rule used, value rose) per pivot to
     `pivots`; returns (value, x, y)."""
     c = lp.objective
-    n, m = len(c), len(lp.rows)
+    m, n = lp.matrix.shape
     tableau = np.zeros((n + 1, m + n + 1))
-    for r, (a, _) in enumerate(lp.rows):
+    for r, a in enumerate(lp.matrix):
         for j in range(n):
             tableau[j, r] = a[j]
     for j in range(n):
@@ -266,9 +274,9 @@ def test_simplex_matches_reference_on_degenerate_covering_lps():
         n, m = rng.randint(60, 90), rng.randint(80, 120)
         c = np.array([0 if rng.random() < 0.1 else rng.randint(1, 2)
                       for _ in range(n)], float)
-        _, rows = _random_covering_lp(rng, n, m, rng.uniform(0.1, 0.3))
+        _, a = _random_covering_lp(rng, n, m, rng.uniform(0.1, 0.3))
         pivots = []
-        _assert_same_as_reference(LinearProgram(c, rows), pivots)
+        _assert_same_as_reference(LinearProgram(c, a), pivots)
         reached_bland += any(rule == "bland" for _, _, rule, _ in pivots)
     assert reached_bland >= 10
 
@@ -281,9 +289,9 @@ def test_simplex_matches_reference_past_the_stall_limit():
     telling = 0
     for _ in range(20):
         n, m = rng.randint(60, 80), rng.randint(80, 100)
-        c, rows = _random_covering_lp(rng, n, m, rng.uniform(0.05, 0.15), cost_max=50)
+        c, a = _random_covering_lp(rng, n, m, rng.uniform(0.05, 0.15), cost_max=50)
         pivots = []
-        _assert_same_as_reference(LinearProgram(c, rows), pivots)
+        _assert_same_as_reference(LinearProgram(c, a), pivots)
         telling += sum(rose for *_, rose in pivots) > _STALL_LIMIT and any(
             dantzig != bland for dantzig, bland, _, _ in pivots[_STALL_LIMIT:])
     assert telling >= 10
@@ -415,9 +423,7 @@ def test_lp_value_matches_highs(lp_levels):
     assert lp_levels
     for ctx, links, cover in lp_levels:
         rows = sorted(set(ctx.covering(links).values()))
-        a = np.zeros((len(rows), len(links)))
-        for r, row in enumerate(rows):
-            a[r, list(row)] = 1.0
+        a = covering_matrix(rows, len(links))
         res = linprog([link.cost for link in links], A_ub=-a,
                       b_ub=-np.ones(len(rows)), bounds=(0, None), method="highs")
         assert res.status == 0
