@@ -7,11 +7,22 @@ the current solution induces faces, the typed links of those faces go in,
 and a cover step returns the indices of the links it picks and their
 cost.  At level 1 the contracted path or tree induces exactly one face and
 the cover is exact (an interval DP on the path, an exact cut cover on the
-tree); levels two and up run the LP plus per-face rounding.  The exact
-searches own their budget (`setcover.NODE_CAP` nodes, and the simplex's
-pivot cap); past it `solve` raises `BudgetError` naming the level.  Every
-guarantee the algorithm relies on is re-checked at runtime, and the trace
-records enough per-level and per-face data to audit a run after the fact.
+tree); levels two and up run the LP plus per-face rounding.
+
+Level 1 reads the cover relation from the solution's shape, with one
+adjacency build over the kept edges per step.  On the path a link covers
+the failure edges between its ends' positions.  On the tree it covers the
+edges on its tree path: the set bits of the XOR of its ends' root-path
+masks, so one walk over the cut nodes and one XOR per link, where
+`StepContext.covering` would test every failure set against every link.
+The walk checks that the kept edges form a tree on the cut nodes, one edge
+per failure set.
+
+The exact searches own their budget (`setcover.NODE_CAP` nodes, and the
+simplex's pivot cap); past it `solve` raises `BudgetError` naming the
+level.  Every guarantee the algorithm relies on is re-checked at runtime,
+and the trace records enough per-level and per-face data to audit a run
+after the fact.
 
 Feasibility checks go through the instance's `Feasibility` table of the
 current solution X, one per distinct X (so one per level).  Only the base
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 
 from .errors import BudgetError, InvariantError
 from .instance import _union
-from .links import covered_by, enumerate_typed_links, lex_shortest_path, preprocess_step
+from .links import enumerate_typed_links, lex_shortest_path, preprocess_step
 from .lp import solve_link_lp
 from .rounding import cover_intervals_exact, partition_scenarios, round_face
 from .setcover import exact_min_cover
@@ -108,13 +119,19 @@ def minimum_spanning_tree(instance):
                      if _union(parent, u, v))
 
 
-def _walk_path(ctx):
-    """Order the contracted solution path from s to t; returns (nodes, edge ids)."""
+def _solution_adjacency(ctx):
+    """Node -> [(edge id, other end)] over the kept solution edges."""
     adj = {}
     for e in ctx.kept_x:
         u, v, _ = ctx.graph.edges[e]
         adj.setdefault(u, []).append((e, v))
         adj.setdefault(v, []).append((e, u))
+    return adj
+
+
+def _walk_path(ctx):
+    """Order the contracted solution path from s to t; returns (nodes, edge ids)."""
+    adj = _solution_adjacency(ctx)
     for node, nbrs in adj.items():
         expected = 1 if node in (ctx.s, ctx.t) else 2
         if len(nbrs) != expected:
@@ -133,6 +150,37 @@ def _walk_path(ctx):
     return nodes, edges
 
 
+def _tree_masks(ctx):
+    """Cut node -> bitmask of the omega positions on its tree path from
+    `cut_nodes[0]`.  At level 1 every relevant set is one edge and every
+    other solution edge is contracted, so the kept edges are exactly the
+    omega edges and must form a tree on the cut nodes."""
+    bit = {}
+    for pos, f_set in enumerate(ctx.omega):
+        if len(f_set) != 1:
+            raise InvariantError(f"level-1 failure set {sorted(f_set)} is not one edge")
+        bit[next(iter(f_set))] = 1 << pos
+    nodes = ctx.cut_nodes
+    if bit.keys() != ctx.kept_x or len(bit) != len(nodes) - 1:
+        raise InvariantError(
+            f"level-1 solution has {len(ctx.kept_x)} edges for {len(bit)} failure "
+            f"sets on {len(nodes)} nodes; expected a tree of the failure edges")
+    adj = _solution_adjacency(ctx)
+    masks = {nodes[0]: 0}
+    stack = [nodes[0]]
+    while stack:
+        node = stack.pop()
+        mask = masks[node]
+        for e, other in adj.get(node, ()):
+            if other not in masks:
+                masks[other] = mask ^ bit[e]
+                stack.append(other)
+    if len(masks) != len(nodes):
+        missing = next(n for n in nodes if n not in masks)
+        raise InvariantError(f"level-1 tree walk does not reach solution node {missing}")
+    return masks
+
+
 def _cover_path(ctx, links):
     """Level 1 on the s-t path: a link covers the failure edges between its
     endpoints' path positions, so the cover is an interval DP."""
@@ -148,9 +196,19 @@ def _cover_path(ctx, links):
 
 
 def _cover_tree(ctx, links):
-    """Level 1 on the spanning tree: an exact cover of the tree-edge cuts."""
-    covered = covered_by(ctx.covering(links), ctx.omega)
-    sets = [(link.cost, covered.get(i, [])) for i, link in enumerate(links)]
+    """Level 1 on the spanning tree: an exact cover of the tree-edge cuts.
+    A link covers exactly the tree edges on its path, the set bits of
+    the XOR of its ends' root-path masks, read in ascending position."""
+    masks = _tree_masks(ctx)
+    sets = []
+    for link in links:
+        mask = masks[link.u] ^ masks[link.v]
+        covered = []
+        while mask:
+            low = mask & -mask
+            covered.append(low.bit_length() - 1)
+            mask ^= low
+        sets.append((link.cost, covered))
     try:
         total, picked = exact_min_cover(len(ctx.omega), sets)
     except BudgetError as exc:

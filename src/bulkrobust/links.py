@@ -12,9 +12,11 @@ The X edges in no relevant failure set are contracted in one pass
 (`PlaneGraph.contract`), not with one copy of the graph per edge.
 
 A link covers a relevant failure set iff its endpoints lie on different
-sides of that set's two-sided cut.  The relation is computed once per level
-by `StepContext.covering`, and the LP, the face partition, the rounding and
-the trace all read that one table.
+sides of that set's two-sided cut.  At levels >= 2 the relation is computed
+once per level by `StepContext.covering`, and the LP, the face partition,
+the rounding and the trace all read that one table.  Level 1 reads no
+table: there a link covers the failure edges on its path through the
+contracted path or tree, which `driver` reads from the solution's shape.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X: one pass over the X edges in no scenario, then
@@ -296,16 +298,6 @@ def preprocess_step(instance, x_edges, level):
         ctx.s = node_map[instance.s]
         ctx.t = node_map[instance.t]
     return ctx
-
-
-def covered_by(table, f_sets):
-    """Link index -> ascending positions in `f_sets` of the sets it covers,
-    read from a `StepContext.covering` table."""
-    found = {}
-    for pos, f_set in enumerate(f_sets):
-        for idx in table[f_set]:
-            found.setdefault(idx, []).append(pos)
-    return found
 
 
 def enumerate_typed_links(ctx):

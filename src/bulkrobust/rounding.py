@@ -13,16 +13,16 @@ vs top-anchored), `round_face` checks it against chords and cuts, and each
 side is solved exactly within the budget of `setcover.exact_min_cover`.
 The level-1 cases never build circles: the contracted path or tree induces
 one face, and its typed links are covered exactly (`cover_intervals_exact`
-on the path, an exact cut cover on the tree).  Which links cover which
-failure set is read from the level's table `StepContext.covering`, the
-same one the LP used.
+on the path, an exact cut cover on the tree, both read from the
+solution's shape).  At levels >= 2, which links cover which failure set is
+read from the level's table `StepContext.covering`, the same one the LP
+used.
 """
 
 import bisect
 from dataclasses import dataclass
 
 from .errors import BudgetError, InvariantError
-from .links import covered_by
 from .lp import EPS_FEAS
 from .setcover import exact_min_cover
 
@@ -183,6 +183,16 @@ def chords_to_rectangles(ci):
             top_demands.append(d_idx)
     return RectangleSystem(points, lefts, tops, in_left, in_top,
                            tuple(left_demands), tuple(top_demands))
+
+
+def covered_by(table, f_sets):
+    """Link index -> ascending positions in `f_sets` of the sets it covers,
+    read from a `StepContext.covering` table."""
+    found = {}
+    for pos, f_set in enumerate(f_sets):
+        for idx in table[f_set]:
+            found.setdefault(idx, []).append(pos)
+    return found
 
 
 def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_cost,

@@ -1,18 +1,21 @@
-"""StepContext.covering, the per-level cover table, against cuts built
-independently with networkx."""
+"""StepContext.covering, the per-level cover table, and the level-1 tree
+step's tree-path sets, against cuts built independently with networkx."""
 
 from itertools import combinations
 
 import pytest
 
-from bulkrobust import gen_hypergraph_vc, solve
+from bulkrobust import driver, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust.driver import _walk_path, minimum_spanning_tree, shortest_st_path
-from bulkrobust.links import TypedLink, enumerate_typed_links, preprocess_step
-from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
-                      suite_schedule)
+from bulkrobust.errors import InvariantError
+from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
+from bulkrobust.rounding import covered_by
+from conftest import (build_suite_instance, component_of, crosses, reference_cuts,
+                      square_with_chords, suite_schedule)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
+TREE_GRIDS = [gen_grid(10, 10, 36, 3, w, seed, "mst") for w in (1, 3, 5) for seed in range(3)]
 
 
 def by_definition(ctx, links):
@@ -44,18 +47,84 @@ def test_table_matches_definition_on_every_lp_level():
     assert seen > 0
 
 
-def test_table_matches_definition_on_level1_tree_detours():
+def per_link(table, f_sets, count):
+    """Link index -> ascending positions in `f_sets` of the sets a
+    failure set -> link indices table says it covers."""
+    found = [[] for _ in range(count)]
+    for pos, f_set in enumerate(f_sets):
+        for idx in table[f_set]:
+            found[idx].append(pos)
+    return found
+
+
+def test_table_matches_definition_on_level1_tree_detours(monkeypatch):
+    # The tree step hands `exact_min_cover` the omega positions on each
+    # link's tree path; they must be the cut relation, as the networkx
+    # reference and the covering table both give it.
+    captured = []
+    monkeypatch.setattr(driver, "exact_min_cover",
+                        lambda count, sets: captured.append(sets) or (0, ()))
     seen = 0
-    for instance in SUITE:
-        if instance.problem != "mst":
-            continue
+    for instance in [i for i in SUITE if i.problem == "mst"] + TREE_GRIDS:
         ctx = preprocess_step(instance, minimum_spanning_tree(instance), 1)
         if not ctx.omega:
             continue
         links = enumerate_typed_links(ctx)
-        assert ctx.covering(links) == by_definition(ctx, links)
+        driver._cover_tree(ctx, links)
+        sets = captured.pop()
+        assert [cost for cost, _ in sets] == [link.cost for link in links]
+        by_path = [positions for _, positions in sets]
+        assert by_path == per_link(by_definition(ctx, links), ctx.omega, len(links))
+        by_table = covered_by(ctx.covering(links), ctx.omega)
+        assert by_path == [by_table.get(i, []) for i in range(len(links))]
         seen += 1
-    assert seen > 0
+    assert seen > len(TREE_GRIDS)
+
+
+def test_tree_step_reads_no_covering_table(monkeypatch):
+    levels = []
+    table_of = StepContext.covering
+
+    def counted(ctx, links):
+        levels.append(ctx.level)
+        return table_of(ctx, links)
+
+    monkeypatch.setattr(StepContext, "covering", counted)
+    for instance in [i for i in SUITE if i.problem == "mst"] + TREE_GRIDS[:1]:
+        solve(instance)
+    # the LP levels still read the table, so the counter is live
+    assert levels and 1 not in levels
+
+
+def level1_tree():
+    ctx = preprocess_step(TREE_GRIDS[0], minimum_spanning_tree(TREE_GRIDS[0]), 1)
+    return ctx, enumerate_typed_links(ctx)
+
+
+def test_extra_kept_edge_closing_a_cycle_raises():
+    for as_failure_set in (False, True):
+        ctx, links = level1_tree()
+        extra = min(e for e, (u, v, _) in ctx.e_rest.items() if u != v)
+        ctx.kept_x = ctx.kept_x | {extra}
+        if as_failure_set:
+            ctx.omega = ctx.omega + (frozenset({extra}),)
+        with pytest.raises(InvariantError, match="level-1 solution has"):
+            driver._cover_tree(ctx, links)
+
+
+def test_cut_off_solution_node_raises():
+    # Drop one tree edge and close a cycle elsewhere, so the edge count
+    # still fits a tree but the nodes beyond the dropped edge are cut off.
+    ctx, links = level1_tree()
+    dropped = min(ctx.kept_x)
+    rest = ctx.kept_x - {dropped}
+    component = component_of(ctx.cut_nodes, (ctx.graph.endpoints(e) for e in rest))
+    extra = min(e for e, (u, v, _) in ctx.e_rest.items()
+                if u != v and component[u] == component[v])
+    ctx.kept_x = rest | {extra}
+    ctx.omega = tuple(f for f in ctx.omega if dropped not in f) + (frozenset({extra}),)
+    with pytest.raises(InvariantError, match="level-1 tree walk does not reach"):
+        driver._cover_tree(ctx, links)
 
 
 def test_path_positions_match_covering_on_level1_path_links():
