@@ -9,14 +9,17 @@ cost.  At level 1 the contracted path or tree induces exactly one face and
 the cover is exact (an interval DP on the path, an exact cut cover on the
 tree); levels two and up run the LP plus per-face rounding.
 
-Level 1 reads the cover relation from the solution's shape, with one
-adjacency build over the kept edges per step.  On the path a link covers
-the failure edges between its ends' positions.  On the tree it covers the
-edges on its tree path: the set bits of the XOR of its ends' root-path
-masks, so one walk over the cut nodes and one XOR per link, where
-`StepContext.covering` would test every failure set against every link.
-The walk checks that the kept edges form a tree on the cut nodes, one edge
-per failure set.
+Level 1 reads the cover relation from one walk over the kept edges, the
+same for both problems, since a path is a tree.  Each cut node gets the
+bitmask of the failure edges on its tree path from the root, and a link
+covers the edges on its path through the solution: the set bits of the
+XOR of its ends' masks, one XOR per link where `StepContext.covering`
+would test every failure set against every link.  On the tree those bits
+are the sets of an exact cut cover.  On the path a node's position is the
+popcount of its mask XOR s's, and a link covers the positions between its
+ends'.  The walk checks that the kept edges form a tree on the cut nodes,
+one edge per failure set; the path step also checks that the positions
+run from s to t.
 
 The exact searches own their budget (`setcover.NODE_CAP` nodes, and the
 simplex's pivot cap); past it `solve` raises `BudgetError` naming the
@@ -31,8 +34,8 @@ scenarios, then O(n + |X & U|) per scenario.  Each later level grows the
 table from the one before, since a level only adds edges: per non-trivial
 scenario an O(n) copy of its forest, the merges of the added edges and an
 O(k) relabel.  The table answers each failure subset in O(k).  The table
-of X after level i answers `augment_step`'s check, the one in `solve` and
-level i + 1's precondition, and checks each subset once.
+of X after level i answers the check in `solve` and level i + 1's
+precondition, and checks each subset once.
 """
 
 from dataclasses import dataclass, field
@@ -82,8 +85,6 @@ class SolveTrace:
     levels: list = field(default_factory=list)
     alg_cost: int = 0
     guarantee_factor: int = 1
-    opt: int = None
-    ratio: float = None
 
     def to_dict(self):
         return {
@@ -94,8 +95,6 @@ class SolveTrace:
             "levels": [lv.to_dict() for lv in self.levels],
             "alg_cost": self.alg_cost,
             "guarantee_factor": self.guarantee_factor,
-            "opt": self.opt,
-            "ratio": self.ratio,
         }
 
 
@@ -119,37 +118,6 @@ def minimum_spanning_tree(instance):
                      if _union(parent, u, v))
 
 
-def _solution_adjacency(ctx):
-    """Node -> [(edge id, other end)] over the kept solution edges."""
-    adj = {}
-    for e in ctx.kept_x:
-        u, v, _ = ctx.graph.edges[e]
-        adj.setdefault(u, []).append((e, v))
-        adj.setdefault(v, []).append((e, u))
-    return adj
-
-
-def _walk_path(ctx):
-    """Order the contracted solution path from s to t; returns (nodes, edge ids)."""
-    adj = _solution_adjacency(ctx)
-    for node, nbrs in adj.items():
-        expected = 1 if node in (ctx.s, ctx.t) else 2
-        if len(nbrs) != expected:
-            raise InvariantError(
-                f"level-1 solution is not an s-t path (degree {len(nbrs)} at {node})")
-    nodes = [ctx.s]
-    edges = []
-    prev_edge = None
-    while nodes[-1] != ctx.t:
-        options = [(e, nxt) for e, nxt in adj[nodes[-1]] if e != prev_edge]
-        if len(options) != 1:
-            raise InvariantError("level-1 solution is not an s-t path")
-        prev_edge, nxt = options[0]
-        edges.append(prev_edge)
-        nodes.append(nxt)
-    return nodes, edges
-
-
 def _tree_masks(ctx):
     """Cut node -> bitmask of the omega positions on its tree path from
     `cut_nodes[0]`.  At level 1 every relevant set is one edge and every
@@ -165,15 +133,19 @@ def _tree_masks(ctx):
         raise InvariantError(
             f"level-1 solution has {len(ctx.kept_x)} edges for {len(bit)} failure "
             f"sets on {len(nodes)} nodes; expected a tree of the failure edges")
-    adj = _solution_adjacency(ctx)
+    adj = {}
+    for e, b in bit.items():
+        u, v, _ = ctx.graph.edges[e]
+        adj.setdefault(u, []).append((b, v))
+        adj.setdefault(v, []).append((b, u))
     masks = {nodes[0]: 0}
     stack = [nodes[0]]
     while stack:
         node = stack.pop()
         mask = masks[node]
-        for e, other in adj.get(node, ()):
+        for b, other in adj.get(node, ()):
             if other not in masks:
-                masks[other] = mask ^ bit[e]
+                masks[other] = mask ^ b
                 stack.append(other)
     if len(masks) != len(nodes):
         missing = next(n for n in nodes if n not in masks)
@@ -182,17 +154,21 @@ def _tree_masks(ctx):
 
 
 def _cover_path(ctx, links):
-    """Level 1 on the s-t path: a link covers the failure edges between its
-    endpoints' path positions, so the cover is an interval DP."""
-    nodes, path_edges = _walk_path(ctx)
-    pos_of_node = {n: i for i, n in enumerate(nodes)}
-    pos_of_edge = {e: i for i, e in enumerate(path_edges)}
-    points = sorted(pos_of_edge[next(iter(f))] for f in ctx.omega)
+    """Level 1 on the s-t path, which is a tree: a node's position is the
+    number of failure edges between it and s, and a link covers the failure
+    edges between its ends' positions, so the cover is an interval DP.  The
+    tree is an s-t path exactly when the positions are 0 .. |nodes| - 1 and
+    t has the last one."""
+    masks = _tree_masks(ctx)
+    root = masks[ctx.s]
+    pos = {node: (mask ^ root).bit_count() for node, mask in masks.items()}
+    if sorted(pos.values()) != list(range(len(pos))) or pos[ctx.t] != len(pos) - 1:
+        raise InvariantError("level-1 solution is not an s-t path")
     intervals = []
     for link in links:
-        a, b = sorted((pos_of_node[link.u], pos_of_node[link.v]))
+        a, b = sorted((pos[link.u], pos[link.v]))
         intervals.append((a, b - 1, link.cost))
-    return cover_intervals_exact(points, intervals)
+    return cover_intervals_exact(range(len(ctx.omega)), intervals)
 
 
 def _cover_tree(ctx, links):
@@ -245,8 +221,9 @@ def _round_faces(ctx, links, trace, on_lp):
 def augment_step(instance, x_edges, level, on_lp=None):
     """One augmentation level; returns (added edge set, LevelTrace).
 
-    The typed links of the faces X induces go in, one cover step picks
-    among them, and X plus the picked links' paths must meet the level's contract.
+    The typed links of the faces X induces go in and one cover step picks
+    among them; `solve` checks that X plus the picked links' paths meets
+    the level's contract.
     """
     ctx = preprocess_step(instance, x_edges, level)
     trace = LevelTrace(level=level, omega_size=len(ctx.omega))
@@ -266,12 +243,6 @@ def augment_step(instance, x_edges, level, on_lp=None):
             raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
     added = frozenset(e for i in picked for e in ctx.link_path(links[i]))
     trace.round_cost = float(total)
-
-    failed = instance.feasibility(frozenset(x_edges) | added).first_failure(level)
-    if failed is not None:
-        raise InvariantError(
-            f"augmentation at level {level} leaves {sorted(failed[1])} of "
-            f"scenario {failed[0]} disconnecting")
     trace.added = tuple(sorted(added))
     trace.added_cost = instance.weight_of(added)
     return added, trace

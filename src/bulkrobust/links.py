@@ -16,7 +16,7 @@ sides of that set's two-sided cut.  At levels >= 2 the relation is computed
 once per level by `StepContext.covering`, and the LP, the face partition,
 the rounding and the trace all read that one table.  Level 1 reads no
 table: there a link covers the failure edges on its path through the
-contracted path or tree, which `driver` reads from the solution's shape.
+contracted path or tree, which `driver` reads from one shared tree walk.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X: one pass over the X edges in no scenario, then

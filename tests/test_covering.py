@@ -1,12 +1,13 @@
 """StepContext.covering, the per-level cover table, and the level-1 tree
-step's tree-path sets, against cuts built independently with networkx."""
+and path steps' cover relations, against cuts built independently with
+networkx."""
 
 from itertools import combinations
 
 import pytest
 
 from bulkrobust import driver, gen_grid, gen_hypergraph_vc, solve
-from bulkrobust.driver import _walk_path, minimum_spanning_tree, shortest_st_path
+from bulkrobust.driver import minimum_spanning_tree, shortest_st_path
 from bulkrobust.errors import InvariantError
 from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
 from bulkrobust.rounding import covered_by
@@ -127,28 +128,52 @@ def test_cut_off_solution_node_raises():
         driver._cover_tree(ctx, links)
 
 
-def test_path_positions_match_covering_on_level1_path_links():
-    # The path step reads a link (u, v) as covering the failure edges at
-    # path positions pos(u) .. pos(v) - 1; that must be the cover relation.
-    paths = [build_suite_instance(p) for p in suite_schedule(200) if p["problem"] == "st"]
+ST_PATHS = [build_suite_instance(p) for p in suite_schedule(200) if p["problem"] == "st"]
+
+
+def level1_path(instance):
+    ctx = preprocess_step(instance, shortest_st_path(instance), 1)
+    return ctx, enumerate_typed_links(ctx) if ctx.omega else []
+
+
+def test_path_positions_match_covering_on_level1_path_links(monkeypatch):
+    # The path step hands `cover_intervals_exact` the omega positions as
+    # points and each link as the interval of positions it covers.  On an
+    # s-t path a failure edge's position is the number of nodes on s's side
+    # of its reference cut, less one; the link must cover exactly the sets
+    # whose cut it crosses.
+    captured = []
+    monkeypatch.setattr(driver, "cover_intervals_exact",
+                        lambda points, intervals: captured.append((points, intervals)) or ((), 0))
     seen = pairs = 0
-    for instance in paths + [HVC]:
-        ctx = preprocess_step(instance, shortest_st_path(instance), 1)
+    for instance in ST_PATHS + [HVC]:
+        ctx, links = level1_path(instance)
         if not ctx.omega:
             continue
-        nodes, path_edges = _walk_path(ctx)
-        pos_of_node = {n: i for i, n in enumerate(nodes)}
-        pos_of_edge = {e: i for i, e in enumerate(path_edges)}
+        driver._cover_path(ctx, links)
+        points, intervals = captured.pop()
+        assert list(points) == list(range(len(ctx.omega)))
         cuts = reference_cuts(ctx)
-        for link in enumerate_typed_links(ctx):
-            a, b = sorted((pos_of_node[link.u], pos_of_node[link.v]))
-            by_position = {f for f in ctx.omega
-                           if a <= pos_of_edge[next(iter(f))] <= b - 1}
+        position = {f: len(cuts[f][0]) - 1 for f in ctx.omega}
+        assert sorted(position.values()) == list(points)
+        for link, (lo, hi, cost) in zip(links, intervals, strict=True):
+            assert cost == link.cost
+            by_interval = {f for f in ctx.omega if lo <= position[f] <= hi}
             by_cut = {f for f in ctx.omega if crosses(link, cuts[f])}
-            assert by_position == by_cut, link
+            assert by_interval == by_cut, link
             pairs += len(by_cut)
         seen += 1
-    assert seen > 0 and pairs > 0
+    assert seen > len(ST_PATHS) // 2 and pairs > 0
+
+
+def test_moved_path_end_raises():
+    # With s moved inside the path, two nodes sit one failure edge from it;
+    # with t moved there, t no longer has the last position.
+    for end in ("s", "t"):
+        ctx, links = level1_path(HVC)
+        setattr(ctx, end, next(n for n in ctx.cut_nodes if n not in (ctx.s, ctx.t)))
+        with pytest.raises(InvariantError, match="level-1 solution is not an s-t path"):
+            driver._cover_path(ctx, links)
 
 
 def test_non_incident_endpoint_raises():
