@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _count(text):
-    """The argparse type of an instance count: an integer >= 0."""
+    """The argparse type of a count or budget: an integer >= 0."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
@@ -359,8 +359,8 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="exact optimum by brute force")
     p.add_argument("-i", "--instance", required=True)
-    p.add_argument("--max-edges", type=int, default=24)
-    p.add_argument("--max-subsets", type=int, default=2_000_000)
+    p.add_argument("--max-edges", type=_count, default=24)
+    p.add_argument("--max-subsets", type=_count, default=2_000_000)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("bench", help="solve a generated family, write CSV")
@@ -368,7 +368,7 @@ def build_parser():
     p.add_argument("--count", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--problem", choices=("st", "mst", "both"), default="st")
-    p.add_argument("--max-edges", type=int, default=24)
+    p.add_argument("--max-edges", type=_count, default=24)
     p.add_argument("--report", required=True)
     p.set_defaults(func=_cmd_bench)
 

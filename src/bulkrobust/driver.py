@@ -9,17 +9,14 @@ cost.  At level 1 the contracted path or tree induces exactly one face and
 the cover is exact (an interval DP on the path, an exact cut cover on the
 tree); levels two and up run the LP plus per-face rounding.
 
-Level 1 reads the cover relation from one walk over the kept edges, the
-same for both problems, since a path is a tree.  Each cut node gets the
-bitmask of the failure edges on its tree path from the root, and a link
-covers the edges on its path through the solution: the set bits of the
-XOR of its ends' masks, one XOR per link where `StepContext.covering`
-would test every failure set against every link.  On the tree those bits
-are the sets of an exact cut cover.  On the path a node's position is the
-popcount of its mask XOR s's, and a link covers the positions between its
-ends'.  The walk checks that the kept edges form a tree on the cut nodes,
-one edge per failure set; the path step also checks that the positions
-run from s to t.
+Every level reads the cover relation from `StepContext.side_masks`, the
+cut side of each solution node per failure set, built by `preprocess_step`
+with the cuts it checks: a link covers the set bits of the XOR of its
+ends' masks.  At level 1 the failure sets are the edges of the path or
+tree, so on the tree those bits are the sets of an exact cut cover, and on
+the path a node's position is the popcount of its mask XOR s's: a link
+covers the positions between its ends'.  The path step checks that the
+positions run from s to t.
 
 The exact searches own their budget (`setcover.NODE_CAP` nodes, and the
 simplex's pivot cap); past it `solve` raises `BudgetError` naming the
@@ -118,50 +115,14 @@ def minimum_spanning_tree(instance):
                      if _union(parent, u, v))
 
 
-def _tree_masks(ctx):
-    """Cut node -> bitmask of the omega positions on its tree path from
-    `cut_nodes[0]`.  At level 1 every relevant set is one edge and every
-    other solution edge is contracted, so the kept edges are exactly the
-    omega edges and must form a tree on the cut nodes."""
-    bit = {}
-    for pos, f_set in enumerate(ctx.omega):
-        if len(f_set) != 1:
-            raise InvariantError(f"level-1 failure set {sorted(f_set)} is not one edge")
-        bit[next(iter(f_set))] = 1 << pos
-    nodes = ctx.cut_nodes
-    if bit.keys() != ctx.kept_x or len(bit) != len(nodes) - 1:
-        raise InvariantError(
-            f"level-1 solution has {len(ctx.kept_x)} edges for {len(bit)} failure "
-            f"sets on {len(nodes)} nodes; expected a tree of the failure edges")
-    adj = {}
-    for e, b in bit.items():
-        u, v, _ = ctx.graph.edges[e]
-        adj.setdefault(u, []).append((b, v))
-        adj.setdefault(v, []).append((b, u))
-    masks = {nodes[0]: 0}
-    stack = [nodes[0]]
-    while stack:
-        node = stack.pop()
-        mask = masks[node]
-        for b, other in adj.get(node, ()):
-            if other not in masks:
-                masks[other] = mask ^ b
-                stack.append(other)
-    if len(masks) != len(nodes):
-        missing = next(n for n in nodes if n not in masks)
-        raise InvariantError(f"level-1 tree walk does not reach solution node {missing}")
-    return masks
-
-
 def _cover_path(ctx, links):
-    """Level 1 on the s-t path, which is a tree: a node's position is the
-    number of failure edges between it and s, and a link covers the failure
-    edges between its ends' positions, so the cover is an interval DP.  The
-    tree is an s-t path exactly when the positions are 0 .. |nodes| - 1 and
-    t has the last one."""
-    masks = _tree_masks(ctx)
-    root = masks[ctx.s]
-    pos = {node: (mask ^ root).bit_count() for node, mask in masks.items()}
+    """Level 1 on the s-t path: a node's position is the number of failure
+    edges between it and s, and a link covers the failure edges between its
+    ends' positions, so the cover is an interval DP.  The cuts are an s-t
+    path's exactly when the positions are 0 .. |nodes| - 1 and t has the
+    last one."""
+    root = ctx.side_masks[ctx.s]
+    pos = {node: (mask ^ root).bit_count() for node, mask in ctx.side_masks.items()}
     if sorted(pos.values()) != list(range(len(pos))) or pos[ctx.t] != len(pos) - 1:
         raise InvariantError("level-1 solution is not an s-t path")
     intervals = []
@@ -172,19 +133,9 @@ def _cover_path(ctx, links):
 
 
 def _cover_tree(ctx, links):
-    """Level 1 on the spanning tree: an exact cover of the tree-edge cuts.
-    A link covers exactly the tree edges on its path, the set bits of
-    the XOR of its ends' root-path masks, read in ascending position."""
-    masks = _tree_masks(ctx)
-    sets = []
-    for link in links:
-        mask = masks[link.u] ^ masks[link.v]
-        covered = []
-        while mask:
-            low = mask & -mask
-            covered.append(low.bit_length() - 1)
-            mask ^= low
-        sets.append((link.cost, covered))
+    """Level 1 on the spanning tree: an exact cover of the tree-edge cuts,
+    one set per link of the failure sets it covers."""
+    sets = [(link.cost, ctx.covered(link)) for link in links]
     try:
         total, picked = exact_min_cover(len(ctx.omega), sets)
     except BudgetError as exc:

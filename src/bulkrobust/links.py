@@ -12,11 +12,12 @@ The X edges in no relevant failure set are contracted in one pass
 (`PlaneGraph.contract`), not with one copy of the graph per edge.
 
 A link covers a relevant failure set iff its endpoints lie on different
-sides of that set's two-sided cut.  At levels >= 2 the relation is computed
-once per level by `StepContext.covering`, and the LP, the face partition,
-the rounding and the trace all read that one table.  Level 1 reads no
-table: there a link covers the failure edges on its path through the
-contracted path or tree, which `driver` reads from one shared tree walk.
+sides of that set's two-sided cut.  `preprocess_step` stores every cut as
+one bit per set in each solution node's side mask, so a link covers the
+set bits of its ends' masks XORed (`StepContext.covered`).  Every level
+reads that one relation: the level-1 path and tree covers read the masks,
+and at levels >= 2 the table `StepContext.covering` decodes them once per
+level for the LP, the face partition, the rounding and the trace.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X: one pass over the X edges in no scenario, then
@@ -26,8 +27,8 @@ A contracted node keeps the smallest original id of its group, and a group
 is merged only by X edges outside every relevant set, so its side is the
 side of its own id's component of X - f.  The solution nodes are labelled
 once per (level, scenario), O(|nodes|), and each set's sides are read from
-its scenario's labels, O(k).  A cut is stored as the scenario's shared
-label list plus one side per label.
+its scenario's labels, O(k), into one bit per label; each node's mask ORs
+its labels' bits over the scenarios, O(|nodes|) per scenario.
 
 At level >= 2 no pass looks for bridges of the contracted solution: the
 face check rules them out.  Every kept edge lies in a relevant failure set,
@@ -39,9 +40,8 @@ faces), which a set holding a bridge cannot give.
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain, combinations, compress
+from itertools import combinations
 from math import comb
-from operator import ne
 from typing import NamedTuple
 
 from .errors import BudgetError, InvariantError
@@ -136,13 +136,29 @@ class StepContext:
     subgraph: object = None         # EmbeddedSubgraph of (graph, kept_x)
     contracted: tuple = ()          # X edges contracted away
     cut_nodes: tuple = ()           # the solution's nodes, ascending
-    cut_labels: dict = field(default_factory=dict)  # scenario -> label per cut node
-    cuts: dict = field(default_factory=dict)       # failure set -> (scenario, sides)
+    # cut node -> int whose bit p is set iff the node is not on the anchor's
+    # side (s, or for mst the smallest node) of omega[p]'s cut
+    side_masks: dict = field(default_factory=dict)
     scenario_faces: dict = field(default_factory=dict)  # failure set -> face indices
     s: int = None
     t: int = None
     cut_face_checks: int = 0        # validated (failure set, face) pairs
     face_maps: dict = field(default_factory=dict)  # face -> (adj, end -> dist map)
+
+    def covered(self, link):
+        """The ascending omega positions of the failure sets `link` covers:
+        the set bits of its ends' side masks XORed."""
+        try:
+            mask = self.side_masks[link.u] ^ self.side_masks[link.v]
+        except KeyError as exc:
+            raise ValueError(
+                f"node {exc.args[0]} is not incident to the current solution") from None
+        found = []
+        while mask:
+            low = mask & -mask
+            found.append(low.bit_length() - 1)
+            mask ^= low
+        return found
 
     def covering(self, links):
         """For each failure set of omega, the ascending indices of the
@@ -153,18 +169,11 @@ class StepContext:
             return cached[1]
         if not self.omega:
             return {}
-        pos = {node: i for i, node in enumerate(self.cut_nodes)}
-        for node in chain.from_iterable((link.u, link.v) for link in links):
-            if node not in pos:
-                raise ValueError(f"node {node} is not incident to the current solution")
-        us = [pos[link.u] for link in links]
-        vs = [pos[link.v] for link in links]
-        index = range(len(links))
-        table = {}
-        for f_set in self.omega:
-            j, sides = self.cuts[f_set]
-            side = list(map(sides.__getitem__, self.cut_labels[j])).__getitem__
-            table[f_set] = tuple(compress(index, map(ne, map(side, us), map(side, vs))))
+        rows = [[] for _ in self.omega]
+        for idx, link in enumerate(links):
+            for p in self.covered(link):
+                rows[p].append(idx)
+        table = dict(zip(self.omega, map(tuple, rows)))
         self._covering = (links, table)
         return table
 
@@ -234,16 +243,15 @@ def preprocess_step(instance, x_edges, level):
     e_rest = {e: graph.edges[e] for e in sorted(graph.edges) if e not in kept}
 
     cut_nodes = tuple(sorted(subgraph.nodes))
-    pos = {node: i for i, node in enumerate(cut_nodes)}
-    # side_s holds s, or for mst the smallest node.
-    anchor = pos[node_map[instance.s]] if instance.problem == "st" else 0
-    cut_labels = {}
-    cuts = {}
-    for f_set in omega:
+    # The anchor, s or for mst the smallest node, has every side bit clear.
+    anchor = cut_nodes.index(node_map[instance.s]) if instance.problem == "st" else 0
+    scenario_labels = {}    # scenario -> label per cut node
+    label_masks = {}        # scenario -> side bits per label
+    for p, f_set in enumerate(omega):
         j = relevant[f_set]
-        labels = cut_labels.get(j)
+        labels = scenario_labels.get(j)
         if labels is None:
-            labels = cut_labels[j] = feasible.labels(j, cut_nodes)
+            labels = scenario_labels[j] = feasible.labels(j, cut_nodes)
             if None in labels:
                 raise InvariantError(
                     f"solution node {cut_nodes[labels.index(None)]} lies in no "
@@ -254,13 +262,23 @@ def preprocess_step(instance, x_edges, level):
                 f"failure set {sorted(f_set)} leaves {count} components, "
                 "expected exactly 2")
         first = roots[labels[anchor]]
-        sides = tuple(root == first for root in roots)
+        masks = label_masks.setdefault(j, [0] * len(roots))
+        for label, root in enumerate(roots):
+            if root != first:
+                masks[label] |= 1 << p
+    node_masks = [0] * len(cut_nodes)
+    for j, labels in scenario_labels.items():
+        masks = label_masks[j]
+        for i, label in enumerate(labels):
+            if mask := masks[label]:
+                node_masks[i] |= mask
+    side_masks = dict(zip(cut_nodes, node_masks))
+    for p, f_set in enumerate(omega):
         for e in f_set:
             u, v, _ = graph.edges[e]
-            if sides[labels[pos[u]]] == sides[labels[pos[v]]]:
+            if not (side_masks[u] ^ side_masks[v]) >> p & 1:
                 raise InvariantError(
                     f"edge {e} of failure set {sorted(f_set)} does not cross its cut")
-        cuts[f_set] = (j, sides)
 
     scenario_faces = {}
     checks = 0
@@ -290,8 +308,7 @@ def preprocess_step(instance, x_edges, level):
     ctx.subgraph = subgraph
     ctx.contracted = contracted
     ctx.cut_nodes = cut_nodes
-    ctx.cut_labels = cut_labels
-    ctx.cuts = cuts
+    ctx.side_masks = side_masks
     ctx.scenario_faces = scenario_faces
     ctx.cut_face_checks = checks
     if instance.problem == "st":

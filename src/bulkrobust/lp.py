@@ -288,7 +288,7 @@ def separation_oracle(ctx, cover, scenario_index):
         raise InvariantError(
             f"separation cut crosses {len(crossing)} scenario edges at level "
             f"{level}; the previous solution was not feasible")
-    if crossing not in ctx.cuts:
+    if crossing not in ctx.omega:
         raise InvariantError(
             f"separated set {sorted(crossing)} is not among the enumerated "
             "relevant failure sets")

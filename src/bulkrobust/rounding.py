@@ -13,8 +13,8 @@ vs top-anchored), `round_face` checks it against chords and cuts, and each
 side is solved exactly within the budget of `setcover.exact_min_cover`.
 The level-1 cases never build circles: the contracted path or tree induces
 one face, and its typed links are covered exactly (`cover_intervals_exact`
-on the path, an exact cut cover on the tree, both read from one tree walk
-over the solution).  At levels >= 2, which links cover which failure set is
+on the path, an exact cut cover on the tree, both read from the side masks
+of `StepContext`).  At levels >= 2, which links cover which failure set is
 read from the level's table `StepContext.covering`, the same one the LP
 used.
 """

@@ -51,7 +51,7 @@ def component_of(nodes, ends):
 def reference_cuts(ctx):
     """Failure set -> (side_s, side_t) of every relevant set of a step, from
     the networkx components of the kept edges outside the set: the tests'
-    single-pair cover reference, read from neither `ctx.cuts` nor the
+    single-pair cover reference, read from neither `ctx.side_masks` nor the
     Feasibility table.  side_s holds s, or for mst the smallest node."""
     sub_nodes = ctx.subgraph.nodes
     anchor = ctx.s if ctx.instance.problem == "st" else min(sub_nodes)

@@ -494,15 +494,25 @@ def test_gap_command(tmp_path, capsys):
         assert float(row[2]) <= 8.0 + 1e-6
 
 
-@pytest.mark.parametrize("command", ["bench", "gap"])
-def test_negative_count_exit_code(tmp_path, capsys, command):
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--family", "grid", "--count", "-3"], "--count"),
+    (["gap", "--family", "grid", "--count", "-3"], "--count"),
+    (["bench", "--family", "grid", "--count", "2", "--max-edges", "-3"], "--max-edges"),
+    (["oracle", "-i", "instance.json", "--max-edges", "-3"], "--max-edges"),
+    (["oracle", "-i", "instance.json", "--max-subsets", "-3"], "--max-subsets"),
+], ids=["bench", "gap", "bench-max-edges", "oracle-max-edges",
+        "oracle-max-subsets"])
+def test_negative_count_exit_code(tmp_path, capsys, argv, flag):
+    # The type check exits before any file is opened; oracle writes no report.
     report = tmp_path / "report.csv"
+    if argv[0] != "oracle":
+        argv = argv + ["--report", str(report)]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--family", "grid", "--count", "-3", "--report", str(report)])
+        main(argv)
     assert exc.value.code == 4
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert "error: argument --count: expected an integer >= 0, got '-3'" in captured.err
+    assert f"error: argument {flag}: expected an integer >= 0, got '-3'" in captured.err
     assert not report.exists()
 
 

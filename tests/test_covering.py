@@ -11,8 +11,8 @@ from bulkrobust.driver import minimum_spanning_tree, shortest_st_path
 from bulkrobust.errors import InvariantError
 from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
 from bulkrobust.rounding import covered_by
-from conftest import (build_suite_instance, component_of, crosses, reference_cuts,
-                      square_with_chords, suite_schedule)
+from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
+                      suite_schedule)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
@@ -95,37 +95,6 @@ def test_tree_step_reads_no_covering_table(monkeypatch):
         solve(instance)
     # the LP levels still read the table, so the counter is live
     assert levels and 1 not in levels
-
-
-def level1_tree():
-    ctx = preprocess_step(TREE_GRIDS[0], minimum_spanning_tree(TREE_GRIDS[0]), 1)
-    return ctx, enumerate_typed_links(ctx)
-
-
-def test_extra_kept_edge_closing_a_cycle_raises():
-    for as_failure_set in (False, True):
-        ctx, links = level1_tree()
-        extra = min(e for e, (u, v, _) in ctx.e_rest.items() if u != v)
-        ctx.kept_x = ctx.kept_x | {extra}
-        if as_failure_set:
-            ctx.omega = ctx.omega + (frozenset({extra}),)
-        with pytest.raises(InvariantError, match="level-1 solution has"):
-            driver._cover_tree(ctx, links)
-
-
-def test_cut_off_solution_node_raises():
-    # Drop one tree edge and close a cycle elsewhere, so the edge count
-    # still fits a tree but the nodes beyond the dropped edge are cut off.
-    ctx, links = level1_tree()
-    dropped = min(ctx.kept_x)
-    rest = ctx.kept_x - {dropped}
-    component = component_of(ctx.cut_nodes, (ctx.graph.endpoints(e) for e in rest))
-    extra = min(e for e, (u, v, _) in ctx.e_rest.items()
-                if u != v and component[u] == component[v])
-    ctx.kept_x = rest | {extra}
-    ctx.omega = tuple(f for f in ctx.omega if dropped not in f) + (frozenset({extra}),)
-    with pytest.raises(InvariantError, match="level-1 tree walk does not reach"):
-        driver._cover_tree(ctx, links)
 
 
 ST_PATHS = [build_suite_instance(p) for p in suite_schedule(200) if p["problem"] == "st"]

@@ -14,10 +14,9 @@ from conftest import (build_suite_instance, reference_cuts, square_with_chords,
 
 def table_sides(ctx, f_set):
     """(side_s, side_t) of a relevant failure set as `preprocess_step` stores
-    it: its scenario's label per solution node, mapped through the set's sides."""
-    j, sides = ctx.cuts[frozenset(f_set)]
-    on_s = [sides[label] for label in ctx.cut_labels[j]]
-    side_s = frozenset(n for n, s in zip(ctx.cut_nodes, on_s) if s)
+    it: the nodes whose side mask has the set's bit clear are on s's side."""
+    bit = 1 << ctx.omega.index(frozenset(f_set))
+    side_s = frozenset(n for n in ctx.cut_nodes if not ctx.side_masks[n] & bit)
     return side_s, frozenset(ctx.cut_nodes) - side_s
 
 
@@ -28,6 +27,16 @@ def test_preprocess_triangle_level1():
     assert ctx.contracted == ()
     assert table_sides(ctx, {0}) == (frozenset({0}), frozenset({1}))
     assert ctx.covering([TypedLink(0, 1, 0, 2)]) == {frozenset({0}): (0,)}
+
+
+def test_st_sides_are_anchored_at_s_not_the_smallest_node():
+    # t = 0 and s = 1: s's side has every bit clear, as the reference has it
+    tri = triangle_instance()
+    flipped = Instance(tri.node_count, tri.edges, tri.rotation, "st", 1, 0, [(0,)])
+    ctx = preprocess_step(flipped, {0}, 1)
+    assert ctx.side_masks == {0: 1, 1: 0}
+    assert table_sides(ctx, {0}) == reference_cuts(ctx)[frozenset({0})] == (
+        frozenset({1}), frozenset({0}))
 
 
 def test_preprocess_square_level2():
