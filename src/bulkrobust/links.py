@@ -8,6 +8,16 @@ A typed link is (u, v, face, cost): the LP, the covers and the rounding
 read nothing else, and `StepContext.link_path` builds the edges of the
 links a level picks, O(picked) path searches instead of one per link.
 
+A face's links need the path cost between every pair of its ends.  A face
+whose candidate edges touch only ends, at least `CLOSURE_MIN_ENDS` of them
+(10, from the measured crossover), reads them all from one int64
+Floyd-Warshall closure over its ends (`face_closure`): the level-1 tree
+face is one, since every contracted node is a solution node.  Every other
+face runs one Dijkstra per far end: faces with nodes that are not ends,
+where the closure would relax through every node, and small faces, where
+numpy's fixed cost per call loses.  Both give the same links in the same
+order, and `link_path` reads the distance map to `link.v` from either.
+
 The X edges in no relevant failure set are contracted in one pass
 (`PlaneGraph.contract`), not with one copy of the graph per edge.
 
@@ -39,15 +49,32 @@ faces), which a set holding a bridge cannot give.
 """
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BudgetError, InvariantError
 from .instance import induced_faces
 
 OMEGA_CAP = 10 ** 5
+_INF = float("inf")
+
+# Faces with at least this many ends, and no other nodes, take the closure.
+# Measured per face, `enumerate_typed_links` with either build forced (best
+# of 15, in-process, 2-core x86-64 VM, Python 3.11, numpy 2.4), on the
+# level-1 faces of small spanning-tree grids plus every such face of the
+# benchmark's seed-101 workloads: the closure took 1.13-1.45 times the
+# Dijkstra maps' time at 8 ends, 0.94-1.05 at 9, 0.76-0.90 at 10 and about
+# 0.35 on the level-1 tree faces of 25-43 ends (0.3-0.9 ms against 0.8-2.7).
+# At 9, hvc-lp's 9-end faces took the closure, and its peak RSS rose 0.3 MB.
+CLOSURE_MIN_ENDS = 10
+# The closure's "no path" entry: above every path cost (the total weight is
+# at most 2**53), and the sum of two still fits in an int64.
+_UNREACHED = np.iinfo(np.int64).max // 2
 
 
 # -- deterministic shortest paths -----------------------------------------
@@ -56,15 +83,16 @@ def dijkstra(adj, source):
     """Distance map from source; adj maps node -> ((edge_id, other, w), ...)."""
     dist = {source: 0}
     heap = [(0, source)]
+    pop, push, get = heapq.heappop, heapq.heappush, dist.get
     while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist.get(node, float("inf")):
+        d, node = pop(heap)
+        if d > dist[node]:
             continue
         for _, other, w in adj.get(node, ()):
             nd = d + w
-            if nd < dist.get(other, float("inf")):
+            if nd < get(other, _INF):
                 dist[other] = nd
-                heapq.heappush(heap, (nd, other))
+                push(heap, (nd, other))
     return dist
 
 
@@ -110,6 +138,42 @@ def lex_shortest_path(adj, src, dst, dist=None):
     raise InvariantError("pruned path search missed a reachable target")
 
 
+def face_closure(adj, ends):
+    """All-pairs path costs of a graph whose nodes are `ends` (ascending):
+    an int64 matrix over `ends`, `_UNREACHED` where no path exists.  The
+    cheapest of any parallel edges seeds it, then Floyd-Warshall relaxes
+    through each end in turn, one min-plus pass per end."""
+    index = {n: i for i, n in enumerate(ends)}
+    rows, cols, weights = [], [], []
+    for node, lst in adj.items():
+        i = index[node]
+        for _, other, w in lst:
+            rows.append(i)
+            cols.append(index[other])
+            weights.append(w)
+    size = len(ends)
+    dist = np.full((size, size), _UNREACHED, dtype=np.int64)
+    np.minimum.at(dist, (rows, cols), weights)
+    np.fill_diagonal(dist, 0)
+    for k in range(size):
+        np.minimum(dist, dist[:, k, None] + dist[k], out=dist)
+    return dist
+
+
+class ClosureMaps:
+    """end -> distance map of a closure face, read from the end's row of
+    `face_closure` when asked: the map `dijkstra(adj, end)` gives, up to
+    key order."""
+
+    def __init__(self, ends, dist):
+        self.ends = ends
+        self.dist = dist
+
+    def __getitem__(self, end):
+        row = self.dist[bisect_left(self.ends, end)].tolist()
+        return {n: d for n, d in zip(self.ends, row) if d != _UNREACHED}
+
+
 # -- step data -------------------------------------------------------------
 
 class TypedLink(NamedTuple):
@@ -143,7 +207,9 @@ class StepContext:
     s: int = None
     t: int = None
     cut_face_checks: int = 0        # validated (failure set, face) pairs
-    face_maps: dict = field(default_factory=dict)  # face -> (adj, end -> dist map)
+    # face -> (adj, end -> distance map): Dijkstra maps, or on faces that
+    # took the closure a `ClosureMaps` that reads them from it
+    face_maps: dict = field(default_factory=dict)
 
     def covered(self, link):
         """The ascending omega positions of the failure sets `link` covers:
@@ -179,8 +245,9 @@ class StepContext:
 
     def link_path(self, link):
         """The edge ids of a link from `enumerate_typed_links`, searched with
-        the distance map its cost was read from, so with the same tie-break;
-        they must weigh `link.cost` and lie on `link.face`."""
+        the distance map to `link.v` (its Dijkstra map, or its row of the
+        face's closure), so with the same tie-break; they must weigh
+        `link.cost` and lie on `link.face`."""
         adj, dists = self.face_maps[link.face]
         found = lex_shortest_path(adj, link.u, link.v, dists[link.v])
         if (found is None or sum(self.e_rest[e][2] for e in found[1]) != link.cost
@@ -322,8 +389,12 @@ def enumerate_typed_links(ctx):
 
     For each induced face and each unordered pair of distinct boundary
     nodes, the cost of the cheapest path through the candidate edges
-    assigned to that face (omitted when none exists), one Dijkstra map per
-    far end; `ctx.face_maps` keeps them for `StepContext.link_path`.
+    assigned to that face (omitted when none exists), in the order of
+    `combinations` over the face's ascending ends.  A face whose edges touch
+    only boundary nodes, at least `CLOSURE_MIN_ENDS` of them, reads its
+    costs from one `face_closure`; every other face takes one Dijkstra map
+    per far end.  `ctx.face_maps` keeps the maps, or the closure, for
+    `StepContext.link_path`.
     """
     links = []
     face_adj = {}
@@ -335,10 +406,21 @@ def enumerate_typed_links(ctx):
     for face_idx, adj in sorted(face_adj.items()):
         adj = {n: tuple(sorted(lst)) for n, lst in adj.items()}
         ends = [n for n in sorted(ctx.subgraph.face_nodes[face_idx]) if n in adj]
-        dists = {v: dijkstra(adj, v) for v in ends[1:]}
-        ctx.face_maps[face_idx] = (adj, dists)
-        for u, v in combinations(ends, 2):
-            cost = dists[v].get(u)
-            if cost is not None:
-                links.append(TypedLink(u, v, face_idx, cost))
+        if len(ends) == len(adj) >= CLOSURE_MIN_ENDS:
+            dist = face_closure(adj, ends)
+            first, second = np.nonzero(dist != _UNREACHED)
+            upper = first < second
+            first, second = first[upper], second[upper]
+            at = np.array(ends)
+            links.extend(map(TypedLink._make, zip(
+                at[first].tolist(), at[second].tolist(), repeat(face_idx),
+                dist[first, second].tolist())))
+            maps = ClosureMaps(ends, dist)
+        else:
+            maps = {v: dijkstra(adj, v) for v in ends[1:]}
+            for u, v in combinations(ends, 2):
+                cost = maps[v].get(u)
+                if cost is not None:
+                    links.append(TypedLink(u, v, face_idx, cost))
+        ctx.face_maps[face_idx] = (adj, maps)
     return tuple(links)

@@ -74,6 +74,11 @@ def grid_2x3():
     return gen_grid(2, 3, 1, 1, 1, seed=7)
 
 
+# The level-1 tree step's larger faces: 10x10 spanning-tree grids with 36
+# scenarios of diameter 3, weights up to 1, 3 and 5.
+TREE_GRIDS = [gen_grid(10, 10, 36, 3, w, seed, "mst") for w in (1, 3, 5) for seed in range(3)]
+
+
 SUITE_DIMS = ((2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5), (4, 4), (2, 6))
 
 

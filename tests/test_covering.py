@@ -11,12 +11,11 @@ from bulkrobust.driver import minimum_spanning_tree, shortest_st_path
 from bulkrobust.errors import InvariantError
 from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
 from bulkrobust.rounding import covered_by
-from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
-                      suite_schedule)
+from conftest import (TREE_GRIDS, build_suite_instance, crosses, reference_cuts,
+                      square_with_chords, suite_schedule)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
-TREE_GRIDS = [gen_grid(10, 10, 36, 3, w, seed, "mst") for w in (1, 3, 5) for seed in range(3)]
 
 
 def by_definition(ctx, links):

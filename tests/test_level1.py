@@ -1,5 +1,6 @@
-"""The level-1 spanning-tree step: grouped shortest paths, the lazily bounded
-exact cover, and its node budget.
+"""The level-1 spanning-tree step: grouped shortest paths (per-end Dijkstra
+maps or one all-pairs closure per face), the lazily bounded exact cover, and
+its node budget.
 
 `per_pair_lex_shortest_path`, `bound_free_exact_min_cover` and
 `recursive_exact_min_cover` are the earlier implementations, kept here as
@@ -11,6 +12,7 @@ the node-by-node search.
 """
 
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,9 +21,12 @@ import pytest
 from bulkrobust import driver, gen_grid, is_feasible, links, serialize_instance, solve
 from bulkrobust import lp, setcover
 from bulkrobust.cli import main
+from bulkrobust.driver import minimum_spanning_tree
 from bulkrobust.errors import BudgetError, InvariantError
-from bulkrobust.links import StepContext, dijkstra, enumerate_typed_links
+from bulkrobust.instance import MAX_TOTAL_WEIGHT
+from bulkrobust.links import StepContext, dijkstra, enumerate_typed_links, preprocess_step
 from bulkrobust.setcover import exact_min_cover
+from conftest import TREE_GRIDS, build_suite_instance, suite_schedule
 
 
 def per_pair_lex_shortest_path(adj, src, dst):
@@ -224,29 +229,71 @@ def one_face_context(adj, boundary):
     return StepContext(None, 1, frozenset(), (), subgraph=subgraph, e_rest=e_rest)
 
 
-def test_grouped_paths_match_per_pair_search():
-    rng = random.Random(6)
+def took_closure(ctx, face=0):
+    """True iff `enumerate_typed_links` gave `face` its costs from the closure."""
+    return isinstance(ctx.face_maps[face][1], links.ClosureMaps)
+
+
+def check_against_per_pair_search(adj, boundary):
+    """Enumerate the one face of `adj` with `boundary` and check each link, in
+    order, against `per_pair_lex_shortest_path`.  Returns (took the closure,
+    unreachable pairs, pairs with an end off the face's edges)."""
+    ctx = one_face_context(adj, boundary)
+    got = {(link.u, link.v): link for link in enumerate_typed_links(ctx)}
+    assert list(got) == sorted(got)     # the combinations order of the ends
     unreachable = skipped = 0
+    for u, v in combinations(sorted(boundary), 2):
+        if u not in adj or v not in adj:
+            assert (u, v) not in got
+            skipped += 1
+            continue
+        found = per_pair_lex_shortest_path(adj, u, v)
+        unreachable += found is None
+        if found is None:
+            assert (u, v) not in got
+            continue
+        link = got.pop((u, v))
+        assert link.face == 0
+        assert all(type(value) is int for value in link)
+        assert (link.cost, ctx.link_path(link)) == found
+    assert got == {}
+    return bool(ctx.face_maps) and took_closure(ctx), unreachable, skipped
+
+
+@pytest.mark.parametrize("min_ends", [2, 10 ** 6], ids=["closure", "dijkstra"])
+def test_grouped_paths_match_per_pair_search(min_ends, monkeypatch):
+    # At 2 every face whose nodes are all boundary nodes takes the closure;
+    # a boundary subset leaves some nodes off, so that face takes Dijkstra
+    # maps under either threshold.
+    monkeypatch.setattr(links, "CLOSURE_MIN_ENDS", min_ends)
+    rng = random.Random(6)
+    subsets = random.Random(7)
+    unreachable = skipped = 0
+    took = {True: 0, False: 0}
     for _ in range(300):
         n, adj = random_multigraph(rng)
-        ctx = one_face_context(adj, range(n))
-        got = {(link.u, link.v): link for link in enumerate_typed_links(ctx)}
-        for u in range(n):
-            for v in range(u + 1, n):
-                if u not in adj or v not in adj:
-                    assert (u, v) not in got
-                    skipped += 1
-                    continue
-                found = per_pair_lex_shortest_path(adj, u, v)
-                unreachable += found is None
-                if found is None:
-                    assert (u, v) not in got
-                    continue
-                link = got.pop((u, v))
-                assert link.face == 0
-                assert (link.cost, ctx.link_path(link)) == found
-        assert got == {}
+        for boundary in (range(n), subsets.sample(range(n), subsets.randint(2, n))):
+            closure, missed, off = check_against_per_pair_search(adj, boundary)
+            assert closure == (min_ends == 2 and bool(adj) and set(adj) <= set(boundary))
+            took[closure] += 1
+            unreachable += missed
+            skipped += off
     assert unreachable > 100 and skipped > 100
+    assert took[False] > 100 and (took[True] > 100) == (min_ends == 2)
+
+    # Path costs near the weight cap, and pairs in different components:
+    # relaxing through a "no path" entry must not overflow int64.
+    big = MAX_TOTAL_WEIGHT // 8
+    edges = [(0, 0, 1, 2 * big), (1, 1, 2, 2 * big), (2, 2, 3, 2 * big - 2), (3, 3, 0, big),
+             (4, 0, 1, big + 1), (5, 4, 5, 1)]
+    assert sum(w for *_, w in edges) == MAX_TOTAL_WEIGHT
+    heavy = {}
+    for e, u, v, w in edges:
+        heavy.setdefault(u, []).append((e, v, w))
+        heavy.setdefault(v, []).append((e, u, w))
+    heavy = {node: tuple(lst) for node, lst in heavy.items()}
+    closure, missed, _ = check_against_per_pair_search(heavy, range(6))
+    assert closure == (min_ends == 2) and missed == 8
 
 
 def test_paths_are_built_for_picked_links_only(monkeypatch):
@@ -274,6 +321,41 @@ def test_paths_are_built_for_picked_links_only(monkeypatch):
     assert len(searches) == len(picked) > 0
     assert searches == [(link.u, link.v) for link in picked]
     assert sum(enumerated) > 10 * len(picked)
+
+
+def test_closure_links_match_dijkstra_on_tree_grids(monkeypatch):
+    for instance in TREE_GRIDS:
+        tree = minimum_spanning_tree(instance)
+        ctx = preprocess_step(instance, tree, 1)
+        got = enumerate_typed_links(ctx)
+        with monkeypatch.context() as forced:
+            forced.setattr(links, "CLOSURE_MIN_ENDS", 10 ** 6)
+            reference = preprocess_step(instance, tree, 1)
+            want = enumerate_typed_links(reference)
+        [face] = ctx.face_maps
+        assert took_closure(ctx, face) and not took_closure(reference, face)
+        assert got == want
+        assert [ctx.link_path(link) for link in got] == list(map(reference.link_path, want))
+
+
+def test_the_suite_takes_both_link_builds(monkeypatch):
+    # The suite's faces with only ends have fewer than CLOSURE_MIN_ENDS, so
+    # the closure side comes from one 10x10 tree grid.
+    took = {True: 0, False: 0}
+    original = driver.enumerate_typed_links
+
+    def counted(ctx):
+        found = original(ctx)
+        for face in ctx.face_maps:
+            took[took_closure(ctx, face)] += 1
+        return found
+
+    monkeypatch.setattr(driver, "enumerate_typed_links", counted)
+    for params in suite_schedule(40):
+        solve(build_suite_instance(params))
+    assert took[False] >= 1
+    solve(TREE_GRIDS[0])
+    assert took[True] >= 1
 
 
 # -- exact cover -----------------------------------------------------------------

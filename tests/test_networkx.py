@@ -1,7 +1,8 @@
 """Differential tests against networkx, an independent reference used only
-in tests: the Euler check on rotation systems, the max-flow min-cut, and
-what the union-find and the oracle's search answer (the requirement,
-feasibility, contraction groups, the MST weight)."""
+in tests: the Euler check on rotation systems, the max-flow min-cut, the
+face distances (Dijkstra maps and the all-pairs closure), and what the
+union-find and the oracle's search answer (the requirement, feasibility,
+contraction groups, the MST weight)."""
 
 import random
 
@@ -10,6 +11,7 @@ import pytest
 
 from bulkrobust import Instance, InstanceError, is_feasible
 from bulkrobust.driver import minimum_spanning_tree
+from bulkrobust.links import ClosureMaps, dijkstra, face_closure
 from bulkrobust.lp import max_flow_min_cut
 from conftest import build_suite_instance, component_of, suite_schedule
 
@@ -77,6 +79,25 @@ def test_max_flow_agrees_with_networkx(seed):
         assert source in side and sink not in side, (arcs, source, sink)
         cut = sum(cap for u, v, cap in arcs if (u in side) != (v in side))
         assert value == expected and cut == expected, (arcs, source, sink)
+
+
+def test_face_distances_agree_with_networkx():
+    # Parallel edges, zero weights and several components.
+    rng = random.Random(22)
+    for _ in range(200):
+        graph = nx.MultiGraph()
+        adj = {}
+        for eid in range(rng.randint(1, 30)):
+            u, v = rng.sample(range(12), 2)
+            w = rng.randint(0, 4)
+            graph.add_edge(u, v, weight=w)
+            adj.setdefault(u, []).append((eid, v, w))
+            adj.setdefault(v, []).append((eid, u, w))
+        ends = sorted(adj)
+        maps = ClosureMaps(ends, face_closure(adj, ends))
+        for source, want in nx.all_pairs_dijkstra_path_length(graph):
+            assert dijkstra(adj, source) == want
+            assert maps[source] == want
 
 
 def nx_requirement(instance, edges):
