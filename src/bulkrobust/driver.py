@@ -7,7 +7,10 @@ the current solution induces faces, the typed links of those faces go in,
 and a cover step returns the indices of the links it picks and their
 cost.  At level 1 the contracted path or tree induces exactly one face and
 the cover is exact (an interval DP on the path, an exact cut cover on the
-tree); levels two and up run the LP plus per-face rounding.
+tree); levels two and up run the LP plus per-face rounding.  Only those
+levels read face walks: `preprocess_step` gives level 1 its one face from
+the check that the kept edges form a tree, with no contracted rotation
+and no face trace.
 
 Every level reads the cover relation from `StepContext.side_masks`, the
 cut side of each solution node per failure set, built by `preprocess_step`

@@ -6,6 +6,11 @@ incident edge ids).  The rotation system *is* the embedding; validity is
 checked through Euler's formula after face tracing, never by planarity
 testing.
 
+Contraction has two parts: `PlaneGraph.group` merges the nodes, and
+`PlaneGraph.contract` calls it and then walks the rotation around each
+merged group.  The walk runs only where faces are read; a caller that
+needs the groups alone takes `group`.
+
 The package's one union-find is a list indexed by node (or face) id, run
 by `_find`, `_union` and `_merge`; `requirement_met` and `Feasibility` read
 the requirement from it.
@@ -285,27 +290,41 @@ class PlaneGraph:
         A graph without edges has one face but no dart to trace it from."""
         return len(self.nodes) - len(self.edges) + max(len(self.faces), 1) - 2
 
+    def group(self, eids):
+        """The node grouping of contracting the edges `eids`, without the
+        rotation walk; returns (node_map, contracted, loops, edges).
+
+        One union-find takes `eids` in ascending id order, as Kruskal does;
+        `contracted` holds the edges it merges, and `loops` every other edge
+        whose ends merged, both ascending.  Each merged group keeps its
+        smallest node id, and `edges` maps every edge that is not a loop to
+        its ends' groups.  With nothing to merge, `edges` is the graph's own.
+        """
+        parent = list(range(max(self.nodes) + 1))
+        tree = tuple(e for e in sorted(eids) if _union(parent, *self.endpoints(e)))
+        node_map = {n: _find(parent, n) for n in self.nodes}
+        if not tree:
+            return node_map, (), (), self.edges
+        edges = {e: (node_map[a], node_map[b], w) for e, (a, b, w) in self.edges.items()
+                 if node_map[a] != node_map[b]}
+        loops = tuple(sorted(self.edges.keys() - edges.keys() - set(tree)))
+        return node_map, tree, loops, edges
+
     def contract(self, eids):
         """Contract the edges `eids` in one pass; returns (graph, node_map,
         contracted, loops).
 
-        One union-find takes `eids` in ascending id order, as Kruskal does;
-        `contracted` holds the edges it merges, and `loops` every other edge
-        whose ends merged, both ascending.  Loops are deleted.  Each merged
-        group keeps its smallest node id, and its rotation is the walk around
-        its contracted tree: at a tree edge, move to the other end and go on
-        just after that edge in its rotation.  The walk visits each dart of
-        the group once and keeps the embedding planar.  With nothing to
-        contract, the graph itself comes back.
+        `group` merges the nodes; loops are deleted.  Each merged group's
+        rotation is the walk around its contracted tree: at a tree edge,
+        move to the other end and go on just after that edge in its
+        rotation.  The walk visits each dart of the group once and keeps the
+        embedding planar.  Only callers that read faces need it; the rest
+        take `group` alone.  With nothing to contract, the graph itself
+        comes back.
         """
-        parent = list(range(max(self.nodes) + 1))
-        tree = [e for e in sorted(eids) if _union(parent, *self.endpoints(e))]
-        node_map = {n: _find(parent, n) for n in self.nodes}
+        node_map, tree, loops, edges = self.group(eids)
         if not tree:
             return self, node_map, (), ()
-        edges = {e: (node_map[a], node_map[b], w) for e, (a, b, w) in self.edges.items()
-                 if node_map[a] != node_map[b]}
-        loops = tuple(sorted(self.edges.keys() - edges.keys() - set(tree)))
         rotation = {n: rot for n, rot in self.rotation.items() if node_map[n] == n}
         tree_set = set(tree)
         for root in {node_map[self.edges[e][0]] for e in tree}:
@@ -324,7 +343,7 @@ class PlaneGraph:
                     break
             rotation[root] = tuple(walk)
         nodes = tuple(n for n in self.nodes if node_map[n] == n)
-        return PlaneGraph(nodes, edges, rotation), node_map, tuple(tree), loops
+        return PlaneGraph(nodes, edges, rotation), node_map, tree, loops
 
 
 @dataclass(frozen=True)

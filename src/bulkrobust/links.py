@@ -18,8 +18,15 @@ where the closure would relax through every node, and small faces, where
 numpy's fixed cost per call loses.  Both give the same links in the same
 order, and `link_path` reads the distance map to `link.v` from either.
 
-The X edges in no relevant failure set are contracted in one pass
-(`PlaneGraph.contract`), not with one copy of the graph per edge.
+The X edges in no relevant failure set are contracted in one pass, not
+with one copy of the graph per edge.  At levels >= 2 `PlaneGraph.contract`
+walks the contracted rotation, and `induced_faces` traces the faces the
+kept edges induce.  Level 1 reads no face walk, so it takes only the node
+grouping (`PlaneGraph.group`) and checks that the kept edges form a tree
+on their ends: connected, one edge fewer than nodes.  A tree in a
+connected plane graph induces exactly one face, so every candidate edge
+lies on face 0, whose nodes are the solution's (`TreeFace`).  The instance's
+embedding was checked once at parse, and no contracted graph is built.
 
 A link covers a relevant failure set iff its endpoints lie on different
 sides of that set's two-sided cut.  `preprocess_step` stores every cut as
@@ -58,7 +65,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, InvariantError
-from .instance import induced_faces
+from .instance import _merge, induced_faces
 
 OMEGA_CAP = 10 ** 5
 _INF = float("inf")
@@ -193,11 +200,12 @@ class StepContext:
     level: int
     x_edges: frozenset
     omega: tuple                    # relevant failure sets, deterministic order
-    graph: object = None            # contracted PlaneGraph
+    edges: dict = field(default_factory=dict)      # contracted edge id -> (u, v, w)
     node_map: dict = field(default_factory=dict)   # original node -> contracted node
     kept_x: frozenset = frozenset()
     e_rest: dict = field(default_factory=dict)     # candidate edge ids -> (u, v, w)
-    subgraph: object = None         # EmbeddedSubgraph of (graph, kept_x)
+    # the faces kept_x induces: an EmbeddedSubgraph, or at level 1 a TreeFace
+    subgraph: object = None
     contracted: tuple = ()          # X edges contracted away
     cut_nodes: tuple = ()           # the solution's nodes, ascending
     # cut node -> int whose bit p is set iff the node is not on the anchor's
@@ -256,13 +264,47 @@ class StepContext:
         return found[1]
 
 
+@dataclass(frozen=True)
+class TreeFace:
+    """The one face a tree induces in a connected plane graph, as level 1
+    reads it: every candidate edge lies on face 0, whose nodes are the
+    tree's.  No walk is traced, so asking for one fails."""
+
+    nodes: frozenset        # the tree's nodes
+    edge_face: dict         # candidate edge id -> 0
+
+    @property
+    def face_nodes(self):
+        return (self.nodes,)
+
+    @property
+    def faces(self):
+        raise InvariantError("level 1 traces no face walks; only levels >= 2 read them")
+
+    face_edge_sets = faces
+
+
+def _tree_face(edges, kept, e_rest):
+    """The TreeFace of the kept edges, which must form a tree on their ends
+    in the contracted edge map `edges`: connected, one edge fewer than
+    nodes.  `e_rest` are the candidate edges."""
+    nodes = frozenset(n for e in kept for n in edges[e][:2])
+    _, merges = _merge(list(range(max(nodes) + 1)), [(e, *edges[e][:2]) for e in kept])
+    if not len(kept) == merges == len(nodes) - 1:
+        raise InvariantError(
+            f"level-1 solution is not a tree: {len(kept)} kept edges on "
+            f"{len(nodes)} nodes in {len(nodes) - merges} components")
+    return TreeFace(nodes, dict.fromkeys(e_rest, 0))
+
+
 def preprocess_step(instance, x_edges, level):
     """Build the StepContext for augmentation level `level`.
 
     Enumerates the relevant failure sets (size-`level` subsets of input
     scenarios that disconnect the requirement in (V, X)), contracts every
     X edge that appears in none of them, and validates the structural
-    guarantees the later stages rely on.
+    guarantees the later stages rely on.  Level 1 groups the nodes only
+    and reads its one face from the tree check (`TreeFace`).
     """
     x = frozenset(x_edges)
     if not x <= instance.edge_ids:
@@ -300,14 +342,17 @@ def preprocess_step(instance, x_edges, level):
         return ctx
 
     kept = frozenset().union(*omega)    # inside X: the loop skips other sets
-    graph, node_map, contracted, loops = instance.graph.contract(x - kept)
+    if level == 1:
+        node_map, contracted, loops, edges = instance.graph.group(x - kept)
+    else:
+        graph, node_map, contracted, loops = instance.graph.contract(x - kept)
+        if graph.euler_defect() != 0:
+            raise InvariantError("contracted graph lost its planar embedding")
+        edges = graph.edges
     if kept.intersection(loops):
         raise InvariantError("contraction deleted an edge of a relevant failure set")
-    if graph.euler_defect() != 0:
-        raise InvariantError("contracted graph lost its planar embedding")
-
-    subgraph = induced_faces(graph, kept)
-    e_rest = {e: graph.edges[e] for e in sorted(graph.edges) if e not in kept}
+    e_rest = {e: edges[e] for e in sorted(edges) if e not in kept}
+    subgraph = _tree_face(edges, kept, e_rest) if level == 1 else induced_faces(graph, kept)
 
     cut_nodes = tuple(sorted(subgraph.nodes))
     # The anchor, s or for mst the smallest node, has every side bit clear.
@@ -342,7 +387,7 @@ def preprocess_step(instance, x_edges, level):
     side_masks = dict(zip(cut_nodes, node_masks))
     for p, f_set in enumerate(omega):
         for e in f_set:
-            u, v, _ = graph.edges[e]
+            u, v, _ = edges[e]
             if not (side_masks[u] ^ side_masks[v]) >> p & 1:
                 raise InvariantError(
                     f"edge {e} of failure set {sorted(f_set)} does not cross its cut")
@@ -368,7 +413,7 @@ def preprocess_step(instance, x_edges, level):
                     f"expected exactly {level}")
             scenario_faces[f_set] = tuple(two_sided)
 
-    ctx.graph = graph
+    ctx.edges = edges
     ctx.node_map = node_map
     ctx.kept_x = kept
     ctx.e_rest = e_rest

@@ -262,7 +262,7 @@ def separation_oracle(ctx, cover, scenario_index):
 
     arc_list = []
     for e in sorted(ctx.kept_x):
-        u, v, _ = ctx.graph.edges[e]
+        u, v, _ = ctx.edges[e]
         arc_list.append((u, v, 1.0 if e in full else sentinel))
     for link, val in zip(cover.links, values):
         arc_list.append((link.u, link.v, max(0.0, float(val))))
@@ -283,7 +283,7 @@ def separation_oracle(ctx, cover, scenario_index):
 
     crossing = frozenset(
         e for e in full & ctx.kept_x
-        if (ctx.graph.edges[e][0] in side) != (ctx.graph.edges[e][1] in side))
+        if (ctx.edges[e][0] in side) != (ctx.edges[e][1] in side))
     if len(crossing) != level:
         raise InvariantError(
             f"separation cut crosses {len(crossing)} scenario edges at level "

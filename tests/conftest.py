@@ -57,7 +57,7 @@ def reference_cuts(ctx):
     anchor = ctx.s if ctx.instance.problem == "st" else min(sub_nodes)
     cuts = {}
     for f_set in ctx.omega:
-        component = component_of(sub_nodes, (ctx.graph.endpoints(e) for e in ctx.kept_x
+        component = component_of(sub_nodes, (ctx.edges[e][:2] for e in ctx.kept_x
                                              if e not in f_set))
         assert len(set(component.values())) == 2, sorted(f_set)
         side_s = frozenset(n for n in sub_nodes if component[n] == component[anchor])

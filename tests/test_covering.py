@@ -2,6 +2,7 @@
 and path steps' cover relations, against cuts built independently with
 networkx."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bulkrobust import driver, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust.driver import minimum_spanning_tree, shortest_st_path
 from bulkrobust.errors import InvariantError
+from bulkrobust.instance import PlaneGraph
 from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
 from bulkrobust.rounding import covered_by
 from conftest import (TREE_GRIDS, build_suite_instance, crosses, reference_cuts,
@@ -94,6 +96,35 @@ def test_tree_step_reads_no_covering_table(monkeypatch):
         solve(instance)
     # the LP levels still read the table, so the counter is live
     assert levels and 1 not in levels
+
+
+def test_level1_traces_no_faces(monkeypatch):
+    # Level 1 reads its one face from the tree check: no face trace and no
+    # rotation walk (`contract`) after parse.  The levels above still read
+    # faces, so the counters are live.
+    at_level = [None]
+    calls = Counter()
+    for name in ("trace_faces", "contract"):
+        def counted(graph, *args, _name=name, _original=getattr(PlaneGraph, name)):
+            calls[_name, at_level[0]] += 1
+            return _original(graph, *args)
+
+        monkeypatch.setattr(PlaneGraph, name, counted)
+    step = driver.preprocess_step
+
+    def tracked(instance, x_edges, level):
+        at_level[0] = level
+        ctx = step(instance, x_edges, level)
+        calls["with omega", level] += bool(ctx.omega)
+        return ctx
+
+    monkeypatch.setattr(driver, "preprocess_step", tracked)
+    for instance in SUITE + TREE_GRIDS[:1]:
+        solve(instance)
+    assert calls["with omega", 1] > len(SUITE) // 2
+    assert calls["trace_faces", 1] == calls["contract", 1] == 0
+    assert calls["trace_faces", 2] > 0 and calls["contract", 2] > 0
+    assert calls["trace_faces", None] == calls["contract", None] == 0    # parsed earlier
 
 
 ST_PATHS = [build_suite_instance(p) for p in suite_schedule(200) if p["problem"] == "st"]

@@ -5,10 +5,11 @@ import pytest
 from bulkrobust import BudgetError, Instance, InvariantError, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust import driver
 from bulkrobust.driver import minimum_spanning_tree as mst
-from bulkrobust.instance import Feasibility
+from bulkrobust.driver import shortest_st_path
+from bulkrobust.instance import Feasibility, induced_faces
 from bulkrobust.links import (TypedLink, dijkstra, enumerate_typed_links, lex_shortest_path,
                               preprocess_step)
-from conftest import (build_suite_instance, reference_cuts, square_with_chords,
+from conftest import (TREE_GRIDS, build_suite_instance, reference_cuts, square_with_chords,
                       suite_schedule, triangle_instance)
 
 
@@ -274,3 +275,77 @@ def test_preprocess_rejects_a_bridge_in_a_failure_set(monkeypatch, forge_cut, me
                     "mst", scenarios=[(0, 4), (2, 4)])
     with pytest.raises(InvariantError, match=message):
         preprocess_step(inst, range(5), 2)
+
+
+# -- the level-1 tree face -------------------------------------------------------
+
+def level1_context(instance, x=None):
+    """preprocess_step at level 1 on the base solution, or on `x`."""
+    if x is None:
+        x = shortest_st_path(instance) if instance.problem == "st" else mst(instance)
+    return preprocess_step(instance, x, 1)
+
+
+def test_level1_tree_face_matches_the_contracted_faces():
+    # Level 1 groups the nodes and checks the tree; the contracted rotation
+    # and `induced_faces` must find the same groups and the one face.
+    seen = {"st": 0, "mst": 0}
+    for instance in ([build_suite_instance(p) for p in suite_schedule(200)] + TREE_GRIDS
+                     + [gen_hypergraph_vc(3, 3, 10, 5)[1]]):
+        ctx = level1_context(instance)
+        if not ctx.omega:
+            continue
+        cut = ctx.x_edges - ctx.kept_x
+        graph, node_map, contracted, loops = instance.graph.contract(cut)
+        assert instance.graph.group(cut) == (node_map, contracted, loops, graph.edges)
+        assert not ctx.kept_x.intersection(loops)
+        faces = induced_faces(graph, ctx.kept_x)
+        assert len(faces.faces) == 1
+        assert ctx.node_map == node_map and ctx.contracted == contracted
+        assert ctx.edges == graph.edges
+        assert ctx.cut_nodes == tuple(sorted(faces.nodes))
+        assert ctx.subgraph.nodes == faces.nodes
+        assert list(ctx.subgraph.edge_face.items()) == list(faces.edge_face.items())
+        assert ctx.subgraph.face_nodes == faces.face_nodes
+        seen[instance.problem] += 1
+    assert seen["st"] > 50 and seen["mst"] > 50 + len(TREE_GRIDS)
+
+
+def test_level1_context_has_no_face_walks():
+    ctx = level1_context(TREE_GRIDS[0])
+    for walks in ("faces", "face_edge_sets"):
+        with pytest.raises(InvariantError, match="^level 1 traces no face walks"):
+            getattr(ctx.subgraph, walks)
+
+
+TREE_GUARD = r"^level-1 solution is not a tree: "
+
+
+def test_kept_edge_closing_a_cycle_raises(monkeypatch):
+    # Every X edge in a scenario counts as relevant, so a scenario edge
+    # added to the tree is kept along with the tree edges on its cycle.
+    instance = TREE_GRIDS[0]
+    tree = mst(instance)
+    union = frozenset().union(*instance.scenario_sets)
+    node_map = instance.graph.group(tree - union)[0]
+    extra = min(e for e in union - tree
+                if node_map[instance.edge_map[e][0]] != node_map[instance.edge_map[e][1]])
+    monkeypatch.setattr(Feasibility, "holds", lambda self, j, removed: not removed)
+    kept = len((tree | {extra}) & union)     # one cycle: as many edges as nodes
+    with pytest.raises(InvariantError, match=TREE_GUARD + f"{kept} kept edges on {kept} "
+                       "nodes in 1 components$"):
+        level1_context(instance, tree | {extra})
+
+
+def test_disconnected_kept_edges_raise(monkeypatch):
+    # X is a face's 4-cycle plus an edge apart from it: one edge fewer than
+    # nodes, as a tree has, but in two components.
+    g = gen_grid(2, 4, 1, 1, 1, seed=7)
+    ends = {frozenset((u, v)): e for e, (u, v, _) in g.edge_map.items()}
+    x = [ends[frozenset(pair)] for pair in ((0, 1), (1, 5), (5, 4), (4, 0), (3, 7))]
+    inst = Instance(g.node_count, g.edges, g.rotation, "mst", scenarios=[(e,) for e in x])
+    monkeypatch.setattr(Feasibility, "first_failure", lambda self, size: None)
+    monkeypatch.setattr(Feasibility, "holds", lambda self, j, removed: False)
+    with pytest.raises(InvariantError,
+                       match=TREE_GUARD + r"5 kept edges on 6 nodes in 2 components$"):
+        level1_context(inst, x)
