@@ -115,11 +115,12 @@ class Feasibility:
     touch: the components of the endpoints of the edges in F_j & X, and
     of s and t.  For S within F_j the components of X - S are these
     joined by the surviving edges of (F_j & X) - S, an O(k) union over the
-    labels: `holds(j, S)` reads the requirement from it and `cut(j, S)`
-    the components themselves.  Each non-trivial scenario keeps its
-    forest, so `labels(j, nodes)` names the component of any node.  A
-    scenario where X - F_j already meets the requirement is trivial and
-    keeps nothing.
+    labels.  `cut(j, S)` is the one query: it reads the requirement from
+    that union and, where it fails, returns the components themselves, so
+    a caller that needs the cut asks once.  Each non-trivial scenario
+    keeps its forest, so `labels(j, nodes)` names the component of any
+    node.  A scenario where X - F_j already meets the requirement is
+    trivial and keeps nothing.
 
     One loop builds every scenario, through `_label_scenario`: copy a
     start forest, merge rows outside F_j, label.  Builds differ only in
@@ -152,24 +153,21 @@ class Feasibility:
         self._scenarios = tuple(start and _label_scenario(instance, x, full, *start, rows)
                                 for full, start in zip(self._full, starts))
 
-    def holds(self, j, removed):
-        """True iff the requirement holds on (V, X - S) for S = `removed`,
-        which must lie inside scenario j."""
+    def cut(self, j, removed):
+        """None iff the requirement holds on (V, X - S) for S = `removed`,
+        which must lie inside scenario j.  Otherwise (count, roots): the
+        number of labelled components of X - S, and the root label of each
+        label's component."""
         scenario = self._scenarios[j]
         if scenario is None:
-            return True
+            return None
         rows, size, target, _, _ = scenario
         parent, merges = _merge(list(range(size)), rows, removed)
         if self._mst:
-            return target - merges == 1
-        return _find(parent, target[0]) == _find(parent, target[1])
-
-    def cut(self, j, removed):
-        """(count, roots) for S = `removed` inside scenario j, where the
-        requirement fails: the number of labelled components of X - S, and
-        the root label of each label's component."""
-        rows, size, _, _, _ = self._scenarios[j]
-        parent, merges = _merge(list(range(size)), rows, removed)
+            if target - merges == 1:
+                return None
+        elif _find(parent, target[0]) == _find(parent, target[1]):
+            return None
         return size - merges, [_find(parent, a) for a in range(size)]
 
     def labels(self, j, nodes):
@@ -191,7 +189,7 @@ class Feasibility:
             return None
         for j, full in enumerate(self._full):
             for sub in combinations(sorted(full), min(size, len(full))):
-                if not self.holds(j, sub):
+                if self.cut(j, sub) is not None:
                     return j, sub
         self._clean = size
         return None
@@ -207,9 +205,6 @@ class FaceSet:
 
     def __len__(self):
         return len(self.faces)
-
-    def walk_edges(self, face_index):
-        return [e for _, e in self.faces[face_index]]
 
 
 @dataclass(frozen=True)
@@ -353,10 +348,6 @@ class EmbeddedSubgraph:
     nodes: frozenset        # nodes incident to X
     faces: FaceSet          # induced faces, walks over X darts
     edge_face: dict         # edge id in E \ X -> induced face index
-
-    @cached_property
-    def face_edge_sets(self):
-        return tuple(frozenset(self.faces.walk_edges(i)) for i in range(len(self.faces)))
 
     @cached_property
     def face_nodes(self):

@@ -39,7 +39,9 @@ level for the LP, the face partition, the rounding and the trace.
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X: one pass over the X edges in no scenario, then
 O(n + |X & U|) per scenario, U the union of the scenarios, then O(k) per
-failure subset.  The same table gives each relevant set's two-sided cut.
+failure subset.  Each size-`level` subset of F_j & X is asked once, with
+`Feasibility.cut`: None where the requirement survives, else the set's
+two-sided cut, which the side-mask pass reads as it was returned.
 A contracted node keeps the smallest original id of its group, and a group
 is merged only by X edges outside every relevant set, so its side is the
 side of its own id's component of X - f.  The solution nodes are labelled
@@ -52,11 +54,13 @@ face check rules them out.  Every kept edge lies in a relevant failure set,
 and in the connected solution a non-bridge borders two distinct induced
 faces, a bridge one.  The face check wants 2 * level edge-face incidences
 from each set's `level` edges (0 or 2 on every face, 2 on exactly `level`
-faces), which a set holding a bridge cannot give.
+faces), which a set holding a bridge cannot give.  Each set's faces are
+read from the edge-to-face map of the induced faces, O(level) per set.
 """
 
 import heapq
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
 from math import comb
@@ -203,7 +207,6 @@ class StepContext:
     edges: dict = field(default_factory=dict)      # contracted edge id -> (u, v, w)
     node_map: dict = field(default_factory=dict)   # original node -> contracted node
     kept_x: frozenset = frozenset()
-    e_rest: dict = field(default_factory=dict)     # candidate edge ids -> (u, v, w)
     # the faces kept_x induces: an EmbeddedSubgraph, or at level 1 a TreeFace
     subgraph: object = None
     contracted: tuple = ()          # X edges contracted away
@@ -258,7 +261,7 @@ class StepContext:
         `link.cost` and lie on `link.face`."""
         adj, dists = self.face_maps[link.face]
         found = lex_shortest_path(adj, link.u, link.v, dists[link.v])
-        if (found is None or sum(self.e_rest[e][2] for e in found[1]) != link.cost
+        if (found is None or sum(self.edges[e][2] for e in found[1]) != link.cost
                 or any(self.subgraph.edge_face[e] != link.face for e in found[1])):
             raise InvariantError(f"{link} has no path of its cost on its face")
         return found[1]
@@ -281,20 +284,18 @@ class TreeFace:
     def faces(self):
         raise InvariantError("level 1 traces no face walks; only levels >= 2 read them")
 
-    face_edge_sets = faces
 
-
-def _tree_face(edges, kept, e_rest):
+def _tree_face(edges, kept):
     """The TreeFace of the kept edges, which must form a tree on their ends
     in the contracted edge map `edges`: connected, one edge fewer than
-    nodes.  `e_rest` are the candidate edges."""
+    nodes.  Every other edge of `edges` is a candidate."""
     nodes = frozenset(n for e in kept for n in edges[e][:2])
     _, merges = _merge(list(range(max(nodes) + 1)), [(e, *edges[e][:2]) for e in kept])
     if not len(kept) == merges == len(nodes) - 1:
         raise InvariantError(
             f"level-1 solution is not a tree: {len(kept)} kept edges on "
             f"{len(nodes)} nodes in {len(nodes) - merges} components")
-    return TreeFace(nodes, dict.fromkeys(e_rest, 0))
+    return TreeFace(nodes, {e: 0 for e in sorted(edges) if e not in kept})
 
 
 def preprocess_step(instance, x_edges, level):
@@ -320,21 +321,19 @@ def preprocess_step(instance, x_edges, level):
             f"X is not feasible for level {level - 1}: removing "
             f"{sorted(failed[1])} from scenario {failed[0]} disconnects it")
 
-    total = sum(comb(len(f), level) for f in instance.scenario_sets if len(f) >= level)
+    total = sum(comb(len(f), level) for f in instance.scenario_sets)
     if total > OMEGA_CAP:
-        raise BudgetError(
-            f"failure-set enumeration needs {total} subsets (cap {OMEGA_CAP})")
+        raise BudgetError(f"level {level} failure-set enumeration ({total} subsets)",
+                          f"{OMEGA_CAP} subsets")
 
-    relevant = {}       # failure set -> the first scenario it disconnects
-    for jdx, full in enumerate(instance.scenario_sets):
-        if len(full) < level:
-            continue
-        for sub in combinations(sorted(full), level):
+    # A subset with an edge outside X removes fewer than `level` X edges,
+    # which X survives, so only subsets of F_j & X are asked.
+    relevant = {}       # failure set -> (the first scenario it disconnects, its cut)
+    for j, full in enumerate(instance.scenario_sets):
+        for sub in combinations(sorted(full & x), level):
             fs = frozenset(sub)
-            if not fs <= x:
-                continue  # removal reduces to a smaller subset, never disconnects
-            if fs not in relevant and not feasible.holds(jdx, sub):
-                relevant[fs] = jdx
+            if fs not in relevant and (found := feasible.cut(j, sub)) is not None:
+                relevant[fs] = j, found
     omega = tuple(sorted(relevant, key=lambda f: tuple(sorted(f))))
 
     ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega)
@@ -351,8 +350,7 @@ def preprocess_step(instance, x_edges, level):
         edges = graph.edges
     if kept.intersection(loops):
         raise InvariantError("contraction deleted an edge of a relevant failure set")
-    e_rest = {e: edges[e] for e in sorted(edges) if e not in kept}
-    subgraph = _tree_face(edges, kept, e_rest) if level == 1 else induced_faces(graph, kept)
+    subgraph = _tree_face(edges, kept) if level == 1 else induced_faces(graph, kept)
 
     cut_nodes = tuple(sorted(subgraph.nodes))
     # The anchor, s or for mst the smallest node, has every side bit clear.
@@ -360,7 +358,7 @@ def preprocess_step(instance, x_edges, level):
     scenario_labels = {}    # scenario -> label per cut node
     label_masks = {}        # scenario -> side bits per label
     for p, f_set in enumerate(omega):
-        j = relevant[f_set]
+        j, (count, roots) = relevant[f_set]
         labels = scenario_labels.get(j)
         if labels is None:
             labels = scenario_labels[j] = feasible.labels(j, cut_nodes)
@@ -368,7 +366,6 @@ def preprocess_step(instance, x_edges, level):
                 raise InvariantError(
                     f"solution node {cut_nodes[labels.index(None)]} lies in no "
                     f"labelled component of scenario {j} at level {level}")
-        count, roots = feasible.cut(j, f_set)
         if count != 2:
             raise InvariantError(
                 f"failure set {sorted(f_set)} leaves {count} components, "
@@ -393,36 +390,30 @@ def preprocess_step(instance, x_edges, level):
                     f"edge {e} of failure set {sorted(f_set)} does not cross its cut")
 
     scenario_faces = {}
-    checks = 0
     if level >= 2:
-        face_edges = subgraph.face_edge_sets
+        edge_faces = subgraph.faces.edge_faces
         for f_set in omega:
-            two_sided = []
-            for idx, edges_on_face in enumerate(face_edges):
-                cnt = len(f_set & edges_on_face)
-                checks += 1
-                if cnt not in (0, 2):
+            counts = Counter(idx for e in f_set for idx in edge_faces[e])
+            for idx in sorted(counts):
+                if counts[idx] != 2:
                     raise InvariantError(
-                        f"face {idx} carries {cnt} edges of failure set "
+                        f"face {idx} carries {counts[idx]} edges of failure set "
                         f"{sorted(f_set)}; expected 0 or 2")
-                if cnt == 2:
-                    two_sided.append(idx)
-            if len(two_sided) != level:
+            if len(counts) != level:
                 raise InvariantError(
-                    f"failure set {sorted(f_set)} lies on {len(two_sided)} faces, "
+                    f"failure set {sorted(f_set)} lies on {len(counts)} faces, "
                     f"expected exactly {level}")
-            scenario_faces[f_set] = tuple(two_sided)
+            scenario_faces[f_set] = tuple(sorted(counts))
 
     ctx.edges = edges
     ctx.node_map = node_map
     ctx.kept_x = kept
-    ctx.e_rest = e_rest
     ctx.subgraph = subgraph
     ctx.contracted = contracted
     ctx.cut_nodes = cut_nodes
     ctx.side_masks = side_masks
     ctx.scenario_faces = scenario_faces
-    ctx.cut_face_checks = checks
+    ctx.cut_face_checks = len(omega) * len(subgraph.faces) if level >= 2 else 0
     if instance.problem == "st":
         ctx.s = node_map[instance.s]
         ctx.t = node_map[instance.t]
@@ -444,7 +435,7 @@ def enumerate_typed_links(ctx):
     links = []
     face_adj = {}
     for e in sorted(ctx.subgraph.edge_face):
-        u, v, w = ctx.e_rest[e]
+        u, v, w = ctx.edges[e]
         adj = face_adj.setdefault(ctx.subgraph.edge_face[e], {})
         adj.setdefault(u, []).append((e, v, w))
         adj.setdefault(v, []).append((e, u, w))

@@ -284,6 +284,20 @@ def test_pivot_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert err == "error: level 2 link LP exceeded its budget of 1 pivots\n"
 
 
+def test_failure_set_budget_exits_4(tmp_path, capsys, monkeypatch):
+    # Scenarios of 4 edges: 32 level-1 subsets fit a budget of 40, level 2's 48 do not.
+    import bulkrobust.links as links_mod
+    monkeypatch.setattr(links_mod, "OMEGA_CAP", 40)
+    inst = tmp_path / "inst.json"
+    assert main(["generate", "hvc", "--k", "4", "--part-size", "3",
+                 "--edges", "8", "--seed", "1", "-o", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+    err = capsys.readouterr().err
+    assert err == ("error: level 2 failure-set enumeration (48 subsets) "
+                   "exceeded its budget of 40 subsets\n")
+
+
 def test_large_hypergraph_instance_solves_within_budget(tmp_path, capsys):
     # Level 3's link LP has 700 rows and 630 links.
     inst = tmp_path / "inst.json"

@@ -34,7 +34,7 @@ def assert_agrees(instance, x):
         for size in range(len(full) + 1):
             for sub in combinations(sorted(full), size):
                 expected = instance.requirement_holds(x - frozenset(sub))
-                assert table.holds(jdx, sub) == expected, (jdx, sub, sorted(x))
+                assert (table.cut(jdx, sub) is None) == expected, (jdx, sub, sorted(x))
     for size in range(instance.k + 1):
         expected = first_failure_by_definition(instance, x, size)
         assert table.first_failure(size) == expected, (size, sorted(x))
@@ -78,7 +78,8 @@ def components(instance, edges):
 def assert_cuts_agree(instance, x):
     """`labels` and `cut` of every scenario F_j where X - F_j breaks the
     requirement, against the networkx components of X - F_j and of X - S for every
-    S within F_j; returns the number of such scenarios."""
+    S within F_j whose removal breaks it too (`cut` is None for the rest);
+    returns the number of such scenarios."""
     x = frozenset(x)
     table = Feasibility(instance, x)
     nodes = range(instance.node_count)
@@ -101,7 +102,11 @@ def assert_cuts_agree(instance, x):
         assert labels == [label_of.get(component[n]) for n in nodes], (jdx, sorted(x))
         for size in range(len(full) + 1):
             for sub in combinations(sorted(full), size):
-                count, roots = table.cut(jdx, sub)
+                found = table.cut(jdx, sub)
+                if instance.requirement_holds(x - frozenset(sub)):
+                    assert found is None, (jdx, sub, sorted(x))
+                    continue
+                count, roots = found
                 assert len(roots) == len(order)
                 after = components(instance, x - frozenset(sub))
                 root_of = {labels[n]: after[n] for n in sighted}
@@ -145,18 +150,17 @@ def test_agrees_on_random_solutions(case):
 
 
 def answers(instance, table):
-    """Everything a table answers: `holds` for every S within every
-    scenario, `labels` of every node and `cut` for every S in every
-    non-trivial scenario, and `first_failure` at every size."""
+    """Everything a table answers: `cut` for every S within every
+    scenario, `labels` of every node in every non-trivial scenario, and
+    `first_failure` at every size."""
     nodes = range(instance.node_count)
     found = []
     for jdx, full in enumerate(instance.scenario_sets):
         subsets = [sub for size in range(len(full) + 1)
                    for sub in combinations(sorted(full), size)]
-        found.append([table.holds(jdx, sub) for sub in subsets])
-        if not table.holds(jdx, sorted(full)):
+        found.append([table.cut(jdx, sub) for sub in subsets])
+        if table.cut(jdx, sorted(full)) is not None:
             found.append(table.labels(jdx, nodes))
-            found.append([table.cut(jdx, sub) for sub in subsets])
     found.append([table.first_failure(size) for size in range(instance.k + 1)])
     return found
 
@@ -208,9 +212,9 @@ def test_first_failure_checks_each_subset_once(monkeypatch):
     x = level_solutions(HVC)[-1]
     table = Feasibility(HVC, x)
     calls = []
-    holds = Feasibility.holds
-    monkeypatch.setattr(Feasibility, "holds",
-                        lambda self, j, sub: calls.append(j) or holds(self, j, sub))
+    cut = Feasibility.cut
+    monkeypatch.setattr(Feasibility, "cut",
+                        lambda self, j, sub: calls.append(j) or cut(self, j, sub))
     assert table.first_failure(HVC.k) is None
     assert calls
     calls.clear()

@@ -223,10 +223,10 @@ def random_multigraph(rng):
 
 def one_face_context(adj, boundary):
     """A StepContext whose only face holds every edge of `adj`."""
-    e_rest = {e: (node, other, w) for node, lst in adj.items() for e, other, w in lst}
+    edges = {e: (node, other, w) for node, lst in adj.items() for e, other, w in lst}
     subgraph = SimpleNamespace(face_nodes=(frozenset(boundary),),
-                               edge_face=dict.fromkeys(e_rest, 0))
-    return StepContext(None, 1, frozenset(), (), subgraph=subgraph, e_rest=e_rest)
+                               edge_face=dict.fromkeys(edges, 0))
+    return StepContext(None, 1, frozenset(), (), edges=edges, subgraph=subgraph)
 
 
 def took_closure(ctx, face=0):

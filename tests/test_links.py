@@ -1,5 +1,7 @@
 """Step preprocessing, cuts, the cover relation, typed links."""
 
+from itertools import combinations
+
 import pytest
 
 from bulkrobust import BudgetError, Instance, InvariantError, gen_grid, gen_hypergraph_vc, solve
@@ -126,6 +128,82 @@ def test_table_cuts_match_the_per_set_union_find(monkeypatch):
     assert sets > 700
 
 
+SUITE_200 = [build_suite_instance(p) for p in suite_schedule(200)]
+
+
+def test_preprocess_asks_each_failure_subset_once(monkeypatch):
+    # Per level, every size-`level` subset of F_j & X is asked once, in each
+    # scenario holding it until it is found relevant; the relevant sets'
+    # cuts are read as that one query returned them.  No (table, scenario,
+    # subset) is asked twice in a solve.
+    asked = []          # (table, scenario, subset) per query inside preprocess_step
+    inside = []
+    cut = Feasibility.cut
+
+    def recording_cut(self, j, removed):
+        if inside:
+            asked.append((self, j, tuple(removed)))
+        return cut(self, j, removed)
+
+    def recording_step(instance, x_edges, level):
+        start = len(asked)
+        inside.append(level)
+        try:
+            ctx = preprocess_step(instance, x_edges, level)
+        finally:
+            inside.pop()
+        x = frozenset(x_edges)
+        expected = []
+        for j, full in enumerate(instance.scenario_sets):
+            for sub in combinations(sorted(full & x), level):
+                fs = frozenset(sub)
+                if fs in ctx.omega and any(fs <= f for f in instance.scenario_sets[:j]):
+                    continue    # found relevant in an earlier scenario
+                expected.append((j, sub))
+        found = [(j, sub) for _, j, sub in asked[start:] if len(sub) == level]
+        assert found == expected, (level, sorted(x))
+        levels.add(level)
+        return ctx
+
+    monkeypatch.setattr(Feasibility, "cut", recording_cut)
+    monkeypatch.setattr(driver, "preprocess_step", recording_step)
+    levels, queries = set(), 0
+    for instance in SUITE_200 + [gen_hypergraph_vc(3, 3, 12, 5)[1]]:
+        asked.clear()
+        solve(instance)
+        keys = [(id(table), j, frozenset(sub)) for table, j, sub in asked]
+        assert len(set(keys)) == len(keys)
+        queries += len(keys)
+    assert {1, 2, 3} <= levels and queries > 1000
+
+
+def test_scenario_faces_match_the_face_walks(monkeypatch):
+    # Each set's faces, read from the edge-to-face map, are the faces whose
+    # boundary walk holds exactly two of its edges; every (set, face) pair
+    # still counts as checked.
+    seen = {"contexts": 0, "sets": 0}
+
+    def recording(instance, x_edges, level):
+        ctx = preprocess_step(instance, x_edges, level)
+        if level >= 2 and ctx.omega:
+            walks = ctx.subgraph.faces.faces
+            walk_edges = [{e for _, e in walk} for walk in walks]
+            assert set(ctx.scenario_faces) == set(ctx.omega)
+            for f_set in ctx.omega:
+                assert ctx.scenario_faces[f_set] == tuple(
+                    idx for idx, edges in enumerate(walk_edges) if len(f_set & edges) == 2)
+            assert ctx.cut_face_checks == len(ctx.omega) * len(ctx.subgraph.faces)
+            seen["contexts"] += 1
+            seen["sets"] += len(ctx.omega)
+        return ctx
+
+    monkeypatch.setattr(driver, "preprocess_step", recording)
+    for instance in SUITE_200 + [gen_hypergraph_vc(3, 3, 10, 5)[1],
+                                     gen_hypergraph_vc(4, 3, 8, 1)[1]]:
+        solve(instance)
+    assert seen["contexts"] > 50 and seen["sets"] > 100
+
+
 @pytest.mark.parametrize("patch, message", [
     ("cut", r"^failure set \[0, 2\] leaves 3 components, expected exactly 2$"),
     ("sides", r"^edge 0 of failure set \[0, 2\] does not cross its cut$"),
@@ -133,13 +211,15 @@ def test_table_cuts_match_the_per_set_union_find(monkeypatch):
                r"at level 2$"),
 ])
 def test_preprocess_checks_the_cuts_it_reads(monkeypatch, patch, message):
+    # The forged cuts keep None where the requirement holds, so only the
+    # relevant set's cut changes.
     cut, labels = Feasibility.cut, Feasibility.labels
     if patch == "cut":
         monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
-            3, cut(self, j, removed)[1]))
+            found := cut(self, j, removed)) and (3, found[1]))
     elif patch == "sides":     # two components, but every label on one side
         monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
-            2, [0] * len(cut(self, j, removed)[1])))
+            found := cut(self, j, removed)) and (2, [0] * len(found[1])))
     else:
         monkeypatch.setattr(Feasibility, "labels", lambda self, j, nodes: [
             None if node == max(nodes) else found
@@ -203,12 +283,12 @@ def test_typed_link_costs_match_face_dijkstra():
         for link in links:
             adj = {}
             for e in face_edges[link.face]:
-                u, v, w = ctx.e_rest[e]
+                u, v, w = ctx.edges[e]
                 adj.setdefault(u, []).append((e, v, w))
                 adj.setdefault(v, []).append((e, u, w))
             dist = dijkstra(adj, link.u)
             assert dist[link.v] == link.cost
-            assert sum(ctx.e_rest[e][2] for e in ctx.link_path(link)) == link.cost
+            assert sum(ctx.edges[e][2] for e in ctx.link_path(link)) == link.cost
 
 
 def test_link_path_checks_cost_and_face():
@@ -236,7 +316,8 @@ def test_enumeration_cap(monkeypatch):
     import bulkrobust.links as links_mod
     monkeypatch.setattr(links_mod, "OMEGA_CAP", 1)
     tri = triangle_instance(scenarios=((0,), (1,)))
-    with pytest.raises(BudgetError, match="cap"):
+    with pytest.raises(BudgetError, match=r"^level 1 failure-set enumeration \(2 subsets\) "
+                       r"exceeded its budget of 1 subsets$"):
         preprocess_step(tri, {0}, 1)
 
 
@@ -261,14 +342,17 @@ def test_preprocess_rejects_a_bridge_in_a_failure_set(monkeypatch, forge_cut, me
     # A square 0-1-2-3 with a pendant edge 4 = (2, 4), a bridge of X that
     # both level-2 failure sets hold.  Only an X that fails level 1 has one,
     # so the level-1 checks are switched off.  The cut check refuses the set;
-    # with the cut forged to pass (contracted node 1 against nodes 0 and 4),
-    # the face check refuses it: edge 4 borders one face, edge 0 two.
+    # with the cut of each failing set forged to pass (contracted node 1
+    # against nodes 0 and 4), the face check refuses it: edge 4 borders one
+    # face, edge 0 two.
     monkeypatch.setattr(Instance, "check_feasible", lambda self: None)
     monkeypatch.setattr(Feasibility, "first_failure", lambda self, size: None)
     if forge_cut:
         monkeypatch.setattr(Feasibility, "labels",
                             lambda self, j, nodes: list(range(len(nodes))))
-        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (2, [0, 1, 0]))
+        cut = Feasibility.cut
+        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
+            cut(self, j, removed) and (2, [0, 1, 0])))
     inst = Instance(5, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1), (3, 3, 0, 1),
                         (4, 2, 4, 1)],
                     {0: [0, 3], 1: [1, 0], 2: [2, 1, 4], 3: [3, 2], 4: [4]},
@@ -313,9 +397,8 @@ def test_level1_tree_face_matches_the_contracted_faces():
 
 def test_level1_context_has_no_face_walks():
     ctx = level1_context(TREE_GRIDS[0])
-    for walks in ("faces", "face_edge_sets"):
-        with pytest.raises(InvariantError, match="^level 1 traces no face walks"):
-            getattr(ctx.subgraph, walks)
+    with pytest.raises(InvariantError, match="^level 1 traces no face walks"):
+        ctx.subgraph.faces
 
 
 TREE_GUARD = r"^level-1 solution is not a tree: "
@@ -330,7 +413,10 @@ def test_kept_edge_closing_a_cycle_raises(monkeypatch):
     node_map = instance.graph.group(tree - union)[0]
     extra = min(e for e in union - tree
                 if node_map[instance.edge_map[e][0]] != node_map[instance.edge_map[e][1]])
-    monkeypatch.setattr(Feasibility, "holds", lambda self, j, removed: not removed)
+    # Every nonempty subset is forged to fail; the tree check raises before
+    # any cut is read.
+    monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
+        (2, [0, 1]) if removed else None))
     kept = len((tree | {extra}) & union)     # one cycle: as many edges as nodes
     with pytest.raises(InvariantError, match=TREE_GUARD + f"{kept} kept edges on {kept} "
                        "nodes in 1 components$"):
@@ -345,7 +431,7 @@ def test_disconnected_kept_edges_raise(monkeypatch):
     x = [ends[frozenset(pair)] for pair in ((0, 1), (1, 5), (5, 4), (4, 0), (3, 7))]
     inst = Instance(g.node_count, g.edges, g.rotation, "mst", scenarios=[(e,) for e in x])
     monkeypatch.setattr(Feasibility, "first_failure", lambda self, size: None)
-    monkeypatch.setattr(Feasibility, "holds", lambda self, j, removed: False)
+    monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (2, [0, 1]))
     with pytest.raises(InvariantError,
                        match=TREE_GUARD + r"5 kept edges on 6 nodes in 2 components$"):
         level1_context(inst, x)
