@@ -29,13 +29,11 @@ after the fact.
 
 Feasibility checks go through the instance's `Feasibility` table of the
 current solution X, one per distinct X (so one per level).  Only the base
-solution's table is built fresh: one pass over X - U, U the union of the
-scenarios, then O(n + |X & U|) per scenario.  Each later level grows the
-table from the one before, since a level only adds edges: per non-trivial
-scenario an O(n) copy of its forest, the merges of the added edges and an
-O(k) relabel.  The table answers each failure subset in O(k).  The table
-of X after level i answers the check in `solve` and level i + 1's
-precondition, and checks each subset once.
+solution's table is built fresh; each later level grows the table from the
+one before, since a level only adds edges.  A table answers each failure
+size once (`Feasibility.failures`): the check in `solve` after level i is
+level i + 1's precondition, and after a level that adds no edge it is the
+answer that level's preprocessing found.
 """
 
 from dataclasses import dataclass, field
@@ -228,11 +226,11 @@ def solve(instance, on_lp=None):
             raise InvariantError("augmentation re-added already chosen edges")
         x = x | added
         trace.levels.append(level_trace)
-        failed = instance.feasibility(x).first_failure(level)
-        if failed is not None:
+        if failed := instance.feasibility(x).failures(level):
+            sub, (j, _) = next(iter(failed.items()))
             raise InvariantError(
-                f"after level {level}, removing {sorted(failed[1])} of scenario "
-                f"{failed[0]} still disconnects the requirement")
+                f"after level {level}, removing {sorted(sub)} of scenario "
+                f"{j} still disconnects the requirement")
 
     if not instance.requirement_holds(x):
         raise InvariantError("final solution fails the base requirement")

@@ -115,12 +115,13 @@ class Feasibility:
     touch: the components of the endpoints of the edges in F_j & X, and
     of s and t.  For S within F_j the components of X - S are these
     joined by the surviving edges of (F_j & X) - S, an O(k) union over the
-    labels.  `cut(j, S)` is the one query: it reads the requirement from
-    that union and, where it fails, returns the components themselves, so
-    a caller that needs the cut asks once.  Each non-trivial scenario
-    keeps its forest, so `labels(j, nodes)` names the component of any
-    node.  A scenario where X - F_j already meets the requirement is
-    trivial and keeps nothing.
+    labels.  `cut(j, S)` reads the requirement from that union and, where
+    it fails, returns the components themselves.  `failures(size)` owns the
+    question every caller asks, which failures of `size` edges break the
+    requirement: it asks `cut` once per subset and keeps each size's answer,
+    cuts included.  Each non-trivial scenario keeps its forest, so
+    `labels(j, nodes)` names the component of any node.  A scenario where
+    X - F_j already meets the requirement is trivial and keeps nothing.
 
     One loop builds every scenario, through `_label_scenario`: copy a
     start forest, merge rows outside F_j, label.  Builds differ only in
@@ -134,13 +135,13 @@ class Feasibility:
     reference to the instance.
     """
 
-    __slots__ = ("x", "_mst", "_full", "_scenarios", "_clean")
+    __slots__ = ("x", "_mst", "_full", "_scenarios", "_failures")
 
     def __init__(self, instance, x, _kept=None):
         self.x = x = frozenset(x)
         self._mst = instance.problem == "mst"
         self._full = instance.scenario_sets
-        self._clean = -1        # largest size `first_failure` found clean
+        self._failures = {}     # size -> the answer of `failures(size)`
         n, ends = instance.node_count, instance.edge_rows
         if _kept is None:
             touched = frozenset().union(*self._full)
@@ -181,18 +182,27 @@ class Feasibility:
             found.append(label.get(node))
         return found
 
-    def first_failure(self, size):
-        """The first (j, S), S a min(size, |F_j|)-subset of scenario F_j, whose
-        removal breaks the requirement, or None.  Removing fewer edges never
-        hurts, so the largest size found clean answers every smaller one."""
-        if size <= self._clean:
-            return None
-        for j, full in enumerate(self._full):
-            for sub in combinations(sorted(full), min(size, len(full))):
-                if self.cut(j, sub) is not None:
-                    return j, sub
-        self._clean = size
-        return None
+    def failures(self, size):
+        """{S: (j, cut)} for each min(size, |F_j & X|)-subset S of an F_j & X
+        whose removal breaks the requirement (an edge outside X removes
+        nothing), in scenario, then `combinations`, order: j is the first
+        scenario holding S and cut what `cut(j, S)` returned.  X - S does
+        not depend on j, so each S is asked once, and each size once per
+        table.  A subset no larger than a size answered empty holds: it is
+        not asked."""
+        found = self._failures.get(size)
+        if found is None:
+            clean = max([-1] + [done for done, answer in self._failures.items() if not answer])
+            first = {}      # subset -> the first scenario that holds it
+            for j, full in enumerate(self._full):
+                live = sorted(full & self.x)
+                if min(size, len(live)) > clean:
+                    for sub in combinations(live, min(size, len(live))):
+                        first.setdefault(sub, j)
+            found = self._failures[size] = {
+                frozenset(sub): (j, cut) for sub, j in first.items()
+                if (cut := self.cut(j, sub)) is not None}
+        return found
 
 
 @dataclass(frozen=True)
@@ -438,10 +448,10 @@ class Instance:
     def check_feasible(self):
         """Removing any single full scenario must keep the requirement; read
         from the Feasibility table of the whole edge set."""
-        failed = self.feasibility(self.edge_ids).first_failure(self.k)
-        if failed is not None:
+        if failed := self.feasibility(self.edge_ids).failures(self.k):
+            j, _ = next(iter(failed.values()))
             raise InfeasibleError(
-                f"infeasible instance: removing scenario {failed[0]} breaks the requirement")
+                f"infeasible instance: removing scenario {j} breaks the requirement")
 
     def requirement_holds(self, edge_subset):
         """Connectivity requirement on (V, edge_subset)."""

@@ -37,11 +37,9 @@ and at levels >= 2 the table `StepContext.covering` decodes them once per
 level for the LP, the face partition, the rounding and the trace.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
-built once per distinct X: one pass over the X edges in no scenario, then
-O(n + |X & U|) per scenario, U the union of the scenarios, then O(k) per
-failure subset.  Each size-`level` subset of F_j & X is asked once, with
-`Feasibility.cut`: None where the requirement survives, else the set's
-two-sided cut, which the side-mask pass reads as it was returned.
+built once per distinct X.  `Feasibility.failures(level)` gives the
+relevant sets, each with the first scenario that holds it and the two-sided
+cut of its one query, which the side-mask pass reads as it was returned.
 A contracted node keeps the smallest original id of its group, and a group
 is merged only by X edges outside every relevant set, so its side is the
 side of its own id's component of X - f.  The solution nodes are labelled
@@ -301,11 +299,12 @@ def _tree_face(edges, kept):
 def preprocess_step(instance, x_edges, level):
     """Build the StepContext for augmentation level `level`.
 
-    Enumerates the relevant failure sets (size-`level` subsets of input
-    scenarios that disconnect the requirement in (V, X)), contracts every
-    X edge that appears in none of them, and validates the structural
-    guarantees the later stages rely on.  Level 1 groups the nodes only
-    and reads its one face from the tree check (`TreeFace`).
+    Reads the relevant failure sets (size-`level` subsets of input
+    scenarios that disconnect the requirement in (V, X)) from
+    `Feasibility.failures`, contracts every X edge that appears in none of
+    them, and validates the structural guarantees the later stages rely
+    on.  Level 1 groups the nodes only and reads its one face from the
+    tree check (`TreeFace`).
     """
     x = frozenset(x_edges)
     if not x <= instance.edge_ids:
@@ -315,32 +314,25 @@ def preprocess_step(instance, x_edges, level):
 
     # X must survive every failure of fewer than `level` edges.
     feasible = instance.feasibility(x)
-    failed = feasible.first_failure(level - 1)
-    if failed is not None:
+    if failed := feasible.failures(level - 1):
+        sub, (j, _) = next(iter(failed.items()))
         raise ValueError(
             f"X is not feasible for level {level - 1}: removing "
-            f"{sorted(failed[1])} from scenario {failed[0]} disconnects it")
+            f"{sorted(sub)} from scenario {j} disconnects it")
 
     total = sum(comb(len(f), level) for f in instance.scenario_sets)
     if total > OMEGA_CAP:
         raise BudgetError(f"level {level} failure-set enumeration ({total} subsets)",
                           f"{OMEGA_CAP} subsets")
 
-    # A subset with an edge outside X removes fewer than `level` X edges,
-    # which X survives, so only subsets of F_j & X are asked.
-    relevant = {}       # failure set -> (the first scenario it disconnects, its cut)
-    for j, full in enumerate(instance.scenario_sets):
-        for sub in combinations(sorted(full & x), level):
-            fs = frozenset(sub)
-            if fs not in relevant and (found := feasible.cut(j, sub)) is not None:
-                relevant[fs] = j, found
+    relevant = feasible.failures(level)     # set -> (first scenario, cut)
     omega = tuple(sorted(relevant, key=lambda f: tuple(sorted(f))))
 
     ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega)
     if not omega:
         return ctx
 
-    kept = frozenset().union(*omega)    # inside X: the loop skips other sets
+    kept = frozenset().union(*omega)    # inside X: sets hold X edges only
     if level == 1:
         node_map, contracted, loops, edges = instance.graph.group(x - kept)
     else:

@@ -17,17 +17,37 @@ INSTANCES = SUITE + [HVC]
 TREE_GRID = gen_grid(10, 10, 36, 3, 1, 101, "mst")     # a tree-cover instance
 
 
-def first_failure_by_definition(instance, x, size):
+def failures_by_definition(instance, x, size):
+    """`Feasibility.failures(size)` from `requirement_holds` alone: the
+    min(size, |F_j & X|)-subsets of each F_j & X in scenario, then
+    `combinations`, order, each under the first scenario that holds it, kept
+    where removing it breaks the requirement; set -> scenario."""
+    found, seen = {}, set()
     for jdx, full in enumerate(instance.scenario_sets):
-        for sub in combinations(sorted(full), min(size, len(full))):
-            if not instance.requirement_holds(x - frozenset(sub)):
-                return jdx, sub
-    return None
+        live = sorted(full & x)
+        for sub in map(frozenset, combinations(live, min(size, len(live)))):
+            if sub not in seen:
+                seen.add(sub)
+                if not instance.requirement_holds(x - sub):
+                    found[sub] = jdx
+    return found
+
+
+def assert_failures_agree(instance, table, sizes):
+    """`table.failures` at each of `sizes`, asked in that order: its keys in
+    order, each set's scenario, and each stored cut that of `cut`."""
+    for size in sizes:
+        expected = failures_by_definition(instance, table.x, size)
+        found = table.failures(size)
+        assert list(found) == list(expected), (size, sorted(table.x))
+        assert [jdx for jdx, _ in found.values()] == list(expected.values())
+        for sub, (jdx, cut) in found.items():
+            assert cut == table.cut(jdx, tuple(sorted(sub))), (size, sorted(sub))
 
 
 def assert_agrees(instance, x):
     """Every S within every scenario, of every size from 0 to |F_j|, and
-    `first_failure` at every size from 0 to k."""
+    `failures` at every size from 0 to k."""
     x = frozenset(x)
     table = Feasibility(instance, x)
     for jdx, full in enumerate(instance.scenario_sets):
@@ -35,9 +55,7 @@ def assert_agrees(instance, x):
             for sub in combinations(sorted(full), size):
                 expected = instance.requirement_holds(x - frozenset(sub))
                 assert (table.cut(jdx, sub) is None) == expected, (jdx, sub, sorted(x))
-    for size in range(instance.k + 1):
-        expected = first_failure_by_definition(instance, x, size)
-        assert table.first_failure(size) == expected, (size, sorted(x))
+    assert_failures_agree(instance, table, range(instance.k + 1))
 
 
 def level_solutions(instance):
@@ -140,19 +158,24 @@ def test_labels_and_cuts_on_every_level_of_a_solve():
 def instance_and_solution(draw):
     instance = draw(st.sampled_from(INSTANCES))
     x = draw(st.sets(st.sampled_from(sorted(instance.edge_ids))))
-    return instance, x
+    sizes = draw(st.permutations(range(instance.k + 1)))
+    return instance, x, sizes
 
 
 @settings(max_examples=150, deadline=None)
 @given(instance_and_solution())
 def test_agrees_on_random_solutions(case):
-    assert_agrees(*case)
+    # The sizes are also asked in a random order on one fresh table, so the
+    # skip below a size answered empty runs out of order too.
+    instance, x, sizes = case
+    assert_agrees(instance, x)
+    assert_failures_agree(instance, Feasibility(instance, frozenset(x)), sizes)
 
 
 def answers(instance, table):
     """Everything a table answers: `cut` for every S within every
     scenario, `labels` of every node in every non-trivial scenario, and
-    `first_failure` at every size."""
+    `failures` at every size, in order."""
     nodes = range(instance.node_count)
     found = []
     for jdx, full in enumerate(instance.scenario_sets):
@@ -161,7 +184,7 @@ def answers(instance, table):
         found.append([table.cut(jdx, sub) for sub in subsets])
         if table.cut(jdx, sorted(full)) is not None:
             found.append(table.labels(jdx, nodes))
-    found.append([table.first_failure(size) for size in range(instance.k + 1)])
+    found.append([list(table.failures(size).items()) for size in range(instance.k + 1)])
     return found
 
 
@@ -208,18 +231,25 @@ def test_a_held_table_survives_growth():
     assert answers(instance, held) == before
 
 
-def test_first_failure_checks_each_subset_once(monkeypatch):
-    x = level_solutions(HVC)[-1]
-    table = Feasibility(HVC, x)
+def test_failures_answers_each_size_once(monkeypatch):
+    # A size is answered once per table, failing sets or none, and a size
+    # no larger than one answered empty asks nothing.
+    base, *_, final = level_solutions(HVC)
     calls = []
     cut = Feasibility.cut
     monkeypatch.setattr(Feasibility, "cut",
                         lambda self, j, sub: calls.append(j) or cut(self, j, sub))
-    assert table.first_failure(HVC.k) is None
+    table = Feasibility(HVC, base)
+    found = table.failures(1)
+    assert found and calls
+    calls.clear()
+    assert table.failures(1) is found and calls == []
+    table = Feasibility(HVC, final)
+    assert table.failures(HVC.k) == {}
     assert calls
     calls.clear()
-    for size in range(HVC.k, -1, -1):     # smaller sizes follow from the larger
-        assert table.first_failure(size) is None
+    for size in range(HVC.k, -1, -1):
+        assert table.failures(size) == {}
     assert calls == []
 
 

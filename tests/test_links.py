@@ -1,5 +1,6 @@
 """Step preprocessing, cuts, the cover relation, typed links."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -132,10 +133,9 @@ SUITE_200 = [build_suite_instance(p) for p in suite_schedule(200)]
 
 
 def test_preprocess_asks_each_failure_subset_once(monkeypatch):
-    # Per level, every size-`level` subset of F_j & X is asked once, in each
-    # scenario holding it until it is found relevant; the relevant sets'
-    # cuts are read as that one query returned them.  No (table, scenario,
-    # subset) is asked twice in a solve.
+    # Per level, every size-`level` subset of F_j & X is asked once, at the
+    # first scenario that holds it; the relevant sets' cuts are read as that
+    # one query returned them.  No (table, subset) is asked twice in a solve.
     asked = []          # (table, scenario, subset) per query inside preprocess_step
     inside = []
     cut = Feasibility.cut
@@ -156,10 +156,8 @@ def test_preprocess_asks_each_failure_subset_once(monkeypatch):
         expected = []
         for j, full in enumerate(instance.scenario_sets):
             for sub in combinations(sorted(full & x), level):
-                fs = frozenset(sub)
-                if fs in ctx.omega and any(fs <= f for f in instance.scenario_sets[:j]):
-                    continue    # found relevant in an earlier scenario
-                expected.append((j, sub))
+                if all(sub != found for _, found in expected):
+                    expected.append((j, sub))
         found = [(j, sub) for _, j, sub in asked[start:] if len(sub) == level]
         assert found == expected, (level, sorted(x))
         levels.add(level)
@@ -171,10 +169,29 @@ def test_preprocess_asks_each_failure_subset_once(monkeypatch):
     for instance in SUITE_200 + [gen_hypergraph_vc(3, 3, 12, 5)[1]]:
         asked.clear()
         solve(instance)
-        keys = [(id(table), j, frozenset(sub)) for table, j, sub in asked]
+        keys = [(id(table), frozenset(sub)) for table, _, sub in asked]
         assert len(set(keys)) == len(keys)
         queries += len(keys)
-    assert {1, 2, 3} <= levels and queries > 1000
+    assert {1, 2, 3} <= levels and queries > 800
+
+
+def test_a_solve_asks_each_subset_once_per_table(monkeypatch):
+    # Across scenarios, sizes and the check after each level, no
+    # (table, subset) is asked twice.  The list keeps every table alive, so
+    # no freed table's id is taken by a new one.
+    tables, asked = [], Counter()
+    cut = Feasibility.cut
+
+    def recording_cut(self, j, removed):
+        tables.append(self)
+        asked[id(self), frozenset(removed)] += 1
+        return cut(self, j, removed)
+
+    monkeypatch.setattr(Feasibility, "cut", recording_cut)
+    for instance in SUITE_200 + [gen_hypergraph_vc(3, 3, 12, 5)[1]]:
+        solve(instance)
+    assert sum(asked.values()) > 1000
+    assert [key for key, count in asked.items() if count > 1] == []
 
 
 def test_scenario_faces_match_the_face_walks(monkeypatch):
@@ -346,7 +363,9 @@ def test_preprocess_rejects_a_bridge_in_a_failure_set(monkeypatch, forge_cut, me
     # against nodes 0 and 4), the face check refuses it: edge 4 borders one
     # face, edge 0 two.
     monkeypatch.setattr(Instance, "check_feasible", lambda self: None)
-    monkeypatch.setattr(Feasibility, "first_failure", lambda self, size: None)
+    failures = Feasibility.failures
+    monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
+        {} if size < 2 else failures(self, size)))
     if forge_cut:
         monkeypatch.setattr(Feasibility, "labels",
                             lambda self, j, nodes: list(range(len(nodes))))
@@ -430,7 +449,9 @@ def test_disconnected_kept_edges_raise(monkeypatch):
     ends = {frozenset((u, v)): e for e, (u, v, _) in g.edge_map.items()}
     x = [ends[frozenset(pair)] for pair in ((0, 1), (1, 5), (5, 4), (4, 0), (3, 7))]
     inst = Instance(g.node_count, g.edges, g.rotation, "mst", scenarios=[(e,) for e in x])
-    monkeypatch.setattr(Feasibility, "first_failure", lambda self, size: None)
+    failures = Feasibility.failures
+    monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
+        {} if size < 1 else failures(self, size)))
     monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (2, [0, 1]))
     with pytest.raises(InvariantError,
                        match=TREE_GUARD + r"5 kept edges on 6 nodes in 2 components$"):
