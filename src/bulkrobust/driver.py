@@ -14,12 +14,12 @@ and no face trace.
 
 Every level reads the cover relation from `StepContext.side_masks`, the
 cut side of each solution node per failure set, built by `preprocess_step`
-with the cuts it checks: a link covers the set bits of the XOR of its
-ends' masks.  At level 1 the failure sets are the edges of the path or
-tree, so on the tree those bits are the sets of an exact cut cover, and on
-the path a node's position is the popcount of its mask XOR s's: a link
-covers the positions between its ends'.  The path step checks that the
-positions run from s to t.
+from one checked parity walk over the kept edges: a link covers the set
+bits of the XOR of its ends' masks.  At level 1 the failure sets are the
+edges of the path or tree, so on the tree those bits are the sets of an
+exact cut cover, and on the path a node's position is the popcount of its
+mask XOR s's: a link covers the positions between its ends'.  The path
+step checks that the positions run from s to t.
 
 The exact searches own their budget (`setcover.NODE_CAP` nodes, and the
 simplex's pivot cap); past it `solve` raises `BudgetError` naming the

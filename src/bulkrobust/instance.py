@@ -84,8 +84,9 @@ def _label_scenario(instance, x, full, start, components, merge_rows):
     forest `start` (`components` trees, read for 'mst' only) takes the
     `merge_rows` whose edge is not in F_j = `full`, giving a forest of
     (V, X - F_j).  None when X - F_j already meets the requirement, else
-    (rows, size, target, parent, label); `target` counts components for
-    'mst' and holds the labels of s and t for 'st'.
+    (rows, size, target, parent): the rows of F_j & X between the `size`
+    labels of their ends' components, and `target` the component count for
+    'mst' or the labels of s and t for 'st'.
 
     Labels are numbered on first sight: s and t, then the ends of the rows
     of F_j & X in ascending edge order.  They depend on the forest's
@@ -104,7 +105,7 @@ def _label_scenario(instance, x, full, start, components, merge_rows):
         return None
     rows = tuple((e, _label(parent, label, ends[e][1]), _label(parent, label, ends[e][2]))
                  for e in sorted(full & x))
-    return rows, len(label), target, parent, label
+    return rows, len(label), target, parent
 
 
 class Feasibility:
@@ -116,12 +117,12 @@ class Feasibility:
     of s and t.  For S within F_j the components of X - S are these
     joined by the surviving edges of (F_j & X) - S, an O(k) union over the
     labels.  `cut(j, S)` reads the requirement from that union and, where
-    it fails, returns the components themselves.  `failures(size)` owns the
-    question every caller asks, which failures of `size` edges break the
-    requirement: it asks `cut` once per subset and keeps each size's answer,
-    cuts included.  Each non-trivial scenario keeps its forest, so
-    `labels(j, nodes)` names the component of any node.  A scenario where
-    X - F_j already meets the requirement is trivial and keeps nothing.
+    it fails, counts the components.  `failures(size)` owns the question
+    every caller asks, which failures of `size` edges break the
+    requirement: it asks `cut` once per subset and keeps each size's
+    answer, counts included.  The labels serve these unions only; no
+    caller reads a node's component.  A scenario where X - F_j already
+    meets the requirement is trivial and keeps nothing.
 
     One loop builds every scenario, through `_label_scenario`: copy a
     start forest, merge rows outside F_j, label.  Builds differ only in
@@ -156,37 +157,25 @@ class Feasibility:
 
     def cut(self, j, removed):
         """None iff the requirement holds on (V, X - S) for S = `removed`,
-        which must lie inside scenario j.  Otherwise (count, roots): the
-        number of labelled components of X - S, and the root label of each
-        label's component."""
+        which must lie inside scenario j; otherwise the number of labelled
+        components of X - S."""
         scenario = self._scenarios[j]
         if scenario is None:
             return None
-        rows, size, target, _, _ = scenario
+        rows, size, target, _ = scenario
         parent, merges = _merge(list(range(size)), rows, removed)
         if self._mst:
             if target - merges == 1:
                 return None
         elif _find(parent, target[0]) == _find(parent, target[1]):
             return None
-        return size - merges, [_find(parent, a) for a in range(size)]
-
-    def labels(self, j, nodes):
-        """The label of each node's component of (V, X - F_j), None where no
-        label was given; scenario j must be one where the requirement fails."""
-        _, _, _, parent, label = self._scenarios[j]
-        found = []
-        for node in nodes:          # _find inlined: one pass per (level, scenario)
-            while parent[node] != node:
-                parent[node] = node = parent[parent[node]]
-            found.append(label.get(node))
-        return found
+        return size - merges
 
     def failures(self, size):
-        """{S: (j, cut)} for each min(size, |F_j & X|)-subset S of an F_j & X
+        """{S: (j, count)} for each min(size, |F_j & X|)-subset S of an F_j & X
         whose removal breaks the requirement (an edge outside X removes
         nothing), in scenario, then `combinations`, order: j is the first
-        scenario holding S and cut what `cut(j, S)` returned.  X - S does
+        scenario holding S and count what `cut(j, S)` returned.  X - S does
         not depend on j, so each S is asked once, and each size once per
         table.  A subset no larger than a size answered empty holds: it is
         not asked."""
@@ -200,8 +189,8 @@ class Feasibility:
                     for sub in combinations(live, min(size, len(live))):
                         first.setdefault(sub, j)
             found = self._failures[size] = {
-                frozenset(sub): (j, cut) for sub, j in first.items()
-                if (cut := self.cut(j, sub)) is not None}
+                frozenset(sub): (j, count) for sub, j in first.items()
+                if (count := self.cut(j, sub)) is not None}
         return found
 
 

@@ -38,14 +38,11 @@ level for the LP, the face partition, the rounding and the trace.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X.  `Feasibility.failures(level)` gives the
-relevant sets, each with the first scenario that holds it and the two-sided
-cut of its one query, which the side-mask pass reads as it was returned.
-A contracted node keeps the smallest original id of its group, and a group
-is merged only by X edges outside every relevant set, so its side is the
-side of its own id's component of X - f.  The solution nodes are labelled
-once per (level, scenario), O(|nodes|), and each set's sides are read from
-its scenario's labels, O(k), into one bit per label; each node's mask ORs
-its labels' bits over the scenarios, O(|nodes|) per scenario.
+relevant sets, each with its first scenario and the number of components
+its removal leaves.  No component label is read back: a node's side of a
+set is the parity of the set's edges on a path of kept edges from the
+anchor, so one walk over the kept edges gives every side mask, O(|kept|)
+big-int XORs (see `preprocess_step`).
 
 At level >= 2 no pass looks for bridges of the contracted solution: the
 face check rules them out.  Every kept edge lies in a relevant failure set,
@@ -305,6 +302,19 @@ def preprocess_step(instance, x_edges, level):
     them, and validates the structural guarantees the later stages rely
     on.  Level 1 groups the nodes only and reads its one face from the
     tree check (`TreeFace`).
+
+    Side masks: bit p of an edge's `bits` is set iff omega[p] holds it.  A
+    walk from the anchor (s, or for mst the smallest node) over the kept
+    edges K gives each node the XOR of `bits` along its tree path, and
+    every kept edge must join masks that differ by exactly its `bits`.
+    With the check that each f = omega[p] leaves two components, that
+    proves bit p is the true side of f.  By the edge check, bit p is
+    constant on each component of K - f and differs across every f-edge,
+    so both values occur.  K is connected and its contracted edges lie in
+    no relevant set, so the components of K - f are those of X - f, two by
+    the count: each value is one component, the anchor's 0.  True sides
+    pass the check, since an f-edge within one side could be put back
+    without joining them, and the level - 1 precondition rules that out.
     """
     x = frozenset(x_edges)
     if not x <= instance.edge_ids:
@@ -325,7 +335,7 @@ def preprocess_step(instance, x_edges, level):
         raise BudgetError(f"level {level} failure-set enumeration ({total} subsets)",
                           f"{OMEGA_CAP} subsets")
 
-    relevant = feasible.failures(level)     # set -> (first scenario, cut)
+    relevant = feasible.failures(level)     # set -> (first scenario, count)
     omega = tuple(sorted(relevant, key=lambda f: tuple(sorted(f))))
 
     ctx = StepContext(instance=instance, level=level, x_edges=x, omega=omega)
@@ -345,41 +355,39 @@ def preprocess_step(instance, x_edges, level):
     subgraph = _tree_face(edges, kept) if level == 1 else induced_faces(graph, kept)
 
     cut_nodes = tuple(sorted(subgraph.nodes))
-    # The anchor, s or for mst the smallest node, has every side bit clear.
-    anchor = cut_nodes.index(node_map[instance.s]) if instance.problem == "st" else 0
-    scenario_labels = {}    # scenario -> label per cut node
-    label_masks = {}        # scenario -> side bits per label
+    bits = dict.fromkeys(kept, 0)
     for p, f_set in enumerate(omega):
-        j, (count, roots) = relevant[f_set]
-        labels = scenario_labels.get(j)
-        if labels is None:
-            labels = scenario_labels[j] = feasible.labels(j, cut_nodes)
-            if None in labels:
-                raise InvariantError(
-                    f"solution node {cut_nodes[labels.index(None)]} lies in no "
-                    f"labelled component of scenario {j} at level {level}")
-        if count != 2:
+        if (count := relevant[f_set][1]) != 2:
             raise InvariantError(
                 f"failure set {sorted(f_set)} leaves {count} components, "
                 "expected exactly 2")
-        first = roots[labels[anchor]]
-        masks = label_masks.setdefault(j, [0] * len(roots))
-        for label, root in enumerate(roots):
-            if root != first:
-                masks[label] |= 1 << p
-    node_masks = [0] * len(cut_nodes)
-    for j, labels in scenario_labels.items():
-        masks = label_masks[j]
-        for i, label in enumerate(labels):
-            if mask := masks[label]:
-                node_masks[i] |= mask
-    side_masks = dict(zip(cut_nodes, node_masks))
-    for p, f_set in enumerate(omega):
         for e in f_set:
-            u, v, _ = edges[e]
-            if not (side_masks[u] ^ side_masks[v]) >> p & 1:
+            bits[e] |= 1 << p
+    adj = {}
+    for e in sorted(kept):
+        u, v, _ = edges[e]
+        adj.setdefault(u, []).append((e, v))
+        adj.setdefault(v, []).append((e, u))
+    anchor = node_map[instance.s] if instance.problem == "st" else cut_nodes[0]
+    masks = {anchor: 0}
+    todo = [anchor]
+    while todo:
+        u = todo.pop()
+        for e, v in adj[u]:
+            if v not in masks:
+                masks[v] = masks[u] ^ bits[e]
+                todo.append(v)
+    for e in sorted(kept):
+        u, v, _ = edges[e]
+        if wrong := masks[u] ^ masks[v] ^ bits[e]:
+            p = (wrong & -wrong).bit_length() - 1
+            f_set = sorted(omega[p])
+            if bits[e] >> p & 1:
                 raise InvariantError(
-                    f"edge {e} of failure set {sorted(f_set)} does not cross its cut")
+                    f"edge {e} of failure set {f_set} does not cross its cut")
+            raise InvariantError(
+                f"edge {e} crosses the cut of failure set {f_set}, which does not hold it")
+    side_masks = {n: masks[n] for n in cut_nodes}
 
     scenario_faces = {}
     if level >= 2:

@@ -1,12 +1,13 @@
 """Step preprocessing, cuts, the cover relation, typed links."""
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from bulkrobust import BudgetError, Instance, InvariantError, gen_grid, gen_hypergraph_vc, solve
-from bulkrobust import driver
+from bulkrobust import driver, links
 from bulkrobust.driver import minimum_spanning_tree as mst
 from bulkrobust.driver import shortest_st_path
 from bulkrobust.instance import Feasibility, induced_faces
@@ -101,6 +102,7 @@ def test_preprocess_cycle_ignores_single_failures():
 def cut_instances():
     yield from (build_suite_instance(p) for p in suite_schedule(200))
     yield gen_hypergraph_vc(3, 3, 12, 5)[1]
+    yield gen_hypergraph_vc(4, 3, 8, 1)[1]
     for weight in (1, 3):
         for seed in range(4):
             yield gen_grid(10, 10, 36, 3, weight, seed, "mst")
@@ -125,7 +127,7 @@ def test_table_cuts_match_the_per_set_union_find(monkeypatch):
                 assert table_sides(ctx, f_set) == sides, sorted(f_set)
                 sets += 1
             levels.add((idx, ctx.level))
-    assert {level for _, level in levels} == {1, 2, 3} and len(levels) > 200
+    assert {level for _, level in levels} == {1, 2, 3, 4} and len(levels) > 200
     assert sets > 700
 
 
@@ -223,25 +225,19 @@ def test_scenario_faces_match_the_face_walks(monkeypatch):
 
 @pytest.mark.parametrize("patch, message", [
     ("cut", r"^failure set \[0, 2\] leaves 3 components, expected exactly 2$"),
-    ("sides", r"^edge 0 of failure set \[0, 2\] does not cross its cut$"),
-    ("labels", r"^solution node 1 lies in no labelled component of scenario 0 "
-               r"at level 2$"),
+    ("odd-cycle", r"^edge 1 of failure set \[0, 1, 2\] does not cross its cut$"),
 ])
 def test_preprocess_checks_the_cuts_it_reads(monkeypatch, patch, message):
-    # The forged cuts keep None where the requirement holds, so only the
-    # relevant set's cut changes.
-    cut, labels = Feasibility.cut, Feasibility.labels
-    if patch == "cut":
-        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
-            found := cut(self, j, removed)) and (3, found[1]))
-    elif patch == "sides":     # two components, but every label on one side
-        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
-            found := cut(self, j, removed)) and (2, [0] * len(found[1])))
-    else:
-        monkeypatch.setattr(Feasibility, "labels", lambda self, j, nodes: [
-            None if node == max(nodes) else found
-            for node, found in zip(nodes, labels(self, j, nodes))])
     sq = square_with_chords(inner=True, outer=False)
+    if patch == "cut":      # None stays where the requirement holds
+        cut = Feasibility.cut
+        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
+            cut(self, j, removed) and 3))
+    else:   # a forged set whose edges form a triangle once edge 3 contracts:
+        # no two sides make all three cross, so the parity walk refuses it
+        failures = Feasibility.failures
+        monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
+            {frozenset({0, 1, 2}): (0, 2)} if size == 2 else failures(self, size)))
     with pytest.raises(InvariantError, match=message):
         preprocess_step(sq, {0, 1, 2, 3}, 2)
 
@@ -330,8 +326,7 @@ def test_face_cut_structure_validated():
 
 
 def test_enumeration_cap(monkeypatch):
-    import bulkrobust.links as links_mod
-    monkeypatch.setattr(links_mod, "OMEGA_CAP", 1)
+    monkeypatch.setattr(links, "OMEGA_CAP", 1)
     tri = triangle_instance(scenarios=((0,), (1,)))
     with pytest.raises(BudgetError, match=r"^level 1 failure-set enumeration \(2 subsets\) "
                        r"exceeded its budget of 1 subsets$"):
@@ -351,27 +346,33 @@ def test_lex_shortest_path_tie_break():
     assert path == (0, 2)
 
 
-@pytest.mark.parametrize("forge_cut, message", [
-    (False, r"^edge 0 of failure set \[0, 4\] does not cross its cut$"),
-    (True, r"^face \d carries 1 edges of failure set \[0, 4\]; expected 0 or 2$"),
+@pytest.mark.parametrize("forge_faces, message", [
+    (False, r"^edge 2 crosses the cut of failure set \[0, 4\], which does not hold it$"),
+    (True, r"^face 1 carries 1 edges of failure set \[0, 2\]; expected 0 or 2$"),
 ], ids=["cut-check", "face-check"])
-def test_preprocess_rejects_a_bridge_in_a_failure_set(monkeypatch, forge_cut, message):
+def test_preprocess_rejects_a_bridge_in_a_failure_set(monkeypatch, forge_faces, message):
     # A square 0-1-2-3 with a pendant edge 4 = (2, 4), a bridge of X that
     # both level-2 failure sets hold.  Only an X that fails level 1 has one,
-    # so the level-1 checks are switched off.  The cut check refuses the set;
-    # with the cut of each failing set forged to pass (contracted node 1
-    # against nodes 0 and 4), the face check refuses it: edge 4 borders one
-    # face, edge 0 two.
+    # so the level-1 checks are switched off.  The parity walk refuses the
+    # sets: no two sides of [0, 4] make edge 0 cross and edge 2 not.  A bridge
+    # never passes the walk, so to reach the face check the level's one set
+    # is forged to the square's true cut [0, 2], and edge 0 to border one
+    # face, as a bridge does.
     monkeypatch.setattr(Instance, "check_feasible", lambda self: None)
-    failures = Feasibility.failures
-    monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
-        {} if size < 2 else failures(self, size)))
-    if forge_cut:
-        monkeypatch.setattr(Feasibility, "labels",
-                            lambda self, j, nodes: list(range(len(nodes))))
-        cut = Feasibility.cut
-        monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
-            cut(self, j, removed) and (2, [0, 1, 0])))
+    if forge_faces:
+        monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
+            {frozenset({0, 2}): (0, 2)} if size == 2 else {}))
+
+        def one_sided(graph, chosen):
+            found = induced_faces(graph, chosen)
+            edge_faces = {**found.faces.edge_faces, 0: found.faces.edge_faces[0][:1]}
+            return replace(found, faces=replace(found.faces, edge_faces=edge_faces))
+
+        monkeypatch.setattr(links, "induced_faces", one_sided)
+    else:
+        failures = Feasibility.failures
+        monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
+            {} if size < 2 else failures(self, size)))
     inst = Instance(5, [(0, 0, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1), (3, 3, 0, 1),
                         (4, 2, 4, 1)],
                     {0: [0, 3], 1: [1, 0], 2: [2, 1, 4], 3: [3, 2], 4: [4]},
@@ -434,8 +435,8 @@ def test_kept_edge_closing_a_cycle_raises(monkeypatch):
                 if node_map[instance.edge_map[e][0]] != node_map[instance.edge_map[e][1]])
     # Every nonempty subset is forged to fail; the tree check raises before
     # any cut is read.
-    monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (
-        (2, [0, 1]) if removed else None))
+    monkeypatch.setattr(Feasibility, "cut",
+                        lambda self, j, removed: 2 if removed else None)
     kept = len((tree | {extra}) & union)     # one cycle: as many edges as nodes
     with pytest.raises(InvariantError, match=TREE_GUARD + f"{kept} kept edges on {kept} "
                        "nodes in 1 components$"):
@@ -452,7 +453,7 @@ def test_disconnected_kept_edges_raise(monkeypatch):
     failures = Feasibility.failures
     monkeypatch.setattr(Feasibility, "failures", lambda self, size: (
         {} if size < 1 else failures(self, size)))
-    monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: (2, [0, 1]))
+    monkeypatch.setattr(Feasibility, "cut", lambda self, j, removed: 2)
     with pytest.raises(InvariantError,
                        match=TREE_GUARD + r"5 kept edges on 6 nodes in 2 components$"):
         level1_context(inst, x)
