@@ -182,6 +182,16 @@ class ClosureMaps:
 
 # -- step data -------------------------------------------------------------
 
+def bit_positions(mask):
+    """The positions of the set bits of a non-negative int, ascending."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return found
+
+
 class TypedLink(NamedTuple):
     """The ends, face and cost of a face-confined shortest path; see `link_path`."""
 
@@ -221,16 +231,10 @@ class StepContext:
         """The ascending omega positions of the failure sets `link` covers:
         the set bits of its ends' side masks XORed."""
         try:
-            mask = self.side_masks[link.u] ^ self.side_masks[link.v]
+            return bit_positions(self.side_masks[link.u] ^ self.side_masks[link.v])
         except KeyError as exc:
             raise ValueError(
                 f"node {exc.args[0]} is not incident to the current solution") from None
-        found = []
-        while mask:
-            low = mask & -mask
-            found.append(low.bit_length() - 1)
-            mask ^= low
-        return found
 
     def covering(self, links):
         """For each failure set of omega, the ascending indices of the

@@ -6,11 +6,15 @@ per boundary edge) is the circle, failure sets become demand chords between
 subdivision points, links become weighted covering chords between boundary
 nodes.  A node the walk visits more than once sits at its first corner, so
 every face takes this one path.  Chord domination transfers to containment
-of points in anchored axis-aligned rectangles inside a square, and which
-rectangles hold each point is computed once per face.  From that relation
-demands split by where at least half their fractional mass lives (left-
-vs top-anchored), `round_face` checks it against chords and cuts, and each
-side is solved exactly within the budget of `setcover.exact_min_cover`.
+of points in anchored axis-aligned rectangles inside a square.  Every
+relation of the reduction compares integer circle positions, so each face
+builds prefix masks over its coverers once (which coverers have an end
+below each position) and reads every demand's rectangles, crossing chords
+and shared ends from a few big-int operations on them.  From the
+rectangles demands split by where at least half their fractional mass
+lives (left- vs top-anchored), `round_face` checks them against the chords
+and the cuts, one coverer mask per demand, and each side is solved exactly
+within the budget of `setcover.exact_min_cover`.
 The level-1 cases never build circles: the contracted path or tree induces
 one face, and its typed links are covered exactly (`cover_intervals_exact`
 on the path, an exact cut cover on the tree, both read from the side masks
@@ -21,8 +25,11 @@ used.
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .errors import BudgetError, InvariantError
+from .links import bit_positions
 from .lp import EPS_FEAS
 from .setcover import exact_min_cover
 
@@ -59,6 +66,12 @@ class RectangleSystem:
     in_top: tuple            # per demand: coverers whose top rectangle holds it
     left_demands: tuple      # demand indices with >= 1/2 mass on left rectangles
     top_demands: tuple       # the rest
+    # per demand, masks whose bit c stands for coverer c: its left or top
+    # rectangle holds the point; its chord has exactly one end strictly
+    # inside the demand chord; its chord shares an end with the demand chord
+    held: tuple
+    crossing: tuple
+    touching: tuple
 
 
 @dataclass(frozen=True)
@@ -85,12 +98,13 @@ def partition_scenarios(ctx, cover):
     face_scenarios = {}
     threshold = 1.0 / level - EPS_FEAS
     table = ctx.covering(cover.links)
+    values = cover.values.tolist()
     for f_set in ctx.omega:
         per_face = {face: 0.0 for face in ctx.scenario_faces[f_set]}
         for idx in table[f_set]:
             face = cover.links[idx].face
             if face in per_face:
-                per_face[face] += float(cover.values[idx])
+                per_face[face] += values[idx]
         eligible = [f for f in sorted(per_face) if per_face[f] >= threshold]
         if not eligible:
             raise InvariantError(
@@ -133,17 +147,19 @@ def build_circle_instance(ctx, cover, partition, face):
 
     coverers = []
     level = ctx.level
+    values = cover.values.tolist()
     for idx in partition.face_links.get(face, ()):
         link = cover.links[idx]
         a, b = node_pos[link.u], node_pos[link.v]
         chord = (a, b) if a < b else (b, a)
-        coverers.append((idx, chord, link.cost, level * float(cover.values[idx])))
+        coverers.append((idx, chord, link.cost, level * values[idx]))
     return CircleInstance(2 * len(walk), node_pos, edge_pos,
                           tuple(demands), tuple(coverers))
 
 
 def chords_intersect(a, b):
-    """True iff the two chords interleave strictly around the circle."""
+    """True iff the two chords interleave strictly around the circle: the
+    scalar definition that `chords_to_rectangles`' crossing masks follow."""
     a1, a2 = min(a), max(a)
     if len({a[0], a[1], b[0], b[1]}) != 4:
         raise ValueError(f"chords {a} and {b} share an endpoint")
@@ -151,6 +167,8 @@ def chords_intersect(a, b):
 
 
 def _in_rect(point, rect):
+    """Closed-interval containment: the scalar definition that
+    `chords_to_rectangles`' rectangle masks follow."""
     x1, x2, y1, y2 = rect
     px, py = point
     return x1 <= px <= x2 and y1 <= py <= y2
@@ -163,26 +181,45 @@ def chords_to_rectangles(ci):
     [p_0, p_l] x [p_l, p_r] and the top-anchored rectangle
     [p_l, p_r] x [p_r, p_last]; a demand chord becomes the point of its
     endpoint pair.  Domination is exactly containment in either rectangle.
-    Containment is computed here once per (demand, coverer) pair, and the
-    mass split, `round_face`'s check and both side covers read it.
+
+    Every relation here compares circle positions, so it is read per demand
+    from prefix masks built once per face: bit c of `l_below[x]`
+    (`r_below[x]`) is set iff coverer c's left (right) end is below x.  A
+    point (px, py) lies in c's left rectangle iff px <= l <= py <= r and in
+    its top one iff l <= px <= r <= py; c's chord crosses the demand chord
+    iff exactly one of its ends lies strictly between px and py.  The mass
+    split, `round_face`'s check and both side covers read the result.
     """
-    last = ci.size - 1
+    size = ci.size
+    last = size - 1
     points = tuple(chord for _, chord in ci.demands)    # normalized (l, r), l < r
     lefts = tuple((0, l, l, r) for _, (l, r), _, _ in ci.coverers)
     tops = tuple((l, r, r, last) for _, (l, r), _, _ in ci.coverers)
-    in_left = tuple(tuple(c for c, rect in enumerate(lefts) if _in_rect(point, rect))
-                    for point in points)
-    in_top = tuple(tuple(c for c, rect in enumerate(tops) if _in_rect(point, rect))
-                   for point in points)
-    left_demands = []
-    top_demands = []
-    for d_idx, held in enumerate(in_left):
-        if sum(ci.coverers[c][3] for c in held) >= 0.5 - EPS_FEAS:
+    l_at = [0] * size
+    r_at = [0] * size
+    for c, (_, (l, r), _, _) in enumerate(ci.coverers):
+        l_at[l] |= 1 << c
+        r_at[r] |= 1 << c
+    l_below = list(accumulate(l_at, or_, initial=0))
+    r_below = list(accumulate(r_at, or_, initial=0))
+    in_left, in_top, held, crossing, touching = [], [], [], [], []
+    left_demands, top_demands = [], []
+    for d_idx, (px, py) in enumerate(points):
+        left = l_below[py + 1] & ~(l_below[px] | r_below[py])
+        top = l_below[px + 1] & r_below[py + 1] & ~r_below[px]
+        in_left.append(tuple(bit_positions(left)))
+        in_top.append(tuple(bit_positions(top)))
+        held.append(left | top)
+        # nested prefixes: l_below[py] ^ l_below[px + 1] has px < l < py
+        crossing.append(l_below[py] ^ l_below[px + 1] ^ r_below[py] ^ r_below[px + 1])
+        touching.append(l_at[px] | l_at[py] | r_at[px] | r_at[py])
+        if sum(ci.coverers[c][3] for c in in_left[-1]) >= 0.5 - EPS_FEAS:
             left_demands.append(d_idx)
         else:
             top_demands.append(d_idx)
-    return RectangleSystem(points, lefts, tops, in_left, in_top,
-                           tuple(left_demands), tuple(top_demands))
+    return RectangleSystem(points, lefts, tops, tuple(in_left), tuple(in_top),
+                           tuple(left_demands), tuple(top_demands),
+                           tuple(held), tuple(crossing), tuple(touching))
 
 
 def covered_by(table, f_sets):
@@ -195,11 +232,14 @@ def covered_by(table, f_sets):
     return found
 
 
-def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_cost,
-                 bound, circle=None, system=None):
+def _record_face(ctx, face, scenarios, cover, values, link_ids, chosen, cost,
+                 lp_face_cost, bound, circle=None, system=None, cuts=()):
     """The face's trace record; coverer i of `circle` and `system` is link
-    `link_ids[i]`."""
-    covered = covered_by(ctx.covering(cover.links), scenarios)
+    `link_ids[i]`, and bit i of `cuts[d]` is set iff it covers scenario d."""
+    covers = [[] for _ in link_ids]
+    for d_idx, cut in enumerate(cuts):
+        for c_idx in bit_positions(cut):
+            covers[c_idx].append(d_idx)
     demand_list = []
     for pos, f_set in enumerate(scenarios):
         entry = {"scenario": sorted(f_set)}
@@ -214,8 +254,8 @@ def _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost, lp_face_co
             "u": link.u,
             "v": link.v,
             "cost": link.cost,
-            "x": float(cover.values[idx]),
-            "covers": covered.get(idx, []),
+            "x": values[idx],
+            "covers": covers[pos],
         }
         if circle is not None:
             entry["chord"] = list(circle.coverers[pos][1])
@@ -253,31 +293,45 @@ def round_face(ctx, cover, partition, face):
     level = ctx.level
     scenarios = partition.face_scenarios.get(face, ())
     link_ids = partition.face_links.get(face, ())
-    lp_face_cost = sum(cover.links[i].cost * float(cover.values[i]) for i in link_ids)
+    values = cover.values.tolist()
+    lp_face_cost = sum(cover.links[i].cost * values[i] for i in link_ids)
     bound = 8.0 * level * lp_face_cost
     if not scenarios:
-        record = _record_face(ctx, face, (), cover, link_ids, (), 0.0, lp_face_cost,
-                              bound)
+        record = _record_face(ctx, face, (), cover, values, link_ids, (), 0.0,
+                              lp_face_cost, bound)
         return RoundedFace(face, (), 0.0, bound, record)
 
     table = ctx.covering(cover.links)
     circle = build_circle_instance(ctx, cover, partition, face)
     system = chords_to_rectangles(circle)
-    # live equivalence check: chord domination == endpoint cover relation
+    # Live equivalence check, one coverer mask per demand: chord crossing ==
+    # endpoint cover relation (the table row) == rectangle containment.  A
+    # shared end fails too, as in `chords_intersect`, and the lowest failing
+    # (demand, coverer) pair is named.  Rows ascend, so only the slice
+    # between the face's lowest and highest link can hold its links.
+    position = {lidx: c for c, (lidx, _, _, _) in enumerate(circle.coverers)}
+    first, last = (min(position), max(position)) if position else (0, -1)
+    cuts = []
     for d_idx, (f_set, d_chord) in enumerate(circle.demands):
-        cut_links = set(table[f_set])
-        held = set(system.in_left[d_idx]).union(system.in_top[d_idx])
-        for c_idx, (lidx, c_chord, _, _) in enumerate(circle.coverers):
-            geo = chords_intersect(d_chord, c_chord)
-            rect = c_idx in held
-            via_cut = lidx in cut_links
-            if geo != via_cut or geo != rect:
-                raise InvariantError(
-                    "chord/rectangle/cut disagreement on face "
-                    f"{face}: demand {sorted(f_set)}, link {lidx}",
-                    payload={"demand": d_chord, "coverer": c_chord,
-                             "geo": geo, "cut": via_cut, "rect": rect})
-    chosen_cov = set()
+        row = table[f_set]
+        cut = 0
+        for idx in row[bisect.bisect_left(row, first):bisect.bisect_right(row, last)]:
+            c_idx = position.get(idx)
+            if c_idx is not None:
+                cut |= 1 << c_idx
+        geo, rect = system.crossing[d_idx], system.held[d_idx]
+        bad = (geo ^ cut) | (geo ^ rect) | system.touching[d_idx]
+        if bad:
+            c_idx = (bad & -bad).bit_length() - 1
+            lidx, c_chord, _, _ = circle.coverers[c_idx]
+            raise InvariantError(
+                "chord/rectangle/cut disagreement on face "
+                f"{face}: demand {sorted(f_set)}, link {lidx}",
+                payload={"demand": d_chord, "coverer": c_chord,
+                         "geo": bool(geo >> c_idx & 1), "cut": bool(cut >> c_idx & 1),
+                         "rect": bool(rect >> c_idx & 1)})
+        cuts.append(cut)
+    chosen_cov = 0
     for demands, holders in ((system.left_demands, system.in_left),
                              (system.top_demands, system.in_top)):
         if not demands:
@@ -293,11 +347,12 @@ def round_face(ctx, cover, partition, face):
         except BudgetError as exc:
             raise BudgetError(f"level {level}, face {face}: anchored-side cover",
                               exc.budget) from None
-        chosen_cov.update(picked)
-    chosen = tuple(sorted(circle.coverers[c][0] for c in chosen_cov))
+        for c_idx in picked:
+            chosen_cov |= 1 << c_idx
+    chosen = tuple(sorted(circle.coverers[c][0] for c in bit_positions(chosen_cov)))
 
-    for f_set in scenarios:
-        if set(chosen).isdisjoint(table[f_set]):
+    for f_set, cut in zip(scenarios, cuts):
+        if not cut & chosen_cov:
             raise InvariantError(
                 f"rounded face {face} leaves failure set {sorted(f_set)} uncovered",
                 payload={"chosen": chosen})
@@ -307,8 +362,8 @@ def round_face(ctx, cover, partition, face):
             f"face {face} rounding cost {cost} exceeds its bound {bound}",
             payload={"chosen": chosen, "lp_face_cost": lp_face_cost,
                      "level": level})
-    record = _record_face(ctx, face, scenarios, cover, link_ids, chosen, cost,
-                          lp_face_cost, bound, circle, system)
+    record = _record_face(ctx, face, scenarios, cover, values, link_ids, chosen, cost,
+                          lp_face_cost, bound, circle, system, cuts)
     return RoundedFace(face, chosen, cost, bound, record)
 
 

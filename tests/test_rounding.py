@@ -4,11 +4,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bulkrobust import Instance, gen_grid, gen_hypergraph_vc, solve
+from bulkrobust import Instance, gen_grid, gen_hypergraph_vc, rounding, solve
 from bulkrobust.driver import augment_step
+from bulkrobust.errors import InvariantError
 from bulkrobust.links import enumerate_typed_links, preprocess_step
-from bulkrobust.lp import FractionalCover, solve_link_lp
+from bulkrobust.lp import EPS_FEAS, FractionalCover, solve_link_lp
 from bulkrobust.rounding import (CircleInstance, ScenarioPartition, _in_rect,
                                  build_circle_instance, chords_intersect,
                                  chords_to_rectangles, cover_intervals_exact,
@@ -104,6 +107,48 @@ def test_rectangle_figure_configuration():
         coverers=((0, (1, 3), 1, 1.0),))
     system = chords_to_rectangles(ci)
     assert _in_rect(system.points[0], system.lefts[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mask_relations_match_the_scalar_definitions(data):
+    # Up to 80 coverers, so the masks span several machine words; on a small
+    # circle many coverers share ends, and demand ends are often drawn from
+    # coverer ends.  Containment must equal `_in_rect` on every pair, the mass
+    # split must sum each demand's left holders in ascending order, and on
+    # four distinct ends the crossing mask must equal `chords_intersect`.
+    size = data.draw(st.integers(3, 40), label="size")
+    pos = st.integers(0, size - 1)
+    coverers = data.draw(st.lists(st.tuples(pos, pos).map(lambda p: (min(p), max(p))),
+                                  max_size=80), label="coverers")
+    ends = [e for chord in coverers for e in chord]
+    end = st.one_of(pos, st.sampled_from(ends)) if ends else pos
+    demands = data.draw(st.lists(st.tuples(end, end).filter(lambda p: p[0] != p[1])
+                                 .map(lambda p: (min(p), max(p))), min_size=1, max_size=40),
+                        label="demands")
+    weights = data.draw(st.lists(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 1.0)),
+                                 min_size=len(coverers), max_size=len(coverers)))
+    ci = CircleInstance(
+        size=size, node_pos={}, edge_pos={},
+        demands=tuple((frozenset({d}), chord) for d, chord in enumerate(demands)),
+        coverers=tuple((c, chord, 1, z) for c, (chord, z) in enumerate(zip(coverers, weights))))
+    system = chords_to_rectangles(ci)
+    left_demands = []
+    for d_idx, point in enumerate(demands):
+        in_left = tuple(c for c, rect in enumerate(system.lefts) if _in_rect(point, rect))
+        in_top = tuple(c for c, rect in enumerate(system.tops) if _in_rect(point, rect))
+        assert system.in_left[d_idx] == in_left
+        assert system.in_top[d_idx] == in_top
+        assert system.held[d_idx] == sum(1 << c for c in set(in_left) | set(in_top))
+        touching = {c for c, chord in enumerate(coverers) if set(chord) & set(point)}
+        assert system.touching[d_idx] == sum(1 << c for c in touching)
+        for c, chord in enumerate(coverers):
+            if c not in touching and chord[0] != chord[1]:
+                assert bool(system.crossing[d_idx] >> c & 1) == chords_intersect(point, chord)
+        if sum(weights[c] for c in in_left) >= 0.5 - EPS_FEAS:
+            left_demands.append(d_idx)
+    assert system.left_demands == tuple(left_demands)
+    assert system.top_demands == tuple(d for d in range(len(demands)) if d not in left_demands)
 
 
 # -- exact covers ---------------------------------------------------------------
@@ -329,3 +374,54 @@ def test_intervals_match_enumeration():
         else:
             _, total = cover_intervals_exact(points, intervals)
             assert total == best
+
+
+# -- the three-way check ------------------------------------------------------------
+
+def _hvc_level():
+    """Level 2 of a small hypergraph vertex cover: face 0 holds five demands
+    and the six links 0..5, in that coverer order."""
+    levels = []
+    solve(gen_hypergraph_vc(2, 3, 6, 1)[1],
+          on_lp=lambda lv, ctx, links, cover: levels.append((ctx, cover)))
+    ctx, cover = levels[0]
+    return ctx, cover, partition_scenarios(ctx, cover)
+
+
+@pytest.mark.parametrize("tamper, scenario, link, payload", [
+    # demands 1 and 2 lose a face link each from their rows: demand 1's is
+    # the lowest disagreeing (demand, coverer) pair
+    ({1: (2, None), 2: (1, None)}, [1, 8], 2,
+     {"demand": (3, 19), "coverer": (0, 10), "geo": True, "cut": False, "rect": True}),
+    # demand 0 gains links 5 and 3, both chords inside its own
+    ({0: (None, (5, 3))}, [0, 11], 3,
+     {"demand": (1, 13), "coverer": (6, 12), "geo": False, "cut": True, "rect": False}),
+], ids=["dropped", "added"])
+def test_round_face_reports_the_lowest_disagreeing_pair(tamper, scenario, link, payload):
+    ctx, cover, part = _hvc_level()
+    circle = build_circle_instance(ctx, cover, part, 0)
+    assert [c[0] for c in circle.coverers] == [0, 1, 2, 3, 4, 5]
+    table = ctx.covering(cover.links)
+    for d_idx, (dropped, added) in tamper.items():
+        f_set = circle.demands[d_idx][0]
+        row = set(table[f_set])
+        assert (dropped is None or dropped in row) and row.isdisjoint(added or ())
+        table[f_set] = tuple(sorted((row - {dropped}) | set(added or ())))
+    with pytest.raises(InvariantError) as info:
+        round_face(ctx, cover, part, 0)
+    assert str(info.value) == (
+        f"chord/rectangle/cut disagreement on face 0: demand {scenario}, link {link}")
+    assert info.value.payload == payload
+    assert all(type(info.value.payload[key]) is bool for key in ("geo", "cut", "rect"))
+
+
+def test_round_face_rejects_side_covers_that_miss_a_demand(monkeypatch):
+    # The final check reads the cut relation, not the side covers: link 4's
+    # chord (10, 12) lies inside every demand chord of face 0, so side covers
+    # that pick only link 4 leave every demand, the first named, uncovered.
+    ctx, cover, part = _hvc_level()
+    monkeypatch.setattr(rounding, "exact_min_cover", lambda count, sets: (sets[4][0], (4,)))
+    with pytest.raises(InvariantError) as info:
+        round_face(ctx, cover, part, 0)
+    assert str(info.value) == "rounded face 0 leaves failure set [0, 11] uncovered"
+    assert info.value.payload == {"chosen": (4,)}
