@@ -4,7 +4,8 @@ A graph is stored combinatorially: node ids, edges with distinct integer
 ids, and a rotation system (per node, the cyclic clockwise order of
 incident edge ids).  The rotation system *is* the embedding; validity is
 checked through Euler's formula after face tracing, never by planarity
-testing.
+testing.  `Instance` checks its input in one pass, which also builds the
+edge views the solve reads; its `graph` shares the instance's dicts.
 
 Contraction has two parts: `PlaneGraph.group` merges the nodes, and
 `PlaneGraph.contract` calls it and then walks the rotation around each
@@ -271,12 +272,10 @@ class PlaneGraph:
                 if dart != walk[0]:
                     raise InvariantError("face walk closed on a foreign dart")
                 faces.append(tuple(walk))
-        edge_faces = {}
-        for (tail, eid), f in dart_face.items():
-            edge_faces.setdefault(eid, [])
-            if f not in edge_faces[eid]:
-                edge_faces[eid].append(f)
-        edge_faces = {e: tuple(sorted(fs)) for e, fs in edge_faces.items()}
+        # an edge's two darts: one face, or two in ascending order
+        edge_faces = {e: (a,) if a == b else (a, b) if a < b else (b, a)
+                      for e, (u, v, _) in self.edges.items()
+                      for a, b in [(dart_face[(u, e)], dart_face[(v, e)])]}
         return FaceSet(tuple(faces), edge_faces, dart_face)
 
     def euler_defect(self):
@@ -358,78 +357,85 @@ class Instance:
 
     Holds the embedded weighted multigraph, the problem kind (`st` or
     `mst`), terminals for `st`, and the explicit failure scenarios.
-    Immutable after construction; all validation happens in __init__.
+    Immutable after construction.  `__init__` converts each value once and
+    checks it in one pass, which also builds the views the checks and the
+    solve read: `edge_map` (id -> (u, v, w)), `edge_rows` (id -> (e, u, v),
+    the row the union-find helpers take), `edge_ids`, `scenario_sets`, `k`
+    and `graph`, whose `edges` and `rotation` are the instance's own dicts.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
                  scenarios=()):
-        self.node_count = int(node_count)
-        self.edges = tuple((int(e), int(u), int(v), int(w)) for e, u, v, w in edges)
-        self.rotation = {int(n): tuple(int(e) for e in rot) for n, rot in rotation.items()}
+        self.node_count = n = int(node_count)
+        self.rotation = {int(v): tuple(int(e) for e in rot) for v, rot in rotation.items()}
         if len(self.rotation) != len(rotation):     # 2 and "2", or "2" and "02"
             raise InstanceError("rotation names one node under two keys")
         self.problem = problem
         self.s = None if s is None else int(s)
         self.t = None if t is None else int(t)
         self.scenarios = tuple(tuple(int(e) for e in sc) for sc in scenarios)
-        self._validate()
-
-    # -- validation -----------------------------------------------------
-
-    def _validate(self):
-        if self.node_count < 1:
+        if n < 1:
             raise InstanceError("node count must be positive")
-        if self.problem not in ("st", "mst"):
-            raise InstanceError(f"unknown problem kind {self.problem!r}")
-        seen = set()
-        for e, u, v, w in self.edges:
-            if e < 0 or e in seen:
+        if problem not in ("st", "mst"):
+            raise InstanceError(f"unknown problem kind {problem!r}")
+        rows, edge_map, edge_rows, total = [], {}, {}, 0
+        incident = {}       # per node with an edge: its edge ids, in row order
+        for e, u, v, w in edges:
+            e, u, v, w = int(e), int(u), int(v), int(w)
+            if e < 0 or e in edge_map:
                 raise InstanceError(f"duplicate or negative edge id {e}")
-            seen.add(e)
             for x in (u, v):
-                if not 0 <= x < self.node_count:
+                if not 0 <= x < n:
                     raise InstanceError(f"dangling node id {x} on edge {e}")
             if u == v:
                 raise InstanceError(f"self-loop on edge {e}")
             if w < 0:
                 raise InstanceError(f"negative weight on edge {e}")
-        if sum(w for _, _, _, w in self.edges) > MAX_TOTAL_WEIGHT:
+            rows.append((e, u, v, w))
+            edge_map[e] = (u, v, w)
+            edge_rows[e] = (e, u, v)
+            incident.setdefault(u, []).append(e)
+            incident.setdefault(v, []).append(e)
+            total += w
+        if total > MAX_TOTAL_WEIGHT:
             raise InstanceError("total edge weight exceeds 2**53")
+        self.edges, self.edge_map, self.edge_rows = tuple(rows), edge_map, edge_rows
         # n distinct keys in [0, n): bounds n by the file size before anything
         # per node is built.
-        if len(self.rotation) != self.node_count or min(self.rotation) < 0 \
-                or max(self.rotation) >= self.node_count:
+        if len(self.rotation) != n or min(self.rotation) < 0 or max(self.rotation) >= n:
             raise InstanceError("rotation must list every node exactly once")
-        incident = {n: [] for n in range(self.node_count)}
-        for e, u, v, _ in self.edges:
-            incident[u].append(e)
-            incident[v].append(e)
-        for n, rot in self.rotation.items():
-            if sorted(rot) != sorted(incident[n]):
+        for node, rot in self.rotation.items():
+            if sorted(rot) != (expected := sorted(incident.get(node, ()))):
                 raise InstanceError(
-                    f"invalid rotation at node {n}: expected the incident edges "
-                    f"{sorted(incident[n])}, got {sorted(rot)}")
-        if self.problem == "st":
+                    f"invalid rotation at node {node}: expected the incident edges "
+                    f"{expected}, got {sorted(rot)}")
+        if problem == "st":
             if self.s is None or self.t is None:
                 raise InstanceError("problem 'st' requires terminals s and t")
             for x in (self.s, self.t):
-                if not 0 <= x < self.node_count:
+                if not 0 <= x < n:
                     raise InstanceError(f"dangling terminal node id {x}")
             if self.s == self.t:
                 raise InstanceError("terminals s and t must differ")
         elif self.s is not None or self.t is not None:
             raise InstanceError("problem 'mst' takes no terminals")
-        edge_ids = set(self.edge_map)
+        self.edge_ids = frozenset(edge_map)
+        sets = []
         for i, sc in enumerate(self.scenarios):
             if not sc:
                 raise InstanceError(f"scenario {i} is empty")
-            if len(set(sc)) != len(sc):
+            full = frozenset(sc)
+            if len(full) != len(sc):
                 raise InstanceError(f"scenario {i} repeats an edge id")
             for e in sc:
-                if e not in edge_ids:
+                if e not in self.edge_ids:
                     raise InstanceError(f"dangling edge id {e} in scenario {i}")
-        if not requirement_met(self.node_count, self.edge_rows.values(), "mst", None, None):
+            sets.append(full)
+        self.scenario_sets = tuple(sets)
+        self.k = max(map(len, sets), default=0)
+        if not requirement_met(n, edge_rows.values(), "mst", None, None):
             raise InstanceError("graph is not connected")
+        self.graph = PlaneGraph(tuple(range(n)), edge_map, self.rotation)
         if self.graph.euler_defect() != 0:
             raise InstanceError("rotation system not planar (Euler check failed)")
         self.check_feasible()
@@ -466,34 +472,6 @@ class Instance:
             kept = table if table is not None and table.x < x else None
             table = self._feasibility = Feasibility(self, x, kept)
         return table
-
-    # -- derived views ---------------------------------------------------
-
-    @cached_property
-    def edge_map(self):
-        return {e: (u, v, w) for e, u, v, w in self.edges}
-
-    @cached_property
-    def edge_rows(self):
-        """edge id -> (e, u, v), the row the union-find helpers take."""
-        return {e: (e, u, v) for e, u, v, _ in self.edges}
-
-    @cached_property
-    def edge_ids(self):
-        return frozenset(self.edge_map)
-
-    @cached_property
-    def scenario_sets(self):
-        return tuple(frozenset(sc) for sc in self.scenarios)
-
-    @cached_property
-    def k(self):
-        return max((len(sc) for sc in self.scenarios), default=0)
-
-    @cached_property
-    def graph(self):
-        return PlaneGraph(tuple(range(self.node_count)), dict(self.edge_map),
-                          dict(self.rotation))
 
     def weight_of(self, edge_subset):
         return sum(self.edge_map[e][2] for e in edge_subset)
@@ -561,14 +539,17 @@ def parse_instance(data):
     if not is_int_rows(edges, 4):
         raise InstanceError("edges must be a list of [id, u, v, w] integer rows")
     try:
-        rotation = {int(n): rot for n, rot in data["rotation"].items()}
+        rotation, spelled = {}, []
+        for key, rot in data["rotation"].items():
+            rotation[node := int(key)] = rot
+            if str(node) != key:    # "02", "+2", " 2": one node, two spellings
+                spelled.append(key)
         if not is_int_rows(list(rotation.values())):
             raise ValueError
     except (AttributeError, ValueError):
         raise InstanceError("rotation must map node ids to edge id lists") from None
-    for key in data["rotation"]:
-        if str(int(key)) != key:    # "02", "+2", " 2": one node, two spellings
-            raise InstanceError(f"rotation key {key!r} is not a canonical node id")
+    if spelled:
+        raise InstanceError(f"rotation key {spelled[0]!r} is not a canonical node id")
     if any(data.get(key) is not None and type(data[key]) is not int for key in ("s", "t")):
         raise InstanceError("terminals s and t must be integer node ids")
     scenarios = data.get("scenarios", [])
@@ -603,8 +584,7 @@ def induced_faces(graph, chosen):
     chosen = frozenset(chosen)
     if not chosen:
         raise ValueError("chosen edge set must be nonempty")
-    missing = chosen - set(graph.edges)
-    if missing:
+    if missing := chosen - graph.edges.keys():
         raise KeyError(f"unknown edge ids {sorted(missing)}")
     sub_nodes = frozenset(n for e in chosen for n in graph.endpoints(e))
     _, merges = _merge(list(range(max(sub_nodes) + 1)),
@@ -615,7 +595,7 @@ def induced_faces(graph, chosen):
     parent_faces = graph.faces
     parent = list(range(len(parent_faces)))
     classes = len(parent_faces)
-    rest = sorted(set(graph.edges) - chosen)
+    rest = sorted(graph.edges.keys() - chosen)
     for e in rest:
         fs = parent_faces.edge_faces[e]
         classes -= _union(parent, fs[0], fs[-1])

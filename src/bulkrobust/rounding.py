@@ -90,9 +90,10 @@ def partition_scenarios(ctx, cover):
     level = ctx.level
     if level < 2:
         raise ValueError("the face partition applies to levels >= 2")
-    face_links = {}
+    face_links, faces = {}, []
     for idx, link in enumerate(cover.links):
         face_links.setdefault(link.face, []).append(idx)
+        faces.append(link.face)
     face_links = {f: tuple(lst) for f, lst in face_links.items()}
 
     face_scenarios = {}
@@ -102,7 +103,7 @@ def partition_scenarios(ctx, cover):
     for f_set in ctx.omega:
         per_face = {face: 0.0 for face in ctx.scenario_faces[f_set]}
         for idx in table[f_set]:
-            face = cover.links[idx].face
+            face = faces[idx]
             if face in per_face:
                 per_face[face] += values[idx]
         eligible = [f for f in sorted(per_face) if per_face[f] >= threshold]
@@ -220,16 +221,6 @@ def chords_to_rectangles(ci):
     return RectangleSystem(points, lefts, tops, tuple(in_left), tuple(in_top),
                            tuple(left_demands), tuple(top_demands),
                            tuple(held), tuple(crossing), tuple(touching))
-
-
-def covered_by(table, f_sets):
-    """Link index -> ascending positions in `f_sets` of the sets it covers,
-    read from a `StepContext.covering` table."""
-    found = {}
-    for pos, f_set in enumerate(f_sets):
-        for idx in table[f_set]:
-            found.setdefault(idx, []).append(pos)
-    return found
 
 
 def _record_face(ctx, face, scenarios, cover, values, link_ids, chosen, cost,

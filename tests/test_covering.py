@@ -12,7 +12,6 @@ from bulkrobust.driver import minimum_spanning_tree, shortest_st_path
 from bulkrobust.errors import InvariantError
 from bulkrobust.instance import PlaneGraph
 from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
-from bulkrobust.rounding import covered_by
 from conftest import (TREE_GRIDS, build_suite_instance, crosses, reference_cuts,
                       square_with_chords, suite_schedule)
 
@@ -77,8 +76,7 @@ def test_table_matches_definition_on_level1_tree_detours(monkeypatch):
         assert [cost for cost, _ in sets] == [link.cost for link in links]
         by_path = [positions for _, positions in sets]
         assert by_path == per_link(by_definition(ctx, links), ctx.omega, len(links))
-        by_table = covered_by(ctx.covering(links), ctx.omega)
-        assert by_path == [by_table.get(i, []) for i in range(len(links))]
+        assert by_path == per_link(ctx.covering(links), ctx.omega, len(links))
         seen += 1
     assert seen > len(TREE_GRIDS)
 
