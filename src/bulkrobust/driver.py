@@ -28,12 +28,12 @@ and the trace records enough per-level and per-face data to audit a run
 after the fact.
 
 Feasibility checks go through the instance's `Feasibility` table of the
-current solution X, one per distinct X (so one per level).  Only the base
-solution's table is built fresh; each later level grows the table from the
-one before, since a level only adds edges.  A table answers each failure
-size once (`Feasibility.failures`): the check in `solve` after level i is
-level i + 1's precondition, and after a level that adds no edge it is the
-answer that level's preprocessing found.
+current solution X, one per distinct X: the base solution's and one per
+level that adds edges.  Each is built from its X alone, in one forest
+pass.  A table answers each failure size once (`Feasibility.failures`):
+the check in `solve` after level i is level i + 1's precondition, and
+after a level that adds no edge it is the answer that level's
+preprocessing found.
 """
 
 from dataclasses import dataclass, field

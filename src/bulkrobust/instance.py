@@ -13,8 +13,10 @@ merged group.  The walk runs only where faces are read; a caller that
 needs the groups alone takes `group`.
 
 The package's one union-find is a list indexed by node (or face) id, run
-by `_find`, `_union` and `_merge`; `requirement_met` and `Feasibility` read
-the requirement from it.
+by `_find`, `_union` and `_merge`; `requirement_met` reads the requirement
+from it.  `Feasibility` runs it once per solution X, to give each edge of X
+its vector in the GF(2) cycle space of X; every question on X - S is then a
+rank of at most k vectors (its docstring gives the argument).
 """
 
 import json
@@ -48,11 +50,6 @@ def _union(parent, a, b):
     return True
 
 
-def _label(parent, label, node):
-    """Small consecutive label of node's component, numbered on first sight."""
-    return label.setdefault(_find(parent, node), len(label))
-
-
 def _merge(parent, rows, skip=()):
     """Union the rows (e, a, b) whose edge is not in `skip` into the list-based
     forest `parent`; returns (parent, merges)."""
@@ -80,97 +77,141 @@ def requirement_met(node_count, rows, problem, s, t, skip=()):
     return _find(parent, s) == _find(parent, t)
 
 
-def _label_scenario(instance, x, full, start, components, merge_rows):
-    """One scenario's entry of the Feasibility table of X: a copy of the
-    forest `start` (`components` trees, read for 'mst' only) takes the
-    `merge_rows` whose edge is not in F_j = `full`, giving a forest of
-    (V, X - F_j).  None when X - F_j already meets the requirement, else
-    (rows, size, target, parent): the rows of F_j & X between the `size`
-    labels of their ends' components, and `target` the component count for
-    'mst' or the labels of s and t for 'st'.
-
-    Labels are numbered on first sight: s and t, then the ends of the rows
-    of F_j & X in ascending edge order.  They depend on the forest's
-    components only, not on its roots, so every forest of X - F_j gives
-    the same entry apart from `parent`."""
-    parent, merges = _merge(start[:], merge_rows, full)
-    ends = instance.edge_rows
-    label = {}
-    if instance.problem == "mst":
-        target = components - merges     # components left to merge into one
-        trivial = target == 1
-    else:
-        target = (_label(parent, label, instance.s), _label(parent, label, instance.t))
-        trivial = target[0] == target[1]
-    if trivial:     # X - F_j already meets it, so every X - S does
-        return None
-    rows = tuple((e, _label(parent, label, ends[e][1]), _label(parent, label, ends[e][2]))
-                 for e in sorted(full & x))
-    return rows, len(label), target, parent
-
-
 class Feasibility:
-    """The requirement on (V, X - S) for every S inside one scenario.
+    """The requirement on (V, X - S) for every S inside one scenario, read
+    from the GF(2) cycle space of X.
 
-    For each scenario F_j the table keeps a list-based union-find of
-    (V, X - F_j) and labels its components, but only those a query can
-    touch: the components of the endpoints of the edges in F_j & X, and
-    of s and t.  For S within F_j the components of X - S are these
-    joined by the surviving edges of (F_j & X) - S, an O(k) union over the
-    labels.  `cut(j, S)` reads the requirement from that union and, where
-    it fails, counts the components.  `failures(size)` owns the question
-    every caller asks, which failures of `size` edges break the
-    requirement: it asks `cut` once per subset and keeps each size's
-    answer, counts included.  The labels serve these unions only; no
-    caller reads a node's component.  A scenario where X - F_j already
-    meets the requirement is trivial and keeps nothing.
+    Give every edge of X a vector with one bit per cycle of a cycle basis:
+    fix a spanning forest of X, give each non-tree edge its own bit, and
+    each tree edge the XOR of the bits of the non-tree edges whose cycle
+    through the forest crosses it.  These vectors represent the cographic
+    matroid of X, so a set S of X edges has rank r(S) = |S| minus the
+    number of components its removal adds:
 
-    One loop builds every scenario, through `_label_scenario`: copy a
-    start forest, merge rows outside F_j, label.  Builds differ only in
-    the start and the rows.  `Feasibility(instance, x)` starts from one
-    base forest of the X edges in no scenario and merges X & U (U the union
-    of the scenarios), O(n + |X & U|) per scenario.  Given `_kept`, a table
-    of a proper subset of X (only `Instance.feasibility` passes one), each
-    non-trivial scenario starts from its forest there and merges the added
-    edges; a trivial one stays trivial, since adding edges never breaks the
-    requirement.  No build changes an existing table, and a table holds no
+        c(X - S) = c(X) + |S| - r(S).
+
+    For 'mst' the requirement holds on X - S iff c(X) = 1 and r(S) = |S|.
+    For 'st', when s and t are joined in X, a virtual edge (s, t) takes the
+    top bit: s and t are apart in X - S iff that edge is a bridge of
+    X + (s, t) - S, i.e. iff its vector, the top bit alone, lies in the
+    span of S's vectors.  Then S's rank over X alone is r(S) - 1, since the
+    span loses exactly that vector when the top bit is dropped.
+
+    Where the requirement fails, `cut(j, S)` counts the components of
+    X - S that hold s, t or an end of an edge of F_j & X.  The other
+    components of X are untouched by S, so the count is
+    |S| - r_X(S) + sigma_j, where sigma_j counts the components of X that
+    hold those nodes; it is found the first time scenario j fails.
+    `failures(size)` owns the question every caller asks, which failures
+    of `size` edges break the requirement: it asks `cut` once per subset
+    and keeps each size's answer, counts included.
+
+    One build serves every scenario.  The X edges in no scenario are merged
+    into a base forest; one union-find over the X & U rows (U the union of
+    the scenarios, `Instance.touched`), between base roots, gives the
+    spanning forest, and one walk over it gives every tree edge its vector.
+    Edges outside X & U are never removed, so they need no vector.  A query
+    is an elimination of at most k vectors over a pivot dict keyed by
+    `bit_length`.  No build changes an existing table, and a table holds no
     reference to the instance.
     """
 
-    __slots__ = ("x", "_mst", "_full", "_scenarios", "_failures")
+    __slots__ = ("x", "_full", "_ends", "_terminals", "_parent", "_connected",
+                 "_vectors", "_top", "_sigma", "_failures")
 
-    def __init__(self, instance, x, _kept=None):
+    def __init__(self, instance, x):
         self.x = x = frozenset(x)
-        self._mst = instance.problem == "mst"
         self._full = instance.scenario_sets
+        self._ends = ends = instance.edge_rows
         self._failures = {}     # size -> the answer of `failures(size)`
-        n, ends = instance.node_count, instance.edge_rows
-        if _kept is None:
-            touched = frozenset().union(*self._full)
-            base, base_merges = _merge(list(range(n)), [ends[e] for e in x - touched])
-            starts = [(base, n - base_merges)] * len(self._full)
-            rows = [ends[e] for e in x & touched]
-        else:   # a non-trivial entry's target is its component count for 'mst'
-            starts = [entry and (entry[3], entry[2]) for entry in _kept._scenarios]
-            rows = [ends[e] for e in sorted(x - _kept.x)]
-        self._scenarios = tuple(start and _label_scenario(instance, x, full, *start, rows)
-                                for full, start in zip(self._full, starts))
+        self._sigma = [None] * len(self._full)     # j -> sigma_j, once j fails
+        n = instance.node_count
+        parent, merges = _merge(list(range(n)), [ends[e] for e in x - instance.touched])
+        rows = [(e, _find(parent, u), _find(parent, v))
+                for e, u, v in map(ends.__getitem__, x & instance.touched)]
+        terminals = ()      # the base roots of s and t
+        if instance.problem == "st":
+            terminals = (_find(parent, instance.s), _find(parent, instance.t))
+        vectors, spin, tree, bit = {}, {}, {}, 1    # spin: node -> XOR of its non-tree bits
+        for e, a, b in rows:
+            ra, rb = a, b       # _find inlined, as in `_merge`
+            while parent[ra] != ra:
+                parent[ra] = ra = parent[parent[ra]]
+            while parent[rb] != rb:
+                parent[rb] = rb = parent[parent[rb]]
+            if ra != rb:
+                parent[rb] = ra
+                merges += 1
+                tree.setdefault(a, []).append((e, b))
+                tree.setdefault(b, []).append((e, a))
+            else:
+                vectors[e] = bit
+                spin[a] = spin.get(a, 0) ^ bit
+                spin[b] = spin.get(b, 0) ^ bit
+                bit <<= 1
+        self._top = 0
+        if terminals and _find(parent, terminals[0]) == _find(parent, terminals[1]):
+            self._top = bit     # the virtual edge (s, t), above every other bit
+            for node in terminals:
+                spin[node] = spin.get(node, 0) ^ bit
+        # Per tree of the forest: breadth first from a root, then leaves up,
+        # each tree edge taking the XOR of the non-tree bits below it.
+        seen = set()
+        for root in tree:
+            if root in seen:
+                continue
+            seen.add(root)
+            walk = [(root, None, None)]     # (node, node above, edge between)
+            for node, _, _ in walk:         # the walk grows as it is read
+                for e, other in tree[node]:
+                    if other not in seen:
+                        seen.add(other)
+                        walk.append((other, node, e))
+            for node, up, e in reversed(walk[1:]):
+                vectors[e] = below = spin.get(node, 0)
+                spin[up] = spin.get(up, 0) ^ below
+        self._terminals, self._parent, self._vectors = terminals, parent, vectors
+        self._connected = merges == n - 1
 
     def cut(self, j, removed):
         """None iff the requirement holds on (V, X - S) for S = `removed`,
-        which must lie inside scenario j; otherwise the number of labelled
-        components of X - S."""
-        scenario = self._scenarios[j]
-        if scenario is None:
+        which must lie inside scenario j; otherwise the number of
+        components of X - S that hold s, t or an end of an F_j & X edge."""
+        vectors = self._vectors
+        pivots, size = {}, 0    # leading bit -> the vector that holds it
+        for e in removed:
+            v = vectors.get(e)
+            if v is None:       # outside X: removes nothing
+                continue
+            size += 1
+            while v:
+                lead = v.bit_length()
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    pivots[lead] = v
+                    break
+                v ^= pivot
+        rank = len(pivots)
+        if self._terminals:
+            top = self._top
+            while top:      # reduce the top bit; a remainder is outside the span
+                pivot = pivots.get(top.bit_length())
+                if pivot is None:
+                    return None
+                top ^= pivot
+            if self._top:
+                rank -= 1       # over X alone, the top bit's vector drops out
+        elif self._connected and rank == size:
             return None
-        rows, size, target, _ = scenario
-        parent, merges = _merge(list(range(size)), rows, removed)
-        if self._mst:
-            if target - merges == 1:
-                return None
-        elif _find(parent, target[0]) == _find(parent, target[1]):
-            return None
-        return size - merges
+        sigma = self._sigma[j]
+        if sigma is None:
+            parent, ends = self._parent, self._ends
+            roots = {_find(parent, node) for node in self._terminals}
+            for e in self._full[j]:
+                if e in vectors:    # in X; its ends share a component
+                    roots.add(_find(parent, ends[e][1]))
+            sigma = self._sigma[j] = len(roots)
+        return size - rank + sigma
 
     def failures(self, size):
         """{S: (j, count)} for each min(size, |F_j & X|)-subset S of an F_j & X
@@ -257,8 +298,9 @@ class PlaneGraph:
                 succ[(v, e)] = rot[(i + 1) % n]
         faces = []
         dart_face = {}
-        for eid in sorted(self.edges):
-            u, v, _ = self.edges[eid]
+        edges = self.edges
+        for eid in sorted(edges):
+            u, v, _ = edges[eid]
             for tail in (u, v):
                 if (tail, eid) in dart_face:
                     continue
@@ -267,8 +309,10 @@ class PlaneGraph:
                 while dart not in dart_face:
                     dart_face[dart] = len(faces)
                     walk.append(dart)
-                    head = self.other(dart[1], dart[0])
-                    dart = (head, succ[(head, dart[1])])
+                    t, e = dart
+                    a, b, _ = edges[e]      # `other` inlined: once per dart
+                    head = b if t == a else a
+                    dart = (head, succ[(head, e)])
                 if dart != walk[0]:
                     raise InvariantError("face walk closed on a foreign dart")
                 faces.append(tuple(walk))
@@ -360,8 +404,9 @@ class Instance:
     Immutable after construction.  `__init__` converts each value once and
     checks it in one pass, which also builds the views the checks and the
     solve read: `edge_map` (id -> (u, v, w)), `edge_rows` (id -> (e, u, v),
-    the row the union-find helpers take), `edge_ids`, `scenario_sets`, `k`
-    and `graph`, whose `edges` and `rotation` are the instance's own dicts.
+    the row the union-find helpers take), `edge_ids`, `scenario_sets`,
+    `touched` (the union of the scenarios), `k` and `graph`, whose `edges`
+    and `rotation` are the instance's own dicts.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
@@ -432,6 +477,7 @@ class Instance:
                     raise InstanceError(f"dangling edge id {e} in scenario {i}")
             sets.append(full)
         self.scenario_sets = tuple(sets)
+        self.touched = frozenset().union(*sets)
         self.k = max(map(len, sets), default=0)
         if not requirement_met(n, edge_rows.values(), "mst", None, None):
             raise InstanceError("graph is not connected")
@@ -457,20 +503,16 @@ class Instance:
         """The Feasibility table of solution X.
 
         The table of the last X asked for is kept, so one table serves
-        every check on the same X.  When that X is a proper subset of this
-        one, as from one augmentation level to the next, the new table's
-        scenarios start from the kept table's forests: per non-trivial
-        scenario an O(n) copy, the merges of the added edges and an O(k)
-        relabel.  Otherwise every scenario starts from a fresh base forest;
-        in a solve that happens twice, for the parse-time table of all
-        edges and for the base solution.  The table does not refer back to
-        the instance, so keeping it creates no reference cycle.
+        every check on the same X; any other X gets a fresh table, one
+        forest pass over X.  In a solve that is one table per distinct X:
+        the parse-time table of all edges, the base solution's and one per
+        level that adds edges.  The table does not refer back to the
+        instance, so keeping it creates no reference cycle.
         """
         x = frozenset(x)
         table = self.__dict__.get("_feasibility")
         if table is None or table.x != x:
-            kept = table if table is not None and table.x < x else None
-            table = self._feasibility = Feasibility(self, x, kept)
+            table = self._feasibility = Feasibility(self, x)
         return table
 
     def weight_of(self, edge_subset):

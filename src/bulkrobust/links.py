@@ -39,10 +39,11 @@ level for the LP, the face partition, the rounding and the trace.
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X.  `Feasibility.failures(level)` gives the
 relevant sets, each with its first scenario and the number of components
-its removal leaves.  No component label is read back: a node's side of a
-set is the parity of the set's edges on a path of kept edges from the
-anchor, so one walk over the kept edges gives every side mask, O(|kept|)
-big-int XORs (see `preprocess_step`).
+its removal leaves around s, t and the ends of that scenario's X edges.
+No component label is read back: a node's side of a set is the parity of
+the set's edges on a path of kept edges from the anchor, so one walk over
+the kept edges gives every side mask, O(|kept|) big-int XORs (see
+`preprocess_step`).
 
 At level >= 2 no pass looks for bridges of the contracted solution: the
 face check rules them out.  Every kept edge lies in a relevant failure set,

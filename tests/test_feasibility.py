@@ -4,17 +4,31 @@ import gc
 import weakref
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bulkrobust import gen_grid, gen_hypergraph_vc, solve
+from bulkrobust import Instance, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust.instance import Feasibility
-from conftest import build_suite_instance, component_of, suite_schedule
+from conftest import (build_suite_instance, component_of, square_with_chords,
+                      suite_schedule, triangle_instance)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(24)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
 INSTANCES = SUITE + [HVC]
 TREE_GRID = gen_grid(10, 10, 36, 3, 1, 101, "mst")     # a tree-cover instance
+
+
+def chords(problem, scenarios=((4, 5),)):
+    """The square cycle 0-1-2-3 (edges 0 to 3) with two parallel chords
+    0-2 (edges 4 and 5); s = 0 and t = 2 for 'st'."""
+    square = square_with_chords()
+    terminals = (0, 2) if problem == "st" else (None, None)
+    return Instance(4, square.edges, square.rotation, problem, *terminals, scenarios)
+
+
+MULTIGRAPHS = [chords("st"), chords("mst"), chords("st", ((0, 4), (1, 5), (2, 3))),
+               chords("mst", ((0, 4, 5), (1, 2)))]
 
 
 def failures_by_definition(instance, x, size):
@@ -139,9 +153,79 @@ def test_labels_and_cuts_on_every_level_of_a_solve():
     assert checked > 20
 
 
+def cuts(table, j, subsets):
+    return [table.cut(j, sub) for sub in subsets]
+
+
+@pytest.mark.parametrize("problem", ["st", "mst"])
+def test_parallel_edges_cut_only_together(problem):
+    instance = chords(problem)
+    # 'st': the two chords alone; 'mst': a spanning tree through chord 4,
+    # with chord 5 beside it.
+    x = frozenset({4, 5} if problem == "st" else {0, 2, 4, 5})
+    table = Feasibility(instance, x)
+    assert cuts(table, 0, [(), (4,), (5,), (4, 5)]) == [None, None, None, 2]
+    assert table.failures(1) == {}
+    assert table.failures(2) == {frozenset({4, 5}): (0, 2)}
+    assert assert_cuts_agree(instance, x) == 1
+
+
+@pytest.mark.parametrize("problem, x", [("st", {1, 2}), ("mst", {0, 2})])
+def test_a_bridge_is_cut_alone(problem, x):
+    # Triangle edges 0 = 01, 1 = 02, 2 = 21.  X is a path through edge 2,
+    # so removing that bridge leaves two components.
+    instance = triangle_instance(problem, ((1,), (2,)))
+    table = Feasibility(instance, x)
+    assert cuts(table, 1, [(), (2,)]) == [None, 2]
+    assert_failures_agree(instance, table, range(instance.k + 1))
+    assert assert_cuts_agree(instance, x) == (2 if problem == "st" else 1)
+
+
+def test_st_with_s_and_t_apart_in_x():
+    instance = triangle_instance("st", ((0,), (2,)))    # s = 0, t = 1
+    table = Feasibility(instance, {2})
+    # No S joins them: the count is s's and t's components, and for S = {2}
+    # node 2's as well.
+    assert cuts(table, 0, [(), (0,)]) == [2, 2]
+    assert cuts(table, 1, [(), (2,)]) == [2, 3]
+    assert table.failures(0) == {frozenset(): (0, 2)}
+    assert assert_cuts_agree(instance, {2}) == 2
+
+
+def test_mst_on_a_non_spanning_x():
+    instance = triangle_instance("mst", ((0,), (1,)))
+    table = Feasibility(instance, {0})      # node 2 is left out
+    # Scenario 0 holds X's edge, scenario 1 no X edge: nothing to count.
+    assert cuts(table, 0, [(), (0,)]) == [1, 2]
+    assert cuts(table, 1, [(), (1,)]) == [0, 0]
+    assert table.failures(1) == {frozenset({0}): (0, 2), frozenset(): (1, 0)}
+    assert assert_cuts_agree(instance, {0}) == 2
+
+
+@pytest.mark.parametrize("problem", ["st", "mst"])
+def test_x_with_no_scenario_edge(problem):
+    instance = triangle_instance(problem, ((0,),))
+    table = Feasibility(instance, {1, 2})   # the path 0-2-1 around edge 0
+    assert cuts(table, 0, [(), (0,)]) == [None, None]
+    assert all(table.failures(size) == {} for size in range(2))
+    assert assert_cuts_agree(instance, {1, 2}) == 0
+    # One edge of it: 'st' loses t (and 'mst' node 1) whatever is removed.
+    table = Feasibility(instance, {1})
+    assert cuts(table, 0, [(), (0,)]) == ([2, 2] if problem == "st" else [0, 0])
+    assert assert_cuts_agree(instance, {1}) == 1
+
+
+def test_multigraphs_agree_on_every_solution():
+    for instance in MULTIGRAPHS:
+        for size in range(len(instance.edge_ids) + 1):
+            for x in combinations(sorted(instance.edge_ids), size):
+                assert_agrees(instance, x)
+                assert_cuts_agree(instance, x)
+
+
 @st.composite
-def instance_and_solution(draw):
-    instance = draw(st.sampled_from(INSTANCES))
+def instance_and_solution(draw, pool=INSTANCES):
+    instance = draw(st.sampled_from(pool))
     x = draw(st.sets(st.sampled_from(sorted(instance.edge_ids))))
     sizes = draw(st.permutations(range(instance.k + 1)))
     return instance, x, sizes
@@ -157,6 +241,13 @@ def test_agrees_on_random_solutions(case):
     assert_failures_agree(instance, Feasibility(instance, frozenset(x)), sizes)
 
 
+@settings(max_examples=100, deadline=None)
+@given(instance_and_solution(INSTANCES + [TREE_GRID]))
+def test_cuts_agree_on_random_solutions(case):
+    instance, x, _ = case
+    assert_cuts_agree(instance, x)
+
+
 def answers(instance, table):
     """Everything a table answers: `cut` for every S within every
     scenario, and `failures` at every size, in order."""
@@ -169,40 +260,32 @@ def answers(instance, table):
     return found
 
 
-def test_grown_tables_equal_fresh_ones(monkeypatch):
-    """Each level's table, grown by `instance.feasibility` from the one
-    before, answers as a table built from scratch on the same X."""
-    grown = []
-    build = Feasibility.__init__
-
-    def recording_build(self, inst, x, _kept=None):
-        if _kept is not None:
-            grown.append(x)
-        build(self, inst, x, _kept)
-
-    monkeypatch.setattr(Feasibility, "__init__", recording_build)
+def test_instance_tables_equal_fresh_ones():
+    """Each level's table from `instance.feasibility`, whichever table the
+    instance kept before (the final X's or the empty X's), is the table of
+    that X: it answers as a fresh one, and its failures are those of the
+    definition."""
     levels = 0
     for instance in INSTANCES + [TREE_GRID]:
         solutions = list(dict.fromkeys(level_solutions(instance)))
         levels += len(solutions) - 1
-        # After a solve the final X is kept, so the base table is built
-        # fresh; from the empty X every table is grown.
         for start in (solutions[-1], frozenset()):
             instance.feasibility(start)
-            grown.clear()
             for x in solutions:
                 table = instance.feasibility(x)
                 assert table.x == x
-                assert answers(instance, table) == answers(instance, Feasibility(instance, x))
-            assert grown == [x for prev, x in zip([start] + solutions, solutions) if prev < x]
-        assert grown == solutions
+                found = answers(instance, table)
+                assert found == answers(instance, Feasibility(instance, x))
+                assert [[(sub, jdx) for sub, (jdx, _) in items] for items in found[-1]] == [
+                    list(failures_by_definition(instance, x, size).items())
+                    for size in range(instance.k + 1)]
     assert levels > 20
 
 
 def test_a_held_table_survives_growth():
     instance = HVC
     base, *_, final = level_solutions(instance)
-    assert base < final     # so the final table is grown from the base one
+    assert base < final
     held = instance.feasibility(base)
     before = answers(instance, held)
     assert before == answers(instance, Feasibility(instance, base))
