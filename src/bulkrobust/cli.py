@@ -249,11 +249,13 @@ def face_gap(record):
     coverers = record["coverers"]
     if not demands:
         return None
-    sets = [(cov["cost"], cov["covers"]) for cov in coverers]
-    exact, _ = exact_min_cover(len(demands), sets)
+    costs = [cov["cost"] for cov in coverers]
+    rows = [cov["covers"] for cov in coverers]      # ascending demand indices
+    masks = [sum(1 << d for d in row) for row in rows]
+    exact, _ = exact_min_cover(len(demands), list(zip(costs, masks)))
     # One row per demand: the transpose of one row of covered demands per coverer.
-    matrix = covering_matrix([covers for _, covers in sets], len(demands)).T
-    res = simplex_min(LinearProgram([cost for cost, _ in sets], matrix))
+    matrix = covering_matrix(rows, len(demands)).T
+    res = simplex_min(LinearProgram(costs, matrix))
     if res.value <= 1e-12:
         return 1.0
     return exact / res.value

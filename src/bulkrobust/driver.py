@@ -15,11 +15,12 @@ and no face trace.
 Every level reads the cover relation from `StepContext.side_masks`, the
 cut side of each solution node per failure set, built by `preprocess_step`
 from one checked parity walk over the kept edges: a link covers the set
-bits of the XOR of its ends' masks.  At level 1 the failure sets are the
-edges of the path or tree, so on the tree those bits are the sets of an
-exact cut cover, and on the path a node's position is the popcount of its
-mask XOR s's: a link covers the positions between its ends'.  The path
-step checks that the positions run from s to t.
+bits of the XOR of its ends' masks (`StepContext.cover_masks`).  At level
+1 the failure sets are the edges of the path or tree, so on the tree those
+XORs are the sets of an exact cut cover, handed to `exact_min_cover` as
+they are, and on the path a node's position is the popcount of its mask
+XOR s's: a link covers the positions between its ends'.  The path step
+checks that the positions run from s to t.
 
 The exact searches own their budget (`setcover.NODE_CAP` nodes, and the
 simplex's pivot cap); past it `solve` raises `BudgetError` naming the
@@ -135,8 +136,8 @@ def _cover_path(ctx, links):
 
 def _cover_tree(ctx, links):
     """Level 1 on the spanning tree: an exact cover of the tree-edge cuts,
-    one set per link of the failure sets it covers."""
-    sets = [(link.cost, ctx.covered(link)) for link in links]
+    one set per link, its mask the failure sets it covers."""
+    sets = list(zip([link.cost for link in links], ctx.cover_masks(links)))
     try:
         total, picked = exact_min_cover(len(ctx.omega), sets)
     except BudgetError as exc:

@@ -31,8 +31,9 @@ embedding was checked once at parse, and no contracted graph is built.
 A link covers a relevant failure set iff its endpoints lie on different
 sides of that set's two-sided cut.  `preprocess_step` stores every cut as
 one bit per set in each solution node's side mask, so a link covers the
-set bits of its ends' masks XORed (`StepContext.covered`).  Every level
-reads that one relation: the level-1 path and tree covers read the masks,
+set bits of its ends' masks XORed (`StepContext.cover_masks`).  Every level
+reads that one relation: the level-1 path cover reads the masks, the
+level-1 tree cover hands the links' XORs to `exact_min_cover` undecoded,
 and at levels >= 2 the table `StepContext.covering` decodes them once per
 level for the LP, the face partition, the rounding and the trace.
 
@@ -228,11 +229,12 @@ class StepContext:
     # took the closure a `ClosureMaps` that reads them from it
     face_maps: dict = field(default_factory=dict)
 
-    def covered(self, link):
-        """The ascending omega positions of the failure sets `link` covers:
-        the set bits of its ends' side masks XORed."""
+    def cover_masks(self, links):
+        """Per link, the int whose bit p is set iff it covers omega[p]: its
+        ends' side masks XORed."""
+        side = self.side_masks
         try:
-            return bit_positions(self.side_masks[link.u] ^ self.side_masks[link.v])
+            return [side[link.u] ^ side[link.v] for link in links]
         except KeyError as exc:
             raise ValueError(
                 f"node {exc.args[0]} is not incident to the current solution") from None
@@ -247,8 +249,8 @@ class StepContext:
         if not self.omega:
             return {}
         rows = [[] for _ in self.omega]
-        for idx, link in enumerate(links):
-            for p in self.covered(link):
+        for idx, mask in enumerate(self.cover_masks(links)):
+            for p in bit_positions(mask):
                 rows[p].append(idx)
         table = dict(zip(self.omega, map(tuple, rows)))
         self._covering = (links, table)

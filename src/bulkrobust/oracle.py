@@ -123,9 +123,6 @@ def brute_force_vc(hypergraph, budget=None):
         raise BudgetError(
             f"{len(nodes)} nodes exceed the oracle budget of {budget.max_edges}")
     edges = hypergraph.hyperedges
-    sets = []
-    for v in nodes:
-        incident = [i for i, e in enumerate(edges) if v in e]
-        sets.append((1, incident))
+    sets = [(1, sum(1 << i for i, e in enumerate(edges) if v in e)) for v in nodes]
     size, picked = exact_min_cover(len(edges), sets, node_cap=budget.max_subsets)
     return size, frozenset(nodes[i] for i in picked)

@@ -275,11 +275,11 @@ def round_face(ctx, cover, partition, face):
 
     The face becomes a circle instance (`build_circle_instance`), its
     chords anchored rectangles, and each anchored side goes to
-    `exact_min_cover` as one set per coverer: the side's demands whose
-    point its rectangle holds.  Past the search budget the BudgetError
-    names the level and the face.  The result covers every assigned
-    failure set and its cost is checked against 8 * level * (face share of
-    the LP objective).
+    `exact_min_cover` as one set per coverer: the mask of the side's
+    demands whose point its rectangle holds.  Past the search budget the
+    BudgetError names the level and the face.  The result covers every
+    assigned failure set and its cost is checked against 8 * level * (face
+    share of the LP objective).
     """
     level = ctx.level
     scenarios = partition.face_scenarios.get(face, ())
@@ -327,10 +327,10 @@ def round_face(ctx, cover, partition, face):
                              (system.top_demands, system.in_top)):
         if not demands:
             continue
-        members = [[] for _ in circle.coverers]
+        members = [0] * len(circle.coverers)
         for pos, d_idx in enumerate(demands):
             for c_idx in holders[d_idx]:
-                members[c_idx].append(pos)
+                members[c_idx] |= 1 << pos
         sets = [(c_cost, members[c_idx])
                 for c_idx, (_, _, c_cost, _) in enumerate(circle.coverers)]
         try:

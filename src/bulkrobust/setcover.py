@@ -2,9 +2,13 @@
 
 Used wherever an exact small cover is needed: per-side rectangle covering,
 spanning-tree augmentation at level 1, `bulkrobust gap`'s face optima, and
-the hypergraph vertex cover reference.  Elements are 0..n-1 and coverage is
-tracked in bitmasks, so instances stay fast well past the sizes this
-package generates.
+the hypergraph vertex cover reference.  Elements are 0..n-1, and every
+caller hands in each set as a bitmask over them: the level-1 tree cover
+passes its links' side-mask XORs as they are.  Each mask is range-checked
+once and read once, lowest bit first, into the per-element candidate
+lists; a mask cannot repeat an element, so nothing checks for repeats.
+Coverage is tracked in bitmasks too, so instances stay fast well past the
+sizes this package generates.
 
 The search is a depth-first branch and bound; the incumbent changes only on
 a strictly cheaper leaf, so the result is the first optimal leaf in DFS
@@ -99,32 +103,39 @@ def dual_bound(candidates, costs):
 def exact_min_cover(element_count, sets, node_cap=None):
     """Minimum-cost subcollection covering all elements.
 
-    `sets` is a sequence of (cost, elements) pairs with nonnegative costs
-    and `elements` a sequence.  Returns (total_cost, tuple of chosen set
-    indices).  Deterministic: branching always targets the uncovered element
-    with the fewest candidates (the lowest index among ties) and children
-    are explored by (cost, index).  That order is fixed once per search: each
-    element's mask bit is its rank by (candidate count, index), so the
-    branching element is the lowest uncovered bit.  A parent settles its
-    children itself and recurses only into those that are neither leaves nor
-    at least as costly as the incumbent; every child still counts as one
-    visited node.  Raises ValueError when some element is out of range or
-    uncoverable and BudgetError when more than `node_cap` search nodes
+    `sets` is a sequence of (cost, mask) pairs with nonnegative costs: bit
+    el of the int `mask` is set iff the set holds element el.  Returns
+    (total_cost, tuple of chosen set indices).  Deterministic: branching
+    always targets the uncovered element with the fewest candidates (the
+    lowest index among ties) and children are explored by (cost, index).
+    That order is fixed once per search: each element's mask bit is its rank
+    by (candidate count, index), so the branching element is the lowest
+    uncovered bit.  A parent settles its children itself and recurses only
+    into those that are neither leaves nor at least as costly as the
+    incumbent; every child still counts as one visited node.  Raises
+    ValueError on a negative cost, on a mask that is negative or has a bit at
+    or above `element_count` (naming the lowest such element), and on an
+    uncoverable element; BudgetError when more than `node_cap` search nodes
     (default `NODE_CAP`) are visited.
     """
     if node_cap is None:
         node_cap = NODE_CAP
     trigger = LP_BOUND_AFTER
     costs = [cost for cost, _ in sets]
+    if costs and min(costs) < 0:
+        i = next(i for i, cost in enumerate(costs) if cost < 0)
+        raise ValueError(f"set {i} has negative cost {costs[i]}")
     candidates = [[] for _ in range(element_count)]
     # by (cost, index), and below by (candidate count, index): sorted is stable
     for i in sorted(range(len(costs)), key=costs.__getitem__):
-        for el in sets[i][1]:
-            if not 0 <= el < element_count:
-                raise ValueError(f"element {el} out of range")
-            ids = candidates[el]
-            if not ids or ids[-1] != i:     # an element listed twice in one set
-                ids.append(i)
+        mask = sets[i][1]
+        if out := mask >> element_count:    # a negative mask keeps its high bits
+            raise ValueError(
+                f"element {element_count + (out & -out).bit_length() - 1} out of range")
+        while mask:
+            low = mask & -mask
+            candidates[low.bit_length() - 1].append(i)
+            mask ^= low
 
     if element_count == 0:
         return 0, ()

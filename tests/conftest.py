@@ -70,6 +70,12 @@ def crosses(link, sides):
     return (link.u in sides[0]) != (link.v in sides[0])
 
 
+def as_masks(sets):
+    """(cost, elements) pairs as `exact_min_cover` takes them: (cost, mask),
+    with bit el of mask set iff el is among the elements."""
+    return [(cost, sum(1 << el for el in set(elements))) for cost, elements in sets]
+
+
 def grid_2x3():
     return gen_grid(2, 3, 1, 1, 1, seed=7)
 

@@ -22,7 +22,7 @@ from bulkrobust.oracle import brute_force_vc
 from bulkrobust.rounding import (CircleInstance, _in_rect, chords_intersect,
                                  chords_to_rectangles, cover_intervals_exact)
 from bulkrobust.setcover import exact_min_cover
-from conftest import build_suite_instance, component_of, suite_schedule
+from conftest import as_masks, build_suite_instance, component_of, suite_schedule
 
 SUITE_SIZE = 200
 ORACLE_EDGE_CAP = 20
@@ -286,9 +286,9 @@ def test_criterion_9_exact_small_solvers():
                 best = cost
         if best is None:
             with pytest.raises(ValueError):
-                exact_min_cover(n, sets)
+                exact_min_cover(n, as_masks(sets))
         else:
-            total, _ = exact_min_cover(n, sets)
+            total, _ = exact_min_cover(n, as_masks(sets))
             assert total == best
         cover_checks += 1
     print(f"criterion 9 PASS: {interval_checks} interval + {cover_checks} "

@@ -11,7 +11,8 @@ from bulkrobust import driver, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust.driver import minimum_spanning_tree, shortest_st_path
 from bulkrobust.errors import InvariantError
 from bulkrobust.instance import PlaneGraph
-from bulkrobust.links import StepContext, TypedLink, enumerate_typed_links, preprocess_step
+from bulkrobust.links import (StepContext, TypedLink, bit_positions, enumerate_typed_links,
+                              preprocess_step)
 from conftest import (TREE_GRIDS, build_suite_instance, crosses, reference_cuts,
                       square_with_chords, suite_schedule)
 
@@ -59,9 +60,9 @@ def per_link(table, f_sets, count):
 
 
 def test_table_matches_definition_on_level1_tree_detours(monkeypatch):
-    # The tree step hands `exact_min_cover` the omega positions on each
-    # link's tree path; they must be the cut relation, as the networkx
-    # reference and the covering table both give it.
+    # The tree step hands `exact_min_cover` one mask per link, its bits the
+    # omega positions on the link's tree path; they must be the cut
+    # relation, as the networkx reference and the covering table both give it.
     captured = []
     monkeypatch.setattr(driver, "exact_min_cover",
                         lambda count, sets: captured.append(sets) or (0, ()))
@@ -74,7 +75,7 @@ def test_table_matches_definition_on_level1_tree_detours(monkeypatch):
         driver._cover_tree(ctx, links)
         sets = captured.pop()
         assert [cost for cost, _ in sets] == [link.cost for link in links]
-        by_path = [positions for _, positions in sets]
+        by_path = [bit_positions(mask) for _, mask in sets]
         assert by_path == per_link(by_definition(ctx, links), ctx.omega, len(links))
         assert by_path == per_link(ctx.covering(links), ctx.omega, len(links))
         seen += 1
@@ -178,6 +179,19 @@ def test_non_incident_endpoint_raises():
     u = min(ctx.subgraph.nodes)
     with pytest.raises(ValueError, match="node 99 is not incident"):
         ctx.covering([TypedLink(u, 99, 0, 1)])
+
+
+def test_level1_tree_link_with_a_non_incident_end_is_an_invariant_error(monkeypatch):
+    # The tree step reads its links' masks without the covering table; an end
+    # outside the solution still names the node, never a bare KeyError.
+    instance = TREE_GRIDS[0]
+    original = driver.enumerate_typed_links
+    monkeypatch.setattr(driver, "enumerate_typed_links",
+                        lambda ctx: original(ctx) + (TypedLink(0, 10 ** 6, 0, 1),))
+    with pytest.raises(InvariantError) as info:
+        driver.augment_step(instance, minimum_spanning_tree(instance), 1)
+    assert str(info.value) == ("level-1 augmentation impossible: node 1000000 is not "
+                               "incident to the current solution")
 
 
 def test_same_links_reuse_the_table_and_new_links_rebuild_it():

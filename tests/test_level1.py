@@ -17,6 +17,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulkrobust import driver, gen_grid, is_feasible, links, serialize_instance, solve
 from bulkrobust import lp, setcover
@@ -24,9 +26,10 @@ from bulkrobust.cli import main
 from bulkrobust.driver import minimum_spanning_tree
 from bulkrobust.errors import BudgetError, InvariantError
 from bulkrobust.instance import MAX_TOTAL_WEIGHT
-from bulkrobust.links import StepContext, dijkstra, enumerate_typed_links, preprocess_step
+from bulkrobust.links import (StepContext, bit_positions, dijkstra, enumerate_typed_links,
+                              preprocess_step)
 from bulkrobust.setcover import exact_min_cover
-from conftest import TREE_GRIDS, build_suite_instance, suite_schedule
+from conftest import TREE_GRIDS, as_masks, build_suite_instance, suite_schedule
 
 
 def per_pair_lex_shortest_path(adj, src, dst):
@@ -397,7 +400,7 @@ def test_lazy_bound_keeps_cost_and_picks(kind, lp_calls):
     for _ in range(40):
         n = rng.randint(16, 24)
         sets = random_cover(rng, n, COSTS[kind](rng))
-        assert exact_min_cover(n, sets) == bound_free_exact_min_cover(n, sets)
+        assert exact_min_cover(n, as_masks(sets)) == bound_free_exact_min_cover(n, sets)
     assert len(lp_calls) >= 10     # enough searches crossed the trigger
 
 
@@ -414,9 +417,9 @@ def test_bound_from_the_first_node_keeps_cost_and_picks(kind, lp_calls, monkeypa
             expected = bound_free_exact_min_cover(n, sets)
         except ValueError:
             with pytest.raises(ValueError):
-                exact_min_cover(n, sets)
+                exact_min_cover(n, as_masks(sets))
             continue
-        assert exact_min_cover(n, sets) == expected
+        assert exact_min_cover(n, as_masks(sets)) == expected
     assert len(lp_calls) >= 50
 
 
@@ -425,9 +428,10 @@ def visited_nodes(n, sets):
     `exact_min_cover` returns the same (cost, picks) within exactly that many
     nodes and raises BudgetError with one node fewer."""
     cost, picks, nodes = recursive_exact_min_cover(n, sets)
-    assert exact_min_cover(n, sets, node_cap=nodes) == (cost, picks)
+    masks = as_masks(sets)
+    assert exact_min_cover(n, masks, node_cap=nodes) == (cost, picks)
     with pytest.raises(BudgetError):
-        exact_min_cover(n, sets, node_cap=nodes - 1)
+        exact_min_cover(n, masks, node_cap=nodes - 1)
     return nodes
 
 
@@ -463,6 +467,59 @@ def test_zero_costs_and_ties_visit_the_same_nodes(sets, trigger, monkeypatch):
     visited_nodes(1 + max(el for _, els in sets for el in els), sets)
 
 
+# zero costs, ties, and floats that make the integer step 0
+COVER_COSTS = st.integers(0, 3) | st.sampled_from([0.5, 1.25])
+
+
+@st.composite
+def list_covers(draw):
+    """(element count, (cost, element list) pairs): empty sets, repeats and
+    uncoverable elements all drawn."""
+    n = draw(st.integers(0, 8))
+    elements = st.lists(st.integers(0, n - 1), max_size=n + 1) if n else st.just([])
+    return n, draw(st.lists(st.tuples(COVER_COSTS, elements), max_size=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(list_covers(), st.sampled_from([1, 2, 5, 1000]))
+def test_masks_match_the_list_references(cover, trigger):
+    # The mask search against the list-based references: the bound-free
+    # search's (cost, picks), the recursive search's node count, and the
+    # same uncoverable element.
+    n, sets = cover
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(setcover, "LP_BOUND_AFTER", trigger)
+        try:
+            expected = bound_free_exact_min_cover(n, sets)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                exact_min_cover(n, as_masks(sets))
+            assert str(info.value) == str(exc)
+            return
+        assert exact_min_cover(n, as_masks(sets)) == expected
+        if n:
+            visited_nodes(n, sets)
+
+
+@pytest.mark.parametrize("count, sets, message", [
+    (2, [(1, 0b11), (1, 0b101)], "element 2 out of range"),
+    (3, [(1, 0b111), (1, 1 << 9 | 1 << 5 | 1)], "element 5 out of range"),
+    (0, [(0, 0), (0, 0b10)], "element 1 out of range"),
+    (2, [(1, -4)], "element 2 out of range"),
+    (3, [(1, 0b111), (1, ~0b1000)], "element 4 out of range"),
+    (3, [(1, 0b011), (2, 0b001), (0, 0)], "element 2 is uncoverable"),
+    (2, [(1, 0b11), (-5, 0b01)], "set 1 has negative cost -5"),
+    (1, [(0.5, 0b1), (-0.25, 0b11)], "set 1 has negative cost -0.25"),
+], ids=["bit", "lowest-bit", "no-elements", "negative-mask", "negative-mask-gap",
+        "uncoverable", "negative-cost", "negative-float-cost"])
+def test_bad_covers_raise_value_errors(count, sets, message):
+    # Before the negative-cost check, the set of cost -5 was never picked:
+    # (1, (0,)) came back although both sets together cost -4.
+    with pytest.raises(ValueError) as info:
+        exact_min_cover(count, sets)
+    assert str(info.value) == message
+
+
 def test_counts_that_skip_siblings_cross_the_trigger_and_the_budget(lp_calls, monkeypatch):
     # Root (node 1), a leaf at cost 1 (node 2), then five siblings no cheaper
     # than that leaf, counted in one step (nodes 3 to 7).
@@ -474,10 +531,10 @@ def test_counts_that_skip_siblings_cross_the_trigger_and_the_budget(lp_calls, mo
         monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
         lp_calls.clear()
         if within:
-            assert exact_min_cover(1, sets, node_cap=cap) == (1, (0,))
+            assert exact_min_cover(1, as_masks(sets), node_cap=cap) == (1, (0,))
         else:
             with pytest.raises(BudgetError):
-                exact_min_cover(1, sets, node_cap=cap)
+                exact_min_cover(1, as_masks(sets), node_cap=cap)
         assert len(lp_calls) == reaches_lp, (trigger, cap)
 
 
@@ -563,9 +620,12 @@ def test_tree_searches_visit_the_nodes_of_the_recursive_search(seed, lp_calls, m
 
     monkeypatch.setattr(driver, "exact_min_cover", record)
     solve(gen_grid(10, 10, 36, 3, 1, seed, "mst"))
-    assert len(searches) == 1 and searches[0][0] > 8
+    [(n, sets)] = searches
+    assert n > 8
     lp_calls.clear()
-    assert visited_nodes(*searches[0]) > setcover.LP_BOUND_AFTER
+    # the references take element lists
+    assert visited_nodes(n, [(cost, bit_positions(mask)) for cost, mask in sets]) \
+        > setcover.LP_BOUND_AFTER
     assert len(lp_calls) == 3     # the reference, and both capped searches
 
 

@@ -17,8 +17,8 @@ from bulkrobust.rounding import (CircleInstance, ScenarioPartition, _in_rect,
                                  chords_to_rectangles, cover_intervals_exact,
                                  partition_scenarios, round_face)
 from bulkrobust.setcover import exact_min_cover
-from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
-                      suite_schedule)
+from conftest import (as_masks, build_suite_instance, crosses, reference_cuts,
+                      square_with_chords, suite_schedule)
 
 
 # -- partition ---------------------------------------------------------------
@@ -173,9 +173,9 @@ def test_exact_cover_matches_enumeration():
                 best = cost
         if best is None:
             with pytest.raises(ValueError):
-                exact_min_cover(n, sets)
+                exact_min_cover(n, as_masks(sets))
         else:
-            cost, picked = exact_min_cover(n, sets)
+            cost, picked = exact_min_cover(n, as_masks(sets))
             assert cost == best
             covered = set()
             for i in picked:
@@ -285,7 +285,7 @@ def test_face_records_replay_the_side_covers():
                     continue
                 sets = [(c["cost"], [i for i, p in enumerate(points) if _in_rect(p, c[rect])])
                         for c in coverers]
-                _, picked = exact_min_cover(len(points), sets)
+                _, picked = exact_min_cover(len(points), as_masks(sets))
                 chosen.update(coverers[c]["link"] for c in picked)
             assert record["chosen"] == sorted(chosen), record
             faces += 1
