@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InstanceError
-from .instance import Instance, is_int_rows, requirement_met
+from .instance import Instance, requirement_met
 
 _MAX_RESAMPLES = 1000
 
@@ -199,22 +199,6 @@ class Hypergraph:
     def to_dict(self):
         return {"parts": [list(p) for p in self.parts],
                 "hyperedges": [list(e) for e in self.hyperedges]}
-
-
-def parse_hypergraph(data):
-    try:
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        if isinstance(data, str):
-            data = json.loads(data)
-    except ValueError as exc:   # not UTF-8, bad JSON, or an integer over Python's digit limit
-        raise InstanceError(f"malformed hypergraph file: {exc}") from None
-    if not isinstance(data, dict) or set(data) != {"parts", "hyperedges"}:
-        raise InstanceError("hypergraph file must hold keys 'parts' and 'hyperedges'")
-    if not (is_int_rows(data["parts"]) and is_int_rows(data["hyperedges"])):
-        raise InstanceError("parts and hyperedges must be lists of integer node id lists")
-    return Hypergraph(tuple(tuple(p) for p in data["parts"]),
-                      tuple(tuple(e) for e in data["hyperedges"]))
 
 
 def serialize_hypergraph(h):

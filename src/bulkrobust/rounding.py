@@ -158,23 +158,6 @@ def build_circle_instance(ctx, cover, partition, face):
                           tuple(demands), tuple(coverers))
 
 
-def chords_intersect(a, b):
-    """True iff the two chords interleave strictly around the circle: the
-    scalar definition that `chords_to_rectangles`' crossing masks follow."""
-    a1, a2 = min(a), max(a)
-    if len({a[0], a[1], b[0], b[1]}) != 4:
-        raise ValueError(f"chords {a} and {b} share an endpoint")
-    return (a1 < b[0] < a2) != (a1 < b[1] < a2)
-
-
-def _in_rect(point, rect):
-    """Closed-interval containment: the scalar definition that
-    `chords_to_rectangles`' rectangle masks follow."""
-    x1, x2, y1, y2 = rect
-    px, py = point
-    return x1 <= px <= x2 and y1 <= py <= y2
-
-
 def chords_to_rectangles(ci):
     """Map demand chords to points and covering chords to rectangle pairs.
 
@@ -297,7 +280,8 @@ def round_face(ctx, cover, partition, face):
     system = chords_to_rectangles(circle)
     # Live equivalence check, one coverer mask per demand: chord crossing ==
     # endpoint cover relation (the table row) == rectangle containment.  A
-    # shared end fails too, as in `chords_intersect`, and the lowest failing
+    # coverer that shares an end with the demand chord fails too, since
+    # crossing is not defined for such a pair, and the lowest failing
     # (demand, coverer) pair is named.  Rows ascend, so only the slice
     # between the face's lowest and highest link can hold its links.
     position = {lidx: c for c, (lidx, _, _, _) in enumerate(circle.coverers)}

@@ -14,40 +14,45 @@ The search is a depth-first branch and bound; the incumbent changes only on
 a strictly cheaper leaf, so the result is the first optimal leaf in DFS
 order.  A node is pruned only when a lower bound shows that no strictly
 cheaper leaf lies below it, which never prunes that leaf: pruning changes
-how many nodes are visited, never the returned (cost, picks).  Two bounds
-are used: the cheapest set of the branching element, and, once a search has
-visited `LP_BOUND_AFTER` nodes, an LP dual bound.  The covering LP is
-solved once per search; an optimal packing y, clipped to y >= 0 and scaled
-down until every set S has sum(y over S) <= cost(S) (checked, not trusted),
-makes sum(y over the uncovered elements) a lower bound on the cost of
-covering them.  y is the mean of two packing optima, found with the
-elements in forward and in reverse order.  The optima form a convex set, so
-the mean is optimal too, with the same total; but a single vertex puts its
-weight on few elements, and a node deep in the search, where only some
-elements are uncovered, then sees a weaker bound.  On the benchmark's
-tree-cover workload (seed 101) the mean visits 600,383 nodes in all, a
-single vertex 1,546,060.  With integer costs a node is pruned once cost + that
-bound > best - 1, since a strictly cheaper leaf costs at most best - 1; a
-tolerance relative to the dual value keeps float error from pruning that
-leaf.  Small searches never reach the trigger and never pay for the LP.
-Past `node_cap` visited nodes (default `NODE_CAP`, read when the search
-starts) it raises `BudgetError`.
+how many nodes are visited, never the returned (cost, picks).  The first
+bound is the cheapest set of the branching element.  The others are
+packings: weights y >= 0 per element with sum(y over S) <= cost(S) for
+every set S make sum(y over the uncovered elements) a lower bound on the
+cost of covering them.  A search that visits `PACKING_BOUND_AFTER` nodes
+takes y from `packing_bound`, two greedy maximal packings and no LP; one
+that goes on to `LP_BOUND_AFTER` nodes replaces it with `dual_bound`'s,
+from the covering LP, solved once per search.  Of the searches that pass
+the first trigger most end before the second, and the few long ones get the
+stronger bound.  Both bounds take the mean of two packings, made with the
+elements in forward and in reverse order, and both pass y through one tail
+that zeroes the elements of zero-cost sets and scales y down until every
+set fits, checked, not trusted.  A single packing puts its weight on few
+elements, and a node deep in the search, where only some elements are
+uncovered, then sees a weaker bound.  On the benchmark's tree-cover
+workload (seed 101) the searches visit 634,720 nodes in all; with the
+forward packing alone in place of the mean, 948,157, and with one LP vertex
+in place of the mean of two optima, 837,484.  With integer costs a node is
+pruned once cost + that bound > best - 1, since a strictly cheaper leaf
+costs at most best - 1; a tolerance relative to the packing's total keeps
+float error from pruning that leaf.  Small searches never reach a trigger
+and pay for neither bound.  Past `node_cap` visited nodes (default
+`NODE_CAP`, read when the search starts) it raises `BudgetError`.
 
 A visited node is the root or any child the search reaches, leaves and
-children pruned at once included; `NODE_CAP`, `LP_BOUND_AFTER` and the node
+children pruned at once included; `NODE_CAP`, both triggers and the node
 counts above count exactly these.  The parent settles its children itself,
 and recurses only into a child that is neither a leaf nor at least as
 costly as the incumbent.  Children are tried by (cost, index), so costs only
 rise along the loop: once a child reaches the incumbent, it and every later
-sibling are counted in one step, and a bulk count that crosses the LP
-trigger or the budget acts as a node-by-node count would.  A child that
-covers every element becomes the incumbent without a call.  The branching
-order is fixed once per search: each element's mask bit is its rank by
-(candidate count, index), so the uncovered element with the fewest
-candidates is the lowest zero bit of the covered mask.  When the LP bound
-starts, y becomes one table per byte of the uncovered mask, holding the y
-sum of every byte value; a node's bound is one lookup per byte, read only
-when the cheapest-set test has not pruned.
+sibling are counted in one step, and a bulk count that crosses either
+trigger, both, or the budget acts as a node-by-node count would.  A child
+that covers every element becomes the incumbent without a call.  The
+branching order is fixed once per search: each element's mask bit is its
+rank by (candidate count, index), so the uncovered element with the fewest
+candidates is the lowest zero bit of the covered mask.  When a bound starts,
+y becomes one table per byte of the uncovered mask, holding the y sum of
+every byte value; a node's bound is one lookup per byte, read only when the
+cheapest-set test has not pruned.
 """
 
 import numpy as np
@@ -55,12 +60,62 @@ import numpy as np
 from .errors import BudgetError, InvariantError
 from .lp import LinearProgram, covering_matrix, simplex_min
 
-LP_BOUND_AFTER = 1000
+PACKING_BOUND_AFTER = 1000
+LP_BOUND_AFTER = 5000
 # The largest search in the benchmark's tree-cover and small-mix workloads
 # (seeds 101 and 102) visits under 10**5 nodes.
 NODE_CAP = 10 ** 6
 _FLOAT_EXACT = 2 ** 53      # costs up to this convert to float exactly
-_BOUND_RTOL = 1e-9          # prune tolerance, relative to the dual value
+_BOUND_RTOL = 1e-9          # prune tolerance, relative to the packing's total
+
+
+def _valid_packing(y, candidates, c, a):
+    """The packing y >= 0, with the elements of zero-cost sets zeroed and
+    scaled down until every set S has sum(y over S) <= cost(S), as a list.
+    `a` is the 0/1 element-by-set matrix; the last inequality is checked,
+    not trusted."""
+    y[c[[ids[0] for ids in candidates]] == 0] = 0.0     # elements of zero-cost sets
+    load = a.T @ y
+    loaded = load > 0
+    if loaded.any():
+        y *= min(1.0, float((c[loaded] / load[loaded]).min())) * (1 - 1e-12)
+    if (a.T @ y > c).any():
+        raise InvariantError("scaled packing exceeds a set's cost")
+    return y.tolist()
+
+
+def maximal_packing(candidates, costs):
+    """One maximal packing, the elements taken in the order of `candidates`:
+    each element takes the least residual slack of its sets, and those sets'
+    slacks drop by that amount.  `costs` is a float array; returns y as an
+    array, one entry per element."""
+    slack = costs.copy()
+    y = np.empty(len(candidates))
+    for el, ids in enumerate(candidates):
+        y[el] = least = slack[ids].min()
+        if least:
+            slack[ids] -= least
+    return y
+
+
+def packing_bound(candidates, costs):
+    """Per-element weights y >= 0 with sum(y over S) <= cost(S) for every set
+    S, with no LP; None when the costs are not all nonnegative and exact as
+    floats.  `candidates` is as for `dual_bound`.
+
+    y is the mean of two maximal packings (`maximal_packing`), with the
+    elements in index order and in reverse index order: the primal-dual
+    lower bound of Bar-Yehuda and Even for weighted set cover.  Each packing
+    fits under every set by construction, and so does their mean; the
+    scaling and the check that `dual_bound` makes still run on it.
+    """
+    if not all(0 <= c <= _FLOAT_EXACT for c in costs):
+        return None
+    c = np.array(costs, dtype=float)
+    ids = [np.array(i) for i in candidates]
+    y = (maximal_packing(ids, c) + maximal_packing(ids[::-1], c)[::-1]) / 2
+    return _valid_packing(np.clip(y, 0.0, None), candidates, c,
+                          covering_matrix(candidates, c.size))
 
 
 def dual_bound(candidates, costs):
@@ -90,14 +145,7 @@ def dual_bound(candidates, costs):
         if not violated:
             break
         columns = sorted(violated.union(columns))
-    y[c[[ids[0] for ids in candidates]] == 0] = 0.0     # elements of zero-cost sets
-    load = a.T @ y
-    loaded = load > 0
-    if loaded.any():
-        y *= min(1.0, float((c[loaded] / load[loaded]).min())) * (1 - 1e-12)
-    if (a.T @ y > c).any():
-        raise InvariantError("scaled covering LP duals exceed a set's cost")
-    return y.tolist()
+    return _valid_packing(y, candidates, c, a)
 
 
 def exact_min_cover(element_count, sets, node_cap=None):
@@ -112,7 +160,11 @@ def exact_min_cover(element_count, sets, node_cap=None):
     by (candidate count, index), so the branching element is the lowest
     uncovered bit.  A parent settles its children itself and recurses only
     into those that are neither leaves nor at least as costly as the
-    incumbent; every child still counts as one visited node.  Raises
+    incumbent; every child still counts as one visited node.  From
+    `PACKING_BOUND_AFTER` visited nodes on, a node is also pruned by
+    `packing_bound`'s greedy packing, and from `LP_BOUND_AFTER` on by
+    `dual_bound`'s LP packing instead; a packing trigger at or after the LP
+    one never fires.  Both triggers are read when the search starts.  Raises
     ValueError on a negative cost, on a mask that is negative or has a bit at
     or above `element_count` (naming the lowest such element), and on an
     uncoverable element; BudgetError when more than `node_cap` search nodes
@@ -120,7 +172,6 @@ def exact_min_cover(element_count, sets, node_cap=None):
     """
     if node_cap is None:
         node_cap = NODE_CAP
-    trigger = LP_BOUND_AFTER
     costs = [cost for cost, _ in sets]
     if costs and min(costs) < 0:
         i = next(i for i, cost in enumerate(costs) if cost < 0)
@@ -160,17 +211,31 @@ def exact_min_cover(element_count, sets, node_cap=None):
     best_pick = None
     picked = []
     nodes = 0
-    tables = None   # y sums per byte value of the uncovered mask, from the trigger on
+    tables = None   # y sums per byte value of the uncovered mask, once a bound starts
     tol = 0.0
+    # The bounds still to start, the next on top.  A packing bound that would
+    # start with or after the LP bound never runs, so it never replaces the
+    # LP's tables; a bound past the budget never runs either.
+    schedule = [(LP_BOUND_AFTER, dual_bound)]
+    if PACKING_BOUND_AFTER < LP_BOUND_AFTER:
+        schedule.append((PACKING_BOUND_AFTER, packing_bound))
+    schedule = [(at, bound) for at, bound in schedule if 0 < at <= node_cap]
+    pending = schedule[-1][0] if schedule else node_cap + 1
 
     def visit(count):
-        """Count `count` visited nodes, with the LP trigger and the budget
-        taking effect exactly where a node-by-node count would."""
-        nonlocal nodes, tables, tol
-        start = nodes
+        """Count `count` visited nodes; from `pending` on, `advance` acts."""
+        nonlocal nodes
         nodes += count
-        if start < trigger <= nodes and trigger <= node_cap:
-            y = dual_bound(candidates, costs)
+        if nodes >= pending:
+            advance()
+
+    def advance():
+        """Start every bound whose node has been counted, in order, then check
+        the budget: the bounds and the budget take effect exactly where a
+        node-by-node count would."""
+        nonlocal pending, tables, tol
+        while schedule and schedule[-1][0] <= nodes:
+            y = schedule.pop()[1](candidates, costs)
             if y is not None:
                 tol = _BOUND_RTOL * max(1.0, sum(y))
                 tables = []
@@ -181,6 +246,7 @@ def exact_min_cover(element_count, sets, node_cap=None):
                     tables.append(table)
         if nodes > node_cap:
             raise BudgetError("set-cover search", f"{node_cap} search nodes")
+        pending = schedule[-1][0] if schedule else node_cap + 1
 
     def branch(covered, cost):
         # Entered for a counted node that is neither a leaf nor, against the

@@ -1,9 +1,14 @@
-"""Shared fixtures and instance builders."""
+"""Shared fixtures, instance builders, and the scalar definitions and parser
+that only tests read."""
+
+import json
 
 import networkx as nx
 import pytest
 
-from bulkrobust import Instance, gen_grid, gen_series_parallel
+from bulkrobust import Instance, InstanceError, gen_grid, gen_series_parallel
+from bulkrobust.generators import Hypergraph
+from bulkrobust.instance import is_int_rows
 
 
 def triangle_instance(problem="st", scenarios=((0,),)):
@@ -74,6 +79,42 @@ def as_masks(sets):
     """(cost, elements) pairs as `exact_min_cover` takes them: (cost, mask),
     with bit el of mask set iff el is among the elements."""
     return [(cost, sum(1 << el for el in set(elements))) for cost, elements in sets]
+
+
+def chords_intersect(a, b):
+    """True iff the two chords interleave strictly around the circle: the
+    scalar definition that `rounding.chords_to_rectangles`' crossing masks
+    follow."""
+    a1, a2 = min(a), max(a)
+    if len({a[0], a[1], b[0], b[1]}) != 4:
+        raise ValueError(f"chords {a} and {b} share an endpoint")
+    return (a1 < b[0] < a2) != (a1 < b[1] < a2)
+
+
+def in_rect(point, rect):
+    """Closed-interval containment: the scalar definition that
+    `rounding.chords_to_rectangles`' rectangle masks follow."""
+    x1, x2, y1, y2 = rect
+    px, py = point
+    return x1 <= px <= x2 and y1 <= py <= y2
+
+
+def parse_hypergraph(data):
+    """A `Hypergraph` from the JSON text (str or bytes) or dict that
+    `serialize_hypergraph` writes; InstanceError on anything else."""
+    try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
+            data = json.loads(data)
+    except ValueError as exc:   # not UTF-8, bad JSON, or an integer over Python's digit limit
+        raise InstanceError(f"malformed hypergraph file: {exc}") from None
+    if not isinstance(data, dict) or set(data) != {"parts", "hyperedges"}:
+        raise InstanceError("hypergraph file must hold keys 'parts' and 'hyperedges'")
+    if not (is_int_rows(data["parts"]) and is_int_rows(data["hyperedges"])):
+        raise InstanceError("parts and hyperedges must be lists of integer node id lists")
+    return Hypergraph(tuple(tuple(p) for p in data["parts"]),
+                      tuple(tuple(e) for e in data["hyperedges"]))
 
 
 def grid_2x3():

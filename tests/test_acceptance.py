@@ -19,10 +19,10 @@ from bulkrobust.cli import face_gap
 from bulkrobust.links import enumerate_typed_links, preprocess_step
 from bulkrobust.lp import EPS_FEAS, FractionalCover, separation_oracle
 from bulkrobust.oracle import brute_force_vc
-from bulkrobust.rounding import (CircleInstance, _in_rect, chords_intersect,
-                                 chords_to_rectangles, cover_intervals_exact)
+from bulkrobust.rounding import CircleInstance, chords_to_rectangles, cover_intervals_exact
 from bulkrobust.setcover import exact_min_cover
-from conftest import as_masks, build_suite_instance, component_of, suite_schedule
+from conftest import (as_masks, build_suite_instance, chords_intersect, component_of, in_rect,
+                      suite_schedule)
 
 SUITE_SIZE = 200
 ORACLE_EDGE_CAP = 20
@@ -223,8 +223,8 @@ def test_criterion_8_circle_rectangle_equivalence():
                                 coverers=((0, coverer, 1, 1.0),))
             system = chords_to_rectangles(ci)
             geometric = chords_intersect(demand, coverer)
-            in_left = _in_rect(system.points[0], system.lefts[0])
-            in_top = _in_rect(system.points[0], system.tops[0])
+            in_left = in_rect(system.points[0], system.lefts[0])
+            in_top = in_rect(system.points[0], system.tops[0])
             assert geometric == (in_left or in_top), (m, demand, coverer)
             assert system.in_left == ((0,) if in_left else (),), (m, demand, coverer)
             assert system.in_top == ((0,) if in_top else (),), (m, demand, coverer)

@@ -13,11 +13,10 @@ import bulkrobust
 from bulkrobust import gen_grid, gen_hypergraph_vc, setcover
 from bulkrobust.cli import face_gap, main
 from bulkrobust.errors import BudgetError, InstanceError
-from bulkrobust.generators import parse_hypergraph
 from bulkrobust.instance import parse_instance, serialize_instance
 from bulkrobust.lp import LinearProgram, simplex_min
 from bulkrobust.oracle import brute_force_vc
-from conftest import build_suite_instance, suite_schedule, triangle_instance
+from conftest import build_suite_instance, parse_hypergraph, suite_schedule, triangle_instance
 
 ROOT_EXPORTS = {
     "solve", "solution_dict", "guarantee_factor",

@@ -7,9 +7,9 @@ import pytest
 from bulkrobust import (InstanceError, brute_force_opt, gen_grid, gen_hypergraph_vc,
                         gen_series_parallel, parse_instance, serialize_hypergraph,
                         serialize_instance)
-from bulkrobust.generators import (Hypergraph, parse_hypergraph, random_hypergraph,
-                                   reduce_hypergraph_vc)
+from bulkrobust.generators import Hypergraph, random_hypergraph, reduce_hypergraph_vc
 from bulkrobust.oracle import brute_force_vc
+from conftest import parse_hypergraph
 
 
 def test_grid_basic():

@@ -6,12 +6,13 @@ its node budget.
 `recursive_exact_min_cover` are the earlier implementations, kept here as
 references: one Dijkstra per pair, a branch and bound whose only bound is the
 cheapest set of the branching element, and the node-by-node search with the
-lazy LP bound, one call per visited node.  The fast versions must return
-exactly what they return, and the exact cover must visit as many nodes as
-the node-by-node search.
+lazy packing and LP bounds, one call per visited node.  The fast versions
+must return exactly what they return, and the exact cover must visit as many
+nodes as the node-by-node search.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -129,7 +130,9 @@ def bound_free_exact_min_cover(element_count, sets, node_cap=None):
 def recursive_exact_min_cover(element_count, sets, node_cap=None):
     """`exact_min_cover` with one call per visited node, scanning every element
     for the branching one; returns (cost, picks, visited nodes).  Reads
-    `setcover`'s `LP_BOUND_AFTER`, `NODE_CAP` and `dual_bound` at call time."""
+    `setcover`'s `PACKING_BOUND_AFTER`, `LP_BOUND_AFTER`, `NODE_CAP`,
+    `packing_bound` and `dual_bound` at call time.  A packing bound that would
+    start with or after the LP bound never runs."""
     if node_cap is None:
         node_cap = setcover.NODE_CAP
     full = (1 << element_count) - 1
@@ -165,15 +168,20 @@ def recursive_exact_min_cover(element_count, sets, node_cap=None):
     nodes = 0
     y = None
     tol = 0.0
+    bounds = {setcover.LP_BOUND_AFTER: setcover.dual_bound}
+    if setcover.PACKING_BOUND_AFTER < setcover.LP_BOUND_AFTER:
+        bounds[setcover.PACKING_BOUND_AFTER] = setcover.packing_bound
 
     def branch(covered, cost, picked):
         nonlocal best_cost, best_pick, nodes, y, tol
         nodes += 1
         if nodes > node_cap:
             raise BudgetError("set-cover search", f"{node_cap} search nodes")
-        if nodes == setcover.LP_BOUND_AFTER:
-            y = setcover.dual_bound(candidates, costs)
-            tol = setcover._BOUND_RTOL * max(1.0, sum(y)) if y is not None else 0.0
+        if nodes in bounds:
+            found = bounds[nodes](candidates, costs)
+            if found is not None:
+                y = found
+                tol = setcover._BOUND_RTOL * max(1.0, sum(y))
         if covered == full:
             if best_cost is None or cost < best_cost:
                 best_cost = cost
@@ -372,18 +380,35 @@ def random_cover(rng, n, cost):
     return sets
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Counts the searches that reached the LP bound."""
+def counted_calls(monkeypatch, name):
+    """The candidate lists of every call to `setcover`'s bound `name`."""
     calls = []
-    original = setcover.dual_bound
+    original = getattr(setcover, name)
 
     def counted(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(setcover, "dual_bound", counted)
+    monkeypatch.setattr(setcover, name, counted)
     return calls
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the searches that reached the LP bound."""
+    return counted_calls(monkeypatch, "dual_bound")
+
+
+@pytest.fixture
+def packing_calls(monkeypatch):
+    """Counts the searches that reached the packing bound."""
+    return counted_calls(monkeypatch, "packing_bound")
+
+
+def set_triggers(monkeypatch, packing, lp):
+    """The node counts at which the packing and the LP bound start."""
+    monkeypatch.setattr(setcover, "PACKING_BOUND_AFTER", packing)
+    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", lp)
 
 
 COSTS = {
@@ -395,32 +420,36 @@ COSTS = {
 
 
 @pytest.mark.parametrize("kind", sorted(COSTS))
-def test_lazy_bound_keeps_cost_and_picks(kind, lp_calls):
+def test_lazy_bound_keeps_cost_and_picks(kind, packing_calls):
     rng = random.Random(kind)
     for _ in range(40):
         n = rng.randint(16, 24)
         sets = random_cover(rng, n, COSTS[kind](rng))
         assert exact_min_cover(n, as_masks(sets)) == bound_free_exact_min_cover(n, sets)
-    assert len(lp_calls) >= 10     # enough searches crossed the trigger
+    assert len(packing_calls) >= 10     # enough searches crossed the first trigger
 
 
 @pytest.mark.parametrize("kind", sorted(COSTS))
-def test_bound_from_the_first_node_keeps_cost_and_picks(kind, lp_calls, monkeypatch):
-    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", 1)
+def test_bound_from_the_first_node_keeps_cost_and_picks(kind, lp_calls, packing_calls,
+                                                       monkeypatch):
+    # Each cover twice: with the packing bound alone from the root, and with
+    # the LP bound from the root.
     rng = random.Random("small " + kind)
     for _ in range(150):
         n = rng.randint(1, 9)
         cost = COSTS[kind](rng)
         sets = [(cost(), rng.sample(range(n), rng.randint(1, n)))
                 for _ in range(rng.randint(1, 12))]
-        try:
-            expected = bound_free_exact_min_cover(n, sets)
-        except ValueError:
-            with pytest.raises(ValueError):
-                exact_min_cover(n, as_masks(sets))
-            continue
-        assert exact_min_cover(n, as_masks(sets)) == expected
-    assert len(lp_calls) >= 50
+        for packing, lp in [(1, setcover.NODE_CAP + 1), (1000, 1)]:
+            set_triggers(monkeypatch, packing, lp)
+            try:
+                expected = bound_free_exact_min_cover(n, sets)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    exact_min_cover(n, as_masks(sets))
+                continue
+            assert exact_min_cover(n, as_masks(sets)) == expected
+    assert len(lp_calls) >= 50 and len(packing_calls) >= 50
 
 
 def visited_nodes(n, sets):
@@ -435,14 +464,23 @@ def visited_nodes(n, sets):
     return nodes
 
 
-@pytest.mark.parametrize("trigger", [1, 2, 5, 1000])
+# (packing trigger, LP trigger) pairs.  The id is the LP trigger alone where
+# the packing bound would start with or after it, and so never runs.
+TRIGGERS = [pytest.param((1000, lp), id=str(lp)) for lp in (1, 2, 5, 1000)] + [
+    pytest.param(pair, id="-".join(map(str, pair)))
+    for pair in [(1, 2), (2, 5), (5, 1000), (1000, 5000)]]
+
+
+@pytest.mark.parametrize("triggers", TRIGGERS)
 @pytest.mark.parametrize("kind", sorted(COSTS))
-def test_search_visits_the_nodes_of_the_recursive_search(kind, trigger, lp_calls,
-                                                        monkeypatch):
+def test_search_visits_the_nodes_of_the_recursive_search(kind, triggers, lp_calls,
+                                                        packing_calls, monkeypatch):
     # Triggers 2 and 5 fall among the first children, often inside a run of
-    # siblings the parent counts in one step; 1000 inside larger searches.
-    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
-    rng = random.Random(f"nodes {kind} {trigger}")
+    # siblings the parent counts in one step; 1000 and 5000 inside larger
+    # searches.
+    packing, lp = triggers
+    set_triggers(monkeypatch, packing, lp)
+    rng = random.Random(f"nodes {kind} {min(triggers)}")
     for _ in range(30):
         n = rng.randint(1, 9)
         cost = COSTS[kind](rng)
@@ -452,7 +490,8 @@ def test_search_visits_the_nodes_of_the_recursive_search(kind, trigger, lp_calls
     for _ in range(6):
         n = rng.randint(16, 22)
         visited_nodes(n, random_cover(rng, n, COSTS[kind](rng)))
-    assert lp_calls
+    # the first bound of the schedule ran
+    assert packing_calls if packing < lp else (lp_calls and not packing_calls)
 
 
 @pytest.mark.parametrize("sets", [
@@ -461,9 +500,11 @@ def test_search_visits_the_nodes_of_the_recursive_search(kind, trigger, lp_calls
     [(2, [0, 1]), (1, [0]), (1, [1]), (2, [0, 1]), (2, [1, 2]), (0, [2])],
     [(1, [0, 1, 2]), (1, [0, 1, 2]), (1, [0]), (2, [1, 2, 1]), (1, [0, 1, 2])],
 ], ids=["zero-cost-cover", "zero-cost-mix", "ties-at-the-incumbent", "repeats"])
-@pytest.mark.parametrize("trigger", [1, 2, 3, 1000])
-def test_zero_costs_and_ties_visit_the_same_nodes(sets, trigger, monkeypatch):
-    monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
+@pytest.mark.parametrize("triggers", [
+    pytest.param((1000, lp), id=str(lp)) for lp in (1, 2, 3, 1000)] + [
+    pytest.param(pair, id="-".join(map(str, pair))) for pair in [(1, 2), (2, 3), (1, 1000)]])
+def test_zero_costs_and_ties_visit_the_same_nodes(sets, triggers, monkeypatch):
+    set_triggers(monkeypatch, *triggers)
     visited_nodes(1 + max(el for _, els in sets for el in els), sets)
 
 
@@ -481,14 +522,15 @@ def list_covers(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(list_covers(), st.sampled_from([1, 2, 5, 1000]))
-def test_masks_match_the_list_references(cover, trigger):
+@given(list_covers(), st.tuples(*[st.sampled_from([1, 2, 5, 1000])] * 2))
+def test_masks_match_the_list_references(cover, triggers):
     # The mask search against the list-based references: the bound-free
     # search's (cost, picks), the recursive search's node count, and the
-    # same uncoverable element.
+    # same uncoverable element, under (packing, LP) trigger pairs, equal
+    # ones included.
     n, sets = cover
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(setcover, "LP_BOUND_AFTER", trigger)
+        set_triggers(patched, *triggers)
         try:
             expected = bound_free_exact_min_cover(n, sets)
         except ValueError as exc:
@@ -520,22 +562,63 @@ def test_bad_covers_raise_value_errors(count, sets, message):
     assert str(info.value) == message
 
 
-def test_counts_that_skip_siblings_cross_the_trigger_and_the_budget(lp_calls, monkeypatch):
+def test_counts_that_skip_siblings_cross_the_trigger_and_the_budget(lp_calls, packing_calls,
+                                                                    monkeypatch):
     # Root (node 1), a leaf at cost 1 (node 2), then five siblings no cheaper
-    # than that leaf, counted in one step (nodes 3 to 7).
+    # than that leaf, counted in one step (nodes 3 to 7).  Each bound runs
+    # exactly when the node-by-node reference runs it.
     sets = [(1, [0]), (1, [0]), (2, [0]), (3, [0]), (4, [0]), (5, [0])]
     assert recursive_exact_min_cover(1, sets)[2] == 7
-    for trigger, cap, reaches_lp, within in [(5, 7, True, True), (8, 7, False, True),
-                                            (5, 6, True, False), (7, 6, False, False),
-                                            (3, 2, False, False), (2, 2, True, False)]:
-        monkeypatch.setattr(setcover, "LP_BOUND_AFTER", trigger)
-        lp_calls.clear()
-        if within:
-            assert exact_min_cover(1, as_masks(sets), node_cap=cap) == (1, (0,))
-        else:
-            with pytest.raises(BudgetError):
-                exact_min_cover(1, as_masks(sets), node_cap=cap)
-        assert len(lp_calls) == reaches_lp, (trigger, cap)
+    # (packing trigger, LP trigger, node cap, (packing runs, LP runs), within the cap)
+    for packing, lp, cap, runs, within in [
+            # the LP bound alone: a packing trigger after it never fires
+            (1000, 5, 7, (0, 1), True), (1000, 8, 7, (0, 0), True),
+            (1000, 5, 6, (0, 1), False), (1000, 7, 6, (0, 0), False),
+            (1000, 3, 2, (0, 0), False), (1000, 2, 2, (0, 1), False),
+            # one bulk count crosses both triggers, and then the budget too
+            (4, 6, 7, (1, 1), True), (3, 7, 7, (1, 1), True), (4, 6, 6, (1, 1), False),
+            # the packing bound at the leaf, the LP bound in the bulk count
+            (2, 3, 7, (1, 1), True),
+            # the packing bound in the bulk count, the LP bound never or past the cap
+            (3, 8, 7, (1, 0), True), (4, 7, 6, (1, 0), False),
+            # a packing trigger at or after the LP one never fires, so it
+            # never replaces the LP's tables
+            (6, 4, 7, (0, 1), True), (5, 5, 7, (0, 1), True), (2, 1, 7, (0, 1), True),
+            # a node cap below either trigger: neither bound runs
+            (3, 4, 2, (0, 0), False), (4, 3, 2, (0, 0), False)]:
+        set_triggers(monkeypatch, packing, lp)
+        for search, given in [(recursive_exact_min_cover, sets),
+                              (exact_min_cover, as_masks(sets))]:
+            packing_calls.clear()
+            lp_calls.clear()
+            if within:
+                assert search(1, given, node_cap=cap)[:2] == (1, (0,))
+            else:
+                with pytest.raises(BudgetError):
+                    search(1, given, node_cap=cap)
+            assert (len(packing_calls), len(lp_calls)) == runs, (packing, lp, cap, search)
+
+
+def candidate_lists(n, sets):
+    """Per element, the indices of the (cost, elements) sets that hold it,
+    cheapest first: the bounds' `candidates`."""
+    costs = [c for c, _ in sets]
+    return [sorted((i for i, (_, els) in enumerate(sets) if el in els),
+                   key=lambda i: (costs[i], i)) for el in range(n)]
+
+
+def covering_lp_value(n, sets):
+    """The covering LP's value by HiGHS, and the set-by-element 0/1 matrix."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    costs = [c for c, _ in sets]
+    a = np.zeros((len(sets), n))
+    for i, (_, els) in enumerate(sets):
+        a[i, list(els)] = 1.0
+    scale = max(1, max(costs))      # HiGHS fails on costs near 2**53
+    highs = linprog(np.array(costs, float) / scale, A_ub=-a.T,
+                    b_ub=-np.ones(n), bounds=(0, None), method="highs")
+    assert highs.status == 0
+    return highs.fun * scale, a
 
 
 def test_dual_bound_is_dual_feasible():
@@ -557,7 +640,7 @@ def test_dual_bound_is_dual_feasible():
 def test_dual_bound_reaches_the_lp_value(monkeypatch):
     # Before scaling, y is the mean of the last round's two packing optima:
     # it must reach the covering LP's value (HiGHS) and fit under every set.
-    linprog = pytest.importorskip("scipy.optimize").linprog
+    pytest.importorskip("scipy.optimize")
     solves = []
 
     def record(lp):
@@ -573,20 +656,11 @@ def test_dual_bound_reaches_the_lp_value(monkeypatch):
             n = rng.randint(5, 16)
             sets = random_cover(rng, n, cost)
             costs = [c for c, _ in sets]
-            candidates = [sorted((i for i, (_, els) in enumerate(sets) if el in els),
-                                 key=lambda i: (costs[i], i)) for el in range(n)]
             solves.clear()
-            setcover.dual_bound(candidates, costs)
+            setcover.dual_bound(candidate_lists(n, sets), costs)
             forward, backward = solves[-2:]
             y = np.clip((forward.duals + backward.duals[::-1]) / 2, 0.0, None)
-            a = np.zeros((len(sets), n))
-            for i, (_, els) in enumerate(sets):
-                a[i, list(els)] = 1.0
-            scale = max(1, max(costs))      # HiGHS fails on costs near 2**53
-            highs = linprog(np.array(costs, float) / scale, A_ub=-a.T,
-                            b_ub=-np.ones(n), bounds=(0, None), method="highs")
-            assert highs.status == 0
-            value = highs.fun * scale
+            value, a = covering_lp_value(n, sets)
             assert abs(float(y.sum()) - value) <= 1e-9 * max(1.0, value)
             assert (a @ y <= np.array(costs, float) + 1e-9 * max(1, max(costs))).all()
 
@@ -596,21 +670,75 @@ def test_dual_bound_skips_costs_floats_cannot_hold():
     assert setcover.dual_bound([[0]], [-1]) is None
 
 
+# As in COSTS: zero costs and ties, floats, and integers near 2**53.
+PACKING_COSTS = [st.integers(0, 6), st.integers(0, 40).map(lambda q: q / 4),
+                 st.integers(2 ** 53 - 3, 2 ** 53)]
+
+
+@st.composite
+def packing_covers(draw):
+    """(element count, (cost, element list) pairs) with every element covered,
+    all costs of one kind."""
+    n = draw(st.integers(1, 10))
+    elements = st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
+    members = draw(st.lists(elements, min_size=1, max_size=14))
+    members += [[el] for el in range(n) if not any(el in els for els in members)]
+    costs = draw(st.sampled_from(PACKING_COSTS))
+    return n, [(draw(costs), els) for els in members]
+
+
+@settings(max_examples=300, deadline=None)
+@given(packing_covers(), st.sampled_from([-1, -0.25, 2 ** 53 + 1, 2 ** 60]))
+def test_packing_bound_is_a_maximal_packing_under_the_lp(cover, out_of_range):
+    n, sets = cover
+    costs = [c for c, _ in sets]
+    candidates = candidate_lists(n, sets)
+    y = setcover.packing_bound(candidates, costs)
+    assert min(y) >= 0
+    for c, els in sets:
+        assert sum(map(Fraction, (y[el] for el in els))) <= c
+        if c == 0:
+            assert not any(y[el] for el in els)
+    # Before the scaling, each order's packing is maximal: every element has
+    # a set it fills.  These costs keep every float step exact.
+    ids = [np.array(i) for i in candidates]
+    for order in (range(n), range(n - 1, -1, -1)):
+        packed = setcover.maximal_packing([ids[el] for el in order], np.array(costs, float))
+        weight = dict(zip(order, map(Fraction, packed.tolist())))
+        residual = [c - sum(weight[el] for el in els) for c, els in sets]
+        assert min(residual) >= 0
+        assert all(any(residual[i] == 0 for i in candidates[el]) for el in range(n))
+    value, _ = covering_lp_value(n, sets)
+    assert sum(y) <= value + 1e-9 * max(1.0, value)
+    # out-of-range costs give no bound
+    for i in range(len(costs)):
+        assert setcover.packing_bound(candidates, costs[:i] + [out_of_range] + costs[i + 1:]) \
+            is None
+
+
 # -- the level-1 tree step -----------------------------------------------------
 
-@pytest.mark.parametrize("weight_max", [3, 5])
-@pytest.mark.parametrize("seed", range(4))
-def test_weighted_tree_grids_finish_under_the_cap(weight_max, seed):
-    inst = gen_grid(10, 10, 36, 3, weight_max, seed, "mst")
+# (scenarios, weight cap); the id of a 36-scenario grid is its weight cap
+@pytest.mark.parametrize("scenarios, weight_max", [
+    pytest.param(s, w, id=f"{w}" if s == 36 else f"{s}-{w}") for s in (36, 14) for w in (3, 5)])
+@pytest.mark.parametrize("seed", range(8))
+def test_weighted_tree_grids_finish_under_the_cap(scenarios, weight_max, seed):
+    # Their longest level-1 searches pass both bound triggers.  With the
+    # packing bound alone, and no LP bound after it, the search of
+    # (36 scenarios, weights up to 5, seed 5) passes the node budget.
+    inst = gen_grid(10, 10, scenarios, 3, weight_max, seed, "mst")
     x, trace = solve(inst)
     assert trace.levels[0].omega_size > 0
     assert is_feasible(inst, x)
 
 
 @pytest.mark.parametrize("seed", [0, 6, 11])
-def test_tree_searches_visit_the_nodes_of_the_recursive_search(seed, lp_calls, monkeypatch):
-    # The tree-cover workload's shape: every level-1 search here passes the
-    # LP trigger, so the dual bound prunes from per-byte tables.
+def test_tree_searches_visit_the_nodes_of_the_recursive_search(seed, lp_calls, packing_calls,
+                                                               monkeypatch):
+    # The tree-cover workload's shape: every level-1 search here passes both
+    # triggers, so the packing and then the LP bound prune from per-byte
+    # tables.
+    set_triggers(monkeypatch, 1000, 1500)
     searches = []
     original = driver.exact_min_cover
 
@@ -623,10 +751,12 @@ def test_tree_searches_visit_the_nodes_of_the_recursive_search(seed, lp_calls, m
     [(n, sets)] = searches
     assert n > 8
     lp_calls.clear()
+    packing_calls.clear()
     # the references take element lists
     assert visited_nodes(n, [(cost, bit_positions(mask)) for cost, mask in sets]) \
         > setcover.LP_BOUND_AFTER
-    assert len(lp_calls) == 3     # the reference, and both capped searches
+    # the reference, and both capped searches
+    assert len(lp_calls) == len(packing_calls) == 3
 
 
 def test_level1_budget_exits_4(tmp_path, capsys, monkeypatch):

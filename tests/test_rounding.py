@@ -12,13 +12,12 @@ from bulkrobust.driver import augment_step
 from bulkrobust.errors import InvariantError
 from bulkrobust.links import enumerate_typed_links, preprocess_step
 from bulkrobust.lp import EPS_FEAS, FractionalCover, solve_link_lp
-from bulkrobust.rounding import (CircleInstance, ScenarioPartition, _in_rect,
-                                 build_circle_instance, chords_intersect,
+from bulkrobust.rounding import (CircleInstance, ScenarioPartition, build_circle_instance,
                                  chords_to_rectangles, cover_intervals_exact,
                                  partition_scenarios, round_face)
 from bulkrobust.setcover import exact_min_cover
-from conftest import (as_masks, build_suite_instance, crosses, reference_cuts,
-                      square_with_chords, suite_schedule)
+from conftest import (as_masks, build_suite_instance, chords_intersect, crosses, in_rect,
+                      reference_cuts, square_with_chords, suite_schedule)
 
 
 # -- partition ---------------------------------------------------------------
@@ -94,7 +93,7 @@ def test_rectangle_formulas():
     assert system.lefts[0] == (0, 2, 2, 6)
     assert system.tops[0] == (2, 6, 6, 7)
     assert system.points[0] == (1, 5)
-    assert _in_rect((1, 5), system.lefts[0])
+    assert in_rect((1, 5), system.lefts[0])
     assert system.left_demands == (0,)
 
 
@@ -106,7 +105,7 @@ def test_rectangle_figure_configuration():
         demands=((frozenset({0}), (0, 2)),),
         coverers=((0, (1, 3), 1, 1.0),))
     system = chords_to_rectangles(ci)
-    assert _in_rect(system.points[0], system.lefts[0])
+    assert in_rect(system.points[0], system.lefts[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,7 +113,7 @@ def test_rectangle_figure_configuration():
 def test_mask_relations_match_the_scalar_definitions(data):
     # Up to 80 coverers, so the masks span several machine words; on a small
     # circle many coverers share ends, and demand ends are often drawn from
-    # coverer ends.  Containment must equal `_in_rect` on every pair, the mass
+    # coverer ends.  Containment must equal `in_rect` on every pair, the mass
     # split must sum each demand's left holders in ascending order, and on
     # four distinct ends the crossing mask must equal `chords_intersect`.
     size = data.draw(st.integers(3, 40), label="size")
@@ -135,8 +134,8 @@ def test_mask_relations_match_the_scalar_definitions(data):
     system = chords_to_rectangles(ci)
     left_demands = []
     for d_idx, point in enumerate(demands):
-        in_left = tuple(c for c, rect in enumerate(system.lefts) if _in_rect(point, rect))
-        in_top = tuple(c for c, rect in enumerate(system.tops) if _in_rect(point, rect))
+        in_left = tuple(c for c, rect in enumerate(system.lefts) if in_rect(point, rect))
+        in_top = tuple(c for c, rect in enumerate(system.tops) if in_rect(point, rect))
         assert system.in_left[d_idx] == in_left
         assert system.in_top[d_idx] == in_top
         assert system.held[d_idx] == sum(1 << c for c in set(in_left) | set(in_top))
@@ -266,7 +265,7 @@ def test_round_face_circle_on_repeated_boundary_node():
 
 def test_face_records_replay_the_side_covers():
     # Re-derive each rounded face's picks from its trace record alone: the
-    # demand points and each coverer's rectangle give, by `_in_rect`, every
+    # demand points and each coverer's rectangle give, by `in_rect`, every
     # side's sets, with the coverers' costs, in coverer order.  The cheapest
     # cover of each side, mapped back to link ids, must be what was chosen.
     faces = split = 0
@@ -283,7 +282,7 @@ def test_face_records_replay_the_side_covers():
                 points = [record["demands"][d]["chord"] for d in record[side]]
                 if not points:
                     continue
-                sets = [(c["cost"], [i for i, p in enumerate(points) if _in_rect(p, c[rect])])
+                sets = [(c["cost"], [i for i, p in enumerate(points) if in_rect(p, c[rect])])
                         for c in coverers]
                 _, picked = exact_min_cover(len(points), as_masks(sets))
                 chosen.update(coverers[c]["link"] for c in picked)
