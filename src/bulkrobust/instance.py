@@ -3,9 +3,13 @@
 A graph is stored combinatorially: node ids, edges with distinct integer
 ids, and a rotation system (per node, the cyclic clockwise order of
 incident edge ids).  The rotation system *is* the embedding; validity is
-checked through Euler's formula after face tracing, never by planarity
-testing.  `Instance` checks its input in one pass, which also builds the
-edge views the solve reads; its `graph` shares the instance's dicts.
+checked through Euler's formula, never by planarity testing.  `Instance`
+checks its input in one pass, which also builds the edge views the solve
+reads; its `graph` shares the instance's dicts.  Parse reads each rotation
+once, into the face successor of every integer dart (`dart_successors`),
+and its Euler check counts that permutation's cycles (`count_cycles`), so
+it traces no face walk.  `PlaneGraph.trace_faces` is the one owner of face
+walks, and a graph's `faces` are traced on first read.
 
 Contraction has two parts: `PlaneGraph.group` merges the nodes, and
 `PlaneGraph.contract` calls it and then walks the rotation around each
@@ -104,7 +108,9 @@ class Feasibility:
     hold those nodes; it is found the first time scenario j fails.
     `failures(size)` owns the question every caller asks, which failures
     of `size` edges break the requirement: it asks `cut` once per subset
-    and keeps each size's answer, counts included.
+    and keeps each size's answer, counts included, and each scenario's
+    sorted F_j & X, listed on its first call.  `connected` says whether X
+    joins every node; parse reads it as its connectivity check.
 
     One build serves every scenario.  The X edges in no scenario are merged
     into a base forest; one union-find over the X & U rows (U the union of
@@ -116,14 +122,15 @@ class Feasibility:
     reference to the instance.
     """
 
-    __slots__ = ("x", "_full", "_ends", "_terminals", "_parent", "_connected",
-                 "_vectors", "_top", "_sigma", "_failures")
+    __slots__ = ("x", "connected", "_full", "_ends", "_terminals", "_parent",
+                 "_vectors", "_top", "_sigma", "_failures", "_live")
 
     def __init__(self, instance, x):
         self.x = x = frozenset(x)
         self._full = instance.scenario_sets
         self._ends = ends = instance.edge_rows
         self._failures = {}     # size -> the answer of `failures(size)`
+        self._live = None       # j -> sorted(F_j & X), from the first `failures` call
         self._sigma = [None] * len(self._full)     # j -> sigma_j, once j fails
         n = instance.node_count
         parent, merges = _merge(list(range(n)), [ends[e] for e in x - instance.touched])
@@ -171,7 +178,7 @@ class Feasibility:
                 vectors[e] = below = spin.get(node, 0)
                 spin[up] = spin.get(up, 0) ^ below
         self._terminals, self._parent, self._vectors = terminals, parent, vectors
-        self._connected = merges == n - 1
+        self.connected = merges == n - 1     # X spans the nodes in one component
 
     def cut(self, j, removed):
         """None iff the requirement holds on (V, X - S) for S = `removed`,
@@ -201,7 +208,7 @@ class Feasibility:
                 top ^= pivot
             if self._top:
                 rank -= 1       # over X alone, the top bit's vector drops out
-        elif self._connected and rank == size:
+        elif self.connected and rank == size:
             return None
         sigma = self._sigma[j]
         if sigma is None:
@@ -224,9 +231,10 @@ class Feasibility:
         found = self._failures.get(size)
         if found is None:
             clean = max([-1] + [done for done, answer in self._failures.items() if not answer])
+            if self._live is None:
+                self._live = [sorted(full & self.x) for full in self._full]
             first = {}      # subset -> the first scenario that holds it
-            for j, full in enumerate(self._full):
-                live = sorted(full & self.x)
+            for j, live in enumerate(self._live):
                 if min(size, len(live)) > clean:
                     for sub in combinations(live, min(size, len(live))):
                         first.setdefault(sub, j)
@@ -234,6 +242,53 @@ class Feasibility:
                 frozenset(sub): (j, count) for sub, j in first.items()
                 if (count := self.cut(j, sub)) is not None}
         return found
+
+
+def dart_successors(rotation, edge_map):
+    """The face successor of every dart, from one pass over the rotation, or
+    None when the rotation is invalid.
+
+    Dart 2i leaves u and dart 2i + 1 leaves v along the i-th edge of
+    `edge_map` (id -> (u, v, w), in row order); phi[d] is the dart after
+    d ^ 1 in its tail's rotation, the dart that follows d on its face walk,
+    as in `PlaneGraph.trace_faces`.  The rotation is valid iff each node
+    lists each of its incident edges once: every entry is an edge at that
+    node, and the entries set all 2m darts, as many as there are, so none
+    twice.
+    """
+    index = {e: 2 * i for i, e in enumerate(edge_map)}
+    phi, filled = [-1] * (2 * len(index)), 0
+    try:
+        for node, rot in rotation.items():
+            if not rot:
+                continue
+            e = rot[-1]
+            prev = index[e] + (edge_map[e][0] != node)
+            for e in rot:
+                u, v, _ = edge_map[e]
+                d = index[e]
+                if u != node:
+                    if v != node:
+                        return None     # an edge that does not meet the node
+                    d += 1
+                phi[prev ^ 1] = prev = d
+            filled += len(rot)
+    except KeyError:        # an edge id no row holds
+        return None
+    return phi if filled == len(phi) and -1 not in phi else None
+
+
+def count_cycles(phi):
+    """The number of cycles of the permutation phi, a list of dart ids; the
+    faces, when phi comes from `dart_successors`.  phi is used up: every
+    entry becomes -1."""
+    cycles = 0
+    for d in range(len(phi)):
+        if phi[d] >= 0:
+            cycles += 1
+            while phi[d] >= 0:
+                phi[d], d = -1, phi[d]
+    return cycles
 
 
 @dataclass(frozen=True)
@@ -285,7 +340,8 @@ class PlaneGraph:
 
     @cached_property
     def faces(self):
-        """The faces `trace_faces` finds, traced once per graph."""
+        """The faces `trace_faces` finds, traced once per graph, on first
+        read: parse counts faces without tracing them."""
         return self.trace_faces()
 
     def trace_faces(self):
@@ -406,25 +462,28 @@ class Instance:
     solve read: `edge_map` (id -> (u, v, w)), `edge_rows` (id -> (e, u, v),
     the row the union-find helpers take), `edge_ids`, `scenario_sets`,
     `touched` (the union of the scenarios), `k` and `graph`, whose `edges`
-    and `rotation` are the instance's own dicts.
+    and `rotation` are the instance's own dicts.  The rotation check and
+    the Euler check share one pass over the rotation (`dart_successors`);
+    the Euler check counts the successor's cycles and traces no face, so
+    `graph.faces` is traced on its first read.  One `Feasibility` table of
+    all edges answers both the connectivity check and `check_feasible`.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
                  scenarios=()):
         self.node_count = n = int(node_count)
-        self.rotation = {int(v): tuple(int(e) for e in rot) for v, rot in rotation.items()}
+        self.rotation = {int(v): tuple(map(int, rot)) for v, rot in rotation.items()}
         if len(self.rotation) != len(rotation):     # 2 and "2", or "2" and "02"
             raise InstanceError("rotation names one node under two keys")
         self.problem = problem
         self.s = None if s is None else int(s)
         self.t = None if t is None else int(t)
-        self.scenarios = tuple(tuple(int(e) for e in sc) for sc in scenarios)
+        self.scenarios = tuple(tuple(map(int, sc)) for sc in scenarios)
         if n < 1:
             raise InstanceError("node count must be positive")
         if problem not in ("st", "mst"):
             raise InstanceError(f"unknown problem kind {problem!r}")
         rows, edge_map, edge_rows, total = [], {}, {}, 0
-        incident = {}       # per node with an edge: its edge ids, in row order
         for e, u, v, w in edges:
             e, u, v, w = int(e), int(u), int(v), int(w)
             if e < 0 or e in edge_map:
@@ -439,8 +498,6 @@ class Instance:
             rows.append((e, u, v, w))
             edge_map[e] = (u, v, w)
             edge_rows[e] = (e, u, v)
-            incident.setdefault(u, []).append(e)
-            incident.setdefault(v, []).append(e)
             total += w
         if total > MAX_TOTAL_WEIGHT:
             raise InstanceError("total edge weight exceeds 2**53")
@@ -449,11 +506,18 @@ class Instance:
         # per node is built.
         if len(self.rotation) != n or min(self.rotation) < 0 or max(self.rotation) >= n:
             raise InstanceError("rotation must list every node exactly once")
-        for node, rot in self.rotation.items():
-            if sorted(rot) != (expected := sorted(incident.get(node, ()))):
-                raise InstanceError(
-                    f"invalid rotation at node {node}: expected the incident edges "
-                    f"{expected}, got {sorted(rot)}")
+        phi = dart_successors(self.rotation, edge_map)
+        if phi is None:     # name the first bad node, in rotation order
+            incident = {}
+            for e, u, v, _ in rows:
+                incident.setdefault(u, []).append(e)
+                incident.setdefault(v, []).append(e)
+            for node, rot in self.rotation.items():
+                if sorted(rot) != (expected := sorted(incident.get(node, ()))):
+                    raise InstanceError(
+                        f"invalid rotation at node {node}: expected the incident edges "
+                        f"{expected}, got {sorted(rot)}")
+            raise InvariantError("the dart check and the rotation check disagree")
         if problem == "st":
             if self.s is None or self.t is None:
                 raise InstanceError("problem 'st' requires terminals s and t")
@@ -479,10 +543,10 @@ class Instance:
         self.scenario_sets = tuple(sets)
         self.touched = frozenset().union(*sets)
         self.k = max(map(len, sets), default=0)
-        if not requirement_met(n, edge_rows.values(), "mst", None, None):
+        if not self.feasibility(self.edge_ids).connected:
             raise InstanceError("graph is not connected")
         self.graph = PlaneGraph(tuple(range(n)), edge_map, self.rotation)
-        if self.graph.euler_defect() != 0:
+        if n - len(rows) + max(count_cycles(phi), 1) - 2 != 0:     # as `euler_defect`
             raise InstanceError("rotation system not planar (Euler check failed)")
         self.check_feasible()
 

@@ -69,17 +69,17 @@ _FLOAT_EXACT = 2 ** 53      # costs up to this convert to float exactly
 _BOUND_RTOL = 1e-9          # prune tolerance, relative to the packing's total
 
 
-def _valid_packing(y, candidates, c, a):
+def _valid_packing(y, candidates, c, load):
     """The packing y >= 0, with the elements of zero-cost sets zeroed and
     scaled down until every set S has sum(y over S) <= cost(S), as a list.
-    `a` is the 0/1 element-by-set matrix; the last inequality is checked,
-    not trusted."""
+    `load(y)` gives every set's sum(y over S); the last inequality is
+    checked, not trusted."""
     y[c[[ids[0] for ids in candidates]] == 0] = 0.0     # elements of zero-cost sets
-    load = a.T @ y
-    loaded = load > 0
+    sums = load(y)
+    loaded = sums > 0
     if loaded.any():
-        y *= min(1.0, float((c[loaded] / load[loaded]).min())) * (1 - 1e-12)
-    if (a.T @ y > c).any():
+        y *= min(1.0, float((c[loaded] / sums[loaded]).min())) * (1 - 1e-12)
+    if (load(y) > c).any():
         raise InvariantError("scaled packing exceeds a set's cost")
     return y.tolist()
 
@@ -114,8 +114,9 @@ def packing_bound(candidates, costs):
     c = np.array(costs, dtype=float)
     ids = [np.array(i) for i in candidates]
     y = (maximal_packing(ids, c) + maximal_packing(ids[::-1], c)[::-1]) / 2
+    sets, counts = np.concatenate(ids), [len(i) for i in ids]
     return _valid_packing(np.clip(y, 0.0, None), candidates, c,
-                          covering_matrix(candidates, c.size))
+                          lambda y: np.bincount(sets, np.repeat(y, counts), c.size))
 
 
 def dual_bound(candidates, costs):
@@ -145,7 +146,7 @@ def dual_bound(candidates, costs):
         if not violated:
             break
         columns = sorted(violated.union(columns))
-    return _valid_packing(y, candidates, c, a)
+    return _valid_packing(y, candidates, c, lambda y: a.T @ y)
 
 
 def exact_min_cover(element_count, sets, node_cap=None):

@@ -716,6 +716,29 @@ def test_packing_bound_is_a_maximal_packing_under_the_lp(cover, out_of_range):
             is None
 
 
+def test_packing_loads_match_the_dense_matrix(monkeypatch):
+    # `packing_bound` sums each set's load with `np.bincount` over the
+    # candidate lists; on the level-1 tree searches its y equals, bit for
+    # bit, the one the dense element-by-set matrix gives, so the searches
+    # visit the same nodes.
+    seen = []
+    bound = setcover.packing_bound
+    monkeypatch.setattr(setcover, "packing_bound",
+                        lambda candidates, costs: seen.append((candidates, costs))
+                        or bound(candidates, costs))
+    for instance in TREE_GRIDS[:3]:
+        solve(instance)
+    assert len(seen) >= 3
+    for candidates, costs in seen:
+        c = np.array(costs, dtype=float)
+        ids = [np.array(i) for i in candidates]
+        y = (setcover.maximal_packing(ids, c) + setcover.maximal_packing(ids[::-1], c)[::-1]) / 2
+        a = lp.covering_matrix(candidates, c.size)
+        dense = setcover._valid_packing(np.clip(y, 0.0, None), candidates, c,
+                                        lambda y: a.T @ y)
+        assert bound(candidates, costs) == dense
+
+
 # -- the level-1 tree step -----------------------------------------------------
 
 # (scenarios, weight cap); the id of a 36-scenario grid is its weight cap
