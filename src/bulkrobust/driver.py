@@ -4,8 +4,7 @@ The base solution is a cheapest s-t path (or a minimum spanning tree),
 then one augmentation per level i = 1..k makes the solution survive every
 failure of i edges from a single scenario.  Every level has one shape:
 the current solution induces faces, the typed links of those faces go in,
-and a cover step returns the indices of the links it picks and their
-cost.  At level 1 the contracted path or tree induces exactly one face and
+and a cover step returns the links it picks and their cost.  At level 1 the contracted path or tree induces exactly one face and
 the cover is exact (an interval DP on the path, an exact cut cover on the
 tree); levels two and up run the LP plus per-face rounding.  Only those
 levels read face walks: `preprocess_step` gives level 1 its one face from
@@ -16,11 +15,16 @@ Every level reads the cover relation from `StepContext.side_masks`, the
 cut side of each solution node per failure set, built by `preprocess_step`
 from one checked parity walk over the kept edges: a link covers the set
 bits of the XOR of its ends' masks (`StepContext.cover_masks`).  At level
-1 the failure sets are the edges of the path or tree, so on the tree those
-XORs are the sets of an exact cut cover, handed to `exact_min_cover` as
-they are, and on the path a node's position is the popcount of its mask
-XOR s's: a link covers the positions between its ends'.  The path step
-checks that the positions run from s to t.
+1 the failure sets are the edges of the path or tree.  On the tree they
+are the elements of an exact cut cover, one set per link.  When the
+tree's one face takes the closure (every tree-cover face does), the cover
+reads its sets from the closure's arrays and the unpacked side masks
+(`StepContext.cover_candidates`), calls `cover_search` on them, and builds
+a TypedLink for each pick only; a smaller tree's face, with Dijkstra
+maps, hands the links' XORs to `exact_min_cover` undecoded.  On the path a
+node's position is the popcount of its mask XOR s's: a link covers the
+positions between its ends'.  The path step checks that the positions run
+from s to t.
 
 The exact searches own their budget (`setcover.NODE_CAP` nodes, and the
 simplex's pivot cap); past it `solve` raises `BudgetError` naming the
@@ -34,17 +38,20 @@ level that adds edges.  Each is built from its X alone, in one forest
 pass.  A table answers each failure size once (`Feasibility.failures`):
 the check in `solve` after level i is level i + 1's precondition, and
 after a level that adds no edge it is the answer that level's
-preprocessing found.
+preprocessing found.  The final check that X meets the base requirement
+reads `Feasibility.holds` from the last level's table, or with k = 0 from
+the base solution's.
 """
 
 from dataclasses import dataclass, field
 
 from .errors import BudgetError, InvariantError
 from .instance import _union
-from .links import enumerate_typed_links, lex_shortest_path, preprocess_step
+from .links import (TypedLink, closure_pairs, enumerate_typed_links, face_graphs,
+                    lex_shortest_path, preprocess_step, takes_closure)
 from .lp import solve_link_lp
 from .rounding import cover_intervals_exact, partition_scenarios, round_face
-from .setcover import exact_min_cover
+from .setcover import cover_search, exact_min_cover
 
 
 @dataclass
@@ -131,18 +138,33 @@ def _cover_path(ctx, links):
     for link in links:
         a, b = sorted((pos[link.u], pos[link.v]))
         intervals.append((a, b - 1, link.cost))
-    return cover_intervals_exact(range(len(ctx.omega)), intervals)
+    picked, total = cover_intervals_exact(range(len(ctx.omega)), intervals)
+    return [links[i] for i in picked], total
 
 
-def _cover_tree(ctx, links):
+def _cover_tree(ctx):
     """Level 1 on the spanning tree: an exact cover of the tree-edge cuts,
-    one set per link, its mask the failure sets it covers."""
-    sets = list(zip([link.cost for link in links], ctx.cover_masks(links)))
+    one set per link, holding the failure sets it covers.  When the tree's
+    one face takes the closure, the sets come from its arrays
+    (`StepContext.cover_candidates`) and only the picked links are built;
+    otherwise from the links' side-mask XORs."""
+    faces = face_graphs(ctx)
     try:
-        total, picked = exact_min_cover(len(ctx.omega), sets)
+        if len(faces) == 1 and takes_closure(*faces[0]):
+            adj, ends = faces[0]
+            maps, first, second, costs = closure_pairs(adj, ends)
+            ctx.face_maps[0] = (adj, maps)
+            candidates = ctx.cover_candidates(ends, first, second, costs)
+            costs = costs.tolist()
+            total, picked = cover_search(candidates, costs)
+            return [TypedLink(ends[first[i]], ends[second[i]], 0, costs[i])
+                    for i in picked], total
+        links = enumerate_typed_links(ctx, faces)
+        total, picked = exact_min_cover(
+            len(ctx.omega), list(zip([link.cost for link in links], ctx.cover_masks(links))))
     except BudgetError as exc:
         raise BudgetError("level-1 spanning-tree cover", exc.budget) from None
-    return picked, total
+    return [links[i] for i in picked], total
 
 
 def _round_faces(ctx, links, trace, on_lp):
@@ -163,7 +185,7 @@ def _round_faces(ctx, links, trace, on_lp):
         rounded = round_face(ctx, cover, partition, face)
         trace.faces.append(rounded.record)
         total += rounded.cost
-        picked.extend(rounded.chosen)
+        picked.extend(links[i] for i in rounded.chosen)
     if total > trace.bound + 1e-6:
         raise InvariantError(
             f"level {level} rounding cost {total} exceeds 8i * lp "
@@ -174,9 +196,11 @@ def _round_faces(ctx, links, trace, on_lp):
 def augment_step(instance, x_edges, level, on_lp=None):
     """One augmentation level; returns (added edge set, LevelTrace).
 
-    The typed links of the faces X induces go in and one cover step picks
-    among them; `solve` checks that X plus the picked links' paths meets
-    the level's contract.
+    One cover step picks among the typed links of the faces X induces and
+    returns the picked links and their cost; `solve` checks that X plus
+    their paths meets the level's contract.  The tree step reads a closure
+    face's links as arrays and builds only the picked ones, so it takes no
+    tuple of links.
     """
     ctx = preprocess_step(instance, x_edges, level)
     trace = LevelTrace(level=level, omega_size=len(ctx.omega))
@@ -185,16 +209,17 @@ def augment_step(instance, x_edges, level, on_lp=None):
     trace.contracted = ctx.contracted
     trace.cut_face_checks = ctx.cut_face_checks
 
-    links = enumerate_typed_links(ctx)
     if level > 1:
-        picked, total = _round_faces(ctx, links, trace, on_lp)
+        picked, total = _round_faces(ctx, enumerate_typed_links(ctx), trace, on_lp)
     else:
-        cover_step = _cover_path if instance.problem == "st" else _cover_tree
         try:
-            picked, total = cover_step(ctx, links)
+            if instance.problem == "st":
+                picked, total = _cover_path(ctx, enumerate_typed_links(ctx))
+            else:
+                picked, total = _cover_tree(ctx)
         except ValueError as exc:
             raise InvariantError(f"level-1 augmentation impossible: {exc}") from None
-    added = frozenset(e for i in picked for e in ctx.link_path(links[i]))
+    added = frozenset(e for link in picked for e in ctx.link_path(link))
     trace.round_cost = float(total)
     trace.added = tuple(sorted(added))
     trace.added_cost = instance.weight_of(added)
@@ -233,7 +258,7 @@ def solve(instance, on_lp=None):
                 f"after level {level}, removing {sorted(sub)} of scenario "
                 f"{j} still disconnects the requirement")
 
-    if not instance.requirement_holds(x):
+    if not instance.feasibility(x).holds:
         raise InvariantError("final solution fails the base requirement")
 
     trace.alg_cost = instance.weight_of(x)

@@ -110,7 +110,9 @@ class Feasibility:
     of `size` edges break the requirement: it asks `cut` once per subset
     and keeps each size's answer, counts included, and each scenario's
     sorted F_j & X, listed on its first call.  `connected` says whether X
-    joins every node; parse reads it as its connectivity check.
+    joins every node; parse reads it as its connectivity check.  `holds`
+    says whether X itself meets the requirement: `connected` for 'mst', s
+    and t joined (the top bit taken) for 'st'.
 
     One build serves every scenario.  The X edges in no scenario are merged
     into a base forest; one union-find over the X & U rows (U the union of
@@ -122,7 +124,7 @@ class Feasibility:
     reference to the instance.
     """
 
-    __slots__ = ("x", "connected", "_full", "_ends", "_terminals", "_parent",
+    __slots__ = ("x", "connected", "holds", "_full", "_ends", "_terminals", "_parent",
                  "_vectors", "_top", "_sigma", "_failures", "_live")
 
     def __init__(self, instance, x):
@@ -179,6 +181,7 @@ class Feasibility:
                 spin[up] = spin.get(up, 0) ^ below
         self._terminals, self._parent, self._vectors = terminals, parent, vectors
         self.connected = merges == n - 1     # X spans the nodes in one component
+        self.holds = self._top != 0 if terminals else self.connected
 
     def cut(self, j, removed):
         """None iff the requirement holds on (V, X - S) for S = `removed`,

@@ -5,16 +5,21 @@ edges of any one scenario fail) and prepares everything the LP and the
 rounding stage need: the relevant failure sets, the contracted embedded
 subgraph, the two-sided cuts, and the per-face shortest-path links.
 A typed link is (u, v, face, cost): the LP, the covers and the rounding
-read nothing else, and `StepContext.link_path` builds the edges of the
-links a level picks, O(picked) path searches instead of one per link.
+read nothing else (the level-1 tree cover of a closure face reads the
+same ends and costs as arrays), and `StepContext.link_path` builds the
+edges of the links a level picks, O(picked) path searches instead of one
+per link.
 
 A face's links need the path cost between every pair of its ends.  A face
 whose candidate edges touch only ends, at least `CLOSURE_MIN_ENDS` of them
-(10, from the measured crossover), reads them all from one int64
-Floyd-Warshall closure over its ends (`face_closure`): the level-1 tree
-face is one, since every contracted node is a solution node.  Every other
-face runs one Dijkstra per far end: faces with nodes that are not ends,
-where the closure would relax through every node, and small faces, where
+(10, from the measured crossover; `takes_closure`), reads them all from
+one int64 Floyd-Warshall closure over its ends (`face_closure`): the
+level-1 tree face is one, since every contracted node is a solution node.
+`closure_pairs` gives such a face's links as arrays (pair ends and
+costs); `enumerate_typed_links` builds its TypedLinks from them, and the
+level-1 tree cover reads them without building any.  Every other face
+runs one Dijkstra per far end: faces with nodes that are not ends, where
+the closure would relax through every node, and small faces, where
 numpy's fixed cost per call loses.  Both give the same links in the same
 order, and `link_path` reads the distance map to `link.v` from either.
 
@@ -32,10 +37,13 @@ A link covers a relevant failure set iff its endpoints lie on different
 sides of that set's two-sided cut.  `preprocess_step` stores every cut as
 one bit per set in each solution node's side mask, so a link covers the
 set bits of its ends' masks XORed (`StepContext.cover_masks`).  Every level
-reads that one relation: the level-1 path cover reads the masks, the
-level-1 tree cover hands the links' XORs to `exact_min_cover` undecoded,
-and at levels >= 2 the table `StepContext.covering` decodes them once per
-level for the LP, the face partition, the rounding and the trace.
+reads that one relation: the level-1 path cover reads the masks; the
+level-1 tree cover, on a face that takes the closure, unpacks them into a
+boolean matrix and reads each set's covering pairs from it
+(`StepContext.cover_candidates`), and on a face with Dijkstra maps hands
+the links' XORs to `exact_min_cover` undecoded; at levels >= 2 the table
+`StepContext.covering` decodes them once per level for the LP, the face
+partition, the rounding and the trace.
 
 Feasibility questions go through the instance's `Feasibility` table of X,
 built once per distinct X.  `Feasibility.failures(level)` gives the
@@ -194,6 +202,11 @@ def bit_positions(mask):
     return found
 
 
+def _not_incident(node):
+    """The error for a link end that has no side mask."""
+    return ValueError(f"node {node} is not incident to the current solution")
+
+
 class TypedLink(NamedTuple):
     """The ends, face and cost of a face-confined shortest path; see `link_path`."""
 
@@ -236,8 +249,31 @@ class StepContext:
         try:
             return [side[link.u] ^ side[link.v] for link in links]
         except KeyError as exc:
-            raise ValueError(
-                f"node {exc.args[0]} is not incident to the current solution") from None
+            raise _not_incident(exc.args[0]) from None
+
+    def cover_candidates(self, ends, first, second, costs):
+        """Per failure set of omega, the indices i of the pairs (ends[first[i]],
+        ends[second[i]]) that cover it, by (costs[i], i): `cover_search`'s
+        candidate lists, read from the side masks as `cover_masks` reads
+        them.  `first`, `second` and `costs` are arrays, as `closure_pairs`
+        gives them.  Each end's mask is unpacked into one column of an
+        |omega| by ends boolean matrix; a pair covers omega[p] where its
+        ends' columns differ in row p.  With the pairs in cost order, one
+        scan of that set-by-pair matrix lists every set's candidates."""
+        size = len(self.omega)
+        width = (size + 7) // 8
+        side = self.side_masks
+        try:
+            raw = b"".join([side[n].to_bytes(width, "little") for n in ends])
+        except KeyError as exc:
+            raise _not_incident(exc.args[0]) from None
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(ends), width),
+                             axis=1, count=size, bitorder="little").view(bool).T
+        order = np.argsort(costs, kind="stable")
+        found = np.flatnonzero(bits[:, first[order]] != bits[:, second[order]])
+        ids = order[found % len(order)].tolist()
+        stops = np.searchsorted(found, np.arange(1, size + 1) * len(order)).tolist()
+        return [ids[start:stop] for start, stop in zip([0] + stops, stops)]
 
     def covering(self, links):
         """For each failure set of omega, the ascending indices of the
@@ -427,38 +463,65 @@ def preprocess_step(instance, x_edges, level):
     return ctx
 
 
-def enumerate_typed_links(ctx):
-    """All face-confined shortest-path links between boundary node pairs.
-
-    For each induced face and each unordered pair of distinct boundary
-    nodes, the cost of the cheapest path through the candidate edges
-    assigned to that face (omitted when none exists), in the order of
-    `combinations` over the face's ascending ends.  A face whose edges touch
-    only boundary nodes, at least `CLOSURE_MIN_ENDS` of them, reads its
-    costs from one `face_closure`; every other face takes one Dijkstra map
-    per far end.  `ctx.face_maps` keeps the maps, or the closure, for
-    `StepContext.link_path`.
-    """
-    links = []
+def face_graphs(ctx):
+    """face -> (adj, ends), by ascending face: the candidate edges assigned
+    to the face, as `dijkstra`'s adjacency with each node's entries sorted,
+    and the face's boundary nodes that touch one of them, ascending."""
     face_adj = {}
     for e in sorted(ctx.subgraph.edge_face):
         u, v, w = ctx.edges[e]
         adj = face_adj.setdefault(ctx.subgraph.edge_face[e], {})
         adj.setdefault(u, []).append((e, v, w))
         adj.setdefault(v, []).append((e, u, w))
+    faces = {}
     for face_idx, adj in sorted(face_adj.items()):
         adj = {n: tuple(sorted(lst)) for n, lst in adj.items()}
-        ends = [n for n in sorted(ctx.subgraph.face_nodes[face_idx]) if n in adj]
-        if len(ends) == len(adj) >= CLOSURE_MIN_ENDS:
-            dist = face_closure(adj, ends)
-            first, second = np.nonzero(dist != _UNREACHED)
-            upper = first < second
-            first, second = first[upper], second[upper]
+        faces[face_idx] = (adj, [n for n in sorted(ctx.subgraph.face_nodes[face_idx])
+                                 if n in adj])
+    return faces
+
+
+def takes_closure(adj, ends):
+    """True iff a face of `face_graphs` reads its links from `face_closure`:
+    its edges touch only ends, at least `CLOSURE_MIN_ENDS` of them."""
+    return len(ends) == len(adj) >= CLOSURE_MIN_ENDS
+
+
+def closure_pairs(adj, ends):
+    """The links of a face that takes the closure, as arrays: (maps, first,
+    second, costs), where pair i joins ends[first[i]] < ends[second[i]] by
+    a path of cost costs[i] (int64), in the order of `combinations` over
+    the ends with unreachable pairs left out, and `maps` is the
+    `ClosureMaps` that `StepContext.link_path` reads."""
+    dist = face_closure(adj, ends)
+    first, second = np.nonzero(dist != _UNREACHED)
+    upper = first < second
+    first, second = first[upper], second[upper]
+    return ClosureMaps(ends, dist), first, second, dist[first, second]
+
+
+def enumerate_typed_links(ctx, faces=None):
+    """All face-confined shortest-path links between boundary node pairs.
+
+    For each induced face and each unordered pair of distinct boundary
+    nodes, the cost of the cheapest path through the candidate edges
+    assigned to that face (omitted when none exists), in the order of
+    `combinations` over the face's ascending ends.  A face that
+    `takes_closure` reads its costs from `closure_pairs`; every other face
+    takes one Dijkstra map per far end.  `ctx.face_maps` keeps the maps, or
+    the closure, for `StepContext.link_path`.  `faces` is
+    `face_graphs(ctx)` when the caller already has it.
+    """
+    links = []
+    if faces is None:
+        faces = face_graphs(ctx)
+    for face_idx, (adj, ends) in faces.items():
+        if takes_closure(adj, ends):
+            maps, first, second, costs = closure_pairs(adj, ends)
             at = np.array(ends)
             links.extend(map(TypedLink._make, zip(
                 at[first].tolist(), at[second].tolist(), repeat(face_idx),
-                dist[first, second].tolist())))
-            maps = ClosureMaps(ends, dist)
+                costs.tolist())))
         else:
             maps = {v: dijkstra(adj, v) for v in ends[1:]}
             for u, v in combinations(ends, 2):

@@ -2,13 +2,19 @@
 
 Used wherever an exact small cover is needed: per-side rectangle covering,
 spanning-tree augmentation at level 1, `bulkrobust gap`'s face optima, and
-the hypergraph vertex cover reference.  Elements are 0..n-1, and every
-caller hands in each set as a bitmask over them: the level-1 tree cover
-passes its links' side-mask XORs as they are.  Each mask is range-checked
-once and read once, lowest bit first, into the per-element candidate
-lists; a mask cannot repeat an element, so nothing checks for repeats.
-Coverage is tracked in bitmasks too, so instances stay fast well past the
-sizes this package generates.
+the hypergraph vertex cover reference.  Elements are 0..n-1.  One search
+has two entries.  `exact_min_cover` takes each set as a bitmask over the
+elements: each mask is range-checked once and read once, lowest bit
+first, into the per-element candidate lists; a mask cannot repeat an
+element, so nothing checks for repeats.  `cover_search` takes those lists
+themselves, each by (cost, index), and holds everything after the decode:
+the cost and coverage checks, the branching order, the bounds and the
+search.  The level-1 tree cover calls it directly on a face that takes
+the closure, with lists read from the closure's arrays
+(`StepContext.cover_candidates`); its smaller trees hand
+`exact_min_cover` their links' side-mask XORs as they are.  Coverage is
+tracked in bitmasks too, so instances stay fast well past the sizes this
+package generates.
 
 The search is a depth-first branch and bound; the incumbent changes only on
 a strictly cheaper leaf, so the result is the first optimal leaf in DFS
@@ -149,52 +155,73 @@ def dual_bound(candidates, costs):
     return _valid_packing(y, candidates, c, lambda y: a.T @ y)
 
 
+def _check_costs(costs):
+    """ValueError naming the first negative cost, if there is one."""
+    if costs and min(costs) < 0:
+        i = next(i for i, cost in enumerate(costs) if cost < 0)
+        raise ValueError(f"set {i} has negative cost {costs[i]}")
+
+
 def exact_min_cover(element_count, sets, node_cap=None):
     """Minimum-cost subcollection covering all elements.
 
     `sets` is a sequence of (cost, mask) pairs with nonnegative costs: bit
     el of the int `mask` is set iff the set holds element el.  Returns
-    (total_cost, tuple of chosen set indices).  Deterministic: branching
-    always targets the uncovered element with the fewest candidates (the
-    lowest index among ties) and children are explored by (cost, index).
-    That order is fixed once per search: each element's mask bit is its rank
-    by (candidate count, index), so the branching element is the lowest
-    uncovered bit.  A parent settles its children itself and recurses only
-    into those that are neither leaves nor at least as costly as the
-    incumbent; every child still counts as one visited node.  From
-    `PACKING_BOUND_AFTER` visited nodes on, a node is also pruned by
-    `packing_bound`'s greedy packing, and from `LP_BOUND_AFTER` on by
-    `dual_bound`'s LP packing instead; a packing trigger at or after the LP
-    one never fires.  Both triggers are read when the search starts.  Raises
-    ValueError on a negative cost, on a mask that is negative or has a bit at
-    or above `element_count` (naming the lowest such element), and on an
-    uncoverable element; BudgetError when more than `node_cap` search nodes
-    (default `NODE_CAP`) are visited.
+    (total_cost, tuple of chosen set indices).  Each mask is range-checked
+    and read, lowest bit first, into the per-element candidate lists, which
+    go to `cover_search` with the costs.  Raises ValueError on a negative
+    cost, then on a mask that is negative or has a bit at or above
+    `element_count` (naming the lowest such element), and otherwise as
+    `cover_search` does.
     """
-    if node_cap is None:
-        node_cap = NODE_CAP
     costs = [cost for cost, _ in sets]
-    if costs and min(costs) < 0:
-        i = next(i for i, cost in enumerate(costs) if cost < 0)
-        raise ValueError(f"set {i} has negative cost {costs[i]}")
     candidates = [[] for _ in range(element_count)]
-    # by (cost, index), and below by (candidate count, index): sorted is stable
+    # by (cost, index): sorted is stable
     for i in sorted(range(len(costs)), key=costs.__getitem__):
         mask = sets[i][1]
         if out := mask >> element_count:    # a negative mask keeps its high bits
+            _check_costs(costs)     # a negative cost is named first
             raise ValueError(
                 f"element {element_count + (out & -out).bit_length() - 1} out of range")
         while mask:
             low = mask & -mask
             candidates[low.bit_length() - 1].append(i)
             mask ^= low
+    return cover_search(candidates, costs, node_cap)
 
+
+def cover_search(candidates, costs, node_cap=None):
+    """Minimum-cost subcollection covering all elements, from the element
+    side: `candidates[el]` lists the indices of the sets that hold element
+    el by (cost, index), and `costs` gives every set's nonnegative cost.
+    Returns (total_cost, tuple of chosen set indices).
+
+    Deterministic: branching always targets the uncovered element with the
+    fewest candidates (the lowest index among ties) and children are
+    explored by (cost, index).  That order is fixed once per search: each
+    element's mask bit is its rank by (candidate count, index), so the
+    branching element is the lowest uncovered bit.  A parent settles its
+    children itself and recurses only into those that are neither leaves
+    nor at least as costly as the incumbent; every child still counts as
+    one visited node.  From `PACKING_BOUND_AFTER` visited nodes on, a node
+    is also pruned by `packing_bound`'s greedy packing, and from
+    `LP_BOUND_AFTER` on by `dual_bound`'s LP packing instead; a packing
+    trigger at or after the LP one never fires.  Both triggers are read
+    when the search starts.  Raises ValueError on a negative cost and on an
+    uncoverable element; BudgetError when more than `node_cap` search nodes
+    (default `NODE_CAP`) are visited.
+    """
+    if node_cap is None:
+        node_cap = NODE_CAP
+    _check_costs(costs)
+    element_count = len(candidates)
     if element_count == 0:
         return 0, ()
     for el in range(element_count):
         if not candidates[el]:
             raise ValueError(f"element {el} is uncoverable")
 
+    # by (candidate count, index): sorted is stable
     rank = sorted(range(element_count), key=lambda el: len(candidates[el]))
     masks = [0] * len(costs)
     for bit, el in enumerate(rank):

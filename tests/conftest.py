@@ -81,6 +81,16 @@ def as_masks(sets):
     return [(cost, sum(1 << el for el in set(elements))) for cost, elements in sets]
 
 
+def per_set(candidates, count):
+    """Set index -> its elements, ascending, from the per-element candidate
+    lists `setcover.cover_search` takes."""
+    found = [[] for _ in range(count)]
+    for el, ids in enumerate(candidates):
+        for i in ids:
+            found[i].append(el)
+    return found
+
+
 def chords_intersect(a, b):
     """True iff the two chords interleave strictly around the circle: the
     scalar definition that `rounding.chords_to_rectangles`' crossing masks

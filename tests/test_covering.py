@@ -13,7 +13,7 @@ from bulkrobust.errors import InvariantError
 from bulkrobust.instance import PlaneGraph
 from bulkrobust.links import (StepContext, TypedLink, bit_positions, enumerate_typed_links,
                               preprocess_step)
-from conftest import (TREE_GRIDS, build_suite_instance, crosses, reference_cuts,
+from conftest import (TREE_GRIDS, build_suite_instance, crosses, per_set, reference_cuts,
                       square_with_chords, suite_schedule)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(40)]
@@ -60,26 +60,38 @@ def per_link(table, f_sets, count):
 
 
 def test_table_matches_definition_on_level1_tree_detours(monkeypatch):
-    # The tree step hands `exact_min_cover` one mask per link, its bits the
-    # omega positions on the link's tree path; they must be the cut
-    # relation, as the networkx reference and the covering table both give it.
+    # A tree whose face takes the closure hands `cover_search` per-element
+    # candidate lists read from the closure's arrays; a smaller tree hands
+    # `exact_min_cover` one mask per link, its bits the omega positions on
+    # the link's tree path.  Either must be the cut relation, as the
+    # networkx reference and the covering table both give it, over the links
+    # `enumerate_typed_links` lists, in their order.
     captured = []
-    monkeypatch.setattr(driver, "exact_min_cover",
-                        lambda count, sets: captured.append(sets) or (0, ()))
-    seen = 0
+    monkeypatch.setattr(driver, "cover_search", lambda candidates, costs:
+                        captured.append(("arrays", candidates, costs)) or (0, ()))
+    monkeypatch.setattr(driver, "exact_min_cover", lambda count, sets:
+                        captured.append(("masks", sets)) or (0, ()))
+    seen = Counter()
     for instance in [i for i in SUITE if i.problem == "mst"] + TREE_GRIDS:
         ctx = preprocess_step(instance, minimum_spanning_tree(instance), 1)
         if not ctx.omega:
             continue
+        assert driver._cover_tree(ctx) == ([], 0)
         links = enumerate_typed_links(ctx)
-        driver._cover_tree(ctx, links)
-        sets = captured.pop()
-        assert [cost for cost, _ in sets] == [link.cost for link in links]
-        by_path = [bit_positions(mask) for _, mask in sets]
+        route, *given = captured.pop()
+        if route == "arrays":
+            candidates, costs = given
+            assert all(ids == sorted(ids, key=lambda i: (costs[i], i)) for ids in candidates)
+            by_path = per_set(candidates, len(links))
+        else:
+            [sets] = given
+            costs = [cost for cost, _ in sets]
+            by_path = [bit_positions(mask) for _, mask in sets]
+        assert costs == [link.cost for link in links]
         assert by_path == per_link(by_definition(ctx, links), ctx.omega, len(links))
         assert by_path == per_link(ctx.covering(links), ctx.omega, len(links))
-        seen += 1
-    assert seen > len(TREE_GRIDS)
+        seen[route] += 1
+    assert seen["arrays"] == len(TREE_GRIDS) and seen["masks"] > 0
 
 
 def test_tree_step_reads_no_covering_table(monkeypatch):
@@ -182,16 +194,35 @@ def test_non_incident_endpoint_raises():
 
 
 def test_level1_tree_link_with_a_non_incident_end_is_an_invariant_error(monkeypatch):
-    # The tree step reads its links' masks without the covering table; an end
-    # outside the solution still names the node, never a bare KeyError.
-    instance = TREE_GRIDS[0]
+    # The tree step reads its sets without the covering table; an end
+    # outside the solution still names the node, never a bare KeyError.  A
+    # closure face reads every end's side mask, so one dropped mask is such
+    # an end; a smaller tree's face reads its links' masks.
+    dropped = []
+    step = driver.preprocess_step
+
+    def drop_one(instance, x_edges, level):
+        ctx = step(instance, x_edges, level)
+        del ctx.side_masks[dropped[-1]]
+        return ctx
+
+    small = next(i for i in SUITE if i.problem == "mst" and i.k)
     original = driver.enumerate_typed_links
-    monkeypatch.setattr(driver, "enumerate_typed_links",
-                        lambda ctx: original(ctx) + (TypedLink(0, 10 ** 6, 0, 1),))
+    monkeypatch.setattr(driver, "enumerate_typed_links", lambda ctx, faces=None:
+                        original(ctx, faces) + (TypedLink(0, 10 ** 6, 0, 1),))
     with pytest.raises(InvariantError) as info:
-        driver.augment_step(instance, minimum_spanning_tree(instance), 1)
+        driver.augment_step(small, minimum_spanning_tree(small), 1)
     assert str(info.value) == ("level-1 augmentation impossible: node 1000000 is not "
                                "incident to the current solution")
+
+    instance = TREE_GRIDS[0]
+    tree = minimum_spanning_tree(instance)
+    dropped.append(max(preprocess_step(instance, tree, 1).side_masks))
+    monkeypatch.setattr(driver, "preprocess_step", drop_one)
+    with pytest.raises(InvariantError) as info:
+        driver.augment_step(instance, tree, 1)
+    assert str(info.value) == (f"level-1 augmentation impossible: node {dropped[-1]} is "
+                               "not incident to the current solution")
 
 
 def test_same_links_reuse_the_table_and_new_links_rebuild_it():

@@ -43,6 +43,43 @@ def test_empty_scenarios_returns_base():
     assert trace.k == 0 and trace.levels == []
 
 
+def test_final_check_reads_the_last_table(monkeypatch):
+    # The check that X meets the base requirement reads the final table's
+    # `holds`, which the last level's check built: no union-find of its own.
+    import bulkrobust.instance as instance_mod
+
+    instances = [triangle_instance(), triangle_instance("mst"),
+                 gen_grid(3, 4, 3, 2, 1, 1), gen_grid(3, 4, 3, 2, 1, 1, "mst")]
+    calls = []
+    for owner, name in [(instance_mod, "requirement_met"),
+                        (instance_mod.Instance, "requirement_holds")]:
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _original=original, _name=name:
+                            calls.append(_name) or _original(*args))
+    for inst in instances:
+        assert inst.k >= 1
+        x, trace = solve(inst)
+        assert inst.feasibility(x).holds and trace.levels
+    assert calls == []
+    instances[0].requirement_holds({0})     # the counters are live
+    assert calls == ["requirement_holds", "requirement_met"]
+
+
+@pytest.mark.parametrize("problem, step, broken", [
+    ("st", "shortest_st_path", frozenset({1})),
+    ("st", "shortest_st_path", frozenset()),
+    ("mst", "minimum_spanning_tree", frozenset({0}))], ids=["st-apart", "st-empty", "mst"])
+def test_broken_base_fails_the_final_check(problem, step, broken, monkeypatch):
+    # With k = 0 no level runs, and the base solution's table answers.
+    import bulkrobust.driver as driver_mod
+
+    monkeypatch.setattr(driver_mod, step, lambda instance: broken)
+    tri = triangle_instance(problem, scenarios=())
+    assert tri.k == 0
+    with pytest.raises(InvariantError, match="^final solution fails the base requirement$"):
+        solve(tri)
+
+
 def test_augment_step_triangle():
     tri = triangle_instance()
     added, level = augment_step(tri, {0}, 1)

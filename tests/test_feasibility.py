@@ -60,10 +60,11 @@ def assert_failures_agree(instance, table, sizes):
 
 
 def assert_agrees(instance, x):
-    """Every S within every scenario, of every size from 0 to |F_j|, and
-    `failures` at every size from 0 to k."""
+    """Every S within every scenario, of every size from 0 to |F_j|,
+    `failures` at every size from 0 to k, and `holds` on X itself."""
     x = frozenset(x)
     table = Feasibility(instance, x)
+    assert table.holds == instance.requirement_holds(x), sorted(x)
     for jdx, full in enumerate(instance.scenario_sets):
         for size in range(len(full) + 1):
             for sub in combinations(sorted(full), size):

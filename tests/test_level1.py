@@ -12,7 +12,9 @@ nodes as the node-by-node search.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -29,8 +31,8 @@ from bulkrobust.errors import BudgetError, InvariantError
 from bulkrobust.instance import MAX_TOTAL_WEIGHT
 from bulkrobust.links import (StepContext, bit_positions, dijkstra, enumerate_typed_links,
                               preprocess_step)
-from bulkrobust.setcover import exact_min_cover
-from conftest import TREE_GRIDS, as_masks, build_suite_instance, suite_schedule
+from bulkrobust.setcover import cover_search, exact_min_cover
+from conftest import TREE_GRIDS, as_masks, build_suite_instance, per_set, suite_schedule
 
 
 def per_pair_lex_shortest_path(adj, src, dst):
@@ -308,10 +310,14 @@ def test_grouped_paths_match_per_pair_search(min_ends, monkeypatch):
 
 
 def test_paths_are_built_for_picked_links_only(monkeypatch):
+    # Level 1 takes the closure arrays and builds no link but its picks;
+    # the levels above enumerate theirs.  Every cover step returns its picked
+    # links, and only those get a path search.
     inst = gen_grid(10, 10, 36, 3, 1, 101, "mst")
     searches = []
     picked = []
     enumerated = []
+    pairs = []
 
     def wrap(owner, name, record):
         original = getattr(owner, name)
@@ -324,14 +330,18 @@ def test_paths_are_built_for_picked_links_only(monkeypatch):
         monkeypatch.setattr(owner, name, wrapped)
 
     wrap(links, "lex_shortest_path", lambda args, found: searches.append(args[1:3]))
-    wrap(driver, "enumerate_typed_links", lambda args, found: enumerated.append(len(found)))
-    for step in ("_cover_tree", "_round_faces"):    # each returns (picked, cost)
-        wrap(driver, step, lambda args, found: picked.extend(args[1][i] for i in found[0]))
+    wrap(driver, "enumerate_typed_links",
+         lambda args, found: enumerated.append((args[0].level, len(found))))
+    wrap(driver, "closure_pairs", lambda args, found: pairs.append(len(found[1])))
+    for step in ("_cover_tree", "_round_faces"):    # each returns (picked links, cost)
+        wrap(driver, step, lambda args, found: picked.extend(found[0]))
     _, trace = solve(inst)
     assert trace.levels[0].omega_size > 0
     assert len(searches) == len(picked) > 0
     assert searches == [(link.u, link.v) for link in picked]
-    assert sum(enumerated) > 10 * len(picked)
+    assert all(type(value) is int for link in picked for value in link)
+    assert len(pairs) == 1 and enumerated and all(level >= 2 for level, _ in enumerated)
+    assert pairs[0] + sum(count for _, count in enumerated) > 10 * len(picked)
 
 
 def test_closure_links_match_dijkstra_on_tree_grids(monkeypatch):
@@ -351,21 +361,26 @@ def test_closure_links_match_dijkstra_on_tree_grids(monkeypatch):
 
 def test_the_suite_takes_both_link_builds(monkeypatch):
     # The suite's faces with only ends have fewer than CLOSURE_MIN_ENDS, so
-    # the closure side comes from one 10x10 tree grid.
+    # the closure side comes from one 10x10 tree grid, whose level-1 step
+    # reads the closure's arrays; every level's face maps are counted.
     took = {True: 0, False: 0}
-    original = driver.enumerate_typed_links
+    contexts = []
+    step = driver.preprocess_step
+    monkeypatch.setattr(driver, "preprocess_step",
+                        lambda *args: contexts.append(step(*args)) or contexts[-1])
 
-    def counted(ctx):
-        found = original(ctx)
-        for face in ctx.face_maps:
-            took[took_closure(ctx, face)] += 1
-        return found
+    def count():
+        for ctx in contexts:
+            for face in ctx.face_maps:
+                took[took_closure(ctx, face)] += 1
+        contexts.clear()
 
-    monkeypatch.setattr(driver, "enumerate_typed_links", counted)
     for params in suite_schedule(40):
         solve(build_suite_instance(params))
+    count()
     assert took[False] >= 1
     solve(TREE_GRIDS[0])
+    count()
     assert took[True] >= 1
 
 
@@ -452,15 +467,19 @@ def test_bound_from_the_first_node_keeps_cost_and_picks(kind, lp_calls, packing_
     assert len(lp_calls) >= 50 and len(packing_calls) >= 50
 
 
-def visited_nodes(n, sets):
+def visited_nodes(n, sets, candidates=None):
     """The recursive search's visited-node count, after checking that
     `exact_min_cover` returns the same (cost, picks) within exactly that many
-    nodes and raises BudgetError with one node fewer."""
+    nodes and raises BudgetError with one node fewer; so does `cover_search`
+    on `candidates`, the sets' candidate lists, when they are given."""
     cost, picks, nodes = recursive_exact_min_cover(n, sets)
-    masks = as_masks(sets)
-    assert exact_min_cover(n, masks, node_cap=nodes) == (cost, picks)
-    with pytest.raises(BudgetError):
-        exact_min_cover(n, masks, node_cap=nodes - 1)
+    searches = [partial(exact_min_cover, n, as_masks(sets))]
+    if candidates is not None:
+        searches.append(partial(cover_search, candidates, [c for c, _ in sets]))
+    for search in searches:
+        assert search(node_cap=nodes) == (cost, picks)
+        with pytest.raises(BudgetError):
+            search(node_cap=nodes - 1)
     return nodes
 
 
@@ -760,26 +779,139 @@ def test_tree_searches_visit_the_nodes_of_the_recursive_search(seed, lp_calls, p
                                                                monkeypatch):
     # The tree-cover workload's shape: every level-1 search here passes both
     # triggers, so the packing and then the LP bound prune from per-byte
-    # tables.
+    # tables.  The tree step hands `cover_search` the closure's candidate
+    # lists.
     set_triggers(monkeypatch, 1000, 1500)
     searches = []
-    original = driver.exact_min_cover
+    original = driver.cover_search
 
-    def record(n, sets, node_cap=None):
-        searches.append((n, sets))
-        return original(n, sets, node_cap)
+    def record(candidates, costs, node_cap=None):
+        searches.append((candidates, costs))
+        return original(candidates, costs, node_cap)
 
-    monkeypatch.setattr(driver, "exact_min_cover", record)
+    monkeypatch.setattr(driver, "cover_search", record)
     solve(gen_grid(10, 10, 36, 3, 1, seed, "mst"))
-    [(n, sets)] = searches
+    [(candidates, costs)] = searches
+    n = len(candidates)
     assert n > 8
+    sets = list(zip(costs, per_set(candidates, len(costs))))
+    assert candidate_lists(n, sets) == candidates
     lp_calls.clear()
     packing_calls.clear()
-    # the references take element lists
-    assert visited_nodes(n, [(cost, bit_positions(mask)) for cost, mask in sets]) \
-        > setcover.LP_BOUND_AFTER
-    # the reference, and both capped searches
-    assert len(lp_calls) == len(packing_calls) == 3
+    assert visited_nodes(n, sets, candidates) > setcover.LP_BOUND_AFTER
+    # the reference, and each search capped twice
+    assert len(lp_calls) == len(packing_calls) == 5
+
+
+def closure_route(ctx):
+    """(candidate lists, costs) of the tree step's closure route on face 0."""
+    [(adj, ends)] = links.face_graphs(ctx).values()
+    assert links.takes_closure(adj, ends)
+    _, first, second, costs = links.closure_pairs(adj, ends)
+    return ctx.cover_candidates(ends, first, second, costs), costs.tolist()
+
+
+def decoded(ctx):
+    """(candidate lists, costs) that `exact_min_cover` decodes from the
+    cover masks of `enumerate_typed_links`, and its result or ValueError."""
+    found = enumerate_typed_links(ctx)
+    sets = list(zip([link.cost for link in found], ctx.cover_masks(found)))
+    seen = []
+    with pytest.MonkeyPatch.context() as patched:
+        search = setcover.cover_search
+        patched.setattr(setcover, "cover_search", lambda candidates, costs, node_cap:
+                        seen.append((candidates, costs)) or search(candidates, costs))
+        try:
+            result = exact_min_cover(len(ctx.omega), sets)
+        except ValueError as exc:
+            result = str(exc)
+    [(candidates, costs)] = seen
+    return candidates, costs, result
+
+
+def check_closure_route(ctx, nodes=False):
+    """The closure route's candidate lists, costs and (cost, picks) equal
+    those `exact_min_cover` takes from the links' masks, or both raise the
+    same ValueError.  The search reads nothing else, so equal lists give
+    equal node counts; with `nodes` both counts are also checked against
+    the recursive reference.  Returns the candidate lists."""
+    candidates, costs = closure_route(ctx)
+    want_candidates, want_costs, want = decoded(ctx)
+    assert (candidates, costs) == (want_candidates, want_costs)
+    assert all(type(c) is int for c in costs)
+    try:
+        assert cover_search(candidates, costs) == want
+    except ValueError as exc:
+        assert str(exc) == want
+        return candidates
+    if nodes:
+        visited_nodes(len(candidates), list(zip(costs, per_set(candidates, len(costs)))),
+                      candidates)
+    return candidates
+
+
+# Trees whose level-1 omega passes 64 sets, so side masks take more than 8
+# bytes, and whose searches stay small.
+WIDE_TREES = [gen_grid(4, 20, 300, 1, 1, 0, "mst"), gen_grid(6, 15, 200, 2, 1, 0, "mst"),
+              gen_grid(2, 60, 300, 1, 1, 0, "mst")]
+WEIGHTED_TREES = [gen_grid(10, 10, 36, 3, w, seed, "mst") for w in (3, 5) for seed in (7, 8)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TREE_GRIDS + WEIGHTED_TREES + WIDE_TREES))
+def test_closure_route_matches_the_mask_route_on_trees(instance):
+    ctx = preprocess_step(instance, minimum_spanning_tree(instance), 1)
+    check_closure_route(ctx)
+    if instance in WIDE_TREES:
+        assert len(ctx.omega) > 64
+
+
+def closure_face(rng):
+    """A one-face StepContext whose face takes the closure: 10 to 16 ends,
+    every one on an edge, weights 0..2 (many cost ties), often more than one
+    component (unreachable pairs), and random side masks over 1 to 100
+    failure sets."""
+    n = rng.randint(10, 16)
+    rows = [(u, (u + 1) % n, 1) for u in range(0, n, 2)]   # every node on an edge
+    rows += [(*rng.sample(range(n), 2), rng.randint(0, 2)) for _ in range(rng.randint(0, 2 * n))]
+    adj = {}
+    for eid, (u, v, w) in enumerate(rows):
+        adj.setdefault(u, []).append((eid, v, w))
+        adj.setdefault(v, []).append((eid, u, w))
+    ctx = one_face_context({node: tuple(lst) for node, lst in adj.items()}, range(n))
+    width = rng.randint(1, 100)
+    ctx.omega = tuple(range(width))
+    ctx.side_masks = {node: rng.getrandbits(width) for node in range(n)}
+    return ctx
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_closure_route_matches_the_mask_route_on_random_faces(rng):
+    ctx = closure_face(rng)
+    check_closure_route(ctx, nodes=len(ctx.omega) <= 12)
+
+
+def test_random_faces_reach_every_case():
+    # Among faces like the property test's: unreachable pairs, cost ties
+    # within an element's candidates, masks past 8 bytes, uncoverable sets,
+    # and searches whose node counts are compared.
+    rng = random.Random(9)
+    seen = Counter()
+    for _ in range(80):
+        ctx = closure_face(rng)
+        [(adj, ends)] = links.face_graphs(ctx).values()
+        _, first, _, costs = links.closure_pairs(adj, ends)
+        candidates = check_closure_route(ctx, nodes=len(ctx.omega) <= 12)
+        costs = costs.tolist()
+        seen["unreachable"] += len(first) < len(ends) * (len(ends) - 1) // 2
+        seen["ties"] += any(costs[a] == costs[b] for ids in candidates
+                            for a, b in zip(ids, ids[1:]))
+        seen["wide"] += len(ctx.omega) > 64
+        seen["uncoverable"] += not all(candidates)
+        seen["nodes"] += len(ctx.omega) <= 12 and all(candidates)
+    assert min(seen[case] for case in ("unreachable", "ties", "wide", "uncoverable",
+                                       "nodes")) >= 5, seen
 
 
 def test_level1_budget_exits_4(tmp_path, capsys, monkeypatch):
