@@ -3,7 +3,10 @@
 All generators are pure functions of their parameters and the seed: the
 same call produces byte-identical instance files.  Scenario sampling
 retries a bounded number of times, so generation either succeeds or fails
-loudly instead of looping forever.
+loudly instead of looping forever.  It asks whether a candidate keeps the
+requirement through one `Feasibility` table per generated graph (X = every
+edge, every edge removable), an elimination of at most k vectors per
+candidate, not a union-find over every edge.
 """
 
 import json
@@ -11,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InstanceError
-from .instance import Instance, requirement_met
+from .instance import Feasibility, Instance
 
 _MAX_RESAMPLES = 1000
 
@@ -23,15 +26,19 @@ MAX_SP_LEAVES = 2 ** 12
 
 def _sample_scenarios(node_count, weighted, problem, s, t, m, k, rng):
     """Draw m random failure sets of size <= k, each of whose removal from the
-    edges `weighted` (rows (e, u, v, w)) keeps the requirement."""
+    edges `weighted` (rows (e, u, v, w)) keeps the requirement.  One
+    Feasibility table of every edge, with every edge removable and one
+    scenario that holds them all, answers each candidate."""
+    rows = {e: (e, u, v) for e, u, v, _ in weighted}
+    pool = sorted(rows)
+    every = frozenset(pool)
+    table = Feasibility(node_count, rows, problem, s, t, every, (every,), every)
     scenarios = []
-    rows = [(e, u, v) for e, u, v, _ in weighted]
-    pool = sorted(e for e, _, _ in rows)
     for idx in range(m):
         for _ in range(_MAX_RESAMPLES):
             size = rng.randint(1, k)
             cand = tuple(sorted(rng.sample(pool, min(size, len(pool)))))
-            if requirement_met(node_count, rows, problem, s, t, frozenset(cand)):
+            if table.cut(0, cand) is None:
                 scenarios.append(cand)
                 break
         else:

@@ -20,7 +20,13 @@ The package's one union-find is a list indexed by node (or face) id, run
 by `_find`, `_union` and `_merge`; `requirement_met` reads the requirement
 from it.  `Feasibility` runs it once per solution X, to give each edge of X
 its vector in the GF(2) cycle space of X; every question on X - S is then a
-rank of at most k vectors (its docstring gives the argument).
+rank of at most k vectors (its docstring gives the argument).  A table is
+built from rows, so the generators' scenario sampling asks one too.
+
+`serialize_instance` writes the canonical layout, the bytes of
+`json.dumps(instance.to_dict(), indent=1) + "\n"`, directly: one string
+join with one `%` format per edge row, not json's pure-Python indenting
+encoder.  `to_dict` stays the reference it is checked against.
 """
 
 import json
@@ -105,42 +111,45 @@ class Feasibility:
     X - S that hold s, t or an end of an edge of F_j & X.  The other
     components of X are untouched by S, so the count is
     |S| - r_X(S) + sigma_j, where sigma_j counts the components of X that
-    hold those nodes; it is found the first time scenario j fails.
-    `failures(size)` owns the question every caller asks, which failures
-    of `size` edges break the requirement: it asks `cut` once per subset
-    and keeps each size's answer, counts included, and each scenario's
-    sorted F_j & X, listed on its first call.  `connected` says whether X
-    joins every node; parse reads it as its connectivity check.  `holds`
-    says whether X itself meets the requirement: `connected` for 'mst', s
-    and t joined (the top bit taken) for 'st'.
+    hold those nodes: 1 when X is connected, otherwise found the first time
+    scenario j fails.  `failures(size)` owns the question every caller
+    asks, which failures of `size` edges break the requirement: it asks
+    `cut` once per subset and keeps each size's answer, counts included,
+    and each scenario's sorted F_j & X, listed on its first call.
+    `connected` says whether X joins every node; parse reads it as its
+    connectivity check.  `holds` says whether X itself meets the
+    requirement: `connected` for 'mst', s and t joined (the top bit taken)
+    for 'st'.  A table whose X holds has answered size 0, empty.
 
-    One build serves every scenario.  The X edges in no scenario are merged
-    into a base forest; one union-find over the X & U rows (U the union of
-    the scenarios, `Instance.touched`), between base roots, gives the
-    spanning forest, and one walk over it gives every tree edge its vector.
-    Edges outside X & U are never removed, so they need no vector.  A query
-    is an elimination of at most k vectors over a pivot dict keyed by
-    `bit_length`.  No build changes an existing table, and a table holds no
-    reference to the instance.
+    The build reads rows, not an instance: the node count, `edge_rows`
+    (id -> (e, u, v)), the problem and its terminals, the `removable` edges
+    U, the `scenarios` F_j (each inside U) and X.  `Instance.feasibility`
+    passes its own views (U = `Instance.touched`, the union of the
+    scenarios); the generators ask about candidate scenarios through a
+    table with X = U = every edge.  One build serves every scenario.  The
+    X edges outside U are merged into a base forest; one union-find over
+    the X & U rows, between base roots, gives the spanning forest, and one
+    walk over it gives every tree edge its vector.  Edges outside U are
+    never removed, so they need no vector.  A query is an elimination of
+    at most k vectors over a pivot dict keyed by `bit_length`.  No build
+    changes an existing table, and a table holds no reference to the
+    instance.
     """
 
     __slots__ = ("x", "connected", "holds", "_full", "_ends", "_terminals", "_parent",
                  "_vectors", "_top", "_sigma", "_failures", "_live")
 
-    def __init__(self, instance, x):
+    def __init__(self, node_count, edge_rows, problem, s, t, removable, scenarios, x):
         self.x = x = frozenset(x)
-        self._full = instance.scenario_sets
-        self._ends = ends = instance.edge_rows
-        self._failures = {}     # size -> the answer of `failures(size)`
+        self._full = scenarios
+        self._ends = ends = edge_rows
         self._live = None       # j -> sorted(F_j & X), from the first `failures` call
-        self._sigma = [None] * len(self._full)     # j -> sigma_j, once j fails
-        n = instance.node_count
-        parent, merges = _merge(list(range(n)), [ends[e] for e in x - instance.touched])
+        parent, merges = _merge(list(range(node_count)), [ends[e] for e in x - removable])
         rows = [(e, _find(parent, u), _find(parent, v))
-                for e, u, v in map(ends.__getitem__, x & instance.touched)]
+                for e, u, v in map(ends.__getitem__, x & removable)]
         terminals = ()      # the base roots of s and t
-        if instance.problem == "st":
-            terminals = (_find(parent, instance.s), _find(parent, instance.t))
+        if problem == "st":
+            terminals = (_find(parent, s), _find(parent, t))
         vectors, spin, tree, bit = {}, {}, {}, 1    # spin: node -> XOR of its non-tree bits
         for e, a, b in rows:
             ra, rb = a, b       # _find inlined, as in `_merge`
@@ -180,8 +189,12 @@ class Feasibility:
                 vectors[e] = below = spin.get(node, 0)
                 spin[up] = spin.get(up, 0) ^ below
         self._terminals, self._parent, self._vectors = terminals, parent, vectors
-        self.connected = merges == n - 1     # X spans the nodes in one component
+        self.connected = merges == node_count - 1   # X spans the nodes in one component
         self.holds = self._top != 0 if terminals else self.connected
+        # size -> the answer of `failures(size)`; X itself is the one 0-subset
+        self._failures = {0: {}} if self.holds else {}
+        # j -> sigma_j, once j fails; one component holds every node of a connected X
+        self._sigma = [1 if self.connected else None] * len(scenarios)
 
     def cut(self, j, removed):
         """None iff the requirement holds on (V, X - S) for S = `removed`,
@@ -579,7 +592,9 @@ class Instance:
         x = frozenset(x)
         table = self.__dict__.get("_feasibility")
         if table is None or table.x != x:
-            table = self._feasibility = Feasibility(self, x)
+            table = self._feasibility = Feasibility(
+                self.node_count, self.edge_rows, self.problem, self.s, self.t,
+                self.touched, self.scenario_sets, x)
         return table
 
     def weight_of(self, edge_subset):
@@ -675,9 +690,38 @@ def parse_instance(data):
     )
 
 
+_EDGE_ROW = "[\n   %d,\n   %d,\n   %d,\n   %d\n  ]"      # an edge row, at depth 2
+
+
+def _ints(values):
+    """A list of ints at depth 2, as `json.dumps(indent=1)` writes it."""
+    return "[\n   " + ",\n   ".join(map(str, values)) + "\n  ]" if values else "[]"
+
+
+def _block(items, depth, brackets="[]"):
+    """Formatted items as `json.dumps(indent=1)` lays out a list, or with
+    brackets "{}" an object, whose items sit at `depth`."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * depth
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-1] + brackets[1]
+
+
 def serialize_instance(instance):
-    """Canonical, byte-stable JSON text for an instance."""
-    return json.dumps(instance.to_dict(), indent=1) + "\n"
+    """Canonical, byte-stable JSON text for an instance: the bytes of
+    `json.dumps(instance.to_dict(), indent=1) + "\n"`, written directly
+    with one `%` format per edge row, since json's indenting encoder runs
+    in pure Python."""
+    rotation = instance.rotation
+    fields = ['"nodes": %d' % instance.node_count,
+              '"edges": ' + _block([_EDGE_ROW % row for row in instance.edges], 2),
+              '"rotation": ' + _block(['"%d": %s' % (n, _ints(rotation[n]))
+                                       for n in sorted(rotation)], 2, "{}"),
+              '"problem": ' + json.dumps(instance.problem)]
+    if instance.problem == "st":
+        fields += ['"s": %d' % instance.s, '"t": %d' % instance.t]
+    fields.append('"scenarios": ' + _block(list(map(_ints, instance.scenarios)), 2))
+    return _block(fields, 1, "{}") + "\n"
 
 
 # -- face machinery -------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from bulkrobust import Instance, InstanceError, gen_grid, gen_series_parallel
 from bulkrobust.generators import Hypergraph
-from bulkrobust.instance import is_int_rows
+from bulkrobust.instance import Feasibility, is_int_rows
 
 
 def triangle_instance(problem="st", scenarios=((0,),)):
@@ -42,6 +42,14 @@ def square_with_chords(inner=True, outer=True, chord_weight=5,
         rot[0] = rot[0] + [eid]
         rot[2] = [eid] + rot[2]
     return Instance(4, edges, rot, "st", 0, 2, scenarios)
+
+
+def fresh_table(instance, x):
+    """A new Feasibility table of X built from the instance's views, as
+    `Instance.feasibility` builds one, without its cache."""
+    return Feasibility(instance.node_count, instance.edge_rows, instance.problem,
+                       instance.s, instance.t, instance.touched,
+                       instance.scenario_sets, x)
 
 
 def component_of(nodes, ends):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bulkrobust import InstanceError, instance, parse_instance, serialize_instance
 from bulkrobust.instance import Feasibility, PlaneGraph, count_cycles, dart_successors
+from conftest import fresh_table
 from test_parse import VIEW_INSTANCES
 
 DOCUMENTS = [json.loads(serialize_instance(inst)) for inst in VIEW_INSTANCES]
@@ -154,6 +155,6 @@ def test_the_counters_are_live(parse_calls):
     inst = VIEW_INSTANCES[0]
     inst.requirement_holds(inst.edge_ids)
     inst.graph.trace_faces()
-    Feasibility(inst, inst.edge_ids)
+    fresh_table(inst, inst.edge_ids)
     assert parse_calls == {"requirement_holds": 1, "requirement_met": 1,
                            "trace_faces": 1, "__init__": 1}

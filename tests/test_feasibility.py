@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from bulkrobust import Instance, gen_grid, gen_hypergraph_vc, solve
 from bulkrobust.instance import Feasibility
-from conftest import (build_suite_instance, component_of, square_with_chords,
-                      suite_schedule, triangle_instance)
+from conftest import (build_suite_instance, component_of, fresh_table,
+                      square_with_chords, suite_schedule, triangle_instance)
 
 SUITE = [build_suite_instance(p) for p in suite_schedule(24)]
 HVC = gen_hypergraph_vc(3, 3, 10, 5)[1]
@@ -63,7 +63,7 @@ def assert_agrees(instance, x):
     """Every S within every scenario, of every size from 0 to |F_j|,
     `failures` at every size from 0 to k, and `holds` on X itself."""
     x = frozenset(x)
-    table = Feasibility(instance, x)
+    table = fresh_table(instance, x)
     assert table.holds == instance.requirement_holds(x), sorted(x)
     for jdx, full in enumerate(instance.scenario_sets):
         for size in range(len(full) + 1):
@@ -114,7 +114,7 @@ def assert_cuts_agree(instance, x):
     requirement holds, else the number of components that hold s, t or an
     end of F_j & X; returns the number of such scenarios."""
     x = frozenset(x)
-    table = Feasibility(instance, x)
+    table = fresh_table(instance, x)
     terminals = [instance.s, instance.t] if instance.problem == "st" else []
     checked = 0
     for jdx, full in enumerate(instance.scenario_sets):
@@ -164,7 +164,7 @@ def test_parallel_edges_cut_only_together(problem):
     # 'st': the two chords alone; 'mst': a spanning tree through chord 4,
     # with chord 5 beside it.
     x = frozenset({4, 5} if problem == "st" else {0, 2, 4, 5})
-    table = Feasibility(instance, x)
+    table = fresh_table(instance, x)
     assert cuts(table, 0, [(), (4,), (5,), (4, 5)]) == [None, None, None, 2]
     assert table.failures(1) == {}
     assert table.failures(2) == {frozenset({4, 5}): (0, 2)}
@@ -176,7 +176,7 @@ def test_a_bridge_is_cut_alone(problem, x):
     # Triangle edges 0 = 01, 1 = 02, 2 = 21.  X is a path through edge 2,
     # so removing that bridge leaves two components.
     instance = triangle_instance(problem, ((1,), (2,)))
-    table = Feasibility(instance, x)
+    table = fresh_table(instance, x)
     assert cuts(table, 1, [(), (2,)]) == [None, 2]
     assert_failures_agree(instance, table, range(instance.k + 1))
     assert assert_cuts_agree(instance, x) == (2 if problem == "st" else 1)
@@ -184,7 +184,7 @@ def test_a_bridge_is_cut_alone(problem, x):
 
 def test_st_with_s_and_t_apart_in_x():
     instance = triangle_instance("st", ((0,), (2,)))    # s = 0, t = 1
-    table = Feasibility(instance, {2})
+    table = fresh_table(instance, {2})
     # No S joins them: the count is s's and t's components, and for S = {2}
     # node 2's as well.
     assert cuts(table, 0, [(), (0,)]) == [2, 2]
@@ -195,7 +195,7 @@ def test_st_with_s_and_t_apart_in_x():
 
 def test_mst_on_a_non_spanning_x():
     instance = triangle_instance("mst", ((0,), (1,)))
-    table = Feasibility(instance, {0})      # node 2 is left out
+    table = fresh_table(instance, {0})      # node 2 is left out
     # Scenario 0 holds X's edge, scenario 1 no X edge: nothing to count.
     assert cuts(table, 0, [(), (0,)]) == [1, 2]
     assert cuts(table, 1, [(), (1,)]) == [0, 0]
@@ -206,12 +206,12 @@ def test_mst_on_a_non_spanning_x():
 @pytest.mark.parametrize("problem", ["st", "mst"])
 def test_x_with_no_scenario_edge(problem):
     instance = triangle_instance(problem, ((0,),))
-    table = Feasibility(instance, {1, 2})   # the path 0-2-1 around edge 0
+    table = fresh_table(instance, {1, 2})   # the path 0-2-1 around edge 0
     assert cuts(table, 0, [(), (0,)]) == [None, None]
     assert all(table.failures(size) == {} for size in range(2))
     assert assert_cuts_agree(instance, {1, 2}) == 0
     # One edge of it: 'st' loses t (and 'mst' node 1) whatever is removed.
-    table = Feasibility(instance, {1})
+    table = fresh_table(instance, {1})
     assert cuts(table, 0, [(), (0,)]) == ([2, 2] if problem == "st" else [0, 0])
     assert assert_cuts_agree(instance, {1}) == 1
 
@@ -239,7 +239,7 @@ def test_agrees_on_random_solutions(case):
     # skip below a size answered empty runs out of order too.
     instance, x, sizes = case
     assert_agrees(instance, x)
-    assert_failures_agree(instance, Feasibility(instance, frozenset(x)), sizes)
+    assert_failures_agree(instance, fresh_table(instance, frozenset(x)), sizes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,7 +276,7 @@ def test_instance_tables_equal_fresh_ones():
                 table = instance.feasibility(x)
                 assert table.x == x
                 found = answers(instance, table)
-                assert found == answers(instance, Feasibility(instance, x))
+                assert found == answers(instance, fresh_table(instance, x))
                 assert [[(sub, jdx) for sub, (jdx, _) in items] for items in found[-1]] == [
                     list(failures_by_definition(instance, x, size).items())
                     for size in range(instance.k + 1)]
@@ -289,7 +289,7 @@ def test_a_held_table_survives_growth():
     assert base < final
     held = instance.feasibility(base)
     before = answers(instance, held)
-    assert before == answers(instance, Feasibility(instance, base))
+    assert before == answers(instance, fresh_table(instance, base))
     newer = instance.feasibility(final)
     assert newer is not held and held.x == base
     assert answers(instance, newer) != before
@@ -304,12 +304,12 @@ def test_failures_answers_each_size_once(monkeypatch):
     cut = Feasibility.cut
     monkeypatch.setattr(Feasibility, "cut",
                         lambda self, j, sub: calls.append(j) or cut(self, j, sub))
-    table = Feasibility(HVC, base)
+    table = fresh_table(HVC, base)
     found = table.failures(1)
     assert found and calls
     calls.clear()
     assert table.failures(1) is found and calls == []
-    table = Feasibility(HVC, final)
+    table = fresh_table(HVC, final)
     assert table.failures(HVC.k) == {}
     assert calls
     calls.clear()

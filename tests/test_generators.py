@@ -1,13 +1,16 @@
 """Generators: structure, determinism, and the vertex-cover reduction."""
 
 import hashlib
+import random
+from itertools import chain
 
 import pytest
 
 from bulkrobust import (InstanceError, brute_force_opt, gen_grid, gen_hypergraph_vc,
-                        gen_series_parallel, parse_instance, serialize_hypergraph,
-                        serialize_instance)
+                        gen_series_parallel, generators, instance, parse_instance,
+                        serialize_hypergraph, serialize_instance)
 from bulkrobust.generators import Hypergraph, random_hypergraph, reduce_hypergraph_vc
+from bulkrobust.instance import Feasibility, requirement_met
 from bulkrobust.oracle import brute_force_vc
 from conftest import parse_hypergraph
 
@@ -125,6 +128,88 @@ def test_sp_instances_are_pinned():
         "13f89f1205918d8dc925667c2dfcb1ef253b3a140accad85db7ea08efd2ba739"
     assert hashlib.sha256(_sp_text(12, 1, "st")).hexdigest() == \
         "aa76d0fa257d005e8220e55b27f88c5e2f84ba131a58581b039fed70002147ed"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Records every Feasibility table built and counts `requirement_met`
+    calls, wherever the generators look it up."""
+    record = {"tables": [], "requirement_met": 0}
+    build = Feasibility.__init__
+
+    def recording_build(self, *args):
+        build(self, *args)
+        record["tables"].append(self)
+
+    def counted(*args, **kwargs):
+        record["requirement_met"] += 1
+        return requirement_met(*args, **kwargs)
+
+    monkeypatch.setattr(Feasibility, "__init__", recording_build)
+    monkeypatch.setattr(instance, "requirement_met", counted)
+    monkeypatch.setattr(generators, "requirement_met", counted, raising=False)
+    return record
+
+
+def sampled(make, builds):
+    """(instance, the table its scenario sampling asked), from one build per
+    generated graph; the instance's parse-time table is the other build."""
+    builds["tables"].clear()
+    inst = make()
+    assert builds["requirement_met"] == 0
+    sampling, parse_time = builds["tables"]
+    assert parse_time is inst.feasibility(inst.edge_ids)
+    assert sampling.x == inst.edge_ids
+    return inst, sampling
+
+
+def every_edge_table(inst, problem):
+    """A table of every edge with every edge removable and one scenario
+    holding them all, as `_sample_scenarios` builds it."""
+    every = inst.edge_ids
+    s, t = (inst.s, inst.t) if problem == "st" else (None, None)
+    return Feasibility(inst.node_count, inst.edge_rows, problem, s, t, every, (every,), every)
+
+
+def candidates(inst, k, rng, count=60):
+    """Random sets of 1..k edges, every node's incident edges (a cut), the
+    whole edge set and the empty set, each sorted as sampling draws them."""
+    pool = sorted(inst.edge_ids)
+    drawn = [rng.sample(pool, min(rng.randint(1, k), len(pool))) for _ in range(count)]
+    incident = [[e for e, u, v in inst.edge_rows.values() if node in (u, v)]
+                for node in range(inst.node_count)]
+    return [tuple(sorted(c)) for c in chain(drawn, incident, [pool, []])]
+
+
+def assert_sampling_agrees(inst, table, problem, rng, k=3):
+    rows = list(inst.edge_rows.values())
+    s, t = (inst.s, inst.t) if problem == "st" else (None, None)
+    answers = set()
+    for cand in candidates(inst, k, rng):
+        held = requirement_met(inst.node_count, rows, problem, s, t, frozenset(cand))
+        assert (table.cut(0, cand) is None) == held, (problem, cand)
+        answers.add(held)
+    assert answers == {True, False}
+
+
+def test_sampling_asks_one_table_as_requirement_met_answers(builds):
+    # Grids and series-parallel graphs (parallel edges), st and mst: the
+    # table the generator built accepts exactly what a union-find accepts.
+    rng = random.Random(5)
+    for seed in range(6):
+        for problem in ("st", "mst"):
+            rows, cols = 2 + seed % 3, 2 + seed % 4
+            makers = [lambda: gen_grid(rows, cols, 4, 3, 5, seed, problem),
+                      lambda: gen_series_parallel(1 + seed % 5, 4, 3, 5, seed, problem)]
+            for make in makers:
+                inst, table = sampled(make, builds)
+                assert_sampling_agrees(inst, table, problem, rng)
+    # Vertex-cover reductions sample nothing; their graphs are asked through
+    # the same build, for st and for mst.
+    for seed in range(6):
+        inst = gen_hypergraph_vc(2 + seed % 2, 3, 4 + seed, seed)[1]
+        for problem in ("st", "mst"):
+            assert_sampling_agrees(inst, every_edge_table(inst, problem), problem, rng)
 
 
 def test_hypergraph_validation():

@@ -4,11 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulkrobust import (InfeasibleError, InstanceError, Instance, gen_grid,
                         gen_hypergraph_vc, gen_series_parallel, parse_instance,
                         serialize_instance)
-from bulkrobust.instance import PlaneGraph, induced_faces
+from bulkrobust.instance import MAX_TOTAL_WEIGHT, PlaneGraph, induced_faces
 from conftest import component_of, grid_2x3, square_cycle, triangle_instance
 
 TRIANGLE_JSON = {
@@ -95,6 +97,62 @@ def test_roundtrip_idempotent():
         text = serialize_instance(inst)
         again = serialize_instance(parse_instance(text))
         assert text == again
+
+
+def json_text(inst):
+    """The canonical layout by json's own encoder: what `serialize_instance`
+    must write byte for byte."""
+    return json.dumps(inst.to_dict(), indent=1) + "\n"
+
+
+@st.composite
+def reweighed_instances(draw):
+    """A generated grid, series-parallel or vertex-cover instance, its
+    weights redrawn up to a total of 2**53."""
+    family = draw(st.sampled_from(["grid", "sp", "hvc"]))
+    problem = draw(st.sampled_from(["st", "mst"]))
+    seed = draw(st.integers(0, 2 ** 31))
+    if family == "grid":
+        inst = gen_grid(draw(st.integers(2, 4)), draw(st.integers(2, 5)),
+                        draw(st.integers(1, 4)), draw(st.integers(1, 3)), 5, seed, problem)
+    elif family == "sp":
+        depth = draw(st.integers(0, 4))
+        inst = gen_series_parallel(depth, draw(st.integers(0, 4)) if depth else 0,
+                                   draw(st.integers(1, 3)), 5, seed, problem)
+    else:
+        inst = gen_hypergraph_vc(draw(st.integers(2, 3)), 2, draw(st.integers(1, 4)), seed)[1]
+    cap = MAX_TOTAL_WEIGHT // len(inst.edges)
+    weights = draw(st.lists(st.integers(0, cap), min_size=len(inst.edges),
+                            max_size=len(inst.edges)))
+    return Instance(inst.node_count, [(e, u, v, w) for (e, u, v, _), w in zip(inst.edges, weights)],
+                    inst.rotation, inst.problem, inst.s, inst.t, inst.scenarios)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reweighed_instances())
+def test_serialize_writes_the_json_layout(inst):
+    assert serialize_instance(inst) == json_text(inst)
+
+
+def test_serialize_edge_cases():
+    lone = Instance(1, [], {0: []}, "mst")
+    text = serialize_instance(lone)
+    assert text == json_text(lone)
+    assert '"edges": [],' in text and '"rotation": {\n  "0": []\n },' in text
+    assert text.endswith('"scenarios": []\n}\n')
+    # no scenarios, st terminals
+    bare = gen_series_parallel(2, 0, 1, 3, seed=4)
+    assert bare.scenarios == () and serialize_instance(bare) == json_text(bare)
+    # node ids past 9: the rotation keys sort as numbers, not as strings
+    grid = gen_grid(3, 4, 2, 2, 5, seed=1)
+    assert serialize_instance(grid) == json_text(grid)
+    assert list(json.loads(serialize_instance(grid))["rotation"]) == [str(n) for n in range(12)]
+    # weights near 2**53
+    heavy = Instance(2, [(0, 0, 1, 2 ** 52 - 1), (1, 0, 1, 2 ** 52 + 1)],
+                     {0: [0, 1], 1: [1, 0]}, "st", 0, 1, [(0,)])
+    assert heavy.weight_of(heavy.edge_ids) == 2 ** 53
+    assert serialize_instance(heavy) == json_text(heavy)
+    assert parse_instance(serialize_instance(heavy)).edges == heavy.edges
 
 
 def test_trace_faces_counts():
