@@ -35,14 +35,33 @@ that zeroes the elements of zero-cost sets and scales y down until every
 set fits, checked, not trusted.  A single packing puts its weight on few
 elements, and a node deep in the search, where only some elements are
 uncovered, then sees a weaker bound.  On the benchmark's tree-cover
-workload (seed 101) the searches visit 634,720 nodes in all; with the
-forward packing alone in place of the mean, 948,157, and with one LP vertex
-in place of the mean of two optima, 837,484.  With integer costs a node is
+workload (seed 101) the searches visit 558,866 nodes in all; with the
+forward packing alone in place of the mean, 838,449, and with one LP vertex
+in place of the mean of two optima, 679,471.  With integer costs a node is
 pruned once cost + that bound > best - 1, since a strictly cheaper leaf
 costs at most best - 1; a tolerance relative to the packing's total keeps
 float error from pruning that leaf.  Small searches never reach a trigger
 and pay for neither bound.  Past `node_cap` visited nodes (default
 `NODE_CAP`, read when the search starts) it raises `BudgetError`.
+
+Different pick orders often reach the same covered mask, so the search
+remembers the masks it has searched: a table maps each covered mask that
+the search enters to the least cost it was entered at, and a mask entered
+before at a cost no higher returns at once.  That never changes the
+returned (cost, picks).  The incumbent changes only on a strictly cheaper
+leaf, and a mask never recurs inside its own subtree, since each pick
+covers the lowest uncovered element.  So once the first visit to mask M, at
+cost c0, has ended, the incumbent costs at most c0 plus M's cheapest
+completion: either that visit reached such a leaf or one no dearer was
+already held, or a bound showed that no strictly cheaper leaf lay below M.
+A later visit at c1 >= c0 therefore holds no strictly cheaper leaf; if
+c1 = c0, the first optimal leaf in DFS order below M was already reached in
+the first visit.  The bounds do not depend on the path, so they stay valid.
+The table holds at most `REACHED_CAP` masks (read when the search starts);
+past that, no new mask is inserted, but a held mask's cost still drops when
+it is entered more cheaply.  Without the table the tree-cover searches
+above visit 634,720 nodes, and 38 of them, not 19, reach the LP bound; the
+largest table there holds 1,284 masks.
 
 A visited node is the root or any child the search reaches, leaves and
 children pruned at once included; `NODE_CAP`, both triggers and the node
@@ -61,6 +80,8 @@ every byte value; a node's bound is one lookup per byte, read only when the
 cheapest-set test has not pruned.
 """
 
+from itertools import accumulate, chain, pairwise
+
 import numpy as np
 
 from .errors import BudgetError, InvariantError
@@ -69,10 +90,18 @@ from .lp import LinearProgram, covering_matrix, simplex_min
 PACKING_BOUND_AFTER = 1000
 LP_BOUND_AFTER = 5000
 # The largest search in the benchmark's tree-cover and small-mix workloads
-# (seeds 101 and 102) visits under 10**5 nodes.
+# (seeds 101 and 102) visits under 25,000 nodes; the narrow spanning-tree
+# grid gen_grid(3, 30, 90, 1, 1, 0, "mst") about 805,000.
 NODE_CAP = 10 ** 6
+# Covered masks one search remembers: that grid's search holds about 108,000.
+REACHED_CAP = 2 ** 18
 _FLOAT_EXACT = 2 ** 53      # costs up to this convert to float exactly
 _BOUND_RTOL = 1e-9          # prune tolerance, relative to the packing's total
+
+
+def _exact_floats(costs):
+    """Whether every cost is nonnegative and exact as a float."""
+    return 0 <= min(costs) and max(costs) <= _FLOAT_EXACT
 
 
 def _valid_packing(y, candidates, c, load):
@@ -115,12 +144,13 @@ def packing_bound(candidates, costs):
     fits under every set by construction, and so does their mean; the
     scaling and the check that `dual_bound` makes still run on it.
     """
-    if not all(0 <= c <= _FLOAT_EXACT for c in costs):
+    if not _exact_floats(costs):
         return None
     c = np.array(costs, dtype=float)
-    ids = [np.array(i) for i in candidates]
+    counts = [len(i) for i in candidates]
+    sets = np.fromiter(chain.from_iterable(candidates), np.intp, sum(counts))
+    ids = [sets[start:end] for start, end in pairwise(accumulate(counts, initial=0))]
     y = (maximal_packing(ids, c) + maximal_packing(ids[::-1], c)[::-1]) / 2
-    sets, counts = np.concatenate(ids), [len(i) for i in ids]
     return _valid_packing(np.clip(y, 0.0, None), candidates, c,
                           lambda y: np.bincount(sets, np.repeat(y, counts), c.size))
 
@@ -137,7 +167,7 @@ def dual_bound(candidates, costs):
     Every round solves the restricted LP twice, with the elements in forward
     and in reverse order, and y is the mean of the two packing optima.
     """
-    if not all(0 <= c <= _FLOAT_EXACT for c in costs):
+    if not _exact_floats(costs):
         return None
     c = np.array(costs, dtype=float)
     a = covering_matrix(candidates, c.size)
@@ -207,9 +237,11 @@ def cover_search(candidates, costs, node_cap=None):
     is also pruned by `packing_bound`'s greedy packing, and from
     `LP_BOUND_AFTER` on by `dual_bound`'s LP packing instead; a packing
     trigger at or after the LP one never fires.  Both triggers are read
-    when the search starts.  Raises ValueError on a negative cost and on an
-    uncoverable element; BudgetError when more than `node_cap` search nodes
-    (default `NODE_CAP`) are visited.
+    when the search starts.  A node whose covered mask was entered before at
+    a cost no higher is not searched again (up to `REACHED_CAP` masks are
+    remembered; see the module docstring).  Raises ValueError on a negative
+    cost and on an uncoverable element; BudgetError when more than
+    `node_cap` search nodes (default `NODE_CAP`) are visited.
     """
     if node_cap is None:
         node_cap = NODE_CAP
@@ -233,12 +265,14 @@ def cover_search(candidates, costs, node_cap=None):
     full = (1 << element_count) - 1
     width = (element_count + 7) // 8
     # With integer costs a strictly cheaper leaf is cheaper by at least one.
-    step = 1 if all(type(c) is int for c in costs) else 0
+    step = 1 if set(map(type, costs)) <= {int} else 0
 
     best_cost = None
     best_pick = None
     picked = []
     nodes = 0
+    reached = {}    # covered mask -> least cost `branch` entered it at
+    reached_cap = REACHED_CAP
     tables = None   # y sums per byte value of the uncovered mask, once a bound starts
     tol = 0.0
     # The bounds still to start, the next on top.  A packing bound that would
@@ -280,6 +314,14 @@ def cover_search(candidates, costs, node_cap=None):
         # Entered for a counted node that is neither a leaf nor, against the
         # incumbent, too costly.
         nonlocal best_cost, best_pick
+        entered = reached.get(covered)
+        if entered is None:
+            if len(reached) < reached_cap:
+                reached[covered] = cost
+        elif entered <= cost:
+            return
+        else:
+            reached[covered] = cost
         bit = (~covered & (covered + 1)).bit_length() - 1    # lowest zero bit
         if best_cost is not None:
             if cost + cheapest[bit] >= best_cost:

@@ -6,9 +6,10 @@ its node budget.
 `recursive_exact_min_cover` are the earlier implementations, kept here as
 references: one Dijkstra per pair, a branch and bound whose only bound is the
 cheapest set of the branching element, and the node-by-node search with the
-lazy packing and LP bounds, one call per visited node.  The fast versions
-must return exactly what they return, and the exact cover must visit as many
-nodes as the node-by-node search.
+lazy packing and LP bounds and the table of covered masks it has entered,
+one call per visited node.  The fast versions must return exactly what they
+return, and the exact cover must visit as many nodes as the node-by-node
+search.
 """
 
 import random
@@ -133,10 +134,14 @@ def recursive_exact_min_cover(element_count, sets, node_cap=None):
     """`exact_min_cover` with one call per visited node, scanning every element
     for the branching one; returns (cost, picks, visited nodes).  Reads
     `setcover`'s `PACKING_BOUND_AFTER`, `LP_BOUND_AFTER`, `NODE_CAP`,
-    `packing_bound` and `dual_bound` at call time.  A packing bound that would
-    start with or after the LP bound never runs."""
+    `REACHED_CAP`, `packing_bound` and `dual_bound` at call time.  A packing
+    bound that would start with or after the LP bound never runs.  Like the
+    search, it remembers the least cost at which it entered each covered mask
+    that is neither a leaf nor too costly, up to `REACHED_CAP` masks, and
+    returns at once from a mask entered before at a cost no higher."""
     if node_cap is None:
         node_cap = setcover.NODE_CAP
+    reached_cap = setcover.REACHED_CAP
     full = (1 << element_count) - 1
     masks = []
     costs = []
@@ -168,6 +173,7 @@ def recursive_exact_min_cover(element_count, sets, node_cap=None):
     best_cost = None
     best_pick = None
     nodes = 0
+    reached = {}
     y = None
     tol = 0.0
     bounds = {setcover.LP_BOUND_AFTER: setcover.dual_bound}
@@ -191,6 +197,14 @@ def recursive_exact_min_cover(element_count, sets, node_cap=None):
             return
         if best_cost is not None and cost >= best_cost:
             return
+        entered = reached.get(covered)
+        if entered is None:
+            if len(reached) < reached_cap:
+                reached[covered] = cost
+        elif entered <= cost:
+            return
+        else:
+            reached[covered] = cost
         target, fanout = -1, None
         need = 0.0
         for el in range(element_count):
@@ -436,8 +450,10 @@ COSTS = {
 
 @pytest.mark.parametrize("kind", sorted(COSTS))
 def test_lazy_bound_keeps_cost_and_picks(kind, packing_calls):
+    # 100 covers: the table of covered masks ends many zero-cost searches
+    # before the first trigger.
     rng = random.Random(kind)
-    for _ in range(40):
+    for _ in range(100):
         n = rng.randint(16, 24)
         sets = random_cover(rng, n, COSTS[kind](rng))
         assert exact_min_cover(n, as_masks(sets)) == bound_free_exact_min_cover(n, sets)
@@ -506,8 +522,10 @@ def test_search_visits_the_nodes_of_the_recursive_search(kind, triggers, lp_call
         sets = [(cost(), rng.sample(range(n), rng.randint(1, n)))
                 for _ in range(rng.randint(1, 12))] + [(cost(), range(n))]
         visited_nodes(n, sets)
+    # 20 to 26 elements: the table of covered masks ends smaller zero-cost
+    # searches before 1000 nodes.
     for _ in range(6):
-        n = rng.randint(16, 22)
+        n = rng.randint(20, 26)
         visited_nodes(n, random_cover(rng, n, COSTS[kind](rng)))
     # the first bound of the schedule ran
     assert packing_calls if packing < lp else (lp_calls and not packing_calls)
@@ -560,6 +578,38 @@ def test_masks_match_the_list_references(cover, triggers):
         assert exact_min_cover(n, as_masks(sets)) == expected
         if n:
             visited_nodes(n, sets)
+
+
+@st.composite
+def tie_covers(draw):
+    """(element count, (cost, element list) pairs) like `random_cover`'s: a
+    singleton for every element and up to 40 sets of 2 to 5 elements, all
+    costs of one kind: 0 to 4 (zero costs and many ties), or integers near
+    2**53."""
+    n = draw(st.integers(6, 18))
+    elements = st.lists(st.integers(0, n - 1), min_size=2, max_size=5, unique=True)
+    members = [[el] for el in range(n)] + draw(st.lists(elements, max_size=40))
+    costs = draw(st.sampled_from([st.integers(0, 4), st.integers(2 ** 53 - 4, 2 ** 53)]))
+    return n, draw(st.permutations([(draw(costs), els) for els in members]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_covers(), st.tuples(*[st.sampled_from([1, 2, 5, 1000])] * 2))
+def test_reached_table_keeps_cost_and_picks(cover, triggers):
+    # No table, a table of 3 masks, and the default one return the same
+    # (cost, picks), from the mask and the list entry alike, each within the
+    # recursive reference's node count under the same cap.
+    n, sets = cover
+    candidates = candidate_lists(n, sets)
+    costs = [c for c, _ in sets]
+    with pytest.MonkeyPatch.context() as patched:
+        set_triggers(patched, *triggers)
+        found = set()
+        for cap in (0, 3, setcover.REACHED_CAP):
+            patched.setattr(setcover, "REACHED_CAP", cap)
+            visited_nodes(n, sets, candidates)
+            found.add(exact_min_cover(n, as_masks(sets)))
+    assert len(found) == 1, found
 
 
 @pytest.mark.parametrize("count, sets, message", [
@@ -771,6 +821,16 @@ def test_weighted_tree_grids_finish_under_the_cap(scenarios, weight_max, seed):
     inst = gen_grid(10, 10, scenarios, 3, weight_max, seed, "mst")
     x, trace = solve(inst)
     assert trace.levels[0].omega_size > 0
+    assert is_feasible(inst, x)
+
+
+def test_narrow_tree_grid_finishes_under_the_cap():
+    # 43 failure sets over 703 pairs: the search visits about 805,000 of the
+    # default NODE_CAP's 10**6 nodes.  Without the table of covered masks it
+    # passes the budget.
+    inst = gen_grid(3, 30, 90, 1, 1, 0, "mst")
+    x, trace = solve(inst)
+    assert trace.levels[0].omega_size == 43
     assert is_feasible(inst, x)
 
 
