@@ -315,12 +315,9 @@ def cover_search(candidates, costs, node_cap=None):
         # incumbent, too costly.
         nonlocal best_cost, best_pick
         entered = reached.get(covered)
-        if entered is None:
-            if len(reached) < reached_cap:
-                reached[covered] = cost
-        elif entered <= cost:
+        if entered is not None and entered <= cost:
             return
-        else:
+        if entered is not None or len(reached) < reached_cap:
             reached[covered] = cost
         bit = (~covered & (covered + 1)).bit_length() - 1    # lowest zero bit
         if best_cost is not None:

@@ -198,12 +198,9 @@ def recursive_exact_min_cover(element_count, sets, node_cap=None):
         if best_cost is not None and cost >= best_cost:
             return
         entered = reached.get(covered)
-        if entered is None:
-            if len(reached) < reached_cap:
-                reached[covered] = cost
-        elif entered <= cost:
+        if entered is not None and entered <= cost:
             return
-        else:
+        if entered is not None or len(reached) < reached_cap:
             reached[covered] = cost
         target, fanout = -1, None
         need = 0.0
