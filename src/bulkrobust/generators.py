@@ -83,7 +83,7 @@ def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st
     s, t = (0, rows * cols - 1) if problem == "st" else (None, None)
     scenarios = _sample_scenarios(rows * cols, weighted, problem, s, t,
                                   scenario_count, diameter, rng)
-    return Instance(rows * cols, weighted, rotation, problem, s, t, scenarios)
+    return Instance.from_int_rows(rows * cols, weighted, rotation, problem, s, t, scenarios)
 
 
 class _SPBuilder:
@@ -170,7 +170,7 @@ def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, probl
     n = len(order)
     st = (0, 1) if problem == "st" else (None, None)
     scenarios = _sample_scenarios(n, weighted, problem, *st, scenario_count, diameter, rng)
-    return Instance(n, weighted, rotation, problem, st[0], st[1], scenarios)
+    return Instance.from_int_rows(n, weighted, rotation, problem, st[0], st[1], scenarios)
 
 
 # -- hypergraph vertex cover reduction ------------------------------------
@@ -310,7 +310,7 @@ def reduce_hypergraph_vc(h):
     for i in range(p):
         scenarios.append(tuple(sorted(j * p + orders[j].index(i) for j in range(k))))
 
-    return Instance(node_count, edges, rotation, "st", s, t, scenarios)
+    return Instance.from_int_rows(node_count, edges, rotation, "st", s, t, scenarios)
 
 
 def gen_hypergraph_vc(k, part_size, edge_count, seed):

@@ -5,10 +5,14 @@ ids, and a rotation system (per node, the cyclic clockwise order of
 incident edge ids).  The rotation system *is* the embedding; validity is
 checked through Euler's formula, never by planarity testing.  `Instance`
 checks its input in one pass, which also builds the edge views the solve
-reads; its `graph` shares the instance's dicts.  Parse reads each rotation
-once, into the face successor of every integer dart (`dart_successors`),
-and its Euler check counts that permutation's cycles (`count_cycles`), so
-it traces no face walk.  `PlaneGraph.trace_faces` is the one owner of face
+reads; its `graph` shares the instance's dicts.  `Instance(...)` converts
+each value to a Python int first, for callers with other number types;
+parse, which has just checked that every value is one, and the generators,
+which build ints, call `Instance.from_int_rows`, the same checks and views
+without the conversion.  Parse reads each rotation once, into the face
+successor of every integer dart (`dart_successors`), and its Euler check
+counts that permutation's cycles (`count_cycles`), so it traces no face
+walk.  `PlaneGraph.trace_faces` is the one owner of face
 walks, and a graph's `faces` are traced on first read.
 
 Contraction has two parts: `PlaneGraph.group` merges the nodes, and
@@ -115,11 +119,12 @@ class Feasibility:
     scenario j fails.  `failures(size)` owns the question every caller
     asks, which failures of `size` edges break the requirement: it asks
     `cut` once per subset and keeps each size's answer, counts included,
-    and each scenario's sorted F_j & X, listed on its first call.
-    `connected` says whether X joins every node; parse reads it as its
-    connectivity check.  `holds` says whether X itself meets the
-    requirement: `connected` for 'mst', s and t joined (the top bit taken)
-    for 'st'.  A table whose X holds has answered size 0, empty.
+    and each scenario's sorted F_j & X, kept as a tuple on its first call;
+    an F_j & X no larger than the size is its own one subset, and builds
+    no `combinations`.  `connected` says whether X joins every node; parse
+    reads it as its connectivity check.  `holds` says whether X itself
+    meets the requirement: `connected` for 'mst', s and t joined (the top
+    bit taken) for 'st'.  A table whose X holds has answered size 0, empty.
 
     The build reads rows, not an instance: the node count, `edge_rows`
     (id -> (e, u, v)), the problem and its terminals, the `removable` edges
@@ -127,13 +132,13 @@ class Feasibility:
     passes its own views (U = `Instance.touched`, the union of the
     scenarios); the generators ask about candidate scenarios through a
     table with X = U = every edge.  One build serves every scenario.  The
-    X edges outside U are merged into a base forest; one union-find over
-    the X & U rows, between base roots, gives the spanning forest, and one
-    walk over it gives every tree edge its vector.  Edges outside U are
-    never removed, so they need no vector.  A query is an elimination of
-    at most k vectors over a pivot dict keyed by `bit_length`.  No build
-    changes an existing table, and a table holds no reference to the
-    instance.
+    X edges outside U are merged into a base forest, and each X & U edge is
+    read as a row between base roots; both loops run the union-find inline.
+    One union-find over those rows gives the spanning forest, and one walk
+    over it gives every tree edge its vector.  Edges outside U are never
+    removed, so they need no vector.  A query is an elimination of at most
+    k vectors over a pivot dict keyed by `bit_length`.  No build changes an
+    existing table, and a table holds no reference to the instance.
     """
 
     __slots__ = ("x", "connected", "holds", "_full", "_ends", "_terminals", "_parent",
@@ -143,10 +148,25 @@ class Feasibility:
         self.x = x = frozenset(x)
         self._full = scenarios
         self._ends = ends = edge_rows
-        self._live = None       # j -> sorted(F_j & X), from the first `failures` call
-        parent, merges = _merge(list(range(node_count)), [ends[e] for e in x - removable])
-        rows = [(e, _find(parent, u), _find(parent, v))
-                for e, u, v in map(ends.__getitem__, x & removable)]
+        self._live = None       # j -> the tuple sorted(F_j & X), from the first `failures` call
+        parent, merges = list(range(node_count)), 0
+        for e in x - removable:     # `_merge` inlined: the base forest
+            _, u, v = ends[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[v] = u
+                merges += 1
+        rows = []       # (e, a, b): the X & U edges between base roots
+        for e in x & removable:     # `_find` inlined; the base forest is final
+            _, a, b = ends[e]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            rows.append((e, a, b))
         terminals = ()      # the base roots of s and t
         if problem == "st":
             terminals = (_find(parent, s), _find(parent, t))
@@ -247,16 +267,22 @@ class Feasibility:
         found = self._failures.get(size)
         if found is None:
             clean = max([-1] + [done for done, answer in self._failures.items() if not answer])
-            if self._live is None:
-                self._live = [sorted(full & self.x) for full in self._full]
+            live_sets = self._live
+            if live_sets is None:
+                x = self.x
+                live_sets = self._live = [tuple(sorted(full & x)) for full in self._full]
             first = {}      # subset -> the first scenario that holds it
-            for j, live in enumerate(self._live):
-                if min(size, len(live)) > clean:
-                    for sub in combinations(live, min(size, len(live))):
+            for j, live in enumerate(live_sets):
+                if len(live) <= size:   # its one subset is the live set itself
+                    if len(live) > clean:
+                        first.setdefault(live, j)
+                elif size > clean:
+                    for sub in combinations(live, size):
                         first.setdefault(sub, j)
+            cut = self.cut
             found = self._failures[size] = {
                 frozenset(sub): (j, count) for sub, j in first.items()
-                if (count := self.cut(j, sub)) is not None}
+                if (count := cut(j, sub)) is not None}
         return found
 
 
@@ -473,40 +499,61 @@ class Instance:
 
     Holds the embedded weighted multigraph, the problem kind (`st` or
     `mst`), terminals for `st`, and the explicit failure scenarios.
-    Immutable after construction.  `__init__` converts each value once and
-    checks it in one pass, which also builds the views the checks and the
-    solve read: `edge_map` (id -> (u, v, w)), `edge_rows` (id -> (e, u, v),
-    the row the union-find helpers take), `edge_ids`, `scenario_sets`,
-    `touched` (the union of the scenarios), `k` and `graph`, whose `edges`
-    and `rotation` are the instance's own dicts.  The rotation check and
-    the Euler check share one pass over the rotation (`dart_successors`);
-    the Euler check counts the successor's cycles and traces no face, so
-    `graph.faces` is traced on its first read.  One `Feasibility` table of
-    all edges answers both the connectivity check and `check_feasible`.
+    Immutable after construction.  `__init__` converts each value once,
+    each edge row as it is read; `from_int_rows` takes values that are
+    Python ints already.  Both then check them in one pass, which also
+    builds the views the checks and the solve read: `edge_map` (id ->
+    (u, v, w)), `edge_rows` (id -> (e, u, v), the row the union-find
+    helpers take), `edge_ids`, `scenario_sets`, `touched` (the union of the
+    scenarios), `k` and `graph`, whose `edges` and `rotation` are the
+    instance's own dicts.  The rotation check and the Euler check share one
+    pass over the rotation (`dart_successors`); the Euler check counts the
+    successor's cycles and traces no face, so `graph.faces` is traced on
+    its first read.  One `Feasibility` table of all edges answers both the
+    connectivity check and `check_feasible`.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
                  scenarios=()):
-        self.node_count = n = int(node_count)
-        self.rotation = {int(v): tuple(map(int, rot)) for v, rot in rotation.items()}
-        if len(self.rotation) != len(rotation):     # 2 and "2", or "2" and "02"
+        n = int(node_count)
+        rotation_ints = {int(v): tuple(map(int, rot)) for v, rot in rotation.items()}
+        if len(rotation_ints) != len(rotation):     # 2 and "2", or "2" and "02"
             raise InstanceError("rotation names one node under two keys")
-        self.problem = problem
-        self.s = None if s is None else int(s)
-        self.t = None if t is None else int(t)
-        self.scenarios = tuple(tuple(map(int, sc)) for sc in scenarios)
+        s = None if s is None else int(s)
+        t = None if t is None else int(t)
+        scenarios = tuple(tuple(map(int, sc)) for sc in scenarios)
+        # The rows convert as the build reads them, so a row's checks still
+        # come before the next row's conversion.
+        edges = ((int(e), int(u), int(v), int(w)) for e, u, v, w in edges)
+        self._build(n, edges, rotation_ints, problem, s, t, scenarios)
+
+    @classmethod
+    def from_int_rows(cls, node_count, edges, rotation, problem, s=None, t=None,
+                      scenarios=()):
+        """The instance of values that are all Python ints already, as parse
+        checks them and the generators build them: `__init__` without its
+        conversion.  The rows may be lists or tuples; `rotation` maps int
+        node ids to edge id sequences.  Every check of `__init__` runs."""
+        self = cls.__new__(cls)
+        self._build(node_count, edges, rotation, problem, s, t, scenarios)
+        return self
+
+    def _build(self, n, edges, rotation, problem, s, t, scenarios):
+        """Check the int values and build the views, in one pass per field."""
+        self.node_count = n
+        self.rotation = {v: tuple(rot) for v, rot in rotation.items()}
+        self.problem, self.s, self.t = problem, s, t
+        self.scenarios = tuple(map(tuple, scenarios))
         if n < 1:
             raise InstanceError("node count must be positive")
         if problem not in ("st", "mst"):
             raise InstanceError(f"unknown problem kind {problem!r}")
         rows, edge_map, edge_rows, total = [], {}, {}, 0
         for e, u, v, w in edges:
-            e, u, v, w = int(e), int(u), int(v), int(w)
             if e < 0 or e in edge_map:
                 raise InstanceError(f"duplicate or negative edge id {e}")
-            for x in (u, v):
-                if not 0 <= x < n:
-                    raise InstanceError(f"dangling node id {x} on edge {e}")
+            if not 0 <= u < n > v >= 0:
+                raise InstanceError(f"dangling node id {v if 0 <= u < n else u} on edge {e}")
             if u == v:
                 raise InstanceError(f"self-loop on edge {e}")
             if w < 0:
@@ -518,33 +565,33 @@ class Instance:
         if total > MAX_TOTAL_WEIGHT:
             raise InstanceError("total edge weight exceeds 2**53")
         self.edges, self.edge_map, self.edge_rows = tuple(rows), edge_map, edge_rows
+        rotation = self.rotation
         # n distinct keys in [0, n): bounds n by the file size before anything
         # per node is built.
-        if len(self.rotation) != n or min(self.rotation) < 0 or max(self.rotation) >= n:
+        if len(rotation) != n or min(rotation) < 0 or max(rotation) >= n:
             raise InstanceError("rotation must list every node exactly once")
-        phi = dart_successors(self.rotation, edge_map)
+        phi = dart_successors(rotation, edge_map)
         if phi is None:     # name the first bad node, in rotation order
             incident = {}
             for e, u, v, _ in rows:
                 incident.setdefault(u, []).append(e)
                 incident.setdefault(v, []).append(e)
-            for node, rot in self.rotation.items():
+            for node, rot in rotation.items():
                 if sorted(rot) != (expected := sorted(incident.get(node, ()))):
                     raise InstanceError(
                         f"invalid rotation at node {node}: expected the incident edges "
                         f"{expected}, got {sorted(rot)}")
             raise InvariantError("the dart check and the rotation check disagree")
         if problem == "st":
-            if self.s is None or self.t is None:
+            if s is None or t is None:
                 raise InstanceError("problem 'st' requires terminals s and t")
-            for x in (self.s, self.t):
-                if not 0 <= x < n:
-                    raise InstanceError(f"dangling terminal node id {x}")
-            if self.s == self.t:
+            if not 0 <= s < n > t >= 0:
+                raise InstanceError(f"dangling terminal node id {t if 0 <= s < n else s}")
+            if s == t:
                 raise InstanceError("terminals s and t must differ")
-        elif self.s is not None or self.t is not None:
+        elif s is not None or t is not None:
             raise InstanceError("problem 'mst' takes no terminals")
-        self.edge_ids = frozenset(edge_map)
+        self.edge_ids = edge_ids = frozenset(edge_map)
         sets = []
         for i, sc in enumerate(self.scenarios):
             if not sc:
@@ -552,9 +599,9 @@ class Instance:
             full = frozenset(sc)
             if len(full) != len(sc):
                 raise InstanceError(f"scenario {i} repeats an edge id")
-            for e in sc:
-                if e not in self.edge_ids:
-                    raise InstanceError(f"dangling edge id {e} in scenario {i}")
+            if not full <= edge_ids:
+                e = next(e for e in sc if e not in edge_ids)
+                raise InstanceError(f"dangling edge id {e} in scenario {i}")
             sets.append(full)
         self.scenario_sets = tuple(sets)
         self.touched = frozenset().union(*sets)
@@ -591,7 +638,7 @@ class Instance:
         """
         x = frozenset(x)
         table = self.__dict__.get("_feasibility")
-        if table is None or table.x != x:
+        if table is None or table.x is not x and table.x != x:
             table = self._feasibility = Feasibility(
                 self.node_count, self.edge_rows, self.problem, self.s, self.t,
                 self.touched, self.scenario_sets, x)
@@ -679,7 +726,7 @@ def parse_instance(data):
     scenarios = data.get("scenarios", [])
     if not is_int_rows(scenarios):
         raise InstanceError("scenarios must be a list of edge id lists")
-    return Instance(
+    return Instance.from_int_rows(
         node_count=data["nodes"],
         edges=edges,
         rotation=rotation,

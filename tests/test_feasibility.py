@@ -318,6 +318,24 @@ def test_failures_answers_each_size_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("scenarios, first", [
+    (((0, 2, 4), (0, 1, 2), (0, 2)), {2: 0, 3: 0}),
+    (((0, 1, 2), (0, 2, 4), (0, 2)), {2: 0, 3: 1}),
+])
+def test_failures_keeps_the_first_scenario_of_a_shared_live_set(scenarios, first):
+    # X is the square cycle, so F & X drops the chord 4: (0, 2, 4) and (0, 2)
+    # both leave (0, 2), and a live set no larger than the size is its own one
+    # subset.  At size 2, (0, 1, 2) lists (0, 2) among its combinations; at
+    # size 3 its one subset is itself.  Removing (0, 2) cuts s = 0 from
+    # t = 2, and the first scenario whose subsets hold it is kept.
+    instance = chords("st", scenarios)
+    x = frozenset({0, 1, 2, 3})
+    assert_failures_agree(instance, fresh_table(instance, x), range(instance.k + 2))
+    assert_failures_agree(instance, fresh_table(instance, x), range(instance.k + 1, -1, -1))
+    for size, jdx in first.items():
+        assert fresh_table(instance, x).failures(size)[frozenset({0, 2})][0] == jdx, size
+
+
 def test_instance_keeps_the_table_of_the_last_solution():
     instance = SUITE[0]
     x = level_solutions(instance)[-1]

@@ -5,6 +5,7 @@ against their definitions."""
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,8 +210,21 @@ def assert_views(inst):
     assert inst.graph.nodes == tuple(range(inst.node_count))
     assert inst.graph.edges is inst.edge_map
     assert inst.graph.rotation is inst.rotation
+    assert_exact_ints(inst)
     text = serialize_instance(inst)
     assert serialize_instance(parse_instance(text)) == text
+
+
+def assert_exact_ints(inst):
+    """Every number the views hold is a Python int itself: `==` alone would
+    pass numpy's int64(1) and True for 1."""
+    numbers = [inst.node_count, inst.k, *inst.edge_ids, *inst.touched, *inst.graph.nodes]
+    numbers += [x for x in (inst.s, inst.t) if x is not None]
+    for rows in (inst.edges, inst.edge_map.values(), inst.edge_rows.values(),
+                 inst.rotation.values(), inst.scenarios, inst.scenario_sets):
+        numbers += [x for row in rows for x in row]
+    numbers += [*inst.edge_map, *inst.edge_rows, *inst.rotation]
+    assert {type(x) for x in numbers} == {int}
 
 
 VIEW_INSTANCES = ([build_suite_instance(p) for p in suite_schedule(200)] + TREE_GRIDS
@@ -222,6 +236,22 @@ def test_views_equal_their_definitions():
     for inst in VIEW_INSTANCES:
         assert_views(inst)
         assert_views(parse_instance(serialize_instance(inst)))
+
+
+def test_direct_callers_have_their_values_converted():
+    # numpy ints, tuple rows and string rotation keys, as a direct caller may
+    # pass them: `Instance` converts them to the document's Python ints.
+    doc = json.loads(serialize_instance(square_with_chords(scenarios=((0, 2), (1, 5)))))
+    wide = lambda values: tuple(map(np.int64, values))
+    inst = Instance(np.int64(doc["nodes"]), list(map(wide, doc["edges"])),
+                    {key: wide(rot) for key, rot in doc["rotation"].items()}, doc["problem"],
+                    np.int64(doc["s"]), np.int64(doc["t"]), list(map(wide, doc["scenarios"])))
+    reference = parse_instance(json.dumps(doc))
+    assert_views(inst)
+    for view in ("node_count", "edges", "edge_map", "edge_rows", "rotation", "s", "t",
+                 "scenarios", "scenario_sets", "edge_ids", "touched", "k"):
+        assert getattr(inst, view) == getattr(reference, view), view
+    assert serialize_instance(inst) == serialize_instance(reference)
 
 
 @settings(max_examples=150, deadline=None)
