@@ -12,13 +12,16 @@ which build ints, call `Instance.from_int_rows`, the same checks and views
 without the conversion.  Parse reads each rotation once, into the face
 successor of every integer dart (`dart_successors`), and its Euler check
 counts that permutation's cycles (`count_cycles`), so it traces no face
-walk.  `PlaneGraph.trace_faces` is the one owner of face
-walks, and a graph's `faces` are traced on first read.
+walk.  That permutation owns face walks: each `PlaneGraph` builds it
+once (`darts`; the instance graph's is parse's), `trace_faces` walks its
+cycles, restricted to chosen edges by stepping past the others, and
+`contract` walks it around each merged group.  `faces` is traced on
+first read.
 
 Contraction has two parts: `PlaneGraph.group` merges the nodes, and
-`PlaneGraph.contract` calls it and then walks the rotation around each
-merged group.  The walk runs only where faces are read; a caller that
-needs the groups alone takes `group`.
+`PlaneGraph.contract` calls it and then walks the darts.  The walk runs
+only where faces are read; a caller that needs the groups alone takes
+`group`.
 
 The package's one union-find is a list indexed by node (or face) id, run
 by `_find`, `_union` and `_merge`; `requirement_met` reads the requirement
@@ -64,13 +67,11 @@ def _union(parent, a, b):
     return True
 
 
-def _merge(parent, rows, skip=()):
-    """Union the rows (e, a, b) whose edge is not in `skip` into the list-based
-    forest `parent`; returns (parent, merges)."""
+def _merge(parent, rows):
+    """Union the rows (e, a, b) into the list-based forest `parent`; returns
+    (parent, merges)."""
     merges = 0
-    for e, u, v in rows:        # _find inlined: this loop is the hot path
-        if e in skip:
-            continue
+    for _, u, v in rows:        # _find inlined: this loop is the hot path
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -81,11 +82,10 @@ def _merge(parent, rows, skip=()):
     return parent, merges
 
 
-def requirement_met(node_count, rows, problem, s, t, skip=()):
-    """The requirement on nodes 0..node_count-1 joined by the rows (e, u, v)
-    whose edge is not in `skip`: s and t in one component for 'st', all
-    nodes in one for 'mst'."""
-    parent, merges = _merge(list(range(node_count)), rows, skip)
+def requirement_met(node_count, rows, problem, s, t):
+    """The requirement on nodes 0..node_count-1 joined by the rows (e, u, v):
+    s and t in one component for 'st', all nodes in one for 'mst'."""
+    parent, merges = _merge(list(range(node_count)), rows)
     if problem == "mst":
         return merges == node_count - 1
     return _find(parent, s) == _find(parent, t)
@@ -292,8 +292,8 @@ def dart_successors(rotation, edge_map):
 
     Dart 2i leaves u and dart 2i + 1 leaves v along the i-th edge of
     `edge_map` (id -> (u, v, w), in row order); phi[d] is the dart after
-    d ^ 1 in its tail's rotation, the dart that follows d on its face walk,
-    as in `PlaneGraph.trace_faces`.  The rotation is valid iff each node
+    d ^ 1 in its tail's rotation, the dart that follows d on its face walk
+    (`PlaneGraph.darts`).  The rotation is valid iff each node
     lists each of its incident edges once: every entry is an edge at that
     node, and the entries set all 2m darts, as many as there are, so none
     twice.
@@ -322,14 +322,14 @@ def dart_successors(rotation, edge_map):
 
 def count_cycles(phi):
     """The number of cycles of the permutation phi, a list of dart ids; the
-    faces, when phi comes from `dart_successors`.  phi is used up: every
-    entry becomes -1."""
-    cycles = 0
+    faces, when phi comes from `dart_successors`.  phi is only read: the
+    instance graph keeps parse's as its `darts`."""
+    seen, cycles = bytearray(len(phi)), 0
     for d in range(len(phi)):
-        if phi[d] >= 0:
+        if not seen[d]:
             cycles += 1
-            while phi[d] >= 0:
-                phi[d], d = -1, phi[d]
+            while not seen[d]:
+                seen[d], d = 1, phi[d]
     return cycles
 
 
@@ -362,14 +362,6 @@ class PlaneGraph:
         u, v, _ = self.edges[eid]
         return u, v
 
-    def other(self, eid, node):
-        u, v, _ = self.edges[eid]
-        if node == u:
-            return v
-        if node == v:
-            return u
-        raise KeyError(f"node {node} not an endpoint of edge {eid}")
-
     @cached_property
     def adjacency(self):
         """node -> tuple of (edge_id, other_endpoint, weight), sorted by edge id."""
@@ -381,43 +373,50 @@ class PlaneGraph:
         return {v: tuple(lst) for v, lst in adj.items()}
 
     @cached_property
+    def darts(self):
+        """`dart_successors` of the graph, built on first read (an instance's
+        graph holds parse's); InvariantError on an invalid rotation."""
+        phi = dart_successors(self.rotation, self.edges)
+        if phi is None:
+            raise InvariantError("rotation is not a permutation of the graph's darts")
+        return phi
+
+    @cached_property
     def faces(self):
         """The faces `trace_faces` finds, traced once per graph, on first
         read: parse counts faces without tracing them."""
         return self.trace_faces()
 
-    def trace_faces(self):
-        """Walk every dart once: follow an edge to its head, continue with the
-        successor of the edge in the head's rotation."""
-        succ = {}
-        for v, rot in self.rotation.items():
-            n = len(rot)
-            for i, e in enumerate(rot):
-                succ[(v, e)] = rot[(i + 1) % n]
+    def trace_faces(self, chosen=None):
+        """The faces of the embedding, or of the `chosen` edges alone under
+        the rotation restricted to them.  Every dart of those edges is walked
+        once, from the edges in ascending id order, u's dart first.  A walk
+        follows `darts`, and past an unchosen edge's dart d to phi[d ^ 1],
+        the next edge in the head's rotation."""
+        phi, edges = self.darts, self.edges
+        ids = tuple(edges)
+        index = dict(zip(ids, range(0, 2 * len(ids), 2)))
+        if chosen is None:
+            chosen = edges
+        keep = [e in chosen for e in ids]       # edge index -> chosen
+        face_of = [-1] * len(phi)
         faces = []
-        dart_face = {}
-        edges = self.edges
-        for eid in sorted(edges):
-            u, v, _ = edges[eid]
-            for tail in (u, v):
-                if (tail, eid) in dart_face:
-                    continue
-                walk = []
-                dart = (tail, eid)
-                while dart not in dart_face:
-                    dart_face[dart] = len(faces)
-                    walk.append(dart)
-                    t, e = dart
-                    a, b, _ = edges[e]      # `other` inlined: once per dart
-                    head = b if t == a else a
-                    dart = (head, succ[(head, e)])
-                if dart != walk[0]:
-                    raise InvariantError("face walk closed on a foreign dart")
-                faces.append(tuple(walk))
+        for start in (d for e in sorted(chosen) for d in (index[e], index[e] + 1)):
+            if face_of[start] >= 0:
+                continue
+            walk, d = [], start
+            while face_of[d] < 0:
+                face_of[d] = len(faces)
+                e = ids[d >> 1]
+                walk.append((edges[e][d & 1], e))
+                d = phi[d]
+                while not keep[d >> 1]:
+                    d = phi[d ^ 1]
+            faces.append(tuple(walk))
+        dart_face = {dart: f for f, walk in enumerate(faces) for dart in walk}
         # an edge's two darts: one face, or two in ascending order
         edge_faces = {e: (a,) if a == b else (a, b) if a < b else (b, a)
-                      for e, (u, v, _) in self.edges.items()
-                      for a, b in [(dart_face[(u, e)], dart_face[(v, e)])]}
+                      for e in chosen for a, b in [face_of[index[e]:index[e] + 2]]}
         return FaceSet(tuple(faces), edge_faces, dart_face)
 
     def euler_defect(self):
@@ -450,31 +449,31 @@ class PlaneGraph:
         contracted, loops).
 
         `group` merges the nodes; loops are deleted.  Each merged group's
-        rotation is the walk around its contracted tree: at a tree edge,
-        move to the other end and go on just after that edge in its
-        rotation.  The walk visits each dart of the group once and keeps the
-        embedding planar.  Only callers that read faces need it; the rest
-        take `group` alone.  With nothing to contract, the graph itself
-        comes back.
+        rotation is the walk around its contracted tree, from its root's
+        first dart: over a tree edge's dart d to phi[d], and past any other
+        edge's to phi[d ^ 1], the next edge at the same node.  The walk visits
+        each dart leaving the group once and keeps the embedding planar.
+        Only callers that read faces need it; the rest take `group` alone.
+        With nothing to contract, the graph itself comes back.
         """
         node_map, tree, loops, edges = self.group(eids)
         if not tree:
             return self, node_map, (), ()
-        rotation = {n: rot for n, rot in self.rotation.items() if node_map[n] == n}
+        phi, ends = self.darts, self.edges
+        ids = tuple(ends)
+        index = dict(zip(ids, range(0, 2 * len(ids), 2)))
         tree_set = set(tree)
-        for root in {node_map[self.edges[e][0]] for e in tree}:
-            walk, node, i = [], root, 0
+        rotation = {n: rot for n, rot in self.rotation.items() if node_map[n] == n}
+        for root in {node_map[ends[e][0]] for e in tree}:
+            e = self.rotation[root][0]
+            walk, d = [], index[e] + (ends[e][0] != root)
+            start = d
             while True:
-                rot = self.rotation[node]
-                e = rot[i]
-                if e in tree_set:
-                    node = self.other(e, node)
-                    rot = self.rotation[node]
-                    i = rot.index(e)
-                elif e in edges:
+                e = ids[d >> 1]
+                if e in edges:      # neither a tree edge nor a loop
                     walk.append(e)
-                i = (i + 1) % len(rot)
-                if i == 0 and node == root:
+                d = phi[d] if e in tree_set else phi[d ^ 1]
+                if d == start:
                     break
             rotation[root] = tuple(walk)
         nodes = tuple(n for n in self.nodes if node_map[n] == n)
@@ -509,8 +508,9 @@ class Instance:
     instance's own dicts.  The rotation check and the Euler check share one
     pass over the rotation (`dart_successors`); the Euler check counts the
     successor's cycles and traces no face, so `graph.faces` is traced on
-    its first read.  One `Feasibility` table of all edges answers both the
-    connectivity check and `check_feasible`.
+    its first read, from that same permutation (`graph.darts`).  One
+    `Feasibility` table of all edges answers both the connectivity check
+    and `check_feasible`.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
@@ -609,6 +609,7 @@ class Instance:
         if not self.feasibility(self.edge_ids).connected:
             raise InstanceError("graph is not connected")
         self.graph = PlaneGraph(tuple(range(n)), edge_map, self.rotation)
+        vars(self.graph)["darts"] = phi     # parse's permutation: the graph builds none
         if n - len(rows) + max(count_cycles(phi), 1) - 2 != 0:     # as `euler_defect`
             raise InstanceError("rotation system not planar (Euler check failed)")
         self.check_feasible()
@@ -777,9 +778,9 @@ def induced_faces(graph, chosen):
     """Faces of the subgraph (V[X], X) induced by the PlaneGraph's embedding.
 
     Computed by union-find over parent faces (merging the two sides of
-    every unchosen edge), with the boundary walks recovered by tracing the
-    rotation system restricted to X.  Every unchosen edge is assigned to
-    the induced face containing it.
+    every unchosen edge), with the boundary walks recovered by the graph's
+    own trace restricted to X (`trace_faces(chosen)`).  Every unchosen edge
+    is assigned to the induced face containing it.
     """
     chosen = frozenset(chosen)
     if not chosen:
@@ -800,12 +801,7 @@ def induced_faces(graph, chosen):
         fs = parent_faces.edge_faces[e]
         classes -= _union(parent, fs[0], fs[-1])
 
-    restricted = PlaneGraph(
-        tuple(sorted(sub_nodes)),
-        {e: graph.edges[e] for e in chosen},
-        {n: tuple(e for e in graph.rotation[n] if e in chosen) for n in sorted(sub_nodes)},
-    )
-    walks = restricted.trace_faces()
+    walks = graph.trace_faces(chosen)
 
     class_to_face = {}
     for idx, walk in enumerate(walks.faces):

@@ -23,15 +23,16 @@ the closure would relax through every node, and small faces, where
 numpy's fixed cost per call loses.  Both give the same links in the same
 order, and `link_path` reads the distance map to `link.v` from either.
 
-The X edges in no relevant failure set are contracted in one pass, not
-with one copy of the graph per edge.  At levels >= 2 `PlaneGraph.contract`
-walks the contracted rotation, and `induced_faces` traces the faces the
-kept edges induce.  Level 1 reads no face walk, so it takes only the node
-grouping (`PlaneGraph.group`) and checks that the kept edges form a tree
-on their ends: connected, one edge fewer than nodes.  A tree in a
-connected plane graph induces exactly one face, so every candidate edge
-lies on face 0, whose nodes are the solution's (`TreeFace`).  The instance's
-embedding was checked once at parse, and no contracted graph is built.
+The X edges in no relevant failure set are contracted in one pass, not with
+one copy of the graph per edge.  At levels >= 2 `PlaneGraph.contract` walks
+the instance graph's darts (parse's), and `induced_faces` walks the
+contracted graph's, built once for its Euler check, restricted to the kept
+edges.  Level 1 reads no face walk, so it takes only the node grouping
+(`PlaneGraph.group`) and checks that the kept edges form a tree on their
+ends: connected, one edge fewer than nodes.  A tree in a connected plane
+graph induces exactly one face, so every candidate edge lies on face 0,
+whose nodes are the solution's (`TreeFace`).  The instance's embedding was
+checked once at parse, and no contracted graph is built.
 
 A link covers a relevant failure set iff its endpoints lie on different
 sides of that set's two-sided cut.  `preprocess_step` stores every cut as

@@ -8,7 +8,7 @@ import pytest
 
 from bulkrobust import Instance, InstanceError, gen_grid, gen_series_parallel
 from bulkrobust.generators import Hypergraph
-from bulkrobust.instance import Feasibility, is_int_rows
+from bulkrobust.instance import FaceSet, Feasibility, PlaneGraph, is_int_rows
 
 
 def triangle_instance(problem="st", scenarios=((0,),)):
@@ -50,6 +50,46 @@ def fresh_table(instance, x):
     return Feasibility(instance.node_count, instance.edge_rows, instance.problem,
                        instance.s, instance.t, instance.touched,
                        instance.scenario_sets, x)
+
+
+def reference_trace_faces(graph):
+    """The FaceSet of a PlaneGraph from a dict of rotation successors keyed
+    by (node, edge id): the tests' reference for `PlaneGraph.trace_faces`,
+    which walks integer darts.  Walks start from the edges in ascending id
+    order, u's dart before v's, and follow an edge to its head, then the
+    next edge in the head's rotation."""
+    succ = {}
+    for v, rot in graph.rotation.items():
+        for i, e in enumerate(rot):
+            succ[(v, e)] = rot[(i + 1) % len(rot)]
+    faces, dart_face, edges = [], {}, graph.edges
+    for eid in sorted(edges):
+        for tail in edges[eid][:2]:
+            if (tail, eid) in dart_face:
+                continue
+            walk, dart = [], (tail, eid)
+            while dart not in dart_face:
+                dart_face[dart] = len(faces)
+                walk.append(dart)
+                t, e = dart
+                a, b, _ = edges[e]
+                head = b if t == a else a
+                dart = (head, succ[(head, e)])
+            assert dart == walk[0], "face walk closed on a foreign dart"
+            faces.append(tuple(walk))
+    edge_faces = {e: (a,) if a == b else (a, b) if a < b else (b, a)
+                  for e, (u, v, _) in edges.items()
+                  for a, b in [(dart_face[(u, e)], dart_face[(v, e)])]}
+    return FaceSet(tuple(faces), edge_faces, dart_face)
+
+
+def restricted_graph(graph, chosen):
+    """The PlaneGraph of the chosen edges alone on their ends, each rotation
+    restricted to them, its edges in `chosen`'s order: the reference's
+    input for `graph.trace_faces(chosen)`."""
+    nodes = sorted({n for e in chosen for n in graph.endpoints(e)})
+    return PlaneGraph(tuple(nodes), {e: graph.edges[e] for e in chosen},
+                      {n: tuple(e for e in graph.rotation[n] if e in chosen) for n in nodes})
 
 
 def component_of(nodes, ends):

@@ -1,6 +1,7 @@
 """Parse's one pass over integer darts: the rotation check against the
 sorted-list definition, the dart cycles against traced faces, and what
-parse computes (no face trace, one Feasibility table)."""
+parse computes (no face trace, one Feasibility table, the one dart
+permutation the instance graph's face walks and contractions read)."""
 
 import copy
 import json
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bulkrobust import InstanceError, instance, parse_instance, serialize_instance
+from bulkrobust import (InstanceError, gen_grid, instance, parse_instance, serialize_instance,
+                        solve)
 from bulkrobust.instance import Feasibility, PlaneGraph, count_cycles, dart_successors
 from conftest import fresh_table
 from test_parse import VIEW_INSTANCES
@@ -111,13 +113,16 @@ def test_count_cycles_of_small_permutations():
     assert count_cycles([]) == 0
     assert count_cycles([0]) == 1
     assert count_cycles([1, 0, 2]) == 2
-    assert count_cycles([1, 2, 0, 4, 3]) == 2
+    phi = [1, 2, 0, 4, 3]
+    assert count_cycles(phi) == 2
+    assert phi == [1, 2, 0, 4, 3]      # read, not used up
 
 
 @pytest.fixture
 def parse_calls(monkeypatch):
-    """Counts face traces, `requirement_met` and `requirement_holds` calls
-    and Feasibility builds."""
+    """Counts face traces, dart permutations built (`dart_successors`),
+    `requirement_met` and `requirement_holds` calls and Feasibility
+    builds."""
     calls = Counter()
 
     def counted(owner, name):
@@ -130,6 +135,7 @@ def parse_calls(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(PlaneGraph, "trace_faces")
+    counted(instance, "dart_successors")
     counted(instance, "requirement_met")
     counted(instance.Instance, "requirement_holds")
     counted(Feasibility, "__init__")
@@ -141,20 +147,51 @@ def test_parse_traces_no_faces_and_builds_one_table(parse_calls):
     for text in texts:
         parse_calls.clear()
         inst = parse_instance(text)
-        assert parse_calls == {"__init__": 1}
+        assert parse_calls == {"__init__": 1, "dart_successors": 1}
         assert inst.feasibility(inst.edge_ids) is inst.feasibility(inst.edge_ids)
-        assert parse_calls == {"__init__": 1}
-        # the faces, traced on first read, are those of a fresh trace
+        assert parse_calls == {"__init__": 1, "dart_successors": 1}
+        # the faces, traced on first read from parse's permutation, are
+        # those of a fresh trace
         faces = inst.graph.faces
         assert parse_calls["trace_faces"] == 1
         assert faces == inst.graph.trace_faces()
         assert inst.graph.faces is faces
+        assert parse_calls["dart_successors"] == 1
+
+
+def test_dart_successors_runs_once_per_graph(parse_calls, monkeypatch):
+    # Parse builds the instance graph's permutation, and its faces and every
+    # contraction of it read that one.  Each contracted graph builds its own
+    # once, for its Euler check, and its induced faces read it again.
+    contract, built = PlaneGraph.contract, []
+
+    def counted(graph, eids):
+        result = contract(graph, eids)
+        built.append(result[0] is not graph)
+        return result
+
+    monkeypatch.setattr(PlaneGraph, "contract", counted)
+    # The vertex-cover reductions contract nothing; these grids' levels 2
+    # contract 18, 7 and 8 edges.
+    grids = [gen_grid(4, 5, 6, 3, 3, 2, "mst"), gen_grid(3, 4, 6, 2, 3, 0),
+             gen_grid(3, 4, 6, 2, 3, 1)]
+    for inst in VIEW_INSTANCES[-3:] + grids:
+        parse_calls.clear()
+        inst = parse_instance(serialize_instance(inst))
+        inst.graph.faces
+        assert parse_calls["dart_successors"] == 1
+        start = len(built)
+        solve(inst)
+        assert parse_calls["dart_successors"] == 1 + sum(built[start:])
+    assert sum(built) >= 3
 
 
 def test_the_counters_are_live(parse_calls):
     inst = VIEW_INSTANCES[0]
     inst.requirement_holds(inst.edge_ids)
     inst.graph.trace_faces()
+    graph = inst.graph
+    PlaneGraph(graph.nodes, graph.edges, graph.rotation).darts
     fresh_table(inst, inst.edge_ids)
     assert parse_calls == {"requirement_holds": 1, "requirement_met": 1,
-                           "trace_faces": 1, "__init__": 1}
+                           "trace_faces": 1, "dart_successors": 1, "__init__": 1}

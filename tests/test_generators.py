@@ -186,7 +186,8 @@ def assert_sampling_agrees(inst, table, problem, rng, k=3):
     s, t = (inst.s, inst.t) if problem == "st" else (None, None)
     answers = set()
     for cand in candidates(inst, k, rng):
-        held = requirement_met(inst.node_count, rows, problem, s, t, frozenset(cand))
+        held = requirement_met(inst.node_count, [r for r in rows if r[0] not in cand],
+                               problem, s, t)
         assert (table.cut(0, cand) is None) == held, (problem, cand)
         answers.add(held)
     assert answers == {True, False}
