@@ -27,12 +27,13 @@ MAX_SP_LEAVES = 2 ** 12
 def _sample_scenarios(node_count, weighted, problem, s, t, m, k, rng):
     """Draw m random failure sets of size <= k, each of whose removal from the
     edges `weighted` (rows (e, u, v, w)) keeps the requirement.  One
-    Feasibility table of every edge, with every edge removable and one
-    scenario that holds them all, answers each candidate."""
-    rows = {e: (e, u, v) for e, u, v, _ in weighted}
-    pool = sorted(rows)
+    Feasibility table of their edge map {e: (u, v, w)}, with every edge
+    removable and one scenario that holds them all, answers each
+    candidate."""
+    edge_map = {e: (u, v, w) for e, u, v, w in weighted}
+    pool = sorted(edge_map)
     every = frozenset(pool)
-    table = Feasibility(node_count, rows, problem, s, t, every, (every,), every)
+    table = Feasibility(node_count, edge_map, problem, s, t, every, (every,), every)
     scenarios = []
     for idx in range(m):
         for _ in range(_MAX_RESAMPLES):
@@ -83,7 +84,7 @@ def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st
     s, t = (0, rows * cols - 1) if problem == "st" else (None, None)
     scenarios = _sample_scenarios(rows * cols, weighted, problem, s, t,
                                   scenario_count, diameter, rng)
-    return Instance.from_int_rows(rows * cols, weighted, rotation, problem, s, t, scenarios)
+    return Instance(rows * cols, weighted, rotation, problem, s, t, scenarios)
 
 
 class _SPBuilder:
@@ -170,7 +171,7 @@ def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, probl
     n = len(order)
     st = (0, 1) if problem == "st" else (None, None)
     scenarios = _sample_scenarios(n, weighted, problem, *st, scenario_count, diameter, rng)
-    return Instance.from_int_rows(n, weighted, rotation, problem, st[0], st[1], scenarios)
+    return Instance(n, weighted, rotation, problem, st[0], st[1], scenarios)
 
 
 # -- hypergraph vertex cover reduction ------------------------------------
@@ -310,7 +311,7 @@ def reduce_hypergraph_vc(h):
     for i in range(p):
         scenarios.append(tuple(sorted(j * p + orders[j].index(i) for j in range(k))))
 
-    return Instance.from_int_rows(node_count, edges, rotation, "st", s, t, scenarios)
+    return Instance(node_count, edges, rotation, "st", s, t, scenarios)
 
 
 def gen_hypergraph_vc(k, part_size, edge_count, seed):

@@ -5,18 +5,15 @@ ids, and a rotation system (per node, the cyclic clockwise order of
 incident edge ids).  The rotation system *is* the embedding; validity is
 checked through Euler's formula, never by planarity testing.  `Instance`
 checks its input in one pass, which also builds the edge views the solve
-reads; its `graph` shares the instance's dicts.  `Instance(...)` converts
-each value to a Python int first, for callers with other number types;
-parse, which has just checked that every value is one, and the generators,
-which build ints, call `Instance.from_int_rows`, the same checks and views
-without the conversion.  Parse reads each rotation once, into the face
-successor of every integer dart (`dart_successors`), and its Euler check
-counts that permutation's cycles (`count_cycles`), so it traces no face
-walk.  That permutation owns face walks: each `PlaneGraph` builds it
-once (`darts`; the instance graph's is parse's), `trace_faces` walks its
-cycles, restricted to chosen edges by stepping past the others, and
-`contract` walks it around each merged group.  `faces` is traced on
-first read.
+reads; its `graph` shares the instance's dicts.  Its values are Python
+ints, as parse has just checked them and the generators build them; it
+converts none.  Parse reads each rotation once, into the face successor of
+every integer dart (`dart_successors`), and its Euler check counts that
+permutation's cycles (`count_cycles`), so it traces no face walk.  That
+permutation owns face walks: each `PlaneGraph` builds it once (`darts`;
+the instance graph's is parse's), `trace_faces` walks its cycles,
+restricted to chosen edges by stepping past the others, and `contract`
+walks it around each merged group.  `faces` is traced on first read.
 
 Contraction has two parts: `PlaneGraph.group` merges the nodes, and
 `PlaneGraph.contract` calls it and then walks the darts.  The walk runs
@@ -25,10 +22,12 @@ only where faces are read; a caller that needs the groups alone takes
 
 The package's one union-find is a list indexed by node (or face) id, run
 by `_find`, `_union` and `_merge`; `requirement_met` reads the requirement
-from it.  `Feasibility` runs it once per solution X, to give each edge of X
-its vector in the GF(2) cycle space of X; every question on X - S is then a
-rank of at most k vectors (its docstring gives the argument).  A table is
-built from rows, so the generators' scenario sampling asks one too.
+from it.  Both take edge-map rows (u, v, w), so every caller hands over the
+rows it holds.  `Feasibility` runs it once per solution X, to give each
+edge of X its vector in the GF(2) cycle space of X; every question on X - S
+is then a rank of at most k vectors (its docstring gives the argument).  A
+table is built from an edge map, so the generators' scenario sampling asks
+one too.
 
 `serialize_instance` writes the canonical layout, the bytes of
 `json.dumps(instance.to_dict(), indent=1) + "\n"`, directly: one string
@@ -68,10 +67,10 @@ def _union(parent, a, b):
 
 
 def _merge(parent, rows):
-    """Union the rows (e, a, b) into the list-based forest `parent`; returns
-    (parent, merges)."""
+    """Union the edge-map rows (u, v, w) into the list-based forest `parent`;
+    returns (parent, merges)."""
     merges = 0
-    for _, u, v in rows:        # _find inlined: this loop is the hot path
+    for u, v, _ in rows:        # _find inlined: this loop is the hot path
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -83,8 +82,9 @@ def _merge(parent, rows):
 
 
 def requirement_met(node_count, rows, problem, s, t):
-    """The requirement on nodes 0..node_count-1 joined by the rows (e, u, v):
-    s and t in one component for 'st', all nodes in one for 'mst'."""
+    """The requirement on nodes 0..node_count-1 joined by the edge-map rows
+    (u, v, w): s and t in one component for 'st', all nodes in one for
+    'mst'."""
     parent, merges = _merge(list(range(node_count)), rows)
     if problem == "mst":
         return merges == node_count - 1
@@ -126,42 +126,35 @@ class Feasibility:
     meets the requirement: `connected` for 'mst', s and t joined (the top
     bit taken) for 'st'.  A table whose X holds has answered size 0, empty.
 
-    The build reads rows, not an instance: the node count, `edge_rows`
-    (id -> (e, u, v)), the problem and its terminals, the `removable` edges
-    U, the `scenarios` F_j (each inside U) and X.  `Instance.feasibility`
-    passes its own views (U = `Instance.touched`, the union of the
-    scenarios); the generators ask about candidate scenarios through a
-    table with X = U = every edge.  One build serves every scenario.  The
-    X edges outside U are merged into a base forest, and each X & U edge is
-    read as a row between base roots; both loops run the union-find inline.
-    One union-find over those rows gives the spanning forest, and one walk
-    over it gives every tree edge its vector.  Edges outside U are never
-    removed, so they need no vector.  A query is an elimination of at most
-    k vectors over a pivot dict keyed by `bit_length`.  No build changes an
-    existing table, and a table holds no reference to the instance.
+    The build reads an edge map, not an instance: the node count,
+    `edge_map` (id -> (u, v, w)), the problem and its terminals, the
+    `removable` edges U, the `scenarios` F_j (each inside U) and X.
+    `Instance.feasibility` passes its own views (U = `Instance.touched`, the
+    union of the scenarios); the generators ask about candidate scenarios
+    through a table with X = U = every edge.  One build serves every
+    scenario.  `_merge` takes the X edges outside U into a base forest, and
+    each X & U edge is read as a row between base roots, its ends' `_find`
+    inlined.  One union-find over those rows gives the spanning forest, and
+    one walk over it gives every tree edge its vector.  Edges outside U are
+    never removed, so they need no vector.  A query is an elimination of at
+    most k vectors over a pivot dict keyed by `bit_length`.  No build
+    changes an existing table, and a table holds no reference to the
+    instance.
     """
 
     __slots__ = ("x", "connected", "holds", "_full", "_ends", "_terminals", "_parent",
                  "_vectors", "_top", "_sigma", "_failures", "_live")
 
-    def __init__(self, node_count, edge_rows, problem, s, t, removable, scenarios, x):
+    def __init__(self, node_count, edge_map, problem, s, t, removable, scenarios, x):
         self.x = x = frozenset(x)
         self._full = scenarios
-        self._ends = ends = edge_rows
+        self._ends = ends = edge_map
         self._live = None       # j -> the tuple sorted(F_j & X), from the first `failures` call
-        parent, merges = list(range(node_count)), 0
-        for e in x - removable:     # `_merge` inlined: the base forest
-            _, u, v = ends[e]
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[v] = u
-                merges += 1
+        # the base forest: the X edges outside U, never removed
+        parent, merges = _merge(list(range(node_count)), map(ends.__getitem__, x - removable))
         rows = []       # (e, a, b): the X & U edges between base roots
         for e in x & removable:     # `_find` inlined; the base forest is final
-            _, a, b = ends[e]
+            a, b, _ = ends[e]
             while parent[a] != a:
                 parent[a] = a = parent[parent[a]]
             while parent[b] != b:
@@ -252,7 +245,7 @@ class Feasibility:
             roots = {_find(parent, node) for node in self._terminals}
             for e in self._full[j]:
                 if e in vectors:    # in X; its ends share a component
-                    roots.add(_find(parent, ends[e][1]))
+                    roots.add(_find(parent, ends[e][0]))
             sigma = self._sigma[j] = len(roots)
         return size - rank + sigma
 
@@ -498,49 +491,25 @@ class Instance:
 
     Holds the embedded weighted multigraph, the problem kind (`st` or
     `mst`), terminals for `st`, and the explicit failure scenarios.
-    Immutable after construction.  `__init__` converts each value once,
-    each edge row as it is read; `from_int_rows` takes values that are
-    Python ints already.  Both then check them in one pass, which also
+    Immutable after construction.  Every value is a Python int, as parse
+    checks them and the generators build them, and none is converted; the
+    edge rows may be lists or tuples, and `rotation` maps int node ids to
+    edge id sequences.  The values are checked in one pass, which also
     builds the views the checks and the solve read: `edge_map` (id ->
-    (u, v, w)), `edge_rows` (id -> (e, u, v), the row the union-find
-    helpers take), `edge_ids`, `scenario_sets`, `touched` (the union of the
-    scenarios), `k` and `graph`, whose `edges` and `rotation` are the
-    instance's own dicts.  The rotation check and the Euler check share one
-    pass over the rotation (`dart_successors`); the Euler check counts the
-    successor's cycles and traces no face, so `graph.faces` is traced on
-    its first read, from that same permutation (`graph.darts`).  One
-    `Feasibility` table of all edges answers both the connectivity check
-    and `check_feasible`.
+    (u, v, w), the rows the union-find helpers and `Feasibility` take),
+    `edge_ids`, `scenario_sets`, `touched` (the union of the scenarios),
+    `k` and `graph`, whose `edges` and `rotation` are the instance's own
+    dicts.  The rotation check and the Euler check share one pass over the
+    rotation (`dart_successors`); the Euler check counts the successor's
+    cycles and traces no face, so `graph.faces` is traced on its first
+    read, from that same permutation (`graph.darts`).  One `Feasibility`
+    table of all edges answers both the connectivity check and
+    `check_feasible`.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
                  scenarios=()):
-        n = int(node_count)
-        rotation_ints = {int(v): tuple(map(int, rot)) for v, rot in rotation.items()}
-        if len(rotation_ints) != len(rotation):     # 2 and "2", or "2" and "02"
-            raise InstanceError("rotation names one node under two keys")
-        s = None if s is None else int(s)
-        t = None if t is None else int(t)
-        scenarios = tuple(tuple(map(int, sc)) for sc in scenarios)
-        # The rows convert as the build reads them, so a row's checks still
-        # come before the next row's conversion.
-        edges = ((int(e), int(u), int(v), int(w)) for e, u, v, w in edges)
-        self._build(n, edges, rotation_ints, problem, s, t, scenarios)
-
-    @classmethod
-    def from_int_rows(cls, node_count, edges, rotation, problem, s=None, t=None,
-                      scenarios=()):
-        """The instance of values that are all Python ints already, as parse
-        checks them and the generators build them: `__init__` without its
-        conversion.  The rows may be lists or tuples; `rotation` maps int
-        node ids to edge id sequences.  Every check of `__init__` runs."""
-        self = cls.__new__(cls)
-        self._build(node_count, edges, rotation, problem, s, t, scenarios)
-        return self
-
-    def _build(self, n, edges, rotation, problem, s, t, scenarios):
-        """Check the int values and build the views, in one pass per field."""
-        self.node_count = n
+        self.node_count = n = node_count
         self.rotation = {v: tuple(rot) for v, rot in rotation.items()}
         self.problem, self.s, self.t = problem, s, t
         self.scenarios = tuple(map(tuple, scenarios))
@@ -548,7 +517,7 @@ class Instance:
             raise InstanceError("node count must be positive")
         if problem not in ("st", "mst"):
             raise InstanceError(f"unknown problem kind {problem!r}")
-        rows, edge_map, edge_rows, total = [], {}, {}, 0
+        rows, edge_map, total = [], {}, 0
         for e, u, v, w in edges:
             if e < 0 or e in edge_map:
                 raise InstanceError(f"duplicate or negative edge id {e}")
@@ -560,11 +529,10 @@ class Instance:
                 raise InstanceError(f"negative weight on edge {e}")
             rows.append((e, u, v, w))
             edge_map[e] = (u, v, w)
-            edge_rows[e] = (e, u, v)
             total += w
         if total > MAX_TOTAL_WEIGHT:
             raise InstanceError("total edge weight exceeds 2**53")
-        self.edges, self.edge_map, self.edge_rows = tuple(rows), edge_map, edge_rows
+        self.edges, self.edge_map = tuple(rows), edge_map
         rotation = self.rotation
         # n distinct keys in [0, n): bounds n by the file size before anything
         # per node is built.
@@ -624,7 +592,7 @@ class Instance:
 
     def requirement_holds(self, edge_subset):
         """Connectivity requirement on (V, edge_subset)."""
-        return requirement_met(self.node_count, [self.edge_rows[e] for e in edge_subset],
+        return requirement_met(self.node_count, [self.edge_map[e] for e in edge_subset],
                                self.problem, self.s, self.t)
 
     def feasibility(self, x):
@@ -641,7 +609,7 @@ class Instance:
         table = self.__dict__.get("_feasibility")
         if table is None or table.x is not x and table.x != x:
             table = self._feasibility = Feasibility(
-                self.node_count, self.edge_rows, self.problem, self.s, self.t,
+                self.node_count, self.edge_map, self.problem, self.s, self.t,
                 self.touched, self.scenario_sets, x)
         return table
 
@@ -727,7 +695,7 @@ def parse_instance(data):
     scenarios = data.get("scenarios", [])
     if not is_int_rows(scenarios):
         raise InstanceError("scenarios must be a list of edge id lists")
-    return Instance.from_int_rows(
+    return Instance(
         node_count=data["nodes"],
         edges=edges,
         rotation=rotation,
@@ -788,8 +756,7 @@ def induced_faces(graph, chosen):
     if missing := chosen - graph.edges.keys():
         raise KeyError(f"unknown edge ids {sorted(missing)}")
     sub_nodes = frozenset(n for e in chosen for n in graph.endpoints(e))
-    _, merges = _merge(list(range(max(sub_nodes) + 1)),
-                       [(e, *graph.endpoints(e)) for e in chosen])
+    _, merges = _merge(list(range(max(sub_nodes) + 1)), [graph.edges[e] for e in chosen])
     if merges != len(sub_nodes) - 1:
         raise InstanceError("chosen edge set is disconnected")
 

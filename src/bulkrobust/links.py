@@ -329,7 +329,7 @@ def _tree_face(edges, kept):
     in the contracted edge map `edges`: connected, one edge fewer than
     nodes.  Every other edge of `edges` is a candidate."""
     nodes = frozenset(n for e in kept for n in edges[e][:2])
-    _, merges = _merge(list(range(max(nodes) + 1)), [(e, *edges[e][:2]) for e in kept])
+    _, merges = _merge(list(range(max(nodes) + 1)), [edges[e] for e in kept])
     if not len(kept) == merges == len(nodes) - 1:
         raise InvariantError(
             f"level-1 solution is not a tree: {len(kept)} kept edges on "

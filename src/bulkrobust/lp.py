@@ -17,10 +17,11 @@ as a certificate: x primal feasible, y dual feasible, equal values.  Each
 pivot is one whole-array update and each ratio test one vector division.
 The link LP has one row per relevant failure set; `preprocess_step` already
 enumerates them all, so it is solved once over the distinct rows of the
-level's `StepContext.covering` table.  The min-cut separation oracle is the
-paper's way to find violated rows when they are not enumerated; here it
-stays as an independent check of the solution.  Everything is
-deterministic.
+level's `StepContext.covering` table.  The min-cut separation oracle
+(`separation_oracle`) is the paper's way to find violated rows when they
+are not enumerated.  No stage of the solve calls it: acceptance criterion 6
+compares it with subset enumeration, and the benchmark harness traces it.
+Everything is deterministic.
 """
 
 from dataclasses import dataclass

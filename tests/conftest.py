@@ -47,7 +47,7 @@ def square_with_chords(inner=True, outer=True, chord_weight=5,
 def fresh_table(instance, x):
     """A new Feasibility table of X built from the instance's views, as
     `Instance.feasibility` builds one, without its cache."""
-    return Feasibility(instance.node_count, instance.edge_rows, instance.problem,
+    return Feasibility(instance.node_count, instance.edge_map, instance.problem,
                        instance.s, instance.t, instance.touched,
                        instance.scenario_sets, x)
 

@@ -4,11 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from bulkrobust import (InvariantError, brute_force_opt, gen_grid, gen_series_parallel,
-                        guarantee_factor, is_feasible, serialize_instance, solve)
+from bulkrobust import (Instance, InvariantError, brute_force_opt, gen_grid,
+                        gen_hypergraph_vc, gen_series_parallel, guarantee_factor, is_feasible,
+                        serialize_instance, solve)
 from bulkrobust.driver import LevelTrace, augment_step, solution_dict
 from bulkrobust.generators import Hypergraph, reduce_hypergraph_vc
-from conftest import square_with_chords, triangle_instance
+from conftest import (TREE_GRIDS, build_suite_instance, square_with_chords, suite_schedule,
+                      triangle_instance)
 
 
 def test_triangle_end_to_end():
@@ -182,3 +184,42 @@ def test_cost_decomposition():
         lv.added_cost for lv in trace.levels)
     assert trace.alg_cost == inst.weight_of(x)
     assert trace.guarantee_factor == guarantee_factor(inst.k)
+
+
+def spread_ids(inst, label):
+    """The instance with every edge id e renamed `label(e)`."""
+    rename = lambda ids: [label(e) for e in ids]
+    return Instance(inst.node_count, [(label(e), u, v, w) for e, u, v, w in inst.edges],
+                    {n: rename(rot) for n, rot in inst.rotation.items()}, inst.problem,
+                    inst.s, inst.t, [rename(sc) for sc in inst.scenarios])
+
+
+def solve_summary(inst, label=lambda e: e):
+    """What a solve decides, with every edge id it names renamed `label(e)`:
+    X and its cost; per level the added edges, |omega| and the LP value; per
+    face its chosen links, their cost and its demand scenarios."""
+    x, trace = solve(inst)
+    rename = lambda ids: sorted(map(label, ids))
+    return (rename(x), trace.alg_cost,
+            [(lv.level, rename(lv.added), lv.omega_size, lv.lp_value,
+              [(face["face"], face["chosen"], face["cost"],
+                [rename(d["scenario"]) for d in face["demands"]]) for face in lv.faces])
+             for lv in trace.levels])
+
+
+def test_sparse_edge_ids_solve_as_dense_ones():
+    # The format allows any distinct ids, but the generators number edges
+    # 0..m-1.  An increasing relabel with gaps keeps every order the solve
+    # reads ids in, so it must decide the same, renamed: suite grids and
+    # series-parallel graphs (st and mst), spanning-tree grids and
+    # vertex-cover reductions, whose levels run the link LP.
+    label = lambda e: 7 * e + 3
+    instances = ([build_suite_instance(p) for p in suite_schedule(150)[::3]] + TREE_GRIDS[:5]
+                 + [gen_hypergraph_vc(*shape)[1] for shape in
+                    ((2, 2, 3, 5), (3, 3, 10, 5), (3, 4, 12, 9), (2, 3, 6, 1), (3, 3, 8, 2))])
+    levels = set()
+    for inst in instances:
+        want = solve_summary(inst, label)
+        assert solve_summary(spread_ids(inst, label)) == want
+        levels.update(level for level, *_ in want[2])
+    assert levels == {1, 2, 3, 4}

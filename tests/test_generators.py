@@ -168,7 +168,7 @@ def every_edge_table(inst, problem):
     holding them all, as `_sample_scenarios` builds it."""
     every = inst.edge_ids
     s, t = (inst.s, inst.t) if problem == "st" else (None, None)
-    return Feasibility(inst.node_count, inst.edge_rows, problem, s, t, every, (every,), every)
+    return Feasibility(inst.node_count, inst.edge_map, problem, s, t, every, (every,), every)
 
 
 def candidates(inst, k, rng, count=60):
@@ -176,17 +176,17 @@ def candidates(inst, k, rng, count=60):
     whole edge set and the empty set, each sorted as sampling draws them."""
     pool = sorted(inst.edge_ids)
     drawn = [rng.sample(pool, min(rng.randint(1, k), len(pool))) for _ in range(count)]
-    incident = [[e for e, u, v in inst.edge_rows.values() if node in (u, v)]
+    incident = [[e for e, (u, v, _) in inst.edge_map.items() if node in (u, v)]
                 for node in range(inst.node_count)]
     return [tuple(sorted(c)) for c in chain(drawn, incident, [pool, []])]
 
 
 def assert_sampling_agrees(inst, table, problem, rng, k=3):
-    rows = list(inst.edge_rows.values())
     s, t = (inst.s, inst.t) if problem == "st" else (None, None)
     answers = set()
     for cand in candidates(inst, k, rng):
-        held = requirement_met(inst.node_count, [r for r in rows if r[0] not in cand],
+        held = requirement_met(inst.node_count,
+                               [row for e, row in inst.edge_map.items() if e not in cand],
                                problem, s, t)
         assert (table.cut(0, cand) is None) == held, (problem, cand)
         answers.add(held)

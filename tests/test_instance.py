@@ -80,7 +80,8 @@ def test_parse_rejects_bad_rotation():
     {0: [0, 1], 1: [0, 2], 2: [1, 2], "2": [2, 1]},
 ])
 def test_instance_rejects_two_rotation_keys_for_one_node(rotation):
-    with pytest.raises(InstanceError, match="one node under two keys"):
+    # The two keys make four rotation entries for three nodes.
+    with pytest.raises(InstanceError, match="rotation must list every node exactly once"):
         Instance(3, [(0, 0, 1, 1), (1, 0, 2, 1), (2, 2, 1, 1)], rotation, "st", 0, 1, [[0]])
 
 

