@@ -17,7 +17,7 @@ from . import generators
 from .driver import guarantee_factor, solution_dict, solve
 from .errors import BudgetError, InfeasibleError, InstanceError, InvariantError
 from .instance import is_int_rows, parse_instance, serialize_instance
-from .lp import LinearProgram, covering_matrix, lp_to_text, simplex_min
+from .lp import LinearProgram, lp_to_text, simplex_min
 from .oracle import OracleBudget, brute_force_opt, is_feasible
 from .setcover import exact_min_cover
 
@@ -54,8 +54,7 @@ def _cmd_solve(args):
 
     def on_lp(level, ctx, links, cover):
         table = ctx.covering(links)
-        matrix = covering_matrix([table[f_set] for f_set in ctx.omega], len(links))
-        lp = LinearProgram([link.cost for link in links], matrix)
+        lp = LinearProgram([link.cost for link in links], [table[f_set] for f_set in ctx.omega])
         dumps.append(f"# level {level}\n" + lp_to_text(lp))
 
     hook = on_lp if args.lp_dump else None
@@ -253,9 +252,12 @@ def face_gap(record):
     rows = [cov["covers"] for cov in coverers]      # ascending demand indices
     masks = [sum(1 << d for d in row) for row in rows]
     exact, _ = exact_min_cover(len(demands), list(zip(costs, masks)))
-    # One row per demand: the transpose of one row of covered demands per coverer.
-    matrix = covering_matrix(rows, len(demands)).T
-    res = simplex_min(LinearProgram(costs, matrix))
+    # One row per demand, the transpose of `rows`: the coverers that cover it.
+    covers = [[] for _ in demands]
+    for i, row in enumerate(rows):
+        for d in row:
+            covers[d].append(i)
+    res = simplex_min(LinearProgram(costs, covers))
     if res.value <= 1e-12:
         return 1.0
     return exact / res.value

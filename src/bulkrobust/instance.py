@@ -535,8 +535,13 @@ class Instance:
         self.edges, self.edge_map = tuple(rows), edge_map
         rotation = self.rotation
         # n distinct keys in [0, n): bounds n by the file size before anything
-        # per node is built.
-        if len(rotation) != n or min(rotation) < 0 or max(rotation) >= n:
+        # per node is built.  A key that is not a number, such as "0", fails
+        # the comparison.
+        try:
+            keyed = len(rotation) == n and 0 <= min(rotation) and max(rotation) < n
+        except TypeError:
+            keyed = False
+        if not keyed:
             raise InstanceError("rotation must list every node exactly once")
         phi = dart_successors(rotation, edge_map)
         if phi is None:     # name the first bad node, in rotation order

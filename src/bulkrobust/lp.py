@@ -1,11 +1,12 @@
 """Covering LPs by a one-phase dense simplex, max-flow separation oracles,
 and the link LP.
 
-Every LP here is a covering LP: minimize c.x subject to A x >= 1 and
-x >= 0, with A 0/1, every row covering some column, and c >= 0.
-`LinearProgram` checks c and A and keeps them as given; every caller
-builds A with `covering_matrix` from rows of column indices.
-`simplex_min` solves its packing dual, maximize 1.y subject to A^T y <= c
+Every LP here is a covering LP: minimize c.x subject to x >= 0 and, for
+each row, the sum of x over the row's columns >= 1, with c >= 0.
+`LinearProgram` takes the rows as its callers hold them, tuples of column
+indices (`covers`), and checks them and c in plain Python; the dense 0/1
+`matrix` and the `objective` array are built only when first read.
+`simplex_min` solves the packing dual, maximize 1.y subject to A^T y <= c
 and y >= 0, from the slack basis, which c >= 0 makes feasible; each y_r is
 at most the cost of a column row r covers, so the dual is bounded and one
 phase suffices.  Pivots follow Dantzig's rule, and Bland's rule once
@@ -13,8 +14,22 @@ phase suffices.  Pivots follow Dantzig's rule, and Bland's rule once
 pivot raises it again.  A basic value within rounding of zero, relative to
 the two terms a pivot subtracts, is set to 0.  y is read from the basic
 values and x from the slacks' reduced costs, and the solve checks the pair
-as a certificate: x primal feasible, y dual feasible, equal values.  Each
-pivot is one whole-array update and each ratio test one vector division.
+as a certificate: x primal feasible, y dual feasible, equal values.
+
+The tableau takes one of two forms.  Up to `LIST_TABLEAU_MAX_CELLS` cells
+(200, the crossover measured in its comment) it is a list of Python float
+lists, pivoted one row at a time; larger ones are numpy arrays, each pivot
+one whole-array update and each ratio test one vector division.  Most link
+LPs have one row and one or two columns, where numpy's fixed cost per call
+outweighs the work; the hypergraph reductions' reach 28,000 cells, where
+only numpy keeps up.  The two forms agree bit for bit, since both run the
+same IEEE double operations in the same order: the same Dantzig and Bland
+choices, the same ratio test and tie-break, products rounded before they
+are subtracted, the same 1e-14 factor and 1e-12 right-hand-side zeroing,
+and every row updated, zero factors included, so even signed zeros match.
+Both take the value as numpy's c @ x, whose fused multiply-adds a Python
+sum would not reproduce.
+
 The link LP has one row per relevant failure set; `preprocess_step` already
 enumerates them all, so it is solved once over the distinct rows of the
 level's `StepContext.covering` table.  The min-cut separation oracle
@@ -25,6 +40,8 @@ Everything is deterministic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -34,26 +51,47 @@ EPS_FEAS = 1e-6     # constraint satisfaction tolerance
 _PIVOT_EPS = 1e-9
 _STALL_LIMIT = 30
 _MAX_PIVOTS = 20000    # per solve; past it the solve raises BudgetError
+# Tableaux of at most this many cells, (n + 1)(m + n + 1) for m rows and n
+# columns, are pivoted as Python lists.  Measured per program, `simplex_min`
+# with either form forced (best of 7, in-process, 2-core x86-64 VM, Python
+# 3.11, numpy 2.4) over the LPs of the three seed-101 benchmark workloads
+# and 1,500 random covering LPs: the list form took 0.34 of the numpy form's
+# time under 10 cells (15 against 43 us), 0.81 at 100-124 cells, 0.94 at
+# 150-174, 1.01 at 175-199, 1.07 at 200-224 and 1.30 at 300-324.
+LIST_TABLEAU_MAX_CELLS = 200
+_INF = float("inf")
 
 
 @dataclass
 class LinearProgram:
-    """minimize c.x subject to A x >= 1, x >= 0, where A = `matrix` is a 0/1
-    matrix with one column per cost and no all-zero row, and every cost is
-    finite and >= 0."""
+    """minimize c.x subject to x >= 0 and sum(x_j for j in row) >= 1 for
+    every row of `covers`, where c = `costs` holds finite costs >= 0 and
+    each row is a nonempty sequence of distinct int column indices."""
 
-    objective: np.ndarray
-    matrix: np.ndarray
+    costs: tuple
+    covers: tuple
 
     def __post_init__(self):
-        self.objective = c = np.asarray(self.objective, dtype=float)
-        self.matrix = a = np.asarray(self.matrix, dtype=float)
-        if c.ndim != 1 or not (np.isfinite(c) & (c >= 0)).all():
+        self.costs = costs = tuple(map(float, self.costs))
+        self.covers = tuple(self.covers)
+        if not all(0.0 <= c < _INF for c in costs):
             raise ValueError("LP costs must be finite and nonnegative")
-        if a.ndim != 2 or a.shape[1] != c.size:
-            raise ValueError("constraint matrix needs two dimensions and one column per cost")
-        if ((a != 0) & (a != 1)).any() or not a.any(axis=1).all():
-            raise ValueError("covering rows are nonzero 0/1 vectors")
+        n = len(costs)
+        indices = list(chain.from_iterable(self.covers))
+        if not (all(map(len, self.covers)) and set(map(type, indices)) <= {int}
+                and (not indices or 0 <= min(indices) and max(indices) < n)
+                and sum(map(len, map(set, self.covers))) == len(indices)):
+            raise ValueError(f"covering rows must be nonempty sets of column indices below {n}")
+
+    @cached_property
+    def objective(self):
+        """c as a float array."""
+        return np.array(self.costs)
+
+    @cached_property
+    def matrix(self):
+        """The dense 0/1 matrix A, one row per cover."""
+        return covering_matrix(self.covers, len(self.costs))
 
     @property
     def rows(self):
@@ -64,9 +102,10 @@ class LinearProgram:
 def covering_matrix(rows, width):
     """The 0/1 matrix with one row per entry of `rows`, each a collection of
     the column indices in [0, width) that hold a 1."""
-    a = np.zeros((len(rows), width))
-    for r, columns in enumerate(rows):
-        a[r, list(columns)] = 1.0
+    counts = list(map(len, rows))
+    a = np.zeros((len(counts), width))
+    a[np.arange(len(counts)).repeat(counts),
+      np.fromiter(chain.from_iterable(rows), np.intp, sum(counts))] = 1.0
     return a
 
 
@@ -95,14 +134,9 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def simplex_min(lp):
-    """Optimum of the covering LP `lp`, solved as its packing dual and
-    certified; raises BudgetError after `_MAX_PIVOTS` pivots."""
-    c = lp.objective
-    a = lp.matrix
+def _array_simplex(c, a):
+    """x and y of the packing dual of min c.x, A x >= 1, on a numpy tableau."""
     m, n = a.shape
-    if m == 0:
-        return SimplexResult(0.0, np.zeros(n), np.zeros(0))
     # One row per column j, A_j^T y + s_j = c_j; columns y, s, right-hand
     # side.  The objective row minimizes -1.y, so its last cell is 1.y.
     tableau = np.zeros((n + 1, m + n + 1))
@@ -140,18 +174,110 @@ def simplex_min(lp):
         last = now
     else:
         raise BudgetError("simplex", f"{_MAX_PIVOTS} pivots")
-
     y = np.zeros(m)
     packing = basis < m
     y[basis[packing]] = rhs[packing]
-    x = tableau[-1, m:-1].copy()
-    value, bound = float(c @ x), float(y.sum())
+    return tableau[-1, m:-1].copy(), y
+
+
+def _list_pivot(tableau, basis, row, col):
+    """`_pivot` on a list tableau, operation for operation.  Every row,
+    the pivot row and zero factors included, is rebuilt from the divided
+    pivot row as it stood before any update."""
+    pivot = tableau[row][col]
+    tableau[row] = top = [v / pivot for v in tableau[row]]
+    last = len(tableau) - 1
+    for r, values in enumerate(tableau):
+        factor = 0.0 if r == row else values[col]
+        if abs(factor) <= 1e-14:
+            factor = 0.0
+        updated = [v - factor * t for v, t in zip(values, top)]
+        if r < last and updated[-1] <= 1e-12 * max(abs(values[-1]), abs(factor * top[-1])):
+            updated[-1] = 0.0
+        tableau[r] = updated
+    basis[row] = col
+
+
+def _list_simplex(costs, covers):
+    """`_array_simplex` on a list tableau, step for step: the same pivot
+    rules, ratio test and tie-break; x and y as lists."""
+    m, n = len(covers), len(costs)
+    tableau = []
+    for j, cost in enumerate(costs):
+        values = [0.0] * (m + n + 1)
+        values[m + j] = 1.0
+        values[-1] = cost
+        tableau.append(values)
+    for r, cover in enumerate(covers):
+        for j in cover:
+            tableau[j][r] = 1.0
+    tableau.append([-1.0] * m + [0.0] * (n + 1))
+    basis = list(range(m, m + n))
+    stall = 0
+    last = 0.0
+    for _ in range(_MAX_PIVOTS):
+        obj = tableau[-1][:-1]
+        if stall < _STALL_LIMIT:
+            least = min(obj)
+            if least >= -_PIVOT_EPS:
+                break
+            col = obj.index(least)
+        else:
+            col = next((j for j, v in enumerate(obj) if v < -_PIVOT_EPS), None)
+            if col is None:
+                break
+        rows = [r for r in range(n) if tableau[r][col] > _PIVOT_EPS]
+        if not rows:
+            raise InvariantError("the packing dual of a covering LP is unbounded")
+        if len(rows) > 1:
+            ratios = [tableau[r][-1] / tableau[r][col] for r in rows]
+            least = min(ratios)
+            rows = [r for r, ratio in zip(rows, ratios) if ratio == least]
+        _list_pivot(tableau, basis, min(rows, key=basis.__getitem__), col)
+        now = tableau[-1][-1]
+        stall = stall + 1 if now <= last + 1e-12 else 0
+        last = now
+    else:
+        raise BudgetError("simplex", f"{_MAX_PIVOTS} pivots")
+    y = [0.0] * m
+    for r, b in enumerate(basis):
+        if b < m:
+            y[b] = tableau[r][-1]
+    return tableau[-1][m:-1], y
+
+
+def simplex_min(lp):
+    """Optimum of the covering LP `lp`, solved as its packing dual and
+    certified; raises BudgetError after `_MAX_PIVOTS` pivots."""
+    costs, covers = lp.costs, lp.covers
+    m, n = len(covers), len(costs)
+    if m == 0:
+        return SimplexResult(0.0, np.zeros(n), np.zeros(0))
     # The certificate is computed from A and c, not from the tableau.  x is
     # at most 1 at a vertex; each column's load scales with its own cost.
-    if (x < -EPS_FEAS).any() or (a @ x < 1 - EPS_FEAS).any() \
+    if (n + 1) * (m + n + 1) <= LIST_TABLEAU_MAX_CELLS:
+        x, y = _list_simplex(costs, covers)
+        loads = [0.0] * n
+        short = False
+        for y_r, cover in zip(y, covers):
+            mass = 0.0
+            for j in cover:
+                mass += x[j]
+                loads[j] += y_r
+            short = short or mass < 1 - EPS_FEAS
+        violated = short or min(x) < -EPS_FEAS or min(y) < -EPS_FEAS \
+            or any(load > c + EPS_FEAS * max(1.0, c) for load, c in zip(loads, costs))
+        bound = sum(y)
+        x, y = np.array(x), np.array(y)
+    else:
+        c, a = lp.objective, lp.matrix
+        x, y = _array_simplex(c, a)
+        violated = (x < -EPS_FEAS).any() or (a @ x < 1 - EPS_FEAS).any() \
             or (y < -EPS_FEAS).any() \
-            or (a.T @ y > c + EPS_FEAS * np.maximum(1.0, c)).any() \
-            or abs(bound - value) > EPS_FEAS * max(1.0, value):
+            or (a.T @ y > c + EPS_FEAS * np.maximum(1.0, c)).any()
+        bound = float(y.sum())
+    value = float(lp.objective @ x)
+    if violated or abs(bound - value) > EPS_FEAS * max(1.0, value):
         raise InvariantError(
             f"covering LP value {value:.9f} is not certified by its packing "
             f"dual (value {bound:.9f})")
@@ -307,7 +433,6 @@ def solve_link_lp(ctx, links):
     covered.
     """
     links = tuple(links)
-    costs = np.array([link.cost for link in links], dtype=float)
     if not ctx.omega:
         return FractionalCover(links, np.zeros(len(links)))
     if not links:
@@ -322,6 +447,6 @@ def solve_link_lp(ctx, links):
                 f"augmentation impossible: failure set {sorted(f_set)} has no "
                 "covering link")
         rows.setdefault(table[f_set], None)
-    x = np.clip(simplex_min(LinearProgram(costs, covering_matrix(rows, len(links)))).x,
-                0.0, 1.0)
-    return FractionalCover(links, x, float(costs @ x))
+    lp = LinearProgram([link.cost for link in links], tuple(rows))
+    x = simplex_min(lp).x.clip(0.0, 1.0)
+    return FractionalCover(links, x, float(lp.objective @ x))

@@ -174,9 +174,13 @@ def dual_bound(candidates, costs):
     slack = -_BOUND_RTOL * max(1.0, float(c.max()))
     columns = sorted({ids[0] for ids in candidates})
     while True:
-        restricted = a[:, columns]
-        forward = simplex_min(LinearProgram(c[columns], restricted)).duals
-        backward = simplex_min(LinearProgram(c[columns], restricted[::-1])).duals[::-1]
+        # The restricted LP's rows: each element's sets among the columns,
+        # renumbered by their place in `columns` (in no particular order).
+        place = dict(zip(columns, range(len(columns))))
+        rows = [tuple(map(place.__getitem__, place.keys() & ids)) for ids in candidates]
+        cost = [costs[j] for j in columns]
+        forward = simplex_min(LinearProgram(cost, rows)).duals
+        backward = simplex_min(LinearProgram(cost, rows[::-1])).duals[::-1]
         y = np.clip((forward + backward) / 2, 0.0, None)
         violated = set((c - a.T @ y < slack).nonzero()[0].tolist()) - set(columns)
         if not violated:

@@ -4,9 +4,10 @@ that only tests read."""
 import json
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from bulkrobust import Instance, InstanceError, gen_grid, gen_series_parallel
+from bulkrobust import Instance, InstanceError, gen_grid, gen_series_parallel, lp
 from bulkrobust.generators import Hypergraph
 from bulkrobust.instance import FaceSet, Feasibility, PlaneGraph, is_int_rows
 
@@ -127,6 +128,25 @@ def as_masks(sets):
     """(cost, elements) pairs as `exact_min_cover` takes them: (cost, mask),
     with bit el of mask set iff el is among the elements."""
     return [(cost, sum(1 << el for el in set(elements))) for cost, elements in sets]
+
+
+def covers_of(a):
+    """The rows of a dense 0/1 matrix as `LinearProgram` takes them: tuples
+    of the column indices that hold a 1."""
+    return [tuple(np.flatnonzero(row).tolist()) for row in a]
+
+
+# `lp.LIST_TABLEAU_MAX_CELLS` that puts every tableau in one form.
+TABLEAU_FORMS = {"lists": 10 ** 9, "arrays": 0}
+
+
+def tableau_forms(monkeypatch):
+    """Yields each tableau form's name while every `simplex_min` call runs
+    in that form."""
+    for form, cells in TABLEAU_FORMS.items():
+        with monkeypatch.context() as patched:
+            patched.setattr(lp, "LIST_TABLEAU_MAX_CELLS", cells)
+            yield form
 
 
 def per_set(candidates, count):

@@ -16,7 +16,8 @@ from bulkrobust.errors import BudgetError, InstanceError
 from bulkrobust.instance import parse_instance, serialize_instance
 from bulkrobust.lp import LinearProgram, simplex_min
 from bulkrobust.oracle import brute_force_vc
-from conftest import build_suite_instance, parse_hypergraph, suite_schedule, triangle_instance
+from conftest import (build_suite_instance, parse_hypergraph, suite_schedule, tableau_forms,
+                      triangle_instance)
 
 ROOT_EXPORTS = {
     "solve", "solution_dict", "guarantee_factor",
@@ -75,13 +76,15 @@ def _parse_lp_dump(text):
     for chunk in text.split("# level ")[1:]:
         head, objective, *rows, last = chunk.splitlines()
         assert objective.startswith("min ") and last == "x >= 0"
-        matrix = []
+        costs = [float(v) for v in objective.split()[1:]]
+        covers = []
         for row in rows:
             lhs, rhs = row.split(" >= ")
             assert rhs == "1.0"
-            matrix.append([float(v) for v in lhs.split()])
-        costs = [float(v) for v in objective.split()[1:]]
-        blocks.append((int(head), LinearProgram(costs, np.reshape(matrix, (-1, len(costs))))))
+            entries = [float(v) for v in lhs.split()]
+            assert len(entries) == len(costs) and set(entries) <= {0.0, 1.0}
+            covers.append(tuple(j for j, v in enumerate(entries) if v))
+        blocks.append((int(head), LinearProgram(costs, covers)))
     return blocks
 
 
@@ -278,9 +281,10 @@ def test_pivot_budget_exits_4(tmp_path, capsys, monkeypatch):
     assert main(["generate", "hvc", "--k", "2", "--part-size", "2",
                  "--edges", "3", "--seed", "5", "-o", str(inst)]) == 0
     capsys.readouterr()
-    assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
-    err = capsys.readouterr().err
-    assert err == "error: level 2 link LP exceeded its budget of 1 pivots\n"
+    for _ in tableau_forms(monkeypatch):
+        assert main(["solve", "-i", str(inst), "-o", str(tmp_path / "sol.json")]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: level 2 link LP exceeded its budget of 1 pivots\n"
 
 
 def test_failure_set_budget_exits_4(tmp_path, capsys, monkeypatch):

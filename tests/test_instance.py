@@ -85,6 +85,17 @@ def test_instance_rejects_two_rotation_keys_for_one_node(rotation):
         Instance(3, [(0, 0, 1, 1), (1, 0, 2, 1), (2, 2, 1, 1)], rotation, "st", 0, 1, [[0]])
 
 
+@pytest.mark.parametrize("rotation", [
+    {"0": [0, 1], "1": [0, 2], "2": [1, 2]},
+    {0: [0, 1], "1": [0, 2], 2: [1, 2]},
+    {0: [0, 1], 1: [0, 2], None: [1, 2]},
+], ids=["str", "mixed", "none"])
+def test_instance_rejects_rotation_keys_that_are_not_ints(rotation):
+    # n keys, so only the keys' range check can catch them.
+    with pytest.raises(InstanceError, match="rotation must list every node exactly once"):
+        Instance(3, [(0, 0, 1, 1), (1, 0, 2, 1), (2, 2, 1, 1)], rotation, "st", 0, 1, [[0]])
+
+
 def test_parse_rejects_infeasible():
     bad = json.loads(json.dumps(TRIANGLE_JSON))
     bad["scenarios"] = [[0, 1, 2]]

@@ -33,7 +33,8 @@ from bulkrobust.instance import MAX_TOTAL_WEIGHT
 from bulkrobust.links import (StepContext, bit_positions, dijkstra, enumerate_typed_links,
                               preprocess_step)
 from bulkrobust.setcover import cover_search, exact_min_cover
-from conftest import TREE_GRIDS, as_masks, build_suite_instance, per_set, suite_schedule
+from conftest import (TREE_GRIDS, as_masks, build_suite_instance, covers_of, per_set,
+                      suite_schedule)
 
 
 def per_pair_lex_shortest_path(adj, src, dst):
@@ -803,6 +804,42 @@ def test_packing_loads_match_the_dense_matrix(monkeypatch):
         dense = setcover._valid_packing(np.clip(y, 0.0, None), candidates, c,
                                         lambda y: a.T @ y)
         assert bound(candidates, costs) == dense
+
+
+def sliced_dual_bound(candidates, costs):
+    """`dual_bound` with each round's LP read off the dense element-by-set
+    matrix by slicing its current columns, `a[:, columns]`."""
+    c = np.array(costs, dtype=float)
+    a = lp.covering_matrix(candidates, c.size)
+    slack = -setcover._BOUND_RTOL * max(1.0, float(c.max()))
+    columns = sorted({ids[0] for ids in candidates})
+    while True:
+        restricted = a[:, columns]
+        forward = lp.simplex_min(lp.LinearProgram(c[columns], covers_of(restricted))).duals
+        backward = lp.simplex_min(
+            lp.LinearProgram(c[columns], covers_of(restricted[::-1]))).duals[::-1]
+        y = np.clip((forward + backward) / 2, 0.0, None)
+        violated = set((c - a.T @ y < slack).nonzero()[0].tolist()) - set(columns)
+        if not violated:
+            break
+        columns = sorted(violated.union(columns))
+    return setcover._valid_packing(y, candidates, c, lambda y: a.T @ y)
+
+
+def test_dual_bound_rows_match_the_sliced_matrix(monkeypatch):
+    # `dual_bound` builds each round's rows from the candidate lists,
+    # renumbered to the current columns; on the tree grids' searches its y
+    # equals, byte for byte, the one the sliced dense matrix gives.
+    seen = []
+    bound = setcover.dual_bound
+    monkeypatch.setattr(setcover, "dual_bound", lambda candidates, costs: seen.append(
+        ([list(ids) for ids in candidates], list(costs))) or bound(candidates, costs))
+    for instance in TREE_GRIDS:
+        solve(instance)
+    assert len(seen) >= 5
+    for candidates, costs in seen:
+        assert np.array(bound(candidates, costs)).tobytes() == \
+            np.array(sliced_dual_bound(candidates, costs)).tobytes()
 
 
 # -- the level-1 tree step -----------------------------------------------------

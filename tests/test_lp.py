@@ -2,62 +2,75 @@
 
 import itertools
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bulkrobust import (InfeasibleError, Instance, InvariantError, gen_hypergraph_vc,
                         solve)
 from bulkrobust import lp as lp_module
+from bulkrobust import setcover
 from bulkrobust.links import enumerate_typed_links, preprocess_step
-from bulkrobust.lp import (_PIVOT_EPS, _STALL_LIMIT, FractionalCover, LinearProgram,
-                           covering_matrix, lp_to_text, max_flow_min_cut,
-                           separation_oracle, simplex_min, solve_link_lp)
-from conftest import (build_suite_instance, crosses, reference_cuts, square_with_chords,
-                      suite_schedule, triangle_instance)
+from bulkrobust.lp import (_PIVOT_EPS, FractionalCover, LinearProgram, covering_matrix,
+                           lp_to_text, max_flow_min_cut, separation_oracle, simplex_min,
+                           solve_link_lp)
+from conftest import (TABLEAU_FORMS, TREE_GRIDS, build_suite_instance, covers_of, crosses,
+                      reference_cuts, square_with_chords, suite_schedule, tableau_forms,
+                      triangle_instance)
+
+
+def dense_program(c, a):
+    """The LinearProgram of costs c and a dense 0/1 matrix a."""
+    return LinearProgram(c, covers_of(a))
 
 
 def test_simplex_single_variable():
-    res = simplex_min(LinearProgram([1.0], [[1.0]]))
+    res = simplex_min(LinearProgram([1.0], [(0,)]))
     assert abs(res.value - 1.0) < 1e-9
     assert abs(res.x[0] - 1.0) < 1e-9
     assert abs(res.duals[0] - 1.0) < 1e-9
 
 
 def test_simplex_two_variables():
-    res = simplex_min(LinearProgram([1.0, 1.0], [[1.0, 1.0]]))
+    res = simplex_min(LinearProgram([1.0, 1.0], [(0, 1)]))
     assert abs(res.value - 1.0) < 1e-9
 
 
 def test_simplex_without_rows_is_zero():
-    res = simplex_min(LinearProgram([1.0, 2.0], covering_matrix([], 2)))
+    res = simplex_min(LinearProgram([1.0, 2.0], []))
     assert res.value == 0.0
     assert list(res.x) == [0.0, 0.0] and res.duals.shape == (0,)
 
 
 def test_simplex_infeasible():
-    # An infeasible program is not a covering LP: it is refused up front.
+    # An infeasible program, a row no column covers, is not a covering LP:
+    # it is refused up front.
     with pytest.raises(ValueError):
-        LinearProgram([1.0], [[1.0], [-1.0]])
+        LinearProgram([1.0], [(0,), ()])
 
 
 def test_simplex_unbounded():
     # Only a negative cost makes a covering LP unbounded; it is refused.
     with pytest.raises(ValueError):
-        LinearProgram([-1.0], [[1.0]])
+        LinearProgram([-1.0], [(0,)])
 
 
 @pytest.mark.parametrize("costs, rows", [
-    ([1.0, 1.0], [[1.0, 2.0]]),                 # entry not 0 or 1
-    ([1.0, 1.0], [[1.0, 0.5]]),
-    ([1.0, 1.0], [[1.0, np.nan]]),
-    ([1.0, -1.0], [[1.0, 1.0]]),                # negative cost
-    ([1.0, np.inf], [[1.0, 1.0]]),              # non-finite cost
-    ([1.0, np.nan], [[1.0, 1.0]]),
-    ([1.0, 1.0], [[1.0, 0.0], [0.0, 0.0]]),     # all-zero row
-    ([1.0, 1.0], [[1.0, 0.0, 1.0]]),            # wrong width
-    ([1.0, 1.0], [1.0, 1.0]),                   # wrong dimension
-    ([1.0, 1.0], [[[1.0, 1.0]]]),
+    ([1.0, 1.0], [(0, 2)]),                     # column out of range
+    ([1.0, 1.0], [(0, 0.5)]),                   # index not an int
+    ([1.0, 1.0], [(0, np.nan)]),
+    ([1.0, -1.0], [(0, 1)]),                    # negative cost
+    ([1.0, np.inf], [(0, 1)]),                  # non-finite cost
+    ([1.0, np.nan], [(0, 1)]),
+    ([1.0, 1.0], [(0,), ()]),                   # empty row
+    ([1.0, 1.0], [(0, 1, 2)]),                  # more columns than costs
+    ([1.0, 1.0], [(0.0, 1.0)]),                 # float indices
+    ([1.0, 1.0], [(True, 0)]),                  # bool index
+    ([1.0, 1.0], [(0, 0)]),                     # repeated index
+    ([1.0, 1.0], [(-1, 0)]),                    # negative index
 ])
 def test_linear_program_accepts_covering_input_only(costs, rows):
     with pytest.raises(ValueError):
@@ -66,26 +79,56 @@ def test_linear_program_accepts_covering_input_only(costs, rows):
 
 def test_lp_to_text_bytes():
     # The format `solve --lp-dump` writes.
-    lp = LinearProgram([1, 2], [[1, 0], [1, 1]])
+    lp = LinearProgram([1, 2], [(0,), (0, 1)])
     assert lp_to_text(lp) == "min 1.0 2.0\n1.0 0.0 >= 1.0\n1.0 1.0 >= 1.0\nx >= 0\n"
 
 
+def test_linear_program_builds_its_arrays_when_read():
+    lp = LinearProgram([1, 2, 0], [(2, 0), (1,)])
+    assert lp.costs == (1.0, 2.0, 0.0) and "matrix" not in vars(lp)
+    assert lp.objective.tobytes() == np.array([1.0, 2.0, 0.0]).tobytes()
+    assert lp.matrix.tolist() == [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    assert [b for _, b in lp.rows] == [1.0, 1.0]
+
+
 def test_uncertified_solution_raises_invariant_error(monkeypatch):
-    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0]])
     monkeypatch.setattr(lp_module, "EPS_FEAS", -1.0)
-    with pytest.raises(InvariantError, match="not certified"):
-        simplex_min(lp)
+    for _ in tableau_forms(monkeypatch):
+        with pytest.raises(InvariantError, match="not certified"):
+            simplex_min(LinearProgram([1.0, 2.0], [(0, 1)]))
 
 
-def test_unbounded_packing_dual_raises_invariant_error():
-    lp = LinearProgram([1.0], [[1.0]])
-    lp.matrix = np.zeros((1, 1))        # past the constructor's check
-    with pytest.raises(InvariantError, match="unbounded"):
-        simplex_min(lp)
+# (costs, covers, x, y) where exactly one certificate condition fails.
+@pytest.mark.parametrize("costs, covers, x, y", [
+    ([1.0, 2.0], [(0, 1)], [1.5, -0.25], [1.0]),          # x below 0
+    ([1.0, 2.0], [(0, 1)], [0.5, 0.0], [0.5]),            # a row covered by half
+    ([1.0, 1.0], [(0, 1), (0, 1)], [1.0, 0.0], [1.5, -0.5]),   # y below 0
+    ([1.0], [(0,)], [2.0], [2.0]),                        # a column loaded past its cost
+    ([1.0, 2.0], [(0, 1)], [1.0, 0.0], [0.5]),            # c.x above 1.y
+], ids=["x", "row", "y", "load", "gap"])
+def test_each_certificate_condition_is_checked(costs, covers, x, y, monkeypatch):
+    # Each tableau form's solve returns the doctored pair; the certificate
+    # must refuse it in both.
+    monkeypatch.setattr(lp_module, "_list_simplex", lambda c, rows: (list(x), list(y)))
+    monkeypatch.setattr(lp_module, "_array_simplex", lambda c, a: (np.array(x), np.array(y)))
+    for _ in tableau_forms(monkeypatch):
+        with pytest.raises(InvariantError, match="not certified"):
+            simplex_min(LinearProgram(costs, covers))
+
+
+def test_unbounded_packing_dual_raises_invariant_error(monkeypatch):
+    forms = []
+    for form in tableau_forms(monkeypatch):
+        lp = LinearProgram([1.0], [(0,)])
+        lp.covers = ((),)       # past the constructor's check
+        with pytest.raises(InvariantError, match="unbounded"):
+            simplex_min(lp)
+        forms.append(form)
+    assert forms == list(TABLEAU_FORMS)
 
 
 def test_simplex_keeps_small_values_next_to_large_costs():
-    res = simplex_min(LinearProgram([1.0, 1e13], [[1.0, 1.0]]))
+    res = simplex_min(LinearProgram([1.0, 1e13], [(0, 1)]))
     assert res.value == 1.0
     assert list(res.x) == [1.0, 0.0] and list(res.duals) == [1.0]
 
@@ -100,7 +143,7 @@ def test_simplex_matches_highs_on_mixed_scale_costs():
         for j in range(n):
             if rng.random() < 0.3:
                 c[j] = rng.choice([1e6, 1e13, 2.0 ** 52, 2.0 ** 53])
-        res = simplex_min(LinearProgram(c, a))
+        res = simplex_min(dense_program(c, a))
         highs = linprog(c, A_ub=-a, b_ub=-np.ones(m), bounds=(0, None), method="highs")
         assert highs.status == 0
         assert res.value == pytest.approx(highs.fun, rel=1e-9, abs=1e-9)
@@ -161,7 +204,7 @@ def test_simplex_matches_vertex_enumeration():
         n = rng.randint(1, 6)
         m = 1 if trial % 4 == 0 else rng.randint(2, 8)
         c, a = _random_covering_lp(rng, n, m, rng.uniform(0.2, 0.7))
-        res = simplex_min(LinearProgram(c, a))
+        res = simplex_min(dense_program(c, a))
         assert abs(res.value - _vertex_enumeration_min(c, a)) < 1e-6
         highs = linprog(c, A_ub=-a, b_ub=-np.ones(m), bounds=(0, None), method="highs")
         assert highs.status == 0 and abs(res.value - highs.fun) < 1e-6
@@ -178,7 +221,7 @@ def test_duals_certify_the_value():
         n, m = rng.randint(1, 30), rng.randint(1, 40)
         c, a = _random_covering_lp(rng, n, m, rng.uniform(0.05, 0.5),
                                    cost_max=[1, 6, 100][trial % 3])
-        _assert_certified(c, a, simplex_min(LinearProgram(c, a)))
+        _assert_certified(c, a, simplex_min(dense_program(c, a)))
 
 
 def test_upper_bounds_do_not_change_value():
@@ -188,7 +231,7 @@ def test_upper_bounds_do_not_change_value():
     for _ in range(30):
         n = rng.randint(1, 6)
         c, a = _random_covering_lp(rng, n, rng.randint(1, 5), 0.6, cost_max=6)
-        free = simplex_min(LinearProgram(c, a))
+        free = simplex_min(dense_program(c, a))
         assert (free.x <= 1 + 1e-9).all()
         assert abs(free.value - _vertex_enumeration_min(c, a, capped=True)) < 1e-6
 
@@ -237,7 +280,7 @@ def _reference_simplex_min(lp, pivots):
         if negatives.size == 0:
             break
         dantzig, bland = int(np.argmin(obj)), int(negatives[0])
-        rule = "dantzig" if stall < _STALL_LIMIT else "bland"
+        rule = "dantzig" if stall < lp_module._STALL_LIMIT else "bland"
         col = dantzig if rule == "dantzig" else bland
         column = tableau[:-1, col]
         rhs = tableau[:-1, -1]
@@ -256,16 +299,17 @@ def _reference_simplex_min(lp, pivots):
     return float(c @ x), x, y
 
 
-def _assert_same_as_reference(lp, pivots):
-    """Same value, x and y as the reference, float for float (array_equal,
-    so a zero may differ only in its sign)."""
-    got = simplex_min(lp)
+def _assert_same_as_reference(lp, pivots, monkeypatch):
+    """In both tableau forms, the same value, x and y as the reference,
+    float for float (array_equal, so a zero may differ only in its sign)."""
     value, x, y = _reference_simplex_min(lp, pivots)
-    assert got.value == value
-    assert np.array_equal(got.x, x) and np.array_equal(got.duals, y)
+    for _ in tableau_forms(monkeypatch):
+        got = simplex_min(lp)
+        assert got.value == value
+        assert np.array_equal(got.x, x) and np.array_equal(got.duals, y)
 
 
-def test_simplex_matches_reference_on_degenerate_covering_lps():
+def test_simplex_matches_reference_on_degenerate_covering_lps(monkeypatch):
     # A few zero-cost columns among unit and near-unit costs make these LPs
     # degenerate enough that Dantzig's rule stalls and Bland's rule takes over
     rng = random.Random(11)
@@ -276,12 +320,12 @@ def test_simplex_matches_reference_on_degenerate_covering_lps():
                       for _ in range(n)], float)
         _, a = _random_covering_lp(rng, n, m, rng.uniform(0.1, 0.3))
         pivots = []
-        _assert_same_as_reference(LinearProgram(c, a), pivots)
+        _assert_same_as_reference(dense_program(c, a), pivots, monkeypatch)
         reached_bland += any(rule == "bland" for _, _, rule, _ in pivots)
     assert reached_bland >= 10
 
 
-def test_simplex_matches_reference_past_the_stall_limit():
+def test_simplex_matches_reference_past_the_stall_limit(monkeypatch):
     # More than _STALL_LIMIT improving pivots, and a later pivot on which
     # Dantzig's and Bland's rules pick different columns: a stall counter
     # that counted every pivot would switch rules there and differ.
@@ -291,9 +335,9 @@ def test_simplex_matches_reference_past_the_stall_limit():
         n, m = rng.randint(60, 80), rng.randint(80, 100)
         c, a = _random_covering_lp(rng, n, m, rng.uniform(0.05, 0.15), cost_max=50)
         pivots = []
-        _assert_same_as_reference(LinearProgram(c, a), pivots)
-        telling += sum(rose for *_, rose in pivots) > _STALL_LIMIT and any(
-            dantzig != bland for dantzig, bland, _, _ in pivots[_STALL_LIMIT:])
+        _assert_same_as_reference(dense_program(c, a), pivots, monkeypatch)
+        telling += sum(rose for *_, rose in pivots) > lp_module._STALL_LIMIT and any(
+            dantzig != bland for dantzig, bland, _, _ in pivots[lp_module._STALL_LIMIT:])
     assert telling >= 10
 
 
@@ -304,11 +348,74 @@ def test_simplex_matches_reference_on_hypergraph_lp_levels(monkeypatch):
         programs.append(lp)
         return simplex_min(lp)
 
-    monkeypatch.setattr(lp_module, "simplex_min", record)
-    solve(gen_hypergraph_vc(3, 3, 12, 5)[1])
+    with monkeypatch.context() as recording:
+        recording.setattr(lp_module, "simplex_min", record)
+        solve(gen_hypergraph_vc(3, 3, 12, 5)[1])
     assert programs
     for lp in programs:
-        _assert_same_as_reference(lp, [])
+        _assert_same_as_reference(lp, [], monkeypatch)
+
+
+@st.composite
+def covering_programs(draw):
+    """(costs, covers) of a covering LP with 1 to 14 columns and 1 to 16
+    rows, so its tableau falls on either side of the list form's limit.
+    The costs are of one kind: 0 to 2 (zero costs and ties), any integer up
+    to 2**53, or a few values from -0.0 to 2**53 side by side.  Rows may
+    repeat, and list their columns in any order."""
+    n = draw(st.integers(1, 14))
+    kind = draw(st.sampled_from([st.integers(0, 2), st.integers(0, 2 ** 53),
+                                 st.sampled_from([-0.0, 0, 1, 2 ** 52, 2 ** 53])]))
+    costs = draw(st.lists(kind, min_size=n, max_size=n))
+    row = st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(tuple)
+    return costs, draw(st.lists(row, min_size=1, max_size=16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(covering_programs(), st.sampled_from([0, 1, 3, 30]))
+def test_list_and_array_tableaux_agree_bit_for_bit(program, stall_limit):
+    # A stall limit of 0 runs Bland's rule from the first pivot, and 1 or 3
+    # switch to it after that many degenerate pivots, so small programs
+    # reach it too.
+    costs, covers = program
+    found = []
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(lp_module, "_STALL_LIMIT", stall_limit)
+        for _ in tableau_forms(patched):
+            res = simplex_min(LinearProgram(costs, covers))
+            found.append((res.value, res.x.tobytes(), res.duals.tobytes()))
+    assert found[0] == found[1]
+
+
+def test_each_tableau_form_carries_its_traffic(monkeypatch):
+    # Suite-sized link LPs take the list tableau; a hypergraph reduction's
+    # link LPs and the exact cover's LP bounds on the tree grids take numpy's.
+    runs = Counter()
+    caller = ["link"]
+    for name in ("_list_simplex", "_array_simplex"):
+        def counted(*args, name=name, solve_form=getattr(lp_module, name)):
+            runs[caller[0], name] += 1
+            return solve_form(*args)
+        monkeypatch.setattr(lp_module, name, counted)
+
+    def bound_simplex(lp):
+        caller[0] = "bound"
+        try:
+            return simplex_min(lp)
+        finally:
+            caller[0] = "link"
+
+    monkeypatch.setattr(setcover, "simplex_min", bound_simplex)
+    for params in suite_schedule(200):
+        solve(build_suite_instance(params))
+    assert runs["link", "_list_simplex"] >= 1
+    runs.clear()
+    solve(gen_hypergraph_vc(3, 3, 12, 5)[1])
+    assert runs == {("link", "_array_simplex"): 2}
+    runs.clear()
+    for instance in TREE_GRIDS:
+        solve(instance)
+    assert runs["bound", "_array_simplex"] >= 10 and not runs["bound", "_list_simplex"]
 
 
 def test_max_flow_square():
