@@ -6,7 +6,11 @@ retries a bounded number of times, so generation either succeeds or fails
 loudly instead of looping forever.  It asks whether a candidate keeps the
 requirement through one `Feasibility` table per generated graph (X = every
 edge, every edge removable), an elimination of at most k vectors per
-candidate, not a union-find over every edge.
+candidate, not a union-find over every edge.  That table is the graph's one
+table: the generator hands it to `Instance` as the proof of its
+connectivity and feasibility checks, which the instance then does not
+repeat.  The vertex-cover reduction samples nothing, so its instance builds
+and checks its own.
 """
 
 import json
@@ -26,10 +30,12 @@ MAX_SP_LEAVES = 2 ** 12
 
 def _sample_scenarios(node_count, weighted, problem, s, t, m, k, rng):
     """Draw m random failure sets of size <= k, each of whose removal from the
-    edges `weighted` (rows (e, u, v, w)) keeps the requirement.  One
-    Feasibility table of their edge map {e: (u, v, w)}, with every edge
-    removable and one scenario that holds them all, answers each
-    candidate."""
+    edges `weighted` (rows (e, u, v, w)) keeps the requirement; returns
+    (scenarios, table).  One Feasibility table of their edge map
+    {e: (u, v, w)}, with every edge removable and one scenario that holds
+    them all, answers each candidate, and the generator hands it to the
+    instance as the proof of its checks.  A candidate is sorted only once
+    accepted."""
     edge_map = {e: (u, v, w) for e, u, v, w in weighted}
     pool = sorted(edge_map)
     every = frozenset(pool)
@@ -38,15 +44,15 @@ def _sample_scenarios(node_count, weighted, problem, s, t, m, k, rng):
     for idx in range(m):
         for _ in range(_MAX_RESAMPLES):
             size = rng.randint(1, k)
-            cand = tuple(sorted(rng.sample(pool, min(size, len(pool)))))
+            cand = rng.sample(pool, min(size, len(pool)))
             if table.cut(0, cand) is None:
-                scenarios.append(cand)
+                scenarios.append(tuple(sorted(cand)))
                 break
         else:
             raise InstanceError(
                 f"could not sample a feasible scenario {idx} within "
                 f"{_MAX_RESAMPLES} attempts")
-    return scenarios
+    return scenarios, table
 
 
 def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st"):
@@ -82,9 +88,9 @@ def gen_grid(rows, cols, scenario_count, diameter, weight_max, seed, problem="st
             rotation[node(r, c)] = rot
     weighted = [(e, u, v, rng.randint(1, weight_max)) for e, u, v in edges]
     s, t = (0, rows * cols - 1) if problem == "st" else (None, None)
-    scenarios = _sample_scenarios(rows * cols, weighted, problem, s, t,
-                                  scenario_count, diameter, rng)
-    return Instance(rows * cols, weighted, rotation, problem, s, t, scenarios)
+    scenarios, table = _sample_scenarios(rows * cols, weighted, problem, s, t,
+                                         scenario_count, diameter, rng)
+    return Instance(rows * cols, weighted, rotation, problem, s, t, scenarios, _proof=table)
 
 
 class _SPBuilder:
@@ -170,8 +176,9 @@ def gen_series_parallel(depth, scenario_count, diameter, weight_max, seed, probl
     rotation = {relabel[n]: list(rot) for n, rot in builder.rotation.items()}
     n = len(order)
     st = (0, 1) if problem == "st" else (None, None)
-    scenarios = _sample_scenarios(n, weighted, problem, *st, scenario_count, diameter, rng)
-    return Instance(n, weighted, rotation, problem, st[0], st[1], scenarios)
+    scenarios, table = _sample_scenarios(n, weighted, problem, *st, scenario_count,
+                                         diameter, rng)
+    return Instance(n, weighted, rotation, problem, st[0], st[1], scenarios, _proof=table)
 
 
 # -- hypergraph vertex cover reduction ------------------------------------

@@ -27,7 +27,9 @@ rows it holds.  `Feasibility` runs it once per solution X, to give each
 edge of X its vector in the GF(2) cycle space of X; every question on X - S
 is then a rank of at most k vectors (its docstring gives the argument).  A
 table is built from an edge map, so the generators' scenario sampling asks
-one too.
+one too, and hands it to the instance it builds as the proof of its
+connectivity and feasibility checks (`Instance`'s `_proof`): each
+generated graph gets one table of all edges, parsed text its own.
 
 `serialize_instance` writes the canonical layout, the bytes of
 `json.dumps(instance.to_dict(), indent=1) + "\n"`, directly: one string
@@ -131,15 +133,15 @@ class Feasibility:
     `removable` edges U, the `scenarios` F_j (each inside U) and X.
     `Instance.feasibility` passes its own views (U = `Instance.touched`, the
     union of the scenarios); the generators ask about candidate scenarios
-    through a table with X = U = every edge.  One build serves every
-    scenario.  `_merge` takes the X edges outside U into a base forest, and
-    each X & U edge is read as a row between base roots, its ends' `_find`
-    inlined.  One union-find over those rows gives the spanning forest, and
-    one walk over it gives every tree edge its vector.  Edges outside U are
-    never removed, so they need no vector.  A query is an elimination of at
-    most k vectors over a pivot dict keyed by `bit_length`.  No build
-    changes an existing table, and a table holds no reference to the
-    instance.
+    through a table with X = U = every edge, which then answers the
+    instance's checks.  One build serves every scenario.  `_merge` takes
+    the X edges outside U into a base forest, and each X & U edge is read
+    as a row between base roots, its ends' `_find` inlined.  One union-find
+    over those rows gives the spanning forest, and one walk over it gives
+    every tree edge its vector.  Edges outside U are never removed, so they
+    need no vector.  A query is an elimination of at most k vectors over a
+    pivot dict keyed by `bit_length`.  No build changes an existing table,
+    and a table holds no reference to the instance.
     """
 
     __slots__ = ("x", "connected", "holds", "_full", "_ends", "_terminals", "_parent",
@@ -505,10 +507,19 @@ class Instance:
     read, from that same permutation (`graph.darts`).  One `Feasibility`
     table of all edges answers both the connectivity check and
     `check_feasible`.
+
+    A generator passes the table its scenario sampling asked as the
+    keyword-only `_proof` (X = every edge, every edge removable).  It
+    accepted each scenario F_j on `cut(0, F_j) is None`, and every F_j is
+    no larger than k, so `check_feasible`'s `failures(k)` would ask exactly
+    those questions again.  The instance then reads `connected` from that
+    table and builds and asks none of its own; every other check still
+    runs.  It keeps no table, so `feasibility(edge_ids)` builds one on its
+    first call.
     """
 
     def __init__(self, node_count, edges, rotation, problem, s=None, t=None,
-                 scenarios=()):
+                 scenarios=(), *, _proof=None):
         self.node_count = n = node_count
         self.rotation = {v: tuple(rot) for v, rot in rotation.items()}
         self.problem, self.s, self.t = problem, s, t
@@ -579,13 +590,20 @@ class Instance:
         self.scenario_sets = tuple(sets)
         self.touched = frozenset().union(*sets)
         self.k = max(map(len, sets), default=0)
-        if not self.feasibility(self.edge_ids).connected:
+        if _proof is None:
+            table = self.feasibility(edge_ids)
+        elif _proof.x != edge_ids:
+            raise InvariantError("the sampling table is not of the instance's edges")
+        else:
+            table = _proof
+        if not table.connected:
             raise InstanceError("graph is not connected")
         self.graph = PlaneGraph(tuple(range(n)), edge_map, self.rotation)
         vars(self.graph)["darts"] = phi     # parse's permutation: the graph builds none
         if n - len(rows) + max(count_cycles(phi), 1) - 2 != 0:     # as `euler_defect`
             raise InstanceError("rotation system not planar (Euler check failed)")
-        self.check_feasible()
+        if _proof is None:
+            self.check_feasible()
 
     def check_feasible(self):
         """Removing any single full scenario must keep the requirement; read
@@ -606,9 +624,10 @@ class Instance:
         The table of the last X asked for is kept, so one table serves
         every check on the same X; any other X gets a fresh table, one
         forest pass over X.  In a solve that is one table per distinct X:
-        the parse-time table of all edges, the base solution's and one per
-        level that adds edges.  The table does not refer back to the
-        instance, so keeping it creates no reference cycle.
+        the parse-time table of all edges (a generated instance keeps
+        none), the base solution's and one per level that adds edges.  The
+        table does not refer back to the instance, so keeping it creates no
+        reference cycle.
         """
         x = frozenset(x)
         table = self.__dict__.get("_feasibility")

@@ -25,10 +25,18 @@ outweighs the work; the hypergraph reductions' reach 28,000 cells, where
 only numpy keeps up.  The two forms agree bit for bit, since both run the
 same IEEE double operations in the same order: the same Dantzig and Bland
 choices, the same ratio test and tie-break, products rounded before they
-are subtracted, the same 1e-14 factor and 1e-12 right-hand-side zeroing,
-and every row updated, zero factors included, so even signed zeros match.
-Both take the value as numpy's c @ x, whose fused multiply-adds a Python
-sum would not reproduce.
+are subtracted, and the same 1e-14 factor and 1e-12 right-hand-side
+zeroing.  The list form skips the rows whose factor is 0, the pivot row
+among them, which numpy updates, and signed zeros still match: no entry of
+either form is -0.0 after the first pivot.  Every zero starts as +0.0
+apart from a -0.0 cost, which that pivot's right-hand-side zeroing turns
+into +0.0 (the list form enters it as +0.0); pivots divide by a positive
+entry, and no quotient at these magnitudes underflows; and x - y is -0.0
+only when x is.  So x - 0.0 * t is x for every entry x, and a right-hand
+side, never negative, is zeroed only when it is 0 already: a row with a
+zero factor comes out of numpy's update as it went in.  Both take the
+value as numpy's c @ x, whose fused multiply-adds a Python sum would not
+reproduce.
 
 The link LP has one row per relevant failure set; `preprocess_step` already
 enumerates them all, so it is solved once over the distinct rows of the
@@ -181,16 +189,18 @@ def _array_simplex(c, a):
 
 
 def _list_pivot(tableau, basis, row, col):
-    """`_pivot` on a list tableau, operation for operation.  Every row,
-    the pivot row and zero factors included, is rebuilt from the divided
-    pivot row as it stood before any update."""
+    """`_pivot` on a list tableau, operation for operation.  Every row with
+    a nonzero factor is rebuilt from the divided pivot row as it stood
+    before any update; the rows whose factor is 0, the pivot row among
+    them, hold no -0.0 and would come out as they went in, so they are
+    left as they are."""
     pivot = tableau[row][col]
     tableau[row] = top = [v / pivot for v in tableau[row]]
     last = len(tableau) - 1
     for r, values in enumerate(tableau):
-        factor = 0.0 if r == row else values[col]
-        if abs(factor) <= 1e-14:
-            factor = 0.0
+        factor = values[col]
+        if r == row or abs(factor) <= 1e-14:
+            continue
         updated = [v - factor * t for v, t in zip(values, top)]
         if r < last and updated[-1] <= 1e-12 * max(abs(values[-1]), abs(factor * top[-1])):
             updated[-1] = 0.0
@@ -206,7 +216,7 @@ def _list_simplex(costs, covers):
     for j, cost in enumerate(costs):
         values = [0.0] * (m + n + 1)
         values[m + j] = 1.0
-        values[-1] = cost
+        values[-1] = cost + 0.0     # -0.0 enters as +0.0, as `_pivot` first zeroes it
         tableau.append(values)
     for r, cover in enumerate(covers):
         for j in cover:

@@ -179,8 +179,13 @@ def dual_bound(candidates, costs):
         place = dict(zip(columns, range(len(columns))))
         rows = [tuple(map(place.__getitem__, place.keys() & ids)) for ids in candidates]
         cost = [costs[j] for j in columns]
-        forward = simplex_min(LinearProgram(cost, rows)).duals
-        backward = simplex_min(LinearProgram(cost, rows[::-1])).duals[::-1]
+        # Both LPs' dense matrices are columns of `a`, seeded as the cached
+        # `LinearProgram.matrix` so that neither is built again from its rows.
+        forward, backward = LinearProgram(cost, rows), LinearProgram(cost, rows[::-1])
+        vars(forward)["matrix"] = restricted = a[:, columns]
+        vars(backward)["matrix"] = restricted[::-1]
+        forward = simplex_min(forward).duals
+        backward = simplex_min(backward).duals[::-1]
         y = np.clip((forward + backward) / 2, 0.0, None)
         violated = set((c - a.T @ y < slack).nonzero()[0].tolist()) - set(columns)
         if not violated:

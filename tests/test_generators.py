@@ -6,10 +6,12 @@ from itertools import chain
 
 import pytest
 
-from bulkrobust import (InstanceError, brute_force_opt, gen_grid, gen_hypergraph_vc,
-                        gen_series_parallel, generators, instance, parse_instance,
-                        serialize_hypergraph, serialize_instance)
-from bulkrobust.generators import Hypergraph, random_hypergraph, reduce_hypergraph_vc
+from bulkrobust import (InfeasibleError, Instance, InstanceError, InvariantError,
+                        brute_force_opt, gen_grid, gen_hypergraph_vc, gen_series_parallel,
+                        generators, instance, parse_instance, serialize_hypergraph,
+                        serialize_instance)
+from bulkrobust.generators import (Hypergraph, _sample_scenarios, random_hypergraph,
+                                   reduce_hypergraph_vc)
 from bulkrobust.instance import Feasibility, requirement_met
 from bulkrobust.oracle import brute_force_vc
 from conftest import parse_hypergraph
@@ -133,9 +135,10 @@ def test_sp_instances_are_pinned():
 @pytest.fixture
 def builds(monkeypatch):
     """Records every Feasibility table built and counts `requirement_met`
-    calls, wherever the generators look it up."""
-    record = {"tables": [], "requirement_met": 0}
+    calls, wherever the generators look it up, and `check_feasible` calls."""
+    record = {"tables": [], "requirement_met": 0, "check_feasible": 0}
     build = Feasibility.__init__
+    check = Instance.check_feasible
 
     def recording_build(self, *args):
         build(self, *args)
@@ -145,7 +148,12 @@ def builds(monkeypatch):
         record["requirement_met"] += 1
         return requirement_met(*args, **kwargs)
 
+    def counted_check(self):
+        record["check_feasible"] += 1
+        return check(self)
+
     monkeypatch.setattr(Feasibility, "__init__", recording_build)
+    monkeypatch.setattr(Instance, "check_feasible", counted_check)
     monkeypatch.setattr(instance, "requirement_met", counted)
     monkeypatch.setattr(generators, "requirement_met", counted, raising=False)
     return record
@@ -153,13 +161,14 @@ def builds(monkeypatch):
 
 def sampled(make, builds):
     """(instance, the table its scenario sampling asked), from one build per
-    generated graph; the instance's parse-time table is the other build."""
+    generated graph: the instance reads that table and keeps none."""
     builds["tables"].clear()
+    builds["check_feasible"] = 0
     inst = make()
-    assert builds["requirement_met"] == 0
-    sampling, parse_time = builds["tables"]
-    assert parse_time is inst.feasibility(inst.edge_ids)
+    assert builds["requirement_met"] == 0 and builds["check_feasible"] == 0
+    [sampling] = builds["tables"]
     assert sampling.x == inst.edge_ids
+    assert "_feasibility" not in vars(inst)
     return inst, sampling
 
 
@@ -193,24 +202,110 @@ def assert_sampling_agrees(inst, table, problem, rng, k=3):
     assert answers == {True, False}
 
 
+def generated(seeds=range(6)):
+    """(problem, maker) pairs: grids and series-parallel graphs (parallel
+    edges), st and mst, 4 scenarios of at most 3 edges, over several seeds.
+    Each maker reads the loop's variables, so call it before the next pair."""
+    for seed in seeds:
+        for problem in ("st", "mst"):
+            rows, cols = 2 + seed % 3, 2 + seed % 4
+            yield problem, lambda: gen_grid(rows, cols, 4, 3, 5, seed, problem)
+            yield problem, lambda: gen_series_parallel(1 + seed % 5, 4, 3, 5, seed, problem)
+
+
 def test_sampling_asks_one_table_as_requirement_met_answers(builds):
     # Grids and series-parallel graphs (parallel edges), st and mst: the
     # table the generator built accepts exactly what a union-find accepts.
     rng = random.Random(5)
-    for seed in range(6):
-        for problem in ("st", "mst"):
-            rows, cols = 2 + seed % 3, 2 + seed % 4
-            makers = [lambda: gen_grid(rows, cols, 4, 3, 5, seed, problem),
-                      lambda: gen_series_parallel(1 + seed % 5, 4, 3, 5, seed, problem)]
-            for make in makers:
-                inst, table = sampled(make, builds)
-                assert_sampling_agrees(inst, table, problem, rng)
+    for problem, make in generated():
+        inst, table = sampled(make, builds)
+        assert_sampling_agrees(inst, table, problem, rng)
     # Vertex-cover reductions sample nothing; their graphs are asked through
     # the same build, for st and for mst.
     for seed in range(6):
         inst = gen_hypergraph_vc(2 + seed % 2, 3, 4 + seed, seed)[1]
         for problem in ("st", "mst"):
             assert_sampling_agrees(inst, every_edge_table(inst, problem), problem, rng)
+
+
+def test_the_handed_table_is_the_checks_proof(builds):
+    # The table a generator hands to its instance answers connectivity and
+    # every scenario as a fresh check does: the instance's own table, which
+    # it builds on demand, `check_feasible` on it, a union-find per
+    # scenario, and parse, which builds and checks its own table.
+    for problem, make in generated():
+        inst, table = sampled(make, builds)
+        s, t = (inst.s, inst.t) if problem == "st" else (None, None)
+        fresh = inst.feasibility(inst.edge_ids)
+        assert fresh is not table and fresh.x == inst.edge_ids
+        assert table.connected and fresh.connected
+        assert inst.k <= 3 and fresh.failures(inst.k) == {}
+        for j, scenario in enumerate(inst.scenarios):
+            assert table.cut(0, scenario) is None and fresh.cut(j, scenario) is None
+            assert requirement_met(inst.node_count, [row for e, row in inst.edge_map.items()
+                                                     if e not in scenario], problem, s, t)
+        builds["tables"].clear()
+        inst.check_feasible()
+        assert builds["check_feasible"] == 1 and builds["tables"] == []
+        parsed = parse_instance(serialize_instance(inst))
+        # parse builds one table and checks every scenario through it
+        assert builds["check_feasible"] == 2
+        assert builds["tables"] == [parsed.feasibility(parsed.edge_ids)]
+        assert serialize_instance(parsed) == serialize_instance(inst)
+
+
+def test_sampling_draws_as_before_and_sorts_what_it_accepts():
+    # The sampler asks `cut` with the drawn list and sorts only the accepted
+    # candidates, so its rng draws, and so its scenarios, are those of
+    # sorting every candidate first.
+    for problem, make in generated(range(4)):
+        inst = make()
+        s, t = (inst.s, inst.t) if problem == "st" else (None, None)
+        weighted = list(inst.edges)
+        for k in (1, 2, 3):
+            rng, ref = random.Random(k), random.Random(k)
+            scenarios, table = _sample_scenarios(inst.node_count, weighted, problem, s, t,
+                                                 6, k, rng)
+            expected, pool = [], sorted(inst.edge_ids)
+            while len(expected) < 6:
+                cand = tuple(sorted(ref.sample(pool, min(ref.randint(1, k), len(pool)))))
+                if table.cut(0, cand) is None:
+                    expected.append(cand)
+            assert scenarios == expected
+            assert rng.getstate() == ref.getstate()
+
+
+def test_direct_and_reduced_instances_check_their_own_table(builds):
+    # An `Instance(...)` built directly, or by a reduction, which samples
+    # nothing, builds its own table and asks it; an infeasible scenario
+    # still raises.
+    inst = gen_grid(3, 3, 2, 2, 3, seed=4)
+    args = (inst.node_count, inst.edges, inst.rotation, "st", inst.s, inst.t)
+    builds["tables"].clear()
+    builds["check_feasible"] = 0
+    again = Instance(*args, inst.scenarios)
+    assert builds["tables"] == [again.feasibility(again.edge_ids)]
+    assert builds["check_feasible"] == 1
+    corner = [e for e, (u, v, _) in inst.edge_map.items() if 0 in (u, v)]
+    with pytest.raises(InfeasibleError, match="removing scenario 1 breaks"):
+        Instance(*args, [inst.scenarios[0], corner])
+    with pytest.raises(InfeasibleError, match="removing scenario 0 breaks"):
+        Instance(*args[:3], "mst", scenarios=[corner])
+    builds["tables"].clear()
+    builds["check_feasible"] = 0
+    reduced = gen_hypergraph_vc(3, 3, 6, 2)[1]
+    assert builds["tables"] == [reduced.feasibility(reduced.edge_ids)]
+    assert builds["check_feasible"] == 1
+
+
+def test_a_table_of_other_edges_is_no_proof():
+    inst = gen_grid(2, 3, 1, 1, 1, seed=7)
+    every = frozenset(list(inst.edge_ids)[1:])
+    other = Feasibility(inst.node_count, inst.edge_map, "st", inst.s, inst.t,
+                        every, (every,), every)
+    with pytest.raises(InvariantError, match="sampling table"):
+        Instance(inst.node_count, inst.edges, inst.rotation, "st", inst.s, inst.t,
+                 inst.scenarios, _proof=other)
 
 
 def test_hypergraph_validation():

@@ -842,6 +842,29 @@ def test_dual_bound_rows_match_the_sliced_matrix(monkeypatch):
             np.array(sliced_dual_bound(candidates, costs)).tobytes()
 
 
+def test_dual_bound_seeds_the_matrix_its_rows_give(monkeypatch):
+    # Each restricted LP's dense matrix is a slice of `dual_bound`'s own
+    # element-by-set matrix, seeded before the solve reads it: no LP builds
+    # one from its rows, and each equals the matrix its rows give.
+    seen = []
+    bound = setcover.dual_bound
+    monkeypatch.setattr(setcover, "dual_bound", lambda candidates, costs: seen.append(
+        ([list(ids) for ids in candidates], list(costs))) or bound(candidates, costs))
+    for instance in TREE_GRIDS[:4]:
+        solve(instance)
+    assert seen
+    programs, built = [], []
+    solve_lp, build = setcover.simplex_min, lp.covering_matrix
+    monkeypatch.setattr(setcover, "simplex_min",
+                        lambda program: programs.append(program) or solve_lp(program))
+    monkeypatch.setattr(lp, "covering_matrix", lambda *args: built.append(args) or build(*args))
+    for candidates, costs in seen:
+        bound(candidates, costs)
+    assert len(programs) >= 2 * len(seen) and not built
+    for program in programs:
+        assert np.array_equal(program.matrix, build(program.covers, len(program.costs)))
+
+
 # -- the level-1 tree step -----------------------------------------------------
 
 # (scenarios, weight cap); the id of a 36-scenario grid is its weight cap
